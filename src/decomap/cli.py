@@ -269,9 +269,9 @@ def _cmd_decompose(args):
 def _cmd_transfer_check(args):
     phi = parse_map_file(args.map)
     md = modular.build_modular(parse_matrix_file(args.rho))
-    transfer = maps.transfer_operator(phi, md, tol=args.tol, samples=0, seed=args.seed)
     report = maps.cone_criterion_check(phi, md, args.k, args.trials,
                                        seed=args.seed, tol=args.tol)
+    transfer = report.transfer
     criteria = {name: report.worst(name) <= args.tol for name in ("p", "pt", "hull")}
     # the hull criterion is the (weak) decomposability verdict; the p / pt
     # criteria are stricter sub-verdicts and legitimately fail for maps

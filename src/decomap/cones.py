@@ -125,11 +125,6 @@ def cone_membership(md: ModularData, spec: ConeSpec, xi, tol: float = DEFAULT.co
                             residual=worse.residual, witness=worse.witness)
 
 
-def _psd_clip(h: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
-    return (v * np.maximum(w, 0.0)) @ v.conj().T
-
-
 def project_intersection_reduction(
     c: np.ndarray,
     layout: TensorLayout,
@@ -137,13 +132,8 @@ def project_intersection_reduction(
     max_iter: int = DEFAULT.max_iter,
 ) -> dykstra.DykstraResult:
     """Dykstra projection onto {a : a >= 0 and a^{t2} >= 0}."""
-    return dykstra.project_intersection(
-        c,
-        _psd_clip,
-        lambda x: _pt2(_psd_clip(_pt2(x, layout)), layout),
-        tol=tol,
-        max_iter=max_iter,
-    )
+    return dykstra.project_intersection(c, dykstra.PPTPair(layout, 2), tol=tol,
+                                        max_iter=max_iter)
 
 
 def sample_cone(md: ModularData, spec: ConeSpec, seed) -> np.ndarray:
@@ -201,13 +191,7 @@ def hull_membership(
     if dev > tol:
         raise NonHermitianReduction(f"reduction deviation {dev:.3e} exceeds {tol:.1e}")
     c = (c + c.conj().T) / 2
-    split = dykstra.split_sum(
-        c,
-        _psd_clip,
-        lambda x: _pt2(_psd_clip(_pt2(x, layout)), layout),
-        tol=tol,
-        max_iter=max_iter,
-    )
+    split = dykstra.split_sum(c, dykstra.PPTPair(layout, 2), tol=tol, max_iter=max_iter)
     witness = None if split.deficit is None else md.from_eigenbasis(split.deficit)
     return MembershipResult(inside=split.converged, residual=split.residual, witness=witness)
 
@@ -261,14 +245,6 @@ def probe_finite_dim_equality(
 
 
 # -- commutant-form generators of the transposed cone ------------------------
-
-def natural_tensor_generator(md_a: ModularData, md_b: ModularData,
-                             terms: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """(sum a_k (x) b_k) j(sum a_l (x) b_l) Omega for the tensor state."""
-    x = sum(np.kron(a, b) for a, b in terms)
-    omega = np.kron(md_a.omega_vector, md_b.omega_vector)
-    return x @ omega @ x.conj().T
-
 
 def transposed_tensor_generator(md_a: ModularData, md_b: ModularData,
                                 terms: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:

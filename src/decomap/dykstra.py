@@ -1,8 +1,10 @@
-"""Dykstra alternating projections for two-cone problems.
+"""Dykstra alternating projections for the two-cone pair of the package.
 
-Two flavours are used throughout the package:
+Every Dykstra problem in decomap runs on one cone pair, :class:`PPTPair`:
+K1 = {a ⪰ 0} and K2 = {a : a^Γ ⪰ 0}, with Γ the partial transpose of one
+tensor factor.  Two flavours are used throughout the package:
 
-* projection onto the intersection K1 ∩ K2 of two closed convex cones, and
+* projection onto the intersection K1 ∩ K2, and
 * the split feasibility question c = a + b with a ∈ K1, b ∈ K2
   (membership of c in the Minkowski sum K1 + K2).
 
@@ -10,18 +12,53 @@ Plain alternating projections would only find a point of an intersection
 of translates; Dykstra's correction terms make the iterates converge to
 the actual nearest point, which is what turns the final residual into a
 meaningful distance estimate.
+
+Inputs are validated once, when a pair is built and when a solve starts
+(finite entries, the pair's side); the projections inside the loop run on
+trusted arrays and validate nothing.  Callers reach the two solvers through
+this module (``dykstra.split_sum(...)``, ``dykstra.project_intersection(...)``),
+one call per solve, and the iteration cap is the parameter ``max_iter``: the
+benchmark counts solves and their stop reasons (converged, stagnated or
+capped at ``max_iter``) by wrapping these two attributes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .linalg import DEFAULT, Tolerances, frobenius
+from . import linalg
+from .linalg import DEFAULT, TensorLayout, Tolerances, frobenius
 
-Projection = Callable[[np.ndarray], np.ndarray]
+
+@dataclass(frozen=True)
+class PPTPair:
+    """The cones {a ⪰ 0} and {a : a^Γ ⪰ 0}, Γ transposing factor ``factor``."""
+
+    layout: TensorLayout
+    factor: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "_plan", linalg._pt_plan(self.layout, self.factor))
+
+    def validate(self, x) -> np.ndarray:
+        """x as a finite complex matrix of the pair's side, or a typed error."""
+        x = linalg._as_matrix(x)
+        self.layout.check(x)
+        return x
+
+    def pt(self, x: np.ndarray) -> np.ndarray:
+        """The partial transpose Γ (an involution)."""
+        return linalg._permute(x, *self._plan)
+
+    def proj1(self, x: np.ndarray) -> np.ndarray:
+        """Nearest point of {a ⪰ 0} to the Hermitian part of x."""
+        return linalg._psd_clip(x)
+
+    def proj2(self, x: np.ndarray) -> np.ndarray:
+        """Nearest point of {a : a^Γ ⪰ 0} to the Hermitian part of x."""
+        return self.pt(linalg._psd_clip(self.pt(x)))
 
 
 @dataclass
@@ -52,8 +89,7 @@ def _stagnated(history: list[float], window: int, progress: float) -> bool:
 
 def project_intersection(
     x0: np.ndarray,
-    proj1: Projection,
-    proj2: Projection,
+    pair: PPTPair,
     tol: float = DEFAULT.cone,
     max_iter: int = DEFAULT.max_iter,
     opts: Tolerances = DEFAULT,
@@ -63,7 +99,8 @@ def project_intersection(
     The residual is the distance between the two one-sided projections,
     which vanishes exactly on the intersection.
     """
-    x = np.array(x0, dtype=complex)
+    x = pair.validate(x0)
+    proj1, proj2 = pair.proj1, pair.proj2
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     history: list[float] = []
@@ -84,8 +121,7 @@ def project_intersection(
 
 def split_sum(
     c: np.ndarray,
-    proj1: Projection,
-    proj2: Projection,
+    pair: PPTPair,
     tol: float = DEFAULT.cone,
     max_iter: int = DEFAULT.max_iter,
     opts: Tolerances = DEFAULT,
@@ -96,7 +132,8 @@ def split_sum(
     corrections) and the affine constraint C2 = {(a, b) : a + b = c}
     (exact projection, no correction needed for an affine set).
     """
-    c = np.asarray(c, dtype=complex)
+    c = pair.validate(c)
+    proj1, proj2 = pair.proj1, pair.proj2
     a = c / 2
     b = c / 2
     pa = np.zeros_like(c)

@@ -26,7 +26,6 @@ from .errors import (
 class Tolerances:
     """Central numerical tolerances; every test references these defaults."""
 
-    eig_rel: float = 1e-12        # spectral reconstruction, relative
     herm_rel: float = 1e-10       # Hermitian deviation, relative
     pd_floor: float = 1e-12       # strict positivity floor
     kernel: float = 1e-10         # Gram-form kernel cutoff
@@ -90,11 +89,6 @@ def herm_part(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().T) / 2
 
 
-def herm_deviation(x: np.ndarray) -> float:
-    """Frobenius distance to the Hermitian part."""
-    return float(np.linalg.norm(x - x.conj().T)) / 2
-
-
 def require_hermitian(x, tol: Tolerances = DEFAULT) -> np.ndarray:
     x = _as_matrix(x)
     if x.shape[0] != x.shape[1]:
@@ -125,11 +119,15 @@ def frac_power(p, t: float, tol: Tolerances = DEFAULT) -> np.ndarray:
     return (v * dec.eigenvalues**t) @ v.conj().T
 
 
+def _psd_clip(x: np.ndarray) -> np.ndarray:
+    """Clip the negative eigenvalues of the Hermitian part; no validation."""
+    w, v = np.linalg.eigh((x + x.conj().T) / 2)
+    return (v * np.maximum(w, 0.0)) @ v.conj().T
+
+
 def psd_project(h, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Frobenius-nearest PSD matrix: clip negative eigenvalues to zero."""
-    dec = herm_eig(h, tol)
-    v = dec.eigenvectors
-    return (v * np.maximum(dec.eigenvalues, 0.0)) @ v.conj().T
+    return _psd_clip(require_hermitian(h, tol))
 
 
 def min_eig(h: np.ndarray) -> float:
@@ -142,16 +140,24 @@ def psd_deficit(h: np.ndarray) -> float:
     return max(0.0, -min_eig(h))
 
 
+def _pt_plan(layout: TensorLayout, factor: int) -> tuple:
+    """Index shape, swapped axes and side of a partial transpose."""
+    k = len(layout.dims)
+    if not 1 <= factor <= k:
+        raise LayoutMismatch(f"factor {factor} out of range for {layout.dims}")
+    return layout.dims + layout.dims, factor - 1, k + factor - 1, layout.side
+
+
+def _permute(x: np.ndarray, shape: tuple, axis1: int, axis2: int, side: int) -> np.ndarray:
+    """Partial transpose along a precomputed plan; no validation."""
+    return np.swapaxes(x.reshape(shape), axis1, axis2).reshape(side, side)
+
+
 def partial_transpose(x, layout: TensorLayout, factor: int) -> np.ndarray:
     """Transpose the indices of one tensor factor (1-based) only."""
     x = _as_matrix(x)
     layout.check(x)
-    k = len(layout.dims)
-    if not 1 <= factor <= k:
-        raise LayoutMismatch(f"factor {factor} out of range for {layout.dims}")
-    t = x.reshape(layout.dims + layout.dims)
-    t = np.swapaxes(t, factor - 1, k + factor - 1)
-    return t.reshape(layout.side, layout.side)
+    return _permute(x, *_pt_plan(layout, factor))
 
 
 def hs_inner(x, y) -> complex:
@@ -192,10 +198,3 @@ def sample_density(n: int, seed, ridge: float = 0.0) -> np.ndarray:
     w = sample_psd(n, seed)
     w = w + ridge * (np.trace(w).real / n) * np.eye(n)
     return w / np.trace(w).real
-
-
-def kron_all(*mats: np.ndarray) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for m in mats:
-        out = np.kron(out, m)
-    return out

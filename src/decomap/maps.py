@@ -54,6 +54,8 @@ def make_map(choi, dim_in: int, dim_out: int, label: str = "",
     side = dim_in * dim_out
     if choi.shape != (side, side):
         raise BadChoi(f"Choi matrix must be {side}x{side}, got {choi.shape}")
+    if not np.all(np.isfinite(choi)):
+        raise BadChoi("Choi matrix contains NaN or Inf entries")
     dev = float(np.linalg.norm(choi - choi.conj().T))
     if dev > tol.herm_rel * max(1.0, linalg.frobenius(choi)):
         raise BadChoi(f"Choi matrix Hermitian deviation {dev:.3e} too large")
@@ -270,22 +272,13 @@ class SkResult:
 def sk_sampler(phi: MapObject, k: int, trials: int, seed: int = 0,
                tol: float = 1e-8) -> SkResult:
     """Sample [a_ij] with [a_ij] and [a_ji] PSD; test [phi(a_ij)] >= 0."""
+    linalg.require_hermitian(phi.choi)
     m = phi.dim_in
-    layout = TensorLayout((k, m))
-
-    def block_t(x):
-        return linalg.partial_transpose(x, layout, 1)
-
+    pair = dykstra.PPTPair(TensorLayout((k, m)), 1)    # block transpose [a_ji]
     worst = np.inf
     for t in range(trials):
         h = linalg.sample_hermitian(k * m, seed + t)
-        res = dykstra.project_intersection(
-            h,
-            lambda x: linalg.psd_project(linalg.herm_part(x)),
-            lambda x: block_t(linalg.psd_project(linalg.herm_part(block_t(x)))),
-            tol=1e-11,
-            max_iter=DEFAULT.max_iter,
-        )
+        res = dykstra.project_intersection(h, pair, tol=1e-11, max_iter=DEFAULT.max_iter)
         c = linalg.herm_part(res.point)
         out = amplify(phi, k, c)
         w = linalg.min_eig(out)
@@ -314,18 +307,8 @@ def decompose(phi: MapObject, tol: float = 1e-8,
     tol is numerical evidence of non-decomposability, not a proof.
     """
     choi = linalg.require_hermitian(phi.choi)
-    layout = phi.layout
-
-    def pt2(x):
-        return linalg.partial_transpose(x, layout, 2)
-
-    split = dykstra.split_sum(
-        choi,
-        lambda x: linalg.psd_project(linalg.herm_part(x)),
-        lambda x: pt2(linalg.psd_project(linalg.herm_part(pt2(x)))),
-        tol=tol,
-        max_iter=max_iter,
-    )
+    split = dykstra.split_sum(choi, dykstra.PPTPair(phi.layout, 2), tol=tol,
+                              max_iter=max_iter)
     mk = lambda c, tag: MapObject(phi.dim_in, phi.dim_out, linalg.herm_part(c),
                                   label=f"{phi.label}{tag}")
     return DecompositionResult(
@@ -460,6 +443,7 @@ class CriterionReport:
 
     levels: dict[int, dict[str, float]]
     trials: int
+    transfer: TransferOperator      # built without cone-preservation samples
 
     def worst(self, criterion: str) -> float:
         return max(level[criterion] for level in self.levels.values())
@@ -503,4 +487,4 @@ def cone_criterion_check(phi: MapObject, md_m: ModularData, k: int, trials: int,
             worst["hull"] = max(worst["hull"], cones.hull_membership(
                 mdt, image, layout, tol, hull_max_iter).residual)
         levels[level] = worst
-    return CriterionReport(levels=levels, trials=trials)
+    return CriterionReport(levels=levels, trials=trials, transfer=transfer)

@@ -30,6 +30,7 @@ from .errors import (
 from .linalg import DEFAULT
 from .maps import (
     MapObject,
+    _unit,
     adjoint_map,
     apply_map,
     compose_transpose,
@@ -139,7 +140,6 @@ class StormerData:
     k_basis: list[tuple[str, np.ndarray, np.ndarray]]   # label + representatives
     rho_units: dict[tuple[int, int], np.ndarray]
     v_eta: np.ndarray                          # dim_out x k_dim, standard basis
-    g_projection: np.ndarray
     eta: np.ndarray
     eta_basis: np.ndarray
     face_case: bool
@@ -150,7 +150,6 @@ class StormerData:
     basis_orthonormality_residual: float
     v_lsq_residual: float
     v_norm: float
-    _coord: object = None
 
     def rho_of(self, a: np.ndarray) -> np.ndarray:
         """Jordan morphism matrix for an arbitrary element, by linearity."""
@@ -158,10 +157,6 @@ class StormerData:
         for (i, j), r in self.rho_units.items():
             out += a[i, j] * r
         return out
-
-    def coord(self, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-        """K_eta coordinates of the class of (a1, a2)."""
-        return self._coord(a1, a2)
 
 
 def _omega_functional(phi: MapObject, eta: np.ndarray):
@@ -225,7 +220,7 @@ def build_local_decomposition(
     density = np.zeros((m, m), dtype=complex)
     for i in range(m):
         for j in range(m):
-            density[j, i] = omega(_unit_mat(m, i, j))
+            density[j, i] = omega(_unit(m, i, j))
     density = linalg.herm_part(density)
 
     gl, gr, gram = _gram_blocks(omega, m)
@@ -244,12 +239,6 @@ def build_local_decomposition(
         return _build_face_case(phi, eta, xi, omega, density, gram,
                                 left_basis, right_basis)
     return _build_generic(phi, eta, omega, density, gram, left_basis, right_basis)
-
-
-def _unit_mat(m, i, j):
-    e = np.zeros((m, m), dtype=complex)
-    e[i, j] = 1.0
-    return e
 
 
 def _build_face_case(phi, eta, xi, omega, density, gram, left_basis, right_basis):
@@ -290,7 +279,7 @@ def _build_face_case(phi, eta, xi, omega, density, gram, left_basis, right_basis
     rho_units = {}
     for p in range(2):
         for q in range(2):
-            u = _unit_mat(2, p, q)
+            u = _unit(2, p, q)
             cols = [coord(u @ r1, r2 @ u) for _, r1, r2 in reps]
             rho_units[(p, q)] = np.column_stack(cols)
 
@@ -300,7 +289,6 @@ def _build_face_case(phi, eta, xi, omega, density, gram, left_basis, right_basis
               np.zeros(2, dtype=complex)]
     v_eta = np.column_stack(v_cols)
     v_face = eb.conj().T @ v_eta
-    g_proj = np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex)
 
     return StormerData(
         omega_eta=density,
@@ -311,7 +299,6 @@ def _build_face_case(phi, eta, xi, omega, density, gram, left_basis, right_basis
         k_basis=reps,
         rho_units=rho_units,
         v_eta=v_eta,
-        g_projection=g_proj,
         eta=eta,
         eta_basis=eb,
         face_case=True,
@@ -358,18 +345,13 @@ def _build_generic(phi, eta, omega, density, gram, left_basis, right_basis):
     phi_cols = []
     for i in range(m):
         for j in range(m):
-            u = _unit_mat(m, i, j)
+            u = _unit(m, i, j)
             diag_cols.append(coord(u, u))
             phi_cols.append(apply_map(phi, u) @ eta)
     d_mat = np.column_stack(diag_cols)                    # K x 4
     phi_mat = np.column_stack(phi_cols)                   # 2 x 4
     v_eta = phi_mat @ np.linalg.pinv(d_mat, rcond=1e-10)
     lsq = float(np.linalg.norm(v_eta @ d_mat - phi_mat))
-
-    u_g, s_g, _ = np.linalg.svd(d_mat, full_matrices=False)
-    rank = int((s_g > 1e-10 * max(1.0, s_g[0])).sum())
-    basis_g = u_g[:, :rank]
-    g_proj = basis_g @ basis_g.conj().T
 
     k_basis = [(f"kappa{s + 1}", q_plus[: 4, s].reshape(m, m),
                 q_plus[4:, s].reshape(m, m)) for s in range(k_dim)]
@@ -383,7 +365,6 @@ def _build_generic(phi, eta, omega, density, gram, left_basis, right_basis):
         k_basis=k_basis,
         rho_units=rho_units,
         v_eta=v_eta,
-        g_projection=g_proj,
         eta=eta,
         eta_basis=complete_basis(eta),
         face_case=False,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from decomap import cli
+from decomap import cli, maps
 from decomap.errors import ParseError
 
 from conftest import SIGMA_X, matrix_json, random_matrix, write_json
@@ -126,13 +126,18 @@ class TestCommands:
                                 "--seed", "1"])
         assert code == 0 and report["result"]["max_residual"] <= 1e-8
 
-    def test_transfer_check_identity(self, tmp_path):
+    def test_transfer_check_identity(self, tmp_path, monkeypatch):
         rho_file = write_json(tmp_path / "r.json", matrix_json(np.eye(2) / 2))
         map_file = write_json(tmp_path / "m.json", {"key": "identity:2"})
+        built = []
+        transfer_operator = maps.transfer_operator
+        monkeypatch.setattr(maps, "transfer_operator",
+                            lambda *a, **kw: built.append(a) or transfer_operator(*a, **kw))
         report, code = cli.run(["transfer-check", "--map", map_file,
                                 "--rho", rho_file, "--k", "2", "--trials", "3",
                                 "--seed", "0"])
         assert code == 0
+        assert len(built) == 1
         assert report["result"]["criteria"]["p"] is True
         assert report["result"]["criteria"]["hull"] is True
 

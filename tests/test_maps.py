@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from decomap import dykstra, linalg, maps, modular
-from decomap.errors import BadChoi, NoDetailedBalance, UnknownKind
+from decomap.errors import BadChoi, NoDetailedBalance, NonFinite, UnknownKind
 from decomap.linalg import TensorLayout
 
 from conftest import SIGMA_X, random_matrix
@@ -60,6 +60,12 @@ class TestRepresentation:
     def test_bad_choi_rejected(self, rng):
         with pytest.raises(BadChoi):
             maps.make_map(random_matrix(rng, 4), 2, 2)
+
+    def test_non_finite_choi_rejected(self):
+        choi = maps.identity_map(2).choi.copy()
+        choi[0, 0] = np.nan
+        with pytest.raises(BadChoi):
+            maps.make_map(choi, 2, 2)
 
     def test_registry_keys(self, tmp_path):
         assert maps.map_from_key("identity:3").dim_in == 3
@@ -127,18 +133,20 @@ class TestSkSampler:
         res = maps.sk_sampler(maps.transposition_map(2), 2, trials=20, seed=1)
         assert not res.violation_found
 
+    def test_non_finite_map_rejected(self):
+        choi = maps.identity_map(2).choi.copy()
+        choi[0, 0] = np.nan
+        with pytest.raises(NonFinite):
+            maps.sk_sampler(maps.MapObject(2, 2, choi), 1, trials=2)
+
     def test_m3_map_has_sk_witness(self):
         """Targeted search exhibits the S_3 failure random sampling misses."""
         phi = choi_m3_map()
-        layout = TensorLayout((3, 3))
-        pt1 = lambda x: linalg.partial_transpose(x, layout, 1)
+        pair = dykstra.PPTPair(TensorLayout((3, 3)), 1)
 
         def proj_double_psd(c):
             return linalg.herm_part(dykstra.project_intersection(
-                c,
-                lambda x: linalg.psd_project(linalg.herm_part(x)),
-                lambda x: pt1(linalg.psd_project(linalg.herm_part(pt1(x)))),
-                tol=1e-12, max_iter=2000).point)
+                c, pair, tol=1e-12, max_iter=2000).point)
 
         choi4 = phi.choi.reshape(3, 3, 3, 3)
         rng = np.random.default_rng(1)
@@ -154,7 +162,7 @@ class TestSkSampler:
             c = proj_double_psd(c - 0.15 * grad)
             c /= np.trace(c).real
         assert linalg.psd_deficit(c) <= 1e-10
-        assert linalg.psd_deficit(pt1(c)) <= 1e-8
+        assert linalg.psd_deficit(pair.pt(c)) <= 1e-8
         assert linalg.min_eig(maps.amplify(phi, 3, c)) < -0.01
 
 
@@ -236,6 +244,7 @@ class TestConeCriteria:
     def test_identity_all_pass(self):
         md = modular.build_modular(np.eye(2) / 2)
         rep = maps.cone_criterion_check(maps.identity_map(2), md, k=2, trials=3, seed=0)
+        assert rep.transfer.db.holds
         assert rep.worst("p") <= 1e-8
         assert rep.worst("hull") <= 1e-8
 
