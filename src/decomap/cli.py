@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from . import __version__, cones, linalg, maps, modular, stormer
+from . import __version__, cones, maps, modular, stormer
 from .errors import DecomapError, ParseError
 from .linalg import TensorLayout
 
@@ -80,11 +80,6 @@ def parse_matrix_file(path: str) -> np.ndarray:
     return parse_matrix(_load_json(path))
 
 
-def parse_vector_file(path: str) -> np.ndarray:
-    obj = _load_json(path)
-    return _vector_from_obj(obj, path)
-
-
 def _vector_from_obj(obj, where: str) -> np.ndarray:
     if isinstance(obj, list):
         return _entry_pairs(obj, len(obj))
@@ -109,8 +104,12 @@ def parse_map_file(path: str) -> maps.MapObject:
 
         return maps.map_from_key(obj["key"], loader=loader)
     if {"dim_in", "dim_out", "choi"} <= set(obj):
-        return maps.make_map(parse_matrix(obj["choi"]), int(obj["dim_in"]),
-                             int(obj["dim_out"]), label=obj.get("label", ""))
+        try:
+            dim_in, dim_out = int(obj["dim_in"]), int(obj["dim_out"])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: dim_in and dim_out must be integers") from exc
+        return maps.make_map(parse_matrix(obj["choi"]), dim_in, dim_out,
+                             label=obj.get("label", ""))
     raise ParseError(f"{path}: map JSON needs 'key' or dim_in/dim_out/choi")
 
 
@@ -122,7 +121,7 @@ def parse_face_file(path: str) -> stormer.FaceSpec:
                             eta=_vector_from_obj(obj["eta"], path))
 
 
-def parse_cone_spec(text: str, md_factory) -> tuple[cones.ConeSpec, "modular.ModularData"]:
+def parse_cone_spec(text: str) -> cones.ConeSpec:
     """Cone mini-language: {"kind": ..., "beta": ..., "dims": [m, n]}."""
     try:
         obj = json.loads(text)
@@ -138,8 +137,7 @@ def parse_cone_spec(text: str, md_factory) -> tuple[cones.ConeSpec, "modular.Mod
                 or not all(isinstance(d, int) and d > 0 for d in dims)):
             raise ParseError(f"bad cone dims {dims!r}")
         layout = TensorLayout(tuple(dims))
-    spec = cones.ConeSpec(kind=kind, beta=obj.get("beta"), layout=layout)
-    return spec, md_factory(layout)
+    return cones.ConeSpec(kind=kind, beta=obj.get("beta"), layout=layout)
 
 
 # -- report plumbing ----------------------------------------------------------
@@ -166,25 +164,23 @@ def render_report(report: dict) -> str:
     return json.dumps(_jsonable(report), sort_keys=True, indent=2)
 
 
-def _tensor_md(rho_path: str, rho_b_path: str | None):
-    """Modular-data factory: plain state, or product state for tensor cones.
+def _modular_data(rho_path: str, rho_b_path: str | None,
+                  layout: TensorLayout | None) -> modular.ModularData:
+    """Plain state, or product state for a two-factor layout.
 
     For two-factor cones the --rho file is the first-factor density; the
     second factor defaults to the tracial state of the layout dimension
     and can be overridden with --rho-b.
     """
-    def factory(layout):
-        rho = parse_matrix_file(rho_path)
-        if layout is None:
-            return modular.build_modular(rho)
-        m, n = layout.dims
-        if rho.shape != (m, m):
-            raise ParseError(f"--rho must be {m}x{m} for dims {layout.dims}")
-        rho_b = (parse_matrix_file(rho_b_path) if rho_b_path
-                 else np.eye(n) / n)
-        return modular.tensor_modular(modular.build_modular(rho),
-                                      modular.build_modular(rho_b))
-    return factory
+    rho = parse_matrix_file(rho_path)
+    if layout is None:
+        return modular.build_modular(rho)
+    m, n = layout.dims
+    if rho.shape != (m, m):
+        raise ParseError(f"--rho must be {m}x{m} for dims {layout.dims}")
+    rho_b = parse_matrix_file(rho_b_path) if rho_b_path else np.eye(n) / n
+    return modular.tensor_modular(modular.build_modular(rho),
+                                  modular.build_modular(rho_b))
 
 
 # -- command handlers: each returns (payload, verdict) ------------------------
@@ -197,7 +193,8 @@ def _cmd_modular_check(args):
 
 
 def _cmd_cone_member(args):
-    spec, md = parse_cone_spec(args.cone, _tensor_md(args.rho, args.rho_b))
+    spec = parse_cone_spec(args.cone)
+    md = _modular_data(args.rho, args.rho_b, spec.layout)
     xi = parse_matrix_file(args.xi)
     res = cones.cone_membership(md, spec, xi, tol=args.tol)
     payload = {"inside": res.inside, "residual": res.residual}
@@ -209,7 +206,7 @@ def _cmd_cone_member(args):
 def _cmd_hull_member(args):
     m, n = _parse_dims(args.dims)
     layout = TensorLayout((m, n))
-    md = _tensor_md(args.rho, args.rho_b)(layout)
+    md = _modular_data(args.rho, args.rho_b, layout)
     xi = parse_matrix_file(args.xi)
     res = cones.hull_membership(md, xi, layout, tol=args.tol, max_iter=args.max_iter)
     payload = {"inside": res.inside, "residual": res.residual}
@@ -241,7 +238,10 @@ def _cmd_map_analyze(args):
             ok = gp.completely_positive if test == "cp" else gp.completely_copositive
             payload[test] = ok
         elif test.startswith("kpos="):
-            k = int(test.split("=", 1)[1])
+            try:
+                k = int(test.split("=", 1)[1])
+            except ValueError as exc:
+                raise ParseError(f"bad test {test!r}; kpos needs an integer K") from exc
             res = maps.k_positivity_search(phi, k, restarts=args.restarts,
                                            seed=args.seed, tol=args.tol)
             ok = not res.violation_found
@@ -291,7 +291,7 @@ def _stormer_inputs(args):
     phi = parse_map_file(args.map)
     face = parse_face_file(args.face) if args.face else None
     if args.eta:
-        eta = parse_vector_file(args.eta)
+        eta = _vector_from_obj(_load_json(args.eta), args.eta)
     elif face is not None:
         eta = face.eta
     else:
@@ -425,8 +425,10 @@ def run(argv: list[str]) -> tuple[dict, int]:
         "seed": getattr(args, "seed", None),
     }
     try:
+        if report["seed"] is not None and report["seed"] < 0:
+            raise ParseError(f"--seed must be non-negative, got {report['seed']}")
         payload, verdict = _HANDLERS[args.command](args)
-    except (DecomapError, ParseError) as exc:
+    except DecomapError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         report["verdict"] = "error"
         code = 2

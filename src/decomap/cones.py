@@ -67,10 +67,9 @@ class MembershipResult:
 
 
 def _check_tensor(md: ModularData, spec: ConeSpec) -> None:
-    if md.layout is None or md.layout.dims != spec.layout.dims:
+    if md.layout.dims != spec.layout.dims:
         raise LayoutMismatch(
-            f"modular data has layout {None if md.layout is None else md.layout.dims}, "
-            f"cone expects {spec.layout.dims}"
+            f"modular data has layout {md.layout.dims}, cone expects {spec.layout.dims}"
         )
 
 
@@ -125,17 +124,6 @@ def cone_membership(md: ModularData, spec: ConeSpec, xi, tol: float = DEFAULT.co
                             residual=worse.residual, witness=worse.witness)
 
 
-def project_intersection_reduction(
-    c: np.ndarray,
-    layout: TensorLayout,
-    tol: float = 1e-12,
-    max_iter: int = DEFAULT.max_iter,
-) -> dykstra.DykstraResult:
-    """Dykstra projection onto {a : a >= 0 and a^{t2} >= 0}."""
-    return dykstra.project_intersection(c, dykstra.PPTPair(layout, 2), tol=tol,
-                                        max_iter=max_iter)
-
-
 def sample_cone(md: ModularData, spec: ConeSpec, seed) -> np.ndarray:
     """Draw an exact member of the requested cone (hull excluded)."""
     if spec.kind == HULL:
@@ -155,17 +143,12 @@ def sample_cone(md: ModularData, spec: ConeSpec, seed) -> np.ndarray:
         return natural
     if spec.kind == TRANSPOSED_TENSOR:
         return md.from_eigenbasis(_pt2(md.to_eigenbasis(natural), spec.layout))
-    # intersection: Dykstra-project the reduction and map back
-    c = project_intersection_reduction(_reduction_eig(md, natural), spec.layout).point
+    # intersection: Dykstra-project the reduction onto {a >= 0, a^{t2} >= 0}
+    # and map back
+    c = dykstra.project_intersection(_reduction_eig(md, natural),
+                                     dykstra.PPTPair(spec.layout, 2), tol=1e-12).point
     lam = md.eigenvalues
     return md.from_eigenbasis((lam**0.25)[:, None] * c * (lam**0.25)[None, :])
-
-
-def hull_sample(md: ModularData, layout: TensorLayout, seed: int, weight: float = 0.5) -> np.ndarray:
-    """Convex combination of a natural and a transposed tensor sample."""
-    a = sample_cone(md, ConeSpec(NATURAL_TENSOR, layout=layout), seed)
-    b = sample_cone(md, ConeSpec(TRANSPOSED_TENSOR, layout=layout), seed + 1)
-    return weight * a + (1.0 - weight) * b
 
 
 def hull_membership(

@@ -14,12 +14,13 @@ the actual nearest point, which is what turns the final residual into a
 meaningful distance estimate.
 
 Inputs are validated once, when a pair is built and when a solve starts
-(finite entries, the pair's side); the projections inside the loop run on
-trusted arrays and validate nothing.  Callers reach the two solvers through
-this module (``dykstra.split_sum(...)``, ``dykstra.project_intersection(...)``),
-one call per solve, and the iteration cap is the parameter ``max_iter``: the
-benchmark counts solves and their stop reasons (converged, stagnated or
-capped at ``max_iter``) by wrapping these two attributes.
+(finite entries, the pair's side, ``max_iter >= 1``); the projections
+inside the loop run on trusted arrays and validate nothing.  Callers reach
+the two solvers through this module (``dykstra.split_sum(...)``,
+``dykstra.project_intersection(...)``), one call per solve, and the
+iteration cap is the parameter ``max_iter``: the benchmark counts solves
+and their stop reasons (converged, stagnated or capped at ``max_iter``) by
+wrapping these two attributes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import DEFAULT, TensorLayout, Tolerances, frobenius
+from .errors import InvalidOption
+from .linalg import DEFAULT, TensorLayout, frobenius
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,13 @@ class PPTPair:
     def __post_init__(self):
         object.__setattr__(self, "_plan", linalg._pt_plan(self.layout, self.factor))
 
-    def validate(self, x) -> np.ndarray:
-        """x as a finite complex matrix of the pair's side, or a typed error."""
+    def validate(self, x, max_iter: int) -> np.ndarray:
+        """x as a finite complex matrix of the pair's side, or a typed error.
+
+        Also rejects an iteration cap below one, which leaves no iterate.
+        """
+        if max_iter < 1:
+            raise InvalidOption(f"max_iter must be at least 1, got {max_iter}")
         x = linalg._as_matrix(x)
         self.layout.check(x)
         return x
@@ -79,12 +86,13 @@ class SplitResult:
     deficit: np.ndarray | None  # normalized unsplit direction when infeasible
 
 
-def _stagnated(history: list[float], window: int, progress: float) -> bool:
+def _stagnated(history: list[float]) -> bool:
+    window = DEFAULT.dykstra_window
     if len(history) <= window:
         return False
     old = history[-window - 1]
     new = history[-1]
-    return old - new < progress * max(1.0, old)
+    return old - new < DEFAULT.dykstra_progress * max(1.0, old)
 
 
 def project_intersection(
@@ -92,14 +100,13 @@ def project_intersection(
     pair: PPTPair,
     tol: float = DEFAULT.cone,
     max_iter: int = DEFAULT.max_iter,
-    opts: Tolerances = DEFAULT,
 ) -> DykstraResult:
     """Dykstra projection of x0 onto K1 ∩ K2.
 
     The residual is the distance between the two one-sided projections,
     which vanishes exactly on the intersection.
     """
-    x = pair.validate(x0)
+    x = pair.validate(x0, max_iter)
     proj1, proj2 = pair.proj1, pair.proj2
     p = np.zeros_like(x)
     q = np.zeros_like(x)
@@ -114,7 +121,7 @@ def project_intersection(
         history.append(res)
         if res <= tol:
             return DykstraResult(point=x, residual=res, iterations=it, converged=True)
-        if _stagnated(history, opts.dykstra_window, opts.dykstra_progress):
+        if _stagnated(history):
             break
     return DykstraResult(point=x, residual=history[-1], iterations=len(history), converged=False)
 
@@ -124,7 +131,6 @@ def split_sum(
     pair: PPTPair,
     tol: float = DEFAULT.cone,
     max_iter: int = DEFAULT.max_iter,
-    opts: Tolerances = DEFAULT,
 ) -> SplitResult:
     """Decide c = a + b with a ∈ K1, b ∈ K2 by Dykstra in the product space.
 
@@ -132,7 +138,7 @@ def split_sum(
     corrections) and the affine constraint C2 = {(a, b) : a + b = c}
     (exact projection, no correction needed for an affine set).
     """
-    c = pair.validate(c)
+    c = pair.validate(c, max_iter)
     proj1, proj2 = pair.proj1, pair.proj2
     a = c / 2
     b = c / 2
@@ -156,7 +162,7 @@ def split_sum(
         # affine step: distribute the split gap evenly
         a = a1 + gap / 2
         b = b1 + gap / 2
-        if _stagnated(history, opts.dykstra_window, opts.dykstra_progress):
+        if _stagnated(history):
             break
     res, a1, b1, gap = best
     scale = frobenius(gap)

@@ -17,6 +17,10 @@ class NotPositiveDefinite(DecomapError):
     """Matrix has an eigenvalue at or below the positive-definiteness floor."""
 
 
+class InvalidOption(DecomapError):
+    """Numerical option outside its valid range."""
+
+
 class ShapeMismatch(DecomapError):
     """Operands have incompatible shapes."""
 

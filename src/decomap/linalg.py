@@ -3,8 +3,10 @@
 Everything downstream (modular data, cone tests, map hierarchies) is built
 on Hermitian spectral decompositions, fractional powers of positive
 matrices, PSD projections, partial transposes and seeded Ginibre
-ensembles, all collected here.  Matrices are plain complex numpy arrays;
-tolerances come from a single :class:`Tolerances` record.
+ensembles, all collected here.  Matrices are plain complex numpy arrays.
+The numerical tolerances live in one constant record, :data:`DEFAULT`
+(a :class:`Tolerances`), which the package reads directly instead of
+passing it around.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Central numerical tolerances; every test references these defaults."""
+    """The package's numerical tolerances; read through the constant ``DEFAULT``."""
 
     herm_rel: float = 1e-10       # Hermitian deviation, relative
     pd_floor: float = 1e-12       # strict positivity floor
@@ -89,31 +91,31 @@ def herm_part(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().T) / 2
 
 
-def require_hermitian(x, tol: Tolerances = DEFAULT) -> np.ndarray:
+def require_hermitian(x) -> np.ndarray:
     x = _as_matrix(x)
     if x.shape[0] != x.shape[1]:
         raise NotHermitian(f"matrix is not square: {x.shape}")
-    bound = tol.herm_rel * max(1.0, frobenius(x))
+    bound = DEFAULT.herm_rel * max(1.0, frobenius(x))
     dev = float(np.linalg.norm(x - x.conj().T))
     if dev > bound:
         raise NotHermitian(f"Hermitian deviation {dev:.3e} exceeds {bound:.3e}")
     return herm_part(x)
 
 
-def herm_eig(h, tol: Tolerances = DEFAULT) -> SpectralDecomposition:
+def herm_eig(h) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix, eigenvalues ascending."""
-    h = require_hermitian(h, tol)
+    h = require_hermitian(h)
     w, v = np.linalg.eigh(h)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def frac_power(p, t: float, tol: Tolerances = DEFAULT) -> np.ndarray:
+def frac_power(p, t: float) -> np.ndarray:
     """p**t for positive-definite p via the spectral calculus."""
-    dec = herm_eig(p, tol)
-    if dec.eigenvalues.min() <= tol.pd_floor:
+    dec = herm_eig(p)
+    if dec.eigenvalues.min() <= DEFAULT.pd_floor:
         raise NotPositiveDefinite(
             f"minimum eigenvalue {dec.eigenvalues.min():.3e} at or below "
-            f"floor {tol.pd_floor:.1e}"
+            f"floor {DEFAULT.pd_floor:.1e}"
         )
     v = dec.eigenvectors
     return (v * dec.eigenvalues**t) @ v.conj().T
@@ -125,9 +127,9 @@ def _psd_clip(x: np.ndarray) -> np.ndarray:
     return (v * np.maximum(w, 0.0)) @ v.conj().T
 
 
-def psd_project(h, tol: Tolerances = DEFAULT) -> np.ndarray:
+def psd_project(h) -> np.ndarray:
     """Frobenius-nearest PSD matrix: clip negative eigenvalues to zero."""
-    return _psd_clip(require_hermitian(h, tol))
+    return _psd_clip(require_hermitian(h))
 
 
 def min_eig(h: np.ndarray) -> float:

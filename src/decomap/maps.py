@@ -23,8 +23,8 @@ from .errors import (
     ShapeMismatch,
     UnknownKind,
 )
-from .linalg import DEFAULT, TensorLayout, Tolerances
-from .modular import ModularData, FaithfulState, build_modular, tensor_modular
+from .linalg import DEFAULT, TensorLayout
+from .modular import ModularData, build_modular, tensor_modular
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,7 @@ def _unit(n: int, i: int, j: int) -> np.ndarray:
     return e
 
 
-def make_map(choi, dim_in: int, dim_out: int, label: str = "",
-             tol: Tolerances = DEFAULT) -> MapObject:
+def make_map(choi, dim_in: int, dim_out: int, label: str = "") -> MapObject:
     """Wrap an explicit Choi matrix after validating shape and Hermiticity."""
     choi = np.asarray(choi, dtype=complex)
     side = dim_in * dim_out
@@ -57,7 +56,7 @@ def make_map(choi, dim_in: int, dim_out: int, label: str = "",
     if not np.all(np.isfinite(choi)):
         raise BadChoi("Choi matrix contains NaN or Inf entries")
     dev = float(np.linalg.norm(choi - choi.conj().T))
-    if dev > tol.herm_rel * max(1.0, linalg.frobenius(choi)):
+    if dev > DEFAULT.herm_rel * max(1.0, linalg.frobenius(choi)):
         raise BadChoi(f"Choi matrix Hermitian deviation {dev:.3e} too large")
     return MapObject(dim_in=dim_in, dim_out=dim_out, choi=linalg.herm_part(choi),
                      label=label)
@@ -110,11 +109,17 @@ def map_from_key(key: str, loader=None) -> MapObject:
 
     ``loader`` maps the name in an ``adu:<name>`` key to a matrix.
     """
+    def number(kind, text: str, s: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise UnknownKind(f"bad number {text!r} in registry key {s!r}") from None
+
     def parse(s: str) -> MapObject:
         if s.startswith("identity:"):
-            return identity_map(int(s.split(":", 1)[1]))
+            return identity_map(number(int, s.split(":", 1)[1], s))
         if s.startswith("transpose:"):
-            return transposition_map(int(s.split(":", 1)[1]))
+            return transposition_map(number(int, s.split(":", 1)[1], s))
         if s.startswith("adu:"):
             name = s.split(":", 1)[1]
             if loader is None:
@@ -123,9 +128,8 @@ def map_from_key(key: str, loader=None) -> MapObject:
         if s.startswith("compose-t:"):
             return compose_transpose(parse(s.split(":", 1)[1]), label=s)
         if s.startswith("mix:"):
-            rest = s.split(":", 1)[1]
-            lam_str, rest = rest.split(":", 1)
-            lam = float(lam_str)
+            lam_str, _, rest = s.split(":", 1)[1].partition(":")
+            lam = number(float, lam_str, s)
             # try every split of the remainder into two parseable keys
             idx = rest.find(":")
             while idx != -1:
@@ -133,7 +137,7 @@ def map_from_key(key: str, loader=None) -> MapObject:
                     left = parse(rest[:idx])
                     right = parse(rest[idx + 1:])
                     return mix_maps(lam, left, right, label=s)
-                except (UnknownKind, ValueError, DimensionMismatch):
+                except (UnknownKind, DimensionMismatch):
                     idx = rest.find(":", idx + 1)
             raise UnknownKind(f"cannot split mix key {s!r}")
         raise UnknownKind(f"unknown registry key {s!r}")
@@ -212,11 +216,11 @@ def _schmidt_vector(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ir,pr->ip", x, y).reshape(-1)
 
 
-def _seesaw_once(choi4, m, n, k, rng, sweeps: int = 60):
+def _seesaw_once(choi4, m, n, k, rng):
     y, _ = np.linalg.qr(linalg.sample_ginibre(n, k, rng.integers(2**63)))
     value = np.inf
     x = None
-    for _ in range(sweeps):
+    for _ in range(60):                 # at most 60 see-saw sweeps
         a = np.einsum("pr,ipjq,qs->risj", y.conj(), choi4, y).reshape(k * m, k * m)
         w, vecs = np.linalg.eigh((a + a.conj().T) / 2)
         x = vecs[:, 0].reshape(k, m).T
@@ -269,8 +273,7 @@ class SkResult:
     worst_output_eig: float
 
 
-def sk_sampler(phi: MapObject, k: int, trials: int, seed: int = 0,
-               tol: float = 1e-8) -> SkResult:
+def sk_sampler(phi: MapObject, k: int, trials: int, seed: int = 0) -> SkResult:
     """Sample [a_ij] with [a_ij] and [a_ji] PSD; test [phi(a_ij)] >= 0."""
     linalg.require_hermitian(phi.choi)
     m = phi.dim_in
@@ -283,7 +286,7 @@ def sk_sampler(phi: MapObject, k: int, trials: int, seed: int = 0,
         out = amplify(phi, k, c)
         w = linalg.min_eig(out)
         worst = min(worst, w)
-        if w < -tol:
+        if w < -DEFAULT.cone:
             return SkResult(k=k, violation_found=True, witness=c, trials=t + 1,
                             worst_output_eig=w)
     return SkResult(k=k, violation_found=False, witness=None, trials=trials,
@@ -331,7 +334,6 @@ class DetailedBalanceResult:
     """
 
     adjoint: MapObject | None
-    candidate: MapObject
     unital: bool
     positive_evidence: bool
     unital_residual: float
@@ -343,13 +345,13 @@ class DetailedBalanceResult:
         return self.unital and self.positive_evidence
 
 
-def db_adjoint(phi: MapObject, state: FaithfulState, tol: float = 1e-8,
-               restarts: int = 16, seed: int = 0) -> DetailedBalanceResult:
+def db_adjoint(phi: MapObject, md: ModularData, tol: float = 1e-8,
+               seed: int = 0) -> DetailedBalanceResult:
     """Solve the nondegenerate pairing for phi^beta = rho^{-1} phi^*(rho .)."""
     if phi.dim_in != phi.dim_out:
         raise DimensionMismatch("detailed balance needs m = n")
     n = phi.dim_in
-    rho = np.asarray(state.rho, dtype=complex)
+    rho = md.rho
     if rho.shape != (n, n):
         raise DimensionMismatch(f"state dimension {rho.shape} does not match map {n}")
     rho_inv = np.linalg.inv(rho)
@@ -380,13 +382,12 @@ def db_adjoint(phi: MapObject, state: FaithfulState, tol: float = 1e-8,
                     rhs = np.trace(rho @ apply_map(beta, a.conj().T) @ b)
                     pairing = max(pairing, abs(lhs - rhs))
     unital_residual = float(np.linalg.norm(apply_map(beta, np.eye(n)) - np.eye(n)))
-    search = k_positivity_search(beta, k=1, restarts=restarts, seed=seed, tol=tol)
+    search = k_positivity_search(beta, k=1, restarts=16, seed=seed, tol=tol)
     positive = herm_dev <= tol * max(1.0, linalg.frobenius(choi)) \
         and not search.violation_found
     unital = unital_residual <= tol
     return DetailedBalanceResult(
         adjoint=beta if positive else None,
-        candidate=beta,
         unital=unital,
         positive_evidence=positive,
         unital_residual=unital_residual,
@@ -400,7 +401,6 @@ class TransferOperator:
     """Matrix of a Omega -> phi(a) Omega on vectorized GNS coordinates."""
 
     matrix: np.ndarray
-    base_state: FaithfulState
     db: DetailedBalanceResult
     delta_commutation_residual: float
     cone_preservation_residual: float
@@ -431,8 +431,8 @@ def transfer_operator(phi: MapObject, md: ModularData, tol: float = 1e-8,
         xi = cones.sample_cone(md, spec, seed + i)
         image = (t_dag @ xi.reshape(-1)).reshape(n, n)
         worst = max(worst, cones.cone_membership(md, spec, image, tol).residual)
-    db = db_adjoint(phi, md.state, tol=tol, seed=seed)
-    return TransferOperator(matrix=t_mat, base_state=md.state, db=db,
+    db = db_adjoint(phi, md, tol=tol, seed=seed)
+    return TransferOperator(matrix=t_mat, db=db,
                             delta_commutation_residual=delta_res,
                             cone_preservation_residual=worst)
 
@@ -450,15 +450,15 @@ class CriterionReport:
 
 
 def cone_criterion_check(phi: MapObject, md_m: ModularData, k: int, trials: int,
-                         seed: int = 0, tol: float = DEFAULT.cone,
-                         aux_densities: dict[int, np.ndarray] | None = None,
-                         hull_max_iter: int = DEFAULT.max_iter) -> CriterionReport:
+                         seed: int = 0, tol: float = DEFAULT.cone) -> CriterionReport:
     """Test (T_phi (x) I)* images of P_n against P_n, P_n^tau and their hull.
 
     Requires the detailed-balance adjoint to exist as a positive unital
-    map.  The auxiliary state on the M_n tensor factor defaults to the
-    tracial state and can be overridden per level.
+    map.  The auxiliary state on the M_n tensor factor is the tracial
+    state.
     """
+    if k < 1:
+        raise DimensionMismatch(f"k must be at least 1, got {k}")
     m = phi.dim_in
     transfer = transfer_operator(phi, md_m, tol=tol, samples=0, seed=seed)
     if not transfer.db.holds:
@@ -470,10 +470,7 @@ def cone_criterion_check(phi: MapObject, md_m: ModularData, k: int, trials: int,
     td4 = transfer.matrix.conj().T.reshape(m, m, m, m)
     levels: dict[int, dict[str, float]] = {}
     for level in range(1, k + 1):
-        aux = None if aux_densities is None else aux_densities.get(level)
-        if aux is None:
-            aux = np.eye(level) / level
-        mdt = tensor_modular(md_m, build_modular(aux))
+        mdt = tensor_modular(md_m, build_modular(np.eye(level) / level))
         layout = TensorLayout((m, level))
         spec_p = cones.ConeSpec(cones.NATURAL_TENSOR, layout=layout)
         spec_pt = cones.ConeSpec(cones.TRANSPOSED_TENSOR, layout=layout)
@@ -485,6 +482,6 @@ def cone_criterion_check(phi: MapObject, md_m: ModularData, k: int, trials: int,
             worst["p"] = max(worst["p"], cones.cone_membership(mdt, spec_p, image, tol).residual)
             worst["pt"] = max(worst["pt"], cones.cone_membership(mdt, spec_pt, image, tol).residual)
             worst["hull"] = max(worst["hull"], cones.hull_membership(
-                mdt, image, layout, tol, hull_max_iter).residual)
+                mdt, image, layout, tol).residual)
         levels[level] = worst
     return CriterionReport(levels=levels, trials=trials, transfer=transfer)

@@ -9,13 +9,13 @@ basis are rotated in and out by the cached eigenbasis unitary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import NotDensity, NotFaithful, NotHermitian, NotInCone, ShapeMismatch
-from .linalg import DEFAULT, TensorLayout, Tolerances
+from .linalg import DEFAULT, TensorLayout
 
 # operator kinds accepted by apply_modular
 DELTA_POWER = "delta_power"           # x -> rho^t x rho^{-t}
@@ -30,36 +30,28 @@ _KINDS = (DELTA_POWER, MODULAR_CONJUGATION_JM, CONJUGATION_J,
 
 
 @dataclass(frozen=True)
-class FaithfulState:
-    """Invertible density matrix with its dimension."""
-
-    rho: np.ndarray
-    dim: int
-
-
-@dataclass(frozen=True)
 class ModularData:
-    """State, rho-eigenbasis and cached fractional powers.
+    """Faithful density rho, its eigenbasis and cached fractional powers.
 
-    ``eigenbasis`` columns are the chosen eigenvectors x_i; for tensor
-    states built by :func:`tensor_modular` it is the Kronecker product of
-    the factor eigenbases, so factor-wise transposes in eigenbasis
-    coordinates implement I (x) U exactly.
+    ``rho_half`` is the cyclic vector Omega = rho^{1/2}.  ``eigenbasis``
+    columns are the chosen eigenvectors x_i; for tensor states built by
+    :func:`tensor_modular` it is the Kronecker product of the factor
+    eigenbases, so factor-wise transposes in eigenbasis coordinates
+    implement I (x) U exactly.
     """
 
-    state: FaithfulState
+    rho: np.ndarray
     eigenvalues: np.ndarray
     eigenbasis: np.ndarray
-    omega_vector: np.ndarray          # Omega = rho^{1/2}
     rho_quarter: np.ndarray
     rho_inv_quarter: np.ndarray
-    rho_half: np.ndarray
+    rho_half: np.ndarray              # Omega
     rho_inv_half: np.ndarray
-    layout: TensorLayout = field(default=None)
+    layout: TensorLayout
 
     @property
     def dim(self) -> int:
-        return self.state.dim
+        return len(self.eigenvalues)
 
     def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
         v = self.eigenbasis
@@ -74,7 +66,7 @@ class ModularData:
         return (v * self.eigenvalues**t) @ v.conj().T
 
 
-def build_modular(rho, tol: Tolerances = DEFAULT) -> ModularData:
+def build_modular(rho) -> ModularData:
     """Validate rho as a faithful density matrix and cache modular data."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -83,23 +75,21 @@ def build_modular(rho, tol: Tolerances = DEFAULT) -> ModularData:
     if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
         raise NotDensity(f"trace {np.trace(rho)} is not 1")
     try:
-        dec = linalg.herm_eig(rho, tol)
+        dec = linalg.herm_eig(rho)
     except NotHermitian as exc:
         raise NotDensity(str(exc)) from exc
     lam = dec.eigenvalues
-    if lam.min() <= tol.pd_floor:
+    if lam.min() <= DEFAULT.pd_floor:
         raise NotFaithful(f"minimum eigenvalue {lam.min():.3e} not positive")
     v = dec.eigenvectors
-    rho_sym = dec.reconstruct()
 
     def power(t):
         return (v * lam**t) @ v.conj().T
 
     return ModularData(
-        state=FaithfulState(rho=rho_sym, dim=n),
+        rho=dec.reconstruct(),
         eigenvalues=lam,
         eigenbasis=v,
-        omega_vector=power(0.5),
         rho_quarter=power(0.25),
         rho_inv_quarter=power(-0.25),
         rho_half=power(0.5),
@@ -144,12 +134,10 @@ def apply_modular(md: ModularData, kind: str, x, t: float = 0.0) -> np.ndarray:
 def tensor_modular(md_a: ModularData, md_b: ModularData) -> ModularData:
     """Modular data of rho_A (x) rho_B with Kronecker-structured eigenbasis."""
     dims = md_a.layout.dims + md_b.layout.dims
-    rho = np.kron(md_a.state.rho, md_b.state.rho)
     return ModularData(
-        state=FaithfulState(rho=rho, dim=rho.shape[0]),
+        rho=np.kron(md_a.rho, md_b.rho),
         eigenvalues=np.kron(md_a.eigenvalues, md_b.eigenvalues),
         eigenbasis=np.kron(md_a.eigenbasis, md_b.eigenbasis),
-        omega_vector=np.kron(md_a.omega_vector, md_b.omega_vector),
         rho_quarter=np.kron(md_a.rho_quarter, md_b.rho_quarter),
         rho_inv_quarter=np.kron(md_a.rho_inv_quarter, md_b.rho_inv_quarter),
         rho_half=np.kron(md_a.rho_half, md_b.rho_half),
@@ -158,7 +146,7 @@ def tensor_modular(md_a: ModularData, md_b: ModularData) -> ModularData:
     )
 
 
-def state_of_cone_vector(md: ModularData, xi, tol: float = DEFAULT.cone) -> np.ndarray:
+def state_of_cone_vector(md: ModularData, xi) -> np.ndarray:
     """Density matrix of the vector state of a unit natural-cone vector.
 
     omega_xi(a) = (xi, a xi) = Tr((xi xi*) a), so the density is xi xi*.
@@ -167,6 +155,7 @@ def state_of_cone_vector(md: ModularData, xi, tol: float = DEFAULT.cone) -> np.n
     if xi.shape != (md.dim, md.dim):
         raise ShapeMismatch(f"expected {md.dim}x{md.dim}, got {xi.shape}")
     norm = linalg.frobenius(xi)
+    tol = DEFAULT.cone
     if abs(norm - 1.0) > tol:
         raise NotInCone(f"cone vector must be normalized, |xi| = {norm}")
     reduction = md.rho_inv_quarter @ xi @ md.rho_inv_quarter
@@ -240,6 +229,6 @@ def check_identities(md: ModularData, samples: int, seed) -> dict[str, float]:
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         pos = g @ g.conj().T
         pos /= linalg.frobenius(pos)
-        image = app(TAU, pos @ md.omega_vector)
+        image = app(TAU, pos @ md.rho_half)
         record("tau_v0_invariance", linalg.psd_deficit(image @ md.rho_inv_half))
     return res

@@ -60,20 +60,14 @@ def complete_basis(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FaceSpec:
-    """Maximal face data: the defining pair and completed bases."""
+    """Maximal face data: the defining pair of unit vectors."""
 
     xi: np.ndarray
     eta: np.ndarray
-    xi_basis: np.ndarray = None
-    eta_basis: np.ndarray = None
 
     def __post_init__(self):
         object.__setattr__(self, "xi", _unit_vector(self.xi))
         object.__setattr__(self, "eta", _unit_vector(self.eta))
-        if self.xi_basis is None:
-            object.__setattr__(self, "xi_basis", complete_basis(self.xi))
-        if self.eta_basis is None:
-            object.__setattr__(self, "eta_basis", complete_basis(self.eta))
 
 
 def face_membership(phi: MapObject, face: FaceSpec, tol: float = 1e-8) -> bool:
@@ -96,8 +90,8 @@ def sample_face_map(face: FaceSpec, terms: int, seed: int) -> MapObject:
     if face.xi.shape[0] != 2 or face.eta.shape[0] != 2:
         raise DimensionMismatch("face sampling is implemented for m = n = 2")
     rng = np.random.default_rng(seed)
-    eta1, eta2 = face.eta_basis.T
-    xi1, xi2 = face.xi_basis.T
+    eta1, eta2 = complete_basis(face.eta).T
+    xi1, xi2 = complete_basis(face.xi).T
     xic = face.xi.conj()
     xic_basis = complete_basis(xic / np.linalg.norm(xic))
     xic1, xic2 = xic_basis.T
@@ -132,18 +126,14 @@ def symmetric_face_example() -> tuple[MapObject, FaceSpec]:
 class StormerData:
     """All objects of the local-decomposition construction."""
 
-    omega_eta: np.ndarray                      # density-matrix form of omega_eta
     left_ideal_basis: list[np.ndarray]
     right_ideal_basis: list[np.ndarray]
     k_dim: int
-    gram: np.ndarray                           # inner-product Gram on M_2 + M_2
-    k_basis: list[tuple[str, np.ndarray, np.ndarray]]   # label + representatives
     rho_units: dict[tuple[int, int], np.ndarray]
     v_eta: np.ndarray                          # dim_out x k_dim, standard basis
     eta: np.ndarray
     eta_basis: np.ndarray
     face_case: bool
-    xi: np.ndarray | None
     alpha: complex | None
     beta: complex | None
     v_eta_face_matrix: np.ndarray | None       # 2 x 4 in the (k, eta) bases
@@ -191,8 +181,6 @@ def build_local_decomposition(
     phi: MapObject,
     eta,
     face: FaceSpec | None = None,
-    check_positivity: bool = True,
-    positivity_restarts: int = 8,
     seed: int = 0,
     tol: float = 1e-8,
 ) -> StormerData:
@@ -210,19 +198,12 @@ def build_local_decomposition(
     unital_res = np.linalg.norm(apply_map(phi, np.eye(m)) - np.eye(n))
     if unital_res > tol:
         raise NotUnital(f"phi(I) deviates from I by {unital_res:.3e}")
-    if check_positivity:
-        search = k_positivity_search(phi, k=1, restarts=positivity_restarts, seed=seed)
-        if search.violation_found:
-            raise NotPositiveEvidence(
-                f"positivity violated on a product vector, value {search.value:.3e}")
+    search = k_positivity_search(phi, k=1, restarts=8, seed=seed)
+    if search.violation_found:
+        raise NotPositiveEvidence(
+            f"positivity violated on a product vector, value {search.value:.3e}")
 
     omega = _omega_functional(phi, eta)
-    density = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            density[j, i] = omega(_unit(m, i, j))
-    density = linalg.herm_part(density)
-
     gl, gr, gram = _gram_blocks(omega, m)
     left_basis = _kernel_basis(gl, m)
     right_basis = _kernel_basis(gr, m)
@@ -231,17 +212,21 @@ def build_local_decomposition(
     if face is not None:
         xi = face.xi
     else:
-        w_d, v_d = np.linalg.eigh(density)
+        # density matrix of omega_eta; a kernel vector is a face candidate
+        density = np.zeros((m, m), dtype=complex)
+        for i in range(m):
+            for j in range(m):
+                density[j, i] = omega(_unit(m, i, j))
+        w_d, v_d = np.linalg.eigh(linalg.herm_part(density))
         if w_d[0] < _KER_TOL:
             xi = v_d[:, 0]
     if xi is not None and np.linalg.norm(
             apply_map(phi, np.outer(xi, xi.conj())) @ eta) <= max(tol, 1e-8):
-        return _build_face_case(phi, eta, xi, omega, density, gram,
-                                left_basis, right_basis)
-    return _build_generic(phi, eta, omega, density, gram, left_basis, right_basis)
+        return _build_face_case(phi, eta, xi, omega, left_basis, right_basis)
+    return _build_generic(phi, eta, gram, left_basis, right_basis)
 
 
-def _build_face_case(phi, eta, xi, omega, density, gram, left_basis, right_basis):
+def _build_face_case(phi, eta, xi, omega, left_basis, right_basis):
     xb = complete_basis(xi)
     e = {(i, j): np.outer(xb[:, i], xb[:, j].conj()) for i in range(2) for j in range(2)}
     eb = complete_basis(eta)
@@ -256,11 +241,11 @@ def _build_face_case(phi, eta, xi, omega, density, gram, left_basis, right_basis
     beta = np.sqrt(2) * (eta2.conj() @ apply_map(phi, e[(1, 0)]) @ eta1)
 
     s2 = np.sqrt(2)
-    reps = [
-        ("k1", s2 * e[(0, 1)], s2 * e[(0, 1)]),
-        ("k2", s2 * e[(1, 0)], s2 * e[(1, 0)]),
-        ("k3", e[(1, 1)], e[(1, 1)]),
-        ("k4", e[(1, 1)], -e[(1, 1)]),
+    reps = [                                   # the basis k1..k4 of K_eta
+        (s2 * e[(0, 1)], s2 * e[(0, 1)]),
+        (s2 * e[(1, 0)], s2 * e[(1, 0)]),
+        (e[(1, 1)], e[(1, 1)]),
+        (e[(1, 1)], -e[(1, 1)]),
     ]
 
     def inner(pair_a, pair_b):
@@ -270,39 +255,35 @@ def _build_face_case(phi, eta, xi, omega, density, gram, left_basis, right_basis
     ortho = 0.0
     for a in range(4):
         for b in range(4):
-            val = inner(reps[a][1:], reps[b][1:])
+            val = inner(reps[a], reps[b])
             ortho = max(ortho, abs(val - (1.0 if a == b else 0.0)))
 
     def coord(a1, a2):
-        return np.array([inner((r1, r2), (a1, a2)) for _, r1, r2 in reps])
+        return np.array([inner((r1, r2), (a1, a2)) for r1, r2 in reps])
 
     rho_units = {}
     for p in range(2):
         for q in range(2):
             u = _unit(2, p, q)
-            cols = [coord(u @ r1, r2 @ u) for _, r1, r2 in reps]
+            cols = [coord(u @ r1, r2 @ u) for r1, r2 in reps]
             rho_units[(p, q)] = np.column_stack(cols)
 
-    v_cols = [apply_map(phi, reps[0][1]) @ eta,
-              apply_map(phi, reps[1][1]) @ eta,
-              apply_map(phi, reps[2][1]) @ eta,
+    v_cols = [apply_map(phi, reps[0][0]) @ eta,
+              apply_map(phi, reps[1][0]) @ eta,
+              apply_map(phi, reps[2][0]) @ eta,
               np.zeros(2, dtype=complex)]
     v_eta = np.column_stack(v_cols)
     v_face = eb.conj().T @ v_eta
 
     return StormerData(
-        omega_eta=density,
         left_ideal_basis=left_basis,
         right_ideal_basis=right_basis,
         k_dim=4,
-        gram=gram,
-        k_basis=reps,
         rho_units=rho_units,
         v_eta=v_eta,
         eta=eta,
         eta_basis=eb,
         face_case=True,
-        xi=np.asarray(xi, dtype=complex),
         alpha=complex(alpha),
         beta=complex(beta),
         v_eta_face_matrix=v_face,
@@ -312,7 +293,7 @@ def _build_face_case(phi, eta, xi, omega, density, gram, left_basis, right_basis
     )
 
 
-def _build_generic(phi, eta, omega, density, gram, left_basis, right_basis):
+def _build_generic(phi, eta, gram, left_basis, right_basis):
     m = 2
     w, v = np.linalg.eigh(linalg.herm_part(gram))
     keep = w > _KER_TOL
@@ -353,22 +334,15 @@ def _build_generic(phi, eta, omega, density, gram, left_basis, right_basis):
     v_eta = phi_mat @ np.linalg.pinv(d_mat, rcond=1e-10)
     lsq = float(np.linalg.norm(v_eta @ d_mat - phi_mat))
 
-    k_basis = [(f"kappa{s + 1}", q_plus[: 4, s].reshape(m, m),
-                q_plus[4:, s].reshape(m, m)) for s in range(k_dim)]
-
     return StormerData(
-        omega_eta=density,
         left_ideal_basis=left_basis,
         right_ideal_basis=right_basis,
         k_dim=k_dim,
-        gram=gram,
-        k_basis=k_basis,
         rho_units=rho_units,
         v_eta=v_eta,
         eta=eta,
         eta_basis=complete_basis(eta),
         face_case=False,
-        xi=None,
         alpha=None,
         beta=None,
         v_eta_face_matrix=None,
@@ -388,7 +362,7 @@ class LocdecReport:
 
 
 def verify_locdec(phi: MapObject, eta, samples: int, seed: int = 0,
-                  tol: float = 1e-9, data: StormerData | None = None) -> LocdecReport:
+                  data: StormerData | None = None) -> LocdecReport:
     """Max residual of phi(a) eta = V rho(a) V* eta over random a."""
     if data is None:
         data = build_local_decomposition(phi, eta, seed=seed)
@@ -420,7 +394,6 @@ class Prop41Report:
     inconsistent: bool
     alpha: complex
     beta: complex
-    tol: float
 
 
 def check_prop41(phi: MapObject, face: FaceSpec, tol: float = 1e-8) -> Prop41Report:
@@ -471,5 +444,4 @@ def check_prop41(phi: MapObject, face: FaceSpec, tol: float = 1e-8) -> Prop41Rep
         inconsistent=inconsistent,
         alpha=data.alpha,
         beta=data.beta,
-        tol=tol,
     )

@@ -162,3 +162,96 @@ class TestContract:
         assert report["seed"] == 4
         assert report["version"]
         assert report["request"]["rho"] == rho_skew_file
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--map", "id", "--max-iter", "0"],
+        ["hull-member", "--rho", "rho", "--xi", "xi", "--dims", "2,2", "--max-iter", "0"],
+        ["map-analyze", "--map", "id", "--tests", "kpos=x"],
+        ["decompose", "--map", "id_x"],
+        ["decompose", "--map", "mix_abc"],
+        ["decompose", "--map", "choi_dim_a"],
+        ["probe", "--dims", "2,2", "--seed", "-1"],
+        ["transfer-check", "--map", "id", "--rho", "rho", "--k", "0", "--seed", "0"],
+    ], ids=["decompose-max-iter-0", "hull-max-iter-0", "kpos-x", "identity-x",
+            "mix-weight-abc", "choi-dim-a", "seed-negative", "transfer-k-0"])
+    def test_malformed_request_is_error_report(self, tmp_path, argv):
+        inputs = {
+            "id": {"key": "identity:2"},
+            "id_x": {"key": "identity:x"},
+            "mix_abc": {"key": "mix:abc:identity:2:identity:2"},
+            "choi_dim_a": {"dim_in": "a", "dim_out": 2, "choi": matrix_json(np.eye(4))},
+            "rho": matrix_json(np.eye(2) / 2),
+            "xi": matrix_json(np.eye(4)),
+        }
+        argv = [write_json(tmp_path / f"{a}.json", inputs[a]) if a in inputs else a
+                for a in argv]
+        report, code = cli.run(argv)
+        assert code == 2 and report["verdict"] == "error"
+
+    def test_report_shapes(self, tmp_path, rho_skew_file, transpose_map_file,
+                           sym_map_file, face_file):
+        """Key paths under report["result"], one request per subcommand."""
+        rho2 = write_json(tmp_path / "r.json", matrix_json(np.eye(2) / 2))
+        sx = write_json(tmp_path / "sx.json", matrix_json(SIGMA_X))
+        minus_one = write_json(tmp_path / "m1.json", matrix_json(-np.eye(4)))
+        id_map = write_json(tmp_path / "id.json", {"key": "identity:2"})
+        face = ["--map", sym_map_file, "--face", face_file]
+        requests = [
+            ["modular-check", "--rho", rho_skew_file, "--samples", "2", "--seed", "0"],
+            ["cone-member", "--rho", rho2, "--xi", sx, "--cone", '{"kind": "natural"}'],
+            ["hull-member", "--rho", rho2, "--xi", minus_one, "--dims", "2,2"],
+            ["probe", "--dims", "2,2", "--trials", "1", "--seed", "0"],
+            ["map-analyze", "--map", transpose_map_file, "--tests", "cp,ccp,kpos=1",
+             "--restarts", "2"],
+            ["decompose", "--map", transpose_map_file],
+            ["transfer-check", "--map", id_map, "--rho", rho2, "--k", "1",
+             "--trials", "1", "--seed", "0"],
+            ["stormer-build", *face],
+            ["stormer-verify", *face, "--samples", "2"],
+            ["prop41", *face],
+        ]
+        matrix = lambda name: [name, f"{name}.cols", f"{name}.entries", f"{name}.rows"]
+        expected = {
+            "modular-check": ["max_residual", "residuals", "residuals.commutant_map",
+                              "residuals.commute_j_jm", "residuals.commute_j_u",
+                              "residuals.commute_jm_u", "residuals.j_delta_commute",
+                              "residuals.j_eq_u_jm", "residuals.tau_polar",
+                              "residuals.tau_v0_invariance", "residuals.transpose_via_j",
+                              "residuals.u_delta_u", "residuals.u_selfadjoint",
+                              "residuals.u_squared"],
+            "cone-member": ["inside", "residual", *matrix("witness")],
+            "hull-member": ["inside", "residual", *matrix("witness")],
+            "probe": ["dims", "max_residual", "note", "trials"],
+            "map-analyze": ["ccp", "cp", "kpos_1", "kpos_1.restarts", "kpos_1.value",
+                            "kpos_1.violation_found", "label", "min_eig_choi",
+                            "min_eig_choi_pt"],
+            "decompose": [*matrix("ccp_part"), "converged", *matrix("cp_part"),
+                          "iterations", "label", "residual"],
+            "transfer-check": ["criteria", "criteria.hull", "criteria.p", "criteria.pt",
+                               "db_pairing_residual", "db_unital_residual",
+                               "delta_commutation_residual", "label", "levels",
+                               "levels.1", "levels.1.hull", "levels.1.p", "levels.1.pt"],
+            "stormer-build": ["alpha", "basis_orthonormality_residual", "beta",
+                              "face_case", "k_dim", "label", "left_ideal_dim",
+                              "right_ideal_dim", *matrix("v_eta"), "v_lsq_residual",
+                              "v_norm"],
+            "stormer-verify": ["face_case", "k_dim", "label", "max_residual", "samples",
+                               "v_norm"],
+            "prop41": ["alfabeta_residual", "alpha", "beta", "conditions_hold",
+                       "equality_holds", "eta2_residuals", "eta2_residuals.e11",
+                       "eta2_residuals.e12", "eta2_residuals.e21", "eta2_residuals.e22",
+                       "global_residual", "inconsistent", "label", "tr_residuals",
+                       "tr_residuals.e12", "tr_residuals.e21", "tr_residuals.e22"],
+        }
+
+        def key_paths(obj, prefix=""):
+            for key, value in obj.items():
+                yield prefix + key
+                if isinstance(value, dict):
+                    yield from key_paths(value, f"{prefix}{key}.")
+
+        assert sorted(r[0] for r in requests) == sorted(cli._HANDLERS)
+        for argv in requests:
+            report, _ = cli.run(argv)
+            result = json.loads(cli.render_report(report))["result"]
+            assert sorted(key_paths(result)) == expected[argv[0]], argv[0]

@@ -14,6 +14,13 @@ def md_tensor22():
         modular.build_modular(np.eye(2) / 2), modular.build_modular(np.eye(2) / 2))
 
 
+def hull_sample(md, layout, seed, weight=0.5):
+    """Convex combination of a natural and a transposed tensor sample."""
+    a = cones.sample_cone(md, cones.ConeSpec(cones.NATURAL_TENSOR, layout=layout), seed)
+    b = cones.sample_cone(md, cones.ConeSpec(cones.TRANSPOSED_TENSOR, layout=layout), seed + 1)
+    return weight * a + (1.0 - weight) * b
+
+
 def swap(n=2):
     s = np.zeros((n * n, n * n))
     for i in range(n):
@@ -51,7 +58,7 @@ class TestMembership:
         assert res.witness is not None
 
     def test_v0_membership_by_construction(self, md_skew):
-        xi = linalg.sample_psd(2, 7) @ md_skew.omega_vector
+        xi = linalg.sample_psd(2, 7) @ md_skew.rho_half
         res = cones.cone_membership(md_skew, cones.ConeSpec(cones.VBETA, beta=0.0), xi)
         assert res.inside
 
@@ -64,7 +71,7 @@ class TestMembership:
 
     def test_omega_is_natural_sample_with_identity_seed_matrix(self, md_skew):
         res = cones.cone_membership(
-            md_skew, cones.ConeSpec(cones.NATURAL), md_skew.omega_vector)
+            md_skew, cones.ConeSpec(cones.NATURAL), md_skew.rho_half)
         assert res.inside
 
     def test_transposed_sample_reduction(self, md_tensor22):
@@ -114,7 +121,7 @@ class TestHull:
     def test_hull_samples_inside(self, md_tensor22):
         layout = TensorLayout((2, 2))
         for s in range(5):
-            xi = cones.hull_sample(md_tensor22, layout, 100 + 2 * s, weight=0.3)
+            xi = hull_sample(md_tensor22, layout, 100 + 2 * s, weight=0.3)
             assert cones.hull_membership(md_tensor22, xi, layout).inside
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from decomap import dykstra, linalg
-from decomap.errors import LayoutMismatch, NonFinite
+from decomap.errors import InvalidOption, LayoutMismatch, NonFinite
 from decomap.linalg import TensorLayout
 
 from conftest import random_matrix
@@ -59,3 +59,12 @@ class TestValidation:
             dykstra.split_sum(c, pair)
         with pytest.raises(NonFinite):
             dykstra.project_intersection(c, pair)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_solvers_reject_max_iter_below_one(self, max_iter):
+        pair = dykstra.PPTPair(TensorLayout((2, 2)), 2)
+        c = np.eye(4, dtype=complex)
+        with pytest.raises(InvalidOption):
+            dykstra.split_sum(c, pair, max_iter=max_iter)
+        with pytest.raises(InvalidOption):
+            dykstra.project_intersection(c, pair, max_iter=max_iter)

@@ -194,7 +194,7 @@ class TestDecompose:
 class TestDetailedBalance:
     def test_identity_self_adjoint(self):
         md = modular.build_modular(linalg.sample_density(2, 3))
-        db = maps.db_adjoint(maps.identity_map(2), md.state)
+        db = maps.db_adjoint(maps.identity_map(2), md)
         assert db.holds
         assert np.allclose(db.adjoint.choi, maps.identity_map(2).choi, atol=1e-10)
         assert db.pairing_residual <= 1e-12
@@ -202,14 +202,14 @@ class TestDetailedBalance:
     def test_unitary_conjugation_tracial(self):
         w = linalg.sample_unitary(2, 9)
         md = modular.build_modular(np.eye(2) / 2)
-        db = maps.db_adjoint(maps.adjoint_map(w), md.state)
+        db = maps.db_adjoint(maps.adjoint_map(w), md)
         assert db.holds
         assert np.allclose(db.adjoint.choi, maps.adjoint_map(w.conj().T).choi,
                            atol=1e-10)
 
     def test_transposition_self_adjoint_tracial(self):
         md = modular.build_modular(np.eye(2) / 2)
-        db = maps.db_adjoint(maps.transposition_map(2), md.state)
+        db = maps.db_adjoint(maps.transposition_map(2), md)
         assert db.holds
         assert np.allclose(db.adjoint.choi, maps.transposition_map(2).choi, atol=1e-10)
 
@@ -227,7 +227,7 @@ class TestTransfer:
         t = maps.transfer_operator(phi, md, samples=0)
         s = np.linalg.svd(t.matrix, compute_uv=False)
         assert int((s > 1e-10).sum()) == 1
-        omega = md.omega_vector.reshape(-1)
+        omega = md.rho_half.reshape(-1)
         assert np.allclose(t.matrix @ omega, omega)
 
     def test_cp_unital_delta_commutation(self):

@@ -16,7 +16,7 @@ class TestBuild:
         assert np.allclose(modular.apply_modular(md_tracial2, modular.DELTA_POWER, x, 0.7), x)
 
     def test_omega_of_skew_state(self, md_skew):
-        assert np.allclose(md_skew.omega_vector,
+        assert np.allclose(md_skew.rho_half,
                            np.diag([0.8944271909999159, 0.4472135954999579]))
 
     def test_singular_state_rejected(self):
@@ -67,7 +67,7 @@ class TestTensor:
     def test_tracial_product(self):
         md = modular.tensor_modular(
             modular.build_modular(np.eye(2) / 2), modular.build_modular(np.eye(2) / 2))
-        assert np.allclose(md.state.rho, np.eye(4) / 4)
+        assert np.allclose(md.rho, np.eye(4) / 4)
         x = linalg.sample_ginibre(4, 4, 0)
         assert np.allclose(modular.apply_modular(md, modular.DELTA_POWER, x, 0.5), x)
 
@@ -75,7 +75,7 @@ class TestTensor:
         a = modular.build_modular(linalg.sample_density(2, 1))
         b = modular.build_modular(linalg.sample_density(3, 2))
         md = modular.tensor_modular(a, b)
-        assert np.allclose(md.omega_vector, np.kron(a.omega_vector, b.omega_vector))
+        assert np.allclose(md.rho_half, np.kron(a.rho_half, b.rho_half))
 
     def test_delta_quarter_factorizes(self, rng):
         a = modular.build_modular(linalg.sample_density(2, 4))
@@ -91,8 +91,8 @@ class TestTensor:
 class TestConeVectorState:
     def test_omega_gives_rho(self, md_skew):
         assert np.allclose(
-            modular.state_of_cone_vector(md_skew, md_skew.omega_vector),
-            md_skew.state.rho, atol=1e-12)
+            modular.state_of_cone_vector(md_skew, md_skew.rho_half),
+            md_skew.rho, atol=1e-12)
 
     def test_unit_projection_tracial(self, md_tracial2):
         e11 = np.diag([1.0, 0.0]).astype(complex)
