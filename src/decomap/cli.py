@@ -7,15 +7,20 @@ row-major; vectors are the one-column special case (or a bare list of
 ``compose-t:<key>``) or carry an explicit Choi matrix.  Every report
 echoes the request, the library version and the seed, so identical
 requests reproduce identical reports byte for byte (excluding the
-wall-time field).
+wall-time field).  Its ``result`` holds the fields of the library's
+result record, minus those that are None, with maps written as their
+Choi matrix and the map's ``label`` added for ``--map`` commands.
 
 Exit codes: 0 criterion satisfied / inside / conditions hold,
-1 violated / outside / conditions fail, 2 error.
+1 violated / outside / conditions fail, 2 error or malformed request
+(such as a count below 1).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import sys
@@ -143,6 +148,11 @@ def parse_cone_spec(text: str) -> cones.ConeSpec:
 # -- report plumbing ----------------------------------------------------------
 
 def _jsonable(value):
+    if isinstance(value, maps.MapObject):
+        return matrix_to_json(value.choi)
+    if dataclasses.is_dataclass(value):
+        return {f.name: _jsonable(v) for f in dataclasses.fields(value)
+                if (v := getattr(value, f.name)) is not None}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -161,7 +171,7 @@ def _jsonable(value):
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2)
+    return json.dumps(report, sort_keys=True, indent=2)
 
 
 def _modular_data(rho_path: str, rho_b_path: str | None,
@@ -183,58 +193,57 @@ def _modular_data(rho_path: str, rho_b_path: str | None,
                                   modular.build_modular(rho_b))
 
 
-# -- command handlers: each returns (payload, verdict) ------------------------
+def _parse_dims(text: str) -> tuple[int, int]:
+    try:
+        m, n = (int(p) for p in text.split(","))
+    except ValueError as exc:
+        raise ParseError(f"bad dims {text!r}, expected 'm,n'") from exc
+    if m <= 0 or n <= 0:
+        raise ParseError(f"dims must be positive, got {text!r}")
+    return m, n
 
-def _cmd_modular_check(args):
+
+# -- command handlers: (args, parsed --map or None) -> (result, verdict) -----
+
+def _cmd_modular_check(args, phi):
     md = modular.build_modular(parse_matrix_file(args.rho))
     res = modular.check_identities(md, args.samples, args.seed)
     worst = max(res.values())
     return {"residuals": res, "max_residual": worst}, worst <= args.tol
 
 
-def _cmd_cone_member(args):
+def _cmd_cone_member(args, phi):
     spec = parse_cone_spec(args.cone)
     md = _modular_data(args.rho, args.rho_b, spec.layout)
-    xi = parse_matrix_file(args.xi)
-    res = cones.cone_membership(md, spec, xi, tol=args.tol)
-    payload = {"inside": res.inside, "residual": res.residual}
-    if res.witness is not None:
-        payload["witness"] = res.witness
-    return payload, res.inside
+    res = cones.cone_membership(md, spec, parse_matrix_file(args.xi), tol=args.tol)
+    return res, res.inside
 
 
-def _cmd_hull_member(args):
-    m, n = _parse_dims(args.dims)
-    layout = TensorLayout((m, n))
+def _cmd_hull_member(args, phi):
+    layout = TensorLayout(_parse_dims(args.dims))
     md = _modular_data(args.rho, args.rho_b, layout)
-    xi = parse_matrix_file(args.xi)
-    res = cones.hull_membership(md, xi, layout, tol=args.tol, max_iter=args.max_iter)
-    payload = {"inside": res.inside, "residual": res.residual}
-    if res.witness is not None:
-        payload["witness"] = res.witness
-    return payload, res.inside
+    res = cones.hull_membership(md, parse_matrix_file(args.xi), layout, tol=args.tol,
+                                max_iter=args.max_iter)
+    return res, res.inside
 
 
-def _cmd_probe(args):
+def _cmd_probe(args, phi):
     m, n = _parse_dims(args.dims)
     rep = cones.probe_finite_dim_equality(m, n, args.seed, args.trials, tol=args.tol)
-    ok = rep.max_residual <= args.tol
-    return {"dims": list(rep.dims), "trials": rep.trials,
-            "max_residual": rep.max_residual, "note": rep.note}, ok
+    return {"dims": rep.dims, "trials": rep.trials, "max_residual": rep.max_residual,
+            "note": rep.note}, rep.max_residual <= args.tol
 
 
-def _cmd_map_analyze(args):
-    phi = parse_map_file(args.map)
+def _cmd_map_analyze(args, phi):
     tests = [t.strip() for t in args.tests.split(",") if t.strip()]
-    payload: dict = {"label": phi.label}
+    payload: dict = {}
     verdict = True
     gp = None
     for test in tests:
         if test in ("cp", "ccp"):
-            if gp is None:
-                gp = maps.global_positivity_test(phi, tol=args.tol)
-                payload["min_eig_choi"] = gp.min_eig_choi
-                payload["min_eig_choi_pt"] = gp.min_eig_choi_pt
+            gp = gp or maps.global_positivity_test(phi, tol=args.tol)
+            payload.update(min_eig_choi=gp.min_eig_choi,
+                           min_eig_choi_pt=gp.min_eig_choi_pt)
             ok = gp.completely_positive if test == "cp" else gp.completely_copositive
             payload[test] = ok
         elif test.startswith("kpos="):
@@ -253,42 +262,29 @@ def _cmd_map_analyze(args):
     return payload, verdict
 
 
-def _cmd_decompose(args):
-    phi = parse_map_file(args.map)
+def _cmd_decompose(args, phi):
     res = maps.decompose(phi, tol=args.tol, max_iter=args.max_iter)
-    return {
-        "label": phi.label,
-        "converged": res.converged,
-        "residual": res.residual,
-        "iterations": res.iterations,
-        "cp_part": res.cp_part.choi,
-        "ccp_part": res.ccp_part.choi,
-    }, res.converged
+    return res, res.converged
 
 
-def _cmd_transfer_check(args):
-    phi = parse_map_file(args.map)
+def _cmd_transfer_check(args, phi):
     md = modular.build_modular(parse_matrix_file(args.rho))
     report = maps.cone_criterion_check(phi, md, args.k, args.trials,
                                        seed=args.seed, tol=args.tol)
-    transfer = report.transfer
     criteria = {name: report.worst(name) <= args.tol for name in ("p", "pt", "hull")}
     # the hull criterion is the (weak) decomposability verdict; the p / pt
     # criteria are stricter sub-verdicts and legitimately fail for maps
     # that are only decomposable
-    verdict = criteria["hull"]
     return {
-        "label": phi.label,
-        "delta_commutation_residual": transfer.delta_commutation_residual,
-        "db_unital_residual": transfer.db.unital_residual,
-        "db_pairing_residual": transfer.db.pairing_residual,
-        "levels": {str(k): v for k, v in report.levels.items()},
+        "delta_commutation_residual": report.transfer.delta_commutation_residual,
+        "db_unital_residual": report.transfer.db.unital_residual,
+        "db_pairing_residual": report.transfer.db.pairing_residual,
+        "levels": report.levels,
         "criteria": criteria,
-    }, verdict
+    }, criteria["hull"]
 
 
 def _stormer_inputs(args):
-    phi = parse_map_file(args.map)
     face = parse_face_file(args.face) if args.face else None
     if args.eta:
         eta = _vector_from_obj(_load_json(args.eta), args.eta)
@@ -296,15 +292,14 @@ def _stormer_inputs(args):
         eta = face.eta
     else:
         raise ParseError("need --eta or --face to fix the vector")
-    return phi, face, eta
+    return face, eta
 
 
-def _cmd_stormer_build(args):
-    phi, face, eta = _stormer_inputs(args)
+def _cmd_stormer_build(args, phi):
+    face, eta = _stormer_inputs(args)
     data = stormer.build_local_decomposition(phi, eta, face=face, seed=args.seed,
                                              tol=args.tol)
     payload = {
-        "label": phi.label,
         "k_dim": data.k_dim,
         "face_case": data.face_case,
         "v_norm": data.v_norm,
@@ -315,125 +310,104 @@ def _cmd_stormer_build(args):
         "right_ideal_dim": len(data.right_ideal_basis),
     }
     if data.face_case:
-        payload["alpha"] = data.alpha
-        payload["beta"] = data.beta
+        payload.update(alpha=data.alpha, beta=data.beta)
     return payload, True
 
 
-def _cmd_stormer_verify(args):
-    phi, face, eta = _stormer_inputs(args)
+def _cmd_stormer_verify(args, phi):
+    face, eta = _stormer_inputs(args)
     data = stormer.build_local_decomposition(phi, eta, face=face, seed=args.seed,
                                              tol=max(args.tol, 1e-8))
     rep = stormer.verify_locdec(phi, eta, args.samples, seed=args.seed, data=data)
-    ok = rep.max_residual <= args.tol
-    return {"label": phi.label, "samples": rep.samples,
-            "max_residual": rep.max_residual, "v_norm": rep.v_norm,
-            "k_dim": rep.k_dim, "face_case": rep.face_case}, ok
+    return rep, rep.max_residual <= args.tol
 
 
-def _cmd_prop41(args):
-    phi = parse_map_file(args.map)
-    face = parse_face_file(args.face)
-    rep = stormer.check_prop41(phi, face, tol=args.tol)
-    verdict = rep.conditions_hold and rep.equality_holds
-    return {
-        "label": phi.label,
-        "tr_residuals": rep.tr_residuals,
-        "alfabeta_residual": rep.alfabeta_residual,
-        "global_residual": rep.global_residual,
-        "eta2_residuals": rep.eta2_residuals,
-        "conditions_hold": rep.conditions_hold,
-        "equality_holds": rep.equality_holds,
-        "inconsistent": rep.inconsistent,
-        "alpha": rep.alpha,
-        "beta": rep.beta,
-    }, verdict
+def _cmd_prop41(args, phi):
+    rep = stormer.check_prop41(phi, parse_face_file(args.face), tol=args.tol)
+    return rep, rep.conditions_hold and rep.equality_holds
 
 
-def _parse_dims(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    try:
-        m, n = (int(p) for p in parts)
-    except ValueError as exc:
-        raise ParseError(f"bad dims {text!r}, expected 'm,n'") from exc
-    if m <= 0 or n <= 0:
-        raise ParseError(f"dims must be positive, got {text!r}")
-    return m, n
+# -- the subcommand table: name -> (handler, {flag: argparse spec}) ----------
+
+_REQ = {"required": True}
+_OPT = {"default": None}
+_SEED = {"type": int, "required": True}
+
+
+def _default(value) -> dict:
+    """An optional flag parsed as the type of its default."""
+    return {"type": type(value), "default": value}
 
 
 _HANDLERS = {
-    "modular-check": _cmd_modular_check,
-    "cone-member": _cmd_cone_member,
-    "hull-member": _cmd_hull_member,
-    "probe": _cmd_probe,
-    "map-analyze": _cmd_map_analyze,
-    "decompose": _cmd_decompose,
-    "transfer-check": _cmd_transfer_check,
-    "stormer-build": _cmd_stormer_build,
-    "stormer-verify": _cmd_stormer_verify,
-    "prop41": _cmd_prop41,
+    "modular-check": (_cmd_modular_check, {
+        "rho": _REQ, "samples": _default(50), "seed": _SEED, "tol": _default(1e-9)}),
+    "cone-member": (_cmd_cone_member, {
+        "rho": _REQ, "xi": _REQ, "cone": _REQ, "rho-b": _OPT, "tol": _default(1e-8)}),
+    "hull-member": (_cmd_hull_member, {
+        "rho": _REQ, "xi": _REQ, "dims": _REQ, "rho-b": _OPT, "tol": _default(1e-8),
+        "max-iter": _default(5000)}),
+    "probe": (_cmd_probe, {
+        "dims": _REQ, "trials": _default(20), "seed": _SEED, "tol": _default(1e-8)}),
+    "map-analyze": (_cmd_map_analyze, {
+        "map": _REQ, "tests": _default("cp,ccp"), "tol": _default(1e-9),
+        "seed": _default(0), "restarts": _default(32)}),
+    "decompose": (_cmd_decompose, {
+        "map": _REQ, "tol": _default(1e-8), "max-iter": _default(5000)}),
+    "transfer-check": (_cmd_transfer_check, {
+        "map": _REQ, "rho": _REQ, "k": _default(2), "trials": _default(10),
+        "seed": _SEED, "tol": _default(1e-8)}),
+    "stormer-build": (_cmd_stormer_build, {
+        "map": _REQ, "face": _OPT, "eta": _OPT, "seed": _default(0),
+        "tol": _default(1e-8)}),
+    "stormer-verify": (_cmd_stormer_verify, {
+        "map": _REQ, "face": _OPT, "eta": _OPT, "samples": _default(50),
+        "seed": _default(0), "tol": _default(1e-9)}),
+    "prop41": (_cmd_prop41, {"map": _REQ, "face": _REQ, "tol": _default(1e-8)}),
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="decomap",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **flags):
+    for name, (_, flags) in _HANDLERS.items():
         p = sub.add_parser(name)
         for flag, spec in flags.items():
             p.add_argument(f"--{flag}", **spec)
-        return p
-
-    req_str = {"required": True}
-    opt_str = {"default": None}
-    tol = lambda default: {"type": float, "default": default}
-    intp = lambda default=None, required=False: (
-        {"type": int, "required": True} if required else {"type": int, "default": default})
-
-    add("modular-check", rho=req_str, samples=intp(50), seed=intp(required=True),
-        tol=tol(1e-9))
-    add("cone-member", rho=req_str, xi=req_str, cone=req_str,
-        **{"rho-b": opt_str}, tol=tol(1e-8))
-    add("hull-member", rho=req_str, xi=req_str, dims=req_str,
-        **{"rho-b": opt_str}, tol=tol(1e-8), **{"max-iter": intp(5000)})
-    add("probe", dims=req_str, trials=intp(20), seed=intp(required=True), tol=tol(1e-8))
-    add("map-analyze", map=req_str, tests={"default": "cp,ccp"}, tol=tol(1e-9),
-        seed=intp(0), restarts=intp(32))
-    add("decompose", map=req_str, tol=tol(1e-8), **{"max-iter": intp(5000)})
-    add("transfer-check", map=req_str, rho=req_str, k=intp(2),
-        trials=intp(10), seed=intp(required=True), tol=tol(1e-8))
-    add("stormer-build", map=req_str, face=opt_str, eta=opt_str, seed=intp(0),
-        tol=tol(1e-8))
-    add("stormer-verify", map=req_str, face=opt_str, eta=opt_str,
-        samples=intp(50), seed=intp(0), tol=tol(1e-9))
-    add("prop41", map=req_str, face=req_str, tol=tol(1e-8))
     return parser
 
 
 def run(argv: list[str]) -> tuple[dict, int]:
-    """Dispatch one request; returns the report dict and the exit code."""
+    """Dispatch one request; returns the JSON-ready report and the exit code."""
     start = time.perf_counter()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    request = vars(args)
     report = {
         "command": args.command,
-        "request": {k.replace("_", "-"): v for k, v in sorted(vars(args).items())
+        "request": {k.replace("_", "-"): v for k, v in sorted(request.items())
                     if k != "command"},
         "version": __version__,
-        "seed": getattr(args, "seed", None),
+        "seed": request.get("seed"),
     }
     try:
         if report["seed"] is not None and report["seed"] < 0:
             raise ParseError(f"--seed must be non-negative, got {report['seed']}")
-        payload, verdict = _HANDLERS[args.command](args)
+        for count in ("samples", "trials", "restarts"):
+            if request.get(count, 1) < 1:
+                raise ParseError(f"--{count} must be at least 1, got {request[count]}")
+        phi = parse_map_file(args.map) if "map" in request else None
+        result, verdict = _HANDLERS[args.command][0](args, phi)
     except DecomapError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         report["verdict"] = "error"
         code = 2
     else:
-        report["result"] = payload
+        result = _jsonable(result)
+        if phi is not None:
+            result["label"] = phi.label
+        report["result"] = result
         report["verdict"] = "satisfied" if verdict else "violated"
         code = 0 if verdict else 1
     report["wall_time"] = time.perf_counter() - start

@@ -21,7 +21,7 @@ from .errors import (
     NonHermitianReduction,
     UnsupportedKind,
 )
-from .linalg import DEFAULT, TensorLayout
+from .linalg import DEFAULT, TensorLayout, _unit
 from .modular import ModularData, build_modular, tensor_modular
 
 # cone kinds
@@ -80,10 +80,6 @@ def _reduction_eig(md: ModularData, xi: np.ndarray, beta: float = 0.25):
     return (lam**-beta)[:, None] * xe * (lam ** (beta - 0.5))[None, :]
 
 
-def _pt2(x: np.ndarray, layout: TensorLayout) -> np.ndarray:
-    return linalg.partial_transpose(x, layout, 2)
-
-
 def _verdict(md: ModularData, r: np.ndarray, tol: float) -> MembershipResult:
     """Decide PSD-ness of a reduction, with symmetrization and witness."""
     dev = float(np.linalg.norm(r - r.conj().T))
@@ -115,10 +111,10 @@ def cone_membership(md: ModularData, spec: ConeSpec, xi, tol: float = DEFAULT.co
     if spec.kind == NATURAL_TENSOR:
         return _verdict(md, r, tol)
     if spec.kind == TRANSPOSED_TENSOR:
-        return _verdict(md, _pt2(r, spec.layout), tol)
+        return _verdict(md, linalg.partial_transpose(r, spec.layout, 2), tol)
     # intersection: both reductions PSD
     plain = _verdict(md, r, tol)
-    transposed = _verdict(md, _pt2(r, spec.layout), tol)
+    transposed = _verdict(md, linalg.partial_transpose(r, spec.layout, 2), tol)
     worse = max(plain, transposed, key=lambda m: m.residual)
     return MembershipResult(inside=plain.inside and transposed.inside,
                             residual=worse.residual, witness=worse.witness)
@@ -142,7 +138,8 @@ def sample_cone(md: ModularData, spec: ConeSpec, seed) -> np.ndarray:
     if spec.kind == NATURAL_TENSOR:
         return natural
     if spec.kind == TRANSPOSED_TENSOR:
-        return md.from_eigenbasis(_pt2(md.to_eigenbasis(natural), spec.layout))
+        return md.from_eigenbasis(
+            linalg.partial_transpose(md.to_eigenbasis(natural), spec.layout, 2))
     # intersection: Dykstra-project the reduction onto {a >= 0, a^{t2} >= 0}
     # and map back
     c = dykstra.project_intersection(_reduction_eig(md, natural),
@@ -220,7 +217,8 @@ def probe_finite_dim_equality(
         xi = sample_cone(md, spec, rho_seed + 1000 + t)
         a = _reduction_eig(md, xi)
         dev = float(np.linalg.norm(a - a.conj().T))
-        res = max(linalg.psd_deficit(a), linalg.psd_deficit(_pt2(a, layout)), dev)
+        res = max(linalg.psd_deficit(a),
+                  linalg.psd_deficit(linalg.partial_transpose(a, layout, 2)), dev)
         residuals.append(float(res))
     max_res = max(residuals) if residuals else 0.0
     return ProbeReport(dims=(m, n), trials=trials, residuals=residuals,
@@ -262,7 +260,7 @@ def fit_transposed_generator(md_a: ModularData, md_b: ModularData, xi) -> tuple[
     layout = TensorLayout((m, n))
     xi = np.asarray(xi, dtype=complex)
     xi_e = md.to_eigenbasis(xi)
-    eta_e = _pt2(xi_e, layout)
+    eta_e = linalg.partial_transpose(xi_e, layout, 2)
     lam = md.eigenvalues
     c = (lam**-0.25)[:, None] * eta_e * (lam**-0.25)[None, :]
     w_c, v_c = np.linalg.eigh((c + c.conj().T) / 2)
@@ -272,9 +270,7 @@ def fit_transposed_generator(md_a: ModularData, md_b: ModularData, xi) -> tuple[
     terms = []
     for i in range(m):
         for j in range(m):
-            unit = np.zeros((m, m), dtype=complex)
-            unit[i, j] = 1.0
-            terms.append((md_a.eigenbasis @ unit @ md_a.eigenbasis.conj().T,
+            terms.append((md_a.eigenbasis @ _unit(m, i, j) @ md_a.eigenbasis.conj().T,
                           md_b.from_eigenbasis(blocks[i, :, j, :])))
     recon = transposed_tensor_generator(md_a, md_b, terms)
     return float(np.linalg.norm(recon - xi)), recon

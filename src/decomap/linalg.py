@@ -91,6 +91,13 @@ def herm_part(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().T) / 2
 
 
+def _unit(n: int, i: int, j: int) -> np.ndarray:
+    """Matrix unit E_ij of M_n."""
+    e = np.zeros((n, n), dtype=complex)
+    e[i, j] = 1.0
+    return e
+
+
 def require_hermitian(x) -> np.ndarray:
     x = _as_matrix(x)
     if x.shape[0] != x.shape[1]:

@@ -19,11 +19,12 @@ from . import cones, dykstra, linalg
 from .errors import (
     BadChoi,
     DimensionMismatch,
+    InvalidOption,
     NoDetailedBalance,
     ShapeMismatch,
     UnknownKind,
 )
-from .linalg import DEFAULT, TensorLayout
+from .linalg import DEFAULT, TensorLayout, _unit
 from .modular import ModularData, build_modular, tensor_modular
 
 
@@ -39,12 +40,6 @@ class MapObject:
     @property
     def layout(self) -> TensorLayout:
         return TensorLayout((self.dim_in, self.dim_out))
-
-
-def _unit(n: int, i: int, j: int) -> np.ndarray:
-    e = np.zeros((n, n), dtype=complex)
-    e[i, j] = 1.0
-    return e
 
 
 def make_map(choi, dim_in: int, dim_out: int, label: str = "") -> MapObject:
@@ -169,11 +164,7 @@ def amplify(phi: MapObject, k: int, c) -> np.ndarray:
 def superoperator(phi: MapObject) -> np.ndarray:
     """Matrix of phi on row-major vectorized inputs (n^2 x m^2)."""
     m, n = phi.dim_in, phi.dim_out
-    s = np.zeros((n * n, m * m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            s[:, i * m + j] = apply_map(phi, _unit(m, i, j)).reshape(-1)
-    return s
+    return phi.choi.reshape(m, n, m, n).transpose(1, 3, 0, 2).reshape(n * n, m * m)
 
 
 # -- positivity hierarchy ----------------------------------------------------
@@ -250,6 +241,8 @@ def k_positivity_search(phi: MapObject, k: int, restarts: int = 32, seed: int = 
     m, n = phi.dim_in, phi.dim_out
     if not 1 <= k <= min(m, n):
         raise DimensionMismatch(f"k must be in 1..{min(m, n)}, got {k}")
+    if restarts < 1:
+        raise InvalidOption(f"restarts must be at least 1, got {restarts}")
     choi4 = phi.choi.reshape(m, n, m, n)
     best_value, best_vec = np.inf, None
     for r in range(restarts):

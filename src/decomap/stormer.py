@@ -27,10 +27,9 @@ from .errors import (
     NotUnital,
     ShapeMismatch,
 )
-from .linalg import DEFAULT
+from .linalg import DEFAULT, _unit
 from .maps import (
     MapObject,
-    _unit,
     adjoint_map,
     apply_map,
     compose_transpose,
@@ -161,9 +160,7 @@ def _gram_blocks(omega, m: int):
     gr = np.zeros((m * m, m * m), dtype=complex)
     for a, (i, j) in enumerate(units):
         for b, (p, q) in enumerate(units):
-            ua, ub = np.zeros((m, m), dtype=complex), np.zeros((m, m), dtype=complex)
-            ua[i, j] = 1.0
-            ub[p, q] = 1.0
+            ua, ub = _unit(m, i, j), _unit(m, p, q)
             gl[a, b] = 0.5 * omega(ua.conj().T @ ub)
             gr[a, b] = 0.5 * omega(ub @ ua.conj().T)
     gram = np.zeros((2 * m * m, 2 * m * m), dtype=complex)

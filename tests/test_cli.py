@@ -163,6 +163,9 @@ class TestContract:
         assert report["version"]
         assert report["request"]["rho"] == rho_skew_file
 
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
     @pytest.mark.parametrize("argv", [
         ["decompose", "--map", "id", "--max-iter", "0"],
         ["hull-member", "--rho", "rho", "--xi", "xi", "--dims", "2,2", "--max-iter", "0"],
@@ -172,11 +175,19 @@ class TestContract:
         ["decompose", "--map", "choi_dim_a"],
         ["probe", "--dims", "2,2", "--seed", "-1"],
         ["transfer-check", "--map", "id", "--rho", "rho", "--k", "0", "--seed", "0"],
+        ["map-analyze", "--map", "id", "--tests", "kpos=2", "--restarts", "0"],
+        ["transfer-check", "--map", "id", "--rho", "rho", "--trials", "0", "--seed", "0"],
+        ["probe", "--dims", "2,2", "--trials", "0", "--seed", "0"],
+        ["modular-check", "--rho", "rho", "--samples", "0", "--seed", "0"],
+        ["stormer-verify", "--map", "id", "--eta", "eta", "--samples", "0"],
     ], ids=["decompose-max-iter-0", "hull-max-iter-0", "kpos-x", "identity-x",
-            "mix-weight-abc", "choi-dim-a", "seed-negative", "transfer-k-0"])
+            "mix-weight-abc", "choi-dim-a", "seed-negative", "transfer-k-0",
+            "kpos-restarts-0", "transfer-trials-0", "probe-trials-0",
+            "modular-samples-0", "stormer-samples-0"])
     def test_malformed_request_is_error_report(self, tmp_path, argv):
         inputs = {
             "id": {"key": "identity:2"},
+            "eta": [[1, 0], [0, 0]],
             "id_x": {"key": "identity:x"},
             "mix_abc": {"key": "mix:abc:identity:2:identity:2"},
             "choi_dim_a": {"dim_in": "a", "dim_out": 2, "choi": matrix_json(np.eye(4))},
@@ -255,3 +266,43 @@ class TestContract:
             report, _ = cli.run(argv)
             result = json.loads(cli.render_report(report))["result"]
             assert sorted(key_paths(result)) == expected[argv[0]], argv[0]
+
+    def test_report_shapes_without_optional_fields(self, tmp_path, rho_skew_file):
+        """Key paths when the optional fields are absent: inside verdicts carry
+        no witness, and a map in no face gets no alpha / beta."""
+        rho2 = write_json(tmp_path / "r.json", matrix_json(np.eye(2) / 2))
+        omega = write_json(tmp_path / "omega.json",
+                           matrix_json(np.diag(np.sqrt([0.8, 0.2]))))
+        swap = write_json(tmp_path / "swap.json", matrix_json(np.eye(4)[[0, 2, 1, 3]]))
+        generic = write_json(tmp_path / "generic.json", {
+            "key": "mix:0.3:adu:u:compose-t:adu:sx",
+            "matrices": {"u": matrix_json(np.diag([1, 1j])), "sx": matrix_json(SIGMA_X)},
+        })
+        eta = write_json(tmp_path / "eta.json", [[0.6, 0], [0.8, 0]])
+        requests = [
+            ["cone-member", "--rho", rho_skew_file, "--xi", omega,
+             "--cone", '{"kind": "natural"}'],
+            ["hull-member", "--rho", rho2, "--xi", swap, "--dims", "2,2"],
+            ["stormer-build", "--map", generic, "--eta", eta],
+        ]
+        expected = {
+            "cone-member": ["inside", "residual"],
+            "hull-member": ["inside", "residual"],
+            "stormer-build": ["basis_orthonormality_residual", "face_case", "k_dim",
+                              "label", "left_ideal_dim", "right_ideal_dim", "v_eta",
+                              "v_eta.cols", "v_eta.entries", "v_eta.rows",
+                              "v_lsq_residual", "v_norm"],
+        }
+
+        def key_paths(obj, prefix=""):
+            for key, value in obj.items():
+                yield prefix + key
+                if isinstance(value, dict):
+                    yield from key_paths(value, f"{prefix}{key}.")
+
+        for argv in requests:
+            report, code = cli.run(argv)
+            assert code == 0, argv[0]
+            result = json.loads(cli.render_report(report))["result"]
+            assert sorted(key_paths(result)) == expected[argv[0]], argv[0]
+        assert result["face_case"] is False

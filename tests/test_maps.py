@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from decomap import dykstra, linalg, maps, modular
-from decomap.errors import BadChoi, NoDetailedBalance, NonFinite, UnknownKind
+from decomap.errors import BadChoi, InvalidOption, NoDetailedBalance, NonFinite, UnknownKind
 from decomap.linalg import TensorLayout
 
 from conftest import SIGMA_X, random_matrix
@@ -121,6 +121,11 @@ class TestKPositivity:
         for k in (1, 2):
             res = maps.k_positivity_search(maps.identity_map(2), k, restarts=8, seed=1)
             assert not res.violation_found
+
+    def test_no_restarts_rejected(self):
+        # with no restart the search would report value inf and "no violation"
+        with pytest.raises(InvalidOption):
+            maps.k_positivity_search(maps.identity_map(2), 1, restarts=0)
 
 
 class TestSkSampler:
