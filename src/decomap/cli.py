@@ -13,7 +13,8 @@ Choi matrix and the map's ``label`` added for ``--map`` commands.
 
 Exit codes: 0 criterion satisfied / inside / conditions hold,
 1 violated / outside / conditions fail, 2 error or malformed request
-(such as a count below 1).
+(such as a count below 1).  A request that argparse itself rejects also
+exits 2, with usage on stderr and no report.
 """
 
 from __future__ import annotations
@@ -236,6 +237,8 @@ def _cmd_probe(args, phi):
 
 def _cmd_map_analyze(args, phi):
     tests = [t.strip() for t in args.tests.split(",") if t.strip()]
+    if not tests:
+        raise ParseError(f"--tests {args.tests!r} names no test; use cp, ccp or kpos=K")
     payload: dict = {}
     verdict = True
     gp = None

@@ -13,6 +13,12 @@ of translates; Dykstra's correction terms make the iterates converge to
 the actual nearest point, which is what turns the final residual into a
 meaningful distance estimate.
 
+The split keeps one stacked state [a, b^Γ]: the partial transpose only
+permutes entries, so both of its cones become the PSD cone and each
+iteration projects the two parts with one batched ``eigh``.  The
+intersection runs its two projections one after the other, as Dykstra
+must: the second projects the output of the first.
+
 Inputs are validated once, when a pair is built and when a solve starts
 (finite entries, the pair's side, ``max_iter >= 1``); the projections
 inside the loop run on trusted arrays and validate nothing.  Callers reach
@@ -111,12 +117,13 @@ def project_intersection(
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     history: list[float] = []
-    y = x
     for it in range(1, max_iter + 1):
-        y = proj1(x + p)
-        p = x + p - y
-        x = proj2(y + q)
-        q = y + q - x
+        xp = x + p
+        y = proj1(xp)
+        p = xp - y
+        yq = y + q
+        x = proj2(yq)
+        q = yq - x
         res = frobenius(x - y)
         history.append(res)
         if res <= tol:
@@ -136,21 +143,23 @@ def split_sum(
 
     The product-space sets are C1 = K1 × K2 (cone projections, with Dykstra
     corrections) and the affine constraint C2 = {(a, b) : a + b = c}
-    (exact projection, no correction needed for an affine set).
+    (exact projection, no correction needed for an affine set).  The state
+    is the stack s = [a, b^Γ] with its correction p = [pa, pb^Γ]: Γ only
+    permutes entries, so in these coordinates C1 is the PSD cone on both
+    slots and one batched clip projects onto it.
     """
     c = pair.validate(c, max_iter)
-    proj1, proj2 = pair.proj1, pair.proj2
-    a = c / 2
-    b = c / 2
-    pa = np.zeros_like(c)
-    pb = np.zeros_like(c)
+    pt = pair.pt
+    half = c / 2
+    s = np.stack((half, pt(half)))
+    p = np.zeros_like(s)
     history: list[float] = []
     best = None
     for it in range(1, max_iter + 1):
-        a1 = proj1(a + pa)
-        b1 = proj2(b + pb)
-        pa = a + pa - a1
-        pb = b + pb - b1
+        y = s + p
+        s1 = linalg._psd_clip(y)
+        p = y - s1
+        a1, b1 = s1[0], pt(s1[1])
         gap = c - a1 - b1
         res = frobenius(gap)
         history.append(res)
@@ -160,8 +169,8 @@ def split_sum(
             return SplitResult(part1=a1, part2=b1, residual=res, iterations=it,
                                converged=True, deficit=None)
         # affine step: distribute the split gap evenly
-        a = a1 + gap / 2
-        b = b1 + gap / 2
+        g = gap / 2
+        s = s1 + np.stack((g, pt(g)))
         if _stagnated(history):
             break
     res, a1, b1, gap = best

@@ -129,9 +129,12 @@ def frac_power(p, t: float) -> np.ndarray:
 
 
 def _psd_clip(x: np.ndarray) -> np.ndarray:
-    """Clip the negative eigenvalues of the Hermitian part; no validation."""
-    w, v = np.linalg.eigh((x + x.conj().T) / 2)
-    return (v * np.maximum(w, 0.0)) @ v.conj().T
+    """Clip the negative eigenvalues of the Hermitian part; no validation.
+
+    Works on a matrix or on a stack of matrices (one batched ``eigh``).
+    """
+    w, v = np.linalg.eigh((x + x.conj().swapaxes(-1, -2)) / 2)
+    return (v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def psd_project(h) -> np.ndarray:

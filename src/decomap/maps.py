@@ -452,6 +452,8 @@ def cone_criterion_check(phi: MapObject, md_m: ModularData, k: int, trials: int,
     """
     if k < 1:
         raise DimensionMismatch(f"k must be at least 1, got {k}")
+    if trials < 1:
+        raise InvalidOption(f"trials must be at least 1, got {trials}")
     m = phi.dim_in
     transfer = transfer_operator(phi, md_m, tol=tol, samples=0, seed=seed)
     if not transfer.db.holds:

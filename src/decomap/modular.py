@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NotDensity, NotFaithful, NotHermitian, NotInCone, ShapeMismatch
+from .errors import (
+    InvalidOption,
+    NotDensity,
+    NotFaithful,
+    NotHermitian,
+    NotInCone,
+    ShapeMismatch,
+)
 from .linalg import DEFAULT, TensorLayout
 
 # operator kinds accepted by apply_modular
@@ -175,6 +182,8 @@ def check_identities(md: ModularData, samples: int, seed) -> dict[str, float]:
     Each entry is named after the identity it checks; all vanish
     analytically, so the values measure floating-point conditioning only.
     """
+    if samples < 1:
+        raise InvalidOption(f"samples must be at least 1, got {samples}")
     n = md.dim
     rng = np.random.default_rng(seed)
 
@@ -190,7 +199,7 @@ def check_identities(md: ModularData, samples: int, seed) -> dict[str, float]:
     def record(name, value):
         res[name] = max(res.get(name, 0.0), float(value))
 
-    for _ in range(max(1, samples)):
+    for _ in range(samples):
         a, xi, psi = rand(), rand(), rand()
         # U is an involution and self-adjoint
         record("u_squared", linalg.frobenius(app(TRANSPOSITION_U, app(TRANSPOSITION_U, xi)) - xi))

@@ -22,6 +22,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionMismatch,
+    InvalidOption,
     NotInFace,
     NotPositiveEvidence,
     NotUnital,
@@ -361,6 +362,8 @@ class LocdecReport:
 def verify_locdec(phi: MapObject, eta, samples: int, seed: int = 0,
                   data: StormerData | None = None) -> LocdecReport:
     """Max residual of phi(a) eta = V rho(a) V* eta over random a."""
+    if samples < 1:
+        raise InvalidOption(f"samples must be at least 1, got {samples}")
     if data is None:
         data = build_local_decomposition(phi, eta, seed=seed)
     eta_v = data.eta
@@ -368,7 +371,7 @@ def verify_locdec(phi: MapObject, eta, samples: int, seed: int = 0,
     v_star_eta = v.conj().T @ eta_v
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(max(1, samples)):
+    for _ in range(samples):
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         a /= np.linalg.norm(a)
         lhs = apply_map(phi, a) @ eta_v

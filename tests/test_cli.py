@@ -180,10 +180,12 @@ class TestContract:
         ["probe", "--dims", "2,2", "--trials", "0", "--seed", "0"],
         ["modular-check", "--rho", "rho", "--samples", "0", "--seed", "0"],
         ["stormer-verify", "--map", "id", "--eta", "eta", "--samples", "0"],
+        ["map-analyze", "--map", "id", "--tests", ""],
+        ["map-analyze", "--map", "id", "--tests", ","],
     ], ids=["decompose-max-iter-0", "hull-max-iter-0", "kpos-x", "identity-x",
             "mix-weight-abc", "choi-dim-a", "seed-negative", "transfer-k-0",
             "kpos-restarts-0", "transfer-trials-0", "probe-trials-0",
-            "modular-samples-0", "stormer-samples-0"])
+            "modular-samples-0", "stormer-samples-0", "tests-empty", "tests-comma"])
     def test_malformed_request_is_error_report(self, tmp_path, argv):
         inputs = {
             "id": {"key": "identity:2"},
@@ -198,6 +200,18 @@ class TestContract:
                 for a in argv]
         report, code = cli.run(argv)
         assert code == 2 and report["verdict"] == "error"
+
+    @pytest.mark.parametrize("argv", [
+        ["no-such-command"],
+        ["decompose"],
+        ["probe", "--dims", "2,2", "--seed", "x"],
+    ], ids=["unknown-subcommand", "missing-map", "seed-not-integer"])
+    def test_argparse_error_exits_2_without_report(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage:" in captured.err
 
     def test_report_shapes(self, tmp_path, rho_skew_file, transpose_map_file,
                            sym_map_file, face_file):

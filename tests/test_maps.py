@@ -274,3 +274,9 @@ class TestConeCriteria:
         phi = maps.adjoint_map(linalg.sample_unitary(2, 77))
         with pytest.raises(NoDetailedBalance):
             maps.cone_criterion_check(phi, md, k=1, trials=1, seed=0)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        md = modular.build_modular(np.eye(2) / 2)
+        with pytest.raises(InvalidOption):
+            maps.cone_criterion_check(maps.identity_map(2), md, k=1, trials=trials, seed=0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from decomap import linalg, modular
-from decomap.errors import NotDensity, NotFaithful, NotInCone
+from decomap.errors import InvalidOption, NotDensity, NotFaithful, NotInCone
 
 from conftest import random_matrix
 
@@ -61,6 +61,11 @@ class TestIdentities:
         md = modular.build_modular(linalg.sample_density(5, 17))
         res = modular.check_identities(md, 50, 3)
         assert max(res.values()) <= 1e-9
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_rejected(self, md_skew, samples):
+        with pytest.raises(InvalidOption):
+            modular.check_identities(md_skew, samples, 0)
 
 
 class TestTensor:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from decomap import linalg, maps, stormer
-from decomap.errors import NotInFace, NotPositiveEvidence, NotUnital
+from decomap.errors import InvalidOption, NotInFace, NotPositiveEvidence, NotUnital
 
 from conftest import SIGMA_X
 
@@ -151,6 +151,11 @@ class TestVerify:
             eta /= np.linalg.norm(eta)
             rep = stormer.verify_locdec(phi, eta, 20, seed=seed)
             assert rep.max_residual <= 1e-9
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_rejected(self, samples):
+        with pytest.raises(InvalidOption):
+            stormer.verify_locdec(ad_sigma_x(), E1, samples, seed=0)
 
 
 class TestProp41:
