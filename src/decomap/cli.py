@@ -13,8 +13,9 @@ Choi matrix and the map's ``label`` added for ``--map`` commands.
 
 Exit codes: 0 criterion satisfied / inside / conditions hold,
 1 violated / outside / conditions fail, 2 error or malformed request
-(such as a count below 1).  A request that argparse itself rejects also
-exits 2, with usage on stderr and no report.
+(such as a count below 1, or a ``--tol`` that is not finite and
+positive).  A request that argparse itself rejects also exits 2, with
+usage on stderr and no report.
 """
 
 from __future__ import annotations
@@ -387,10 +388,12 @@ def run(argv: list[str]) -> tuple[dict, int]:
     start = time.perf_counter()
     args = build_parser().parse_args(argv)
     request = vars(args)
+    echo = {k.replace("_", "-"): v for k, v in sorted(request.items()) if k != "command"}
+    if not math.isfinite(args.tol):
+        echo["tol"] = str(args.tol)       # rejected below; keeps the report strict JSON
     report = {
         "command": args.command,
-        "request": {k.replace("_", "-"): v for k, v in sorted(request.items())
-                    if k != "command"},
+        "request": echo,
         "version": __version__,
         "seed": request.get("seed"),
     }
@@ -400,6 +403,8 @@ def run(argv: list[str]) -> tuple[dict, int]:
         for count in ("samples", "trials", "restarts"):
             if request.get(count, 1) < 1:
                 raise ParseError(f"--{count} must be at least 1, got {request[count]}")
+        if not 0.0 < args.tol < math.inf:
+            raise ParseError(f"--tol must be finite and positive, got {args.tol}")
         phi = parse_map_file(args.map) if "map" in request else None
         result, verdict = _HANDLERS[args.command][0](args, phi)
     except DecomapError as exc:

@@ -19,6 +19,8 @@ from .errors import (
     HullNotSupportedHere,
     LayoutMismatch,
     NonHermitianReduction,
+    NotInCone,
+    ShapeMismatch,
     UnsupportedKind,
 )
 from .linalg import DEFAULT, TensorLayout, _unit
@@ -118,6 +120,23 @@ def cone_membership(md: ModularData, spec: ConeSpec, xi, tol: float = DEFAULT.co
     worse = max(plain, transposed, key=lambda m: m.residual)
     return MembershipResult(inside=plain.inside and transposed.inside,
                             residual=worse.residual, witness=worse.witness)
+
+
+def state_of_cone_vector(md: ModularData, xi) -> np.ndarray:
+    """Density matrix of the vector state of a unit natural-cone vector.
+
+    omega_xi(a) = (xi, a xi) = Tr((xi xi*) a), so the density is xi xi*.
+    """
+    xi = np.asarray(xi, dtype=complex)
+    if xi.shape != (md.dim, md.dim):
+        raise ShapeMismatch(f"expected {md.dim}x{md.dim}, got {xi.shape}")
+    norm = linalg.frobenius(xi)
+    if abs(norm - 1.0) > DEFAULT.cone:
+        raise NotInCone(f"cone vector must be normalized, |xi| = {norm}")
+    res = cone_membership(md, ConeSpec(NATURAL), xi)
+    if not res.inside:
+        raise NotInCone(f"vector not in the natural cone (residual {res.residual:.3e})")
+    return xi @ xi.conj().T
 
 
 def sample_cone(md: ModularData, spec: ConeSpec, seed) -> np.ndarray:

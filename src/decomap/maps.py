@@ -269,6 +269,8 @@ class SkResult:
 def sk_sampler(phi: MapObject, k: int, trials: int, seed: int = 0) -> SkResult:
     """Sample [a_ij] with [a_ij] and [a_ji] PSD; test [phi(a_ij)] >= 0."""
     linalg.require_hermitian(phi.choi)
+    if trials < 1:
+        raise InvalidOption(f"trials must be at least 1, got {trials}")
     m = phi.dim_in
     pair = dykstra.PPTPair(TensorLayout((k, m)), 1)    # block transpose [a_ji]
     worst = np.inf
@@ -283,7 +285,7 @@ def sk_sampler(phi: MapObject, k: int, trials: int, seed: int = 0) -> SkResult:
             return SkResult(k=k, violation_found=True, witness=c, trials=t + 1,
                             worst_output_eig=w)
     return SkResult(k=k, violation_found=False, witness=None, trials=trials,
-                    worst_output_eig=worst if trials else 0.0)
+                    worst_output_eig=worst)
 
 
 @dataclass

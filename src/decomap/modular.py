@@ -1,10 +1,13 @@
 """Finite-dimensional modular (Tomita-Takesaki) data for a faithful state.
 
 The GNS space of (M_n, rho) is identified with M_n under the trace inner
-product, with cyclic vector Omega = rho^{1/2}.  All basis-dependent
-operators (the conjugation J, the transposition unitary U, the induced
-map tau) are evaluated in the rho-eigenbasis: inputs in the standard
-basis are rotated in and out by the cached eigenbasis unitary.
+product, with cyclic vector Omega = rho^{1/2}.  The modular operators are
+methods of :class:`ModularData`: ``delta(x, t)`` for Delta^t, ``j`` for
+the conjugation J, ``u`` for the transposition unitary U and ``tau`` for
+U Delta^{1/2}; the modular conjugation J_m is plain ``x.conj().T``.  The
+basis-dependent ones (J, U, tau) are evaluated in the rho-eigenbasis:
+inputs in the standard basis are rotated in and out by the cached
+eigenbasis unitary.
 """
 
 from __future__ import annotations
@@ -19,22 +22,9 @@ from .errors import (
     NotDensity,
     NotFaithful,
     NotHermitian,
-    NotInCone,
     ShapeMismatch,
 )
-from .linalg import DEFAULT, TensorLayout
-
-# operator kinds accepted by apply_modular
-DELTA_POWER = "delta_power"           # x -> rho^t x rho^{-t}
-MODULAR_CONJUGATION_JM = "jm"         # x -> x*
-CONJUGATION_J = "j"                   # entrywise conjugate in the eigenbasis
-TRANSPOSITION_U = "u"                 # transpose in the eigenbasis
-TAU = "tau"                           # x -> rho^{-1/2} x^t rho^{1/2}
-MODULAR_MORPHISM_J = "jsmall"         # x -> j_m(x) Omega = Omega x*
-
-_KINDS = (DELTA_POWER, MODULAR_CONJUGATION_JM, CONJUGATION_J,
-          TRANSPOSITION_U, TAU, MODULAR_MORPHISM_J)
-
+from .linalg import DEFAULT, TensorLayout, frobenius
 
 @dataclass(frozen=True)
 class ModularData:
@@ -72,6 +62,35 @@ class ModularData:
         v = self.eigenbasis
         return (v * self.eigenvalues**t) @ v.conj().T
 
+    def _square(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=complex)
+        if x.shape != (self.dim, self.dim):
+            raise ShapeMismatch(f"expected {self.dim}x{self.dim}, got {x.shape}")
+        return x
+
+    def delta(self, x, t: float) -> np.ndarray:
+        """Delta^t: x -> rho^t x rho^{-t}."""
+        x = self._square(x)
+        if not np.isfinite(t):
+            raise InvalidOption(f"Delta exponent must be finite, got {t}")
+        lam = self.eigenvalues
+        scale = np.outer(lam**t, lam**-t)
+        return self.from_eigenbasis(scale * self.to_eigenbasis(x))
+
+    def j(self, x) -> np.ndarray:
+        """Conjugation J: entrywise complex conjugate in the eigenbasis."""
+        return self.from_eigenbasis(self.to_eigenbasis(self._square(x)).conj())
+
+    def u(self, x) -> np.ndarray:
+        """Transposition unitary U: transpose in the eigenbasis."""
+        return self.from_eigenbasis(self.to_eigenbasis(self._square(x)).T)
+
+    def tau(self, x) -> np.ndarray:
+        """tau = U Delta^{1/2}: x -> rho^{-1/2} x^t rho^{1/2} in the eigenbasis."""
+        xe = self.to_eigenbasis(self._square(x))
+        lam = self.eigenvalues
+        return self.from_eigenbasis((lam**-0.5)[:, None] * xe.T * (lam**0.5)[None, :])
+
 
 def build_modular(rho) -> ModularData:
     """Validate rho as a faithful density matrix and cache modular data."""
@@ -105,39 +124,6 @@ def build_modular(rho) -> ModularData:
     )
 
 
-def apply_modular(md: ModularData, kind: str, x, t: float = 0.0) -> np.ndarray:
-    """Apply one of the modular operators to an n x n matrix.
-
-    ``kind`` is one of the module-level constants; DELTA_POWER takes the
-    exponent ``t``.  J and J_m are conjugate-linear as implemented.
-    """
-    x = np.asarray(x, dtype=complex)
-    n = md.dim
-    if x.shape != (n, n):
-        raise ShapeMismatch(f"expected {n}x{n}, got {x.shape}")
-    if kind == DELTA_POWER:
-        if not np.isfinite(t):
-            raise ShapeMismatch("DeltaPower exponent must be finite")
-        xe = md.to_eigenbasis(x)
-        lam = md.eigenvalues
-        scale = np.outer(lam**t, lam**-t)
-        return md.from_eigenbasis(scale * xe)
-    if kind == MODULAR_CONJUGATION_JM:
-        return x.conj().T
-    if kind == CONJUGATION_J:
-        return md.from_eigenbasis(md.to_eigenbasis(x).conj())
-    if kind == TRANSPOSITION_U:
-        return md.from_eigenbasis(md.to_eigenbasis(x).T)
-    if kind == TAU:
-        xe = md.to_eigenbasis(x)
-        lam = md.eigenvalues
-        out = (lam**-0.5)[:, None] * xe.T * (lam**0.5)[None, :]
-        return md.from_eigenbasis(out)
-    if kind == MODULAR_MORPHISM_J:
-        return md.rho_half @ x.conj().T
-    raise ShapeMismatch(f"unknown modular operator kind {kind!r}; expected one of {_KINDS}")
-
-
 def tensor_modular(md_a: ModularData, md_b: ModularData) -> ModularData:
     """Modular data of rho_A (x) rho_B with Kronecker-structured eigenbasis."""
     dims = md_a.layout.dims + md_b.layout.dims
@@ -153,29 +139,6 @@ def tensor_modular(md_a: ModularData, md_b: ModularData) -> ModularData:
     )
 
 
-def state_of_cone_vector(md: ModularData, xi) -> np.ndarray:
-    """Density matrix of the vector state of a unit natural-cone vector.
-
-    omega_xi(a) = (xi, a xi) = Tr((xi xi*) a), so the density is xi xi*.
-    """
-    xi = np.asarray(xi, dtype=complex)
-    if xi.shape != (md.dim, md.dim):
-        raise ShapeMismatch(f"expected {md.dim}x{md.dim}, got {xi.shape}")
-    norm = linalg.frobenius(xi)
-    tol = DEFAULT.cone
-    if abs(norm - 1.0) > tol:
-        raise NotInCone(f"cone vector must be normalized, |xi| = {norm}")
-    reduction = md.rho_inv_quarter @ xi @ md.rho_inv_quarter
-    dev = linalg.frobenius(reduction - reduction.conj().T)
-    deficit = linalg.psd_deficit(reduction)
-    if dev > tol or deficit > tol:
-        raise NotInCone(
-            f"vector not in the natural cone (deficit {deficit:.3e}, "
-            f"Hermitian deviation {dev:.3e})"
-        )
-    return xi @ xi.conj().T
-
-
 def check_identities(md: ModularData, samples: int, seed) -> dict[str, float]:
     """Max residuals of the modular identities over random samples.
 
@@ -189,10 +152,7 @@ def check_identities(md: ModularData, samples: int, seed) -> dict[str, float]:
 
     def rand():
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return m / linalg.frobenius(m)
-
-    def app(kind, x, t=0.0):
-        return apply_modular(md, kind, x, t)
+        return m / frobenius(m)
 
     res: dict[str, float] = {}
 
@@ -201,43 +161,33 @@ def check_identities(md: ModularData, samples: int, seed) -> dict[str, float]:
 
     for _ in range(samples):
         a, xi, psi = rand(), rand(), rand()
-        # U is an involution and self-adjoint
-        record("u_squared", linalg.frobenius(app(TRANSPOSITION_U, app(TRANSPOSITION_U, xi)) - xi))
-        lhs = linalg.hs_inner(app(TRANSPOSITION_U, xi), psi)
-        rhs = linalg.hs_inner(xi, app(TRANSPOSITION_U, psi))
-        record("u_selfadjoint", abs(lhs - rhs))
+        # U is an involution and self-adjoint; J_m is x -> x*
+        record("u_squared", frobenius(md.u(md.u(xi)) - xi))
+        record("u_selfadjoint", abs(linalg.hs_inner(md.u(xi), psi)
+                                    - linalg.hs_inner(xi, md.u(psi))))
         # J = U J_m
-        record("j_eq_u_jm", linalg.frobenius(
-            app(CONJUGATION_J, xi) - app(TRANSPOSITION_U, app(MODULAR_CONJUGATION_JM, xi))))
+        jm = xi.conj().T
+        record("j_eq_u_jm", frobenius(md.j(xi) - md.u(jm)))
         # pairwise commutation of J, J_m, U
-        for name, k1, k2 in (
-            ("commute_j_jm", CONJUGATION_J, MODULAR_CONJUGATION_JM),
-            ("commute_j_u", CONJUGATION_J, TRANSPOSITION_U),
-            ("commute_jm_u", MODULAR_CONJUGATION_JM, TRANSPOSITION_U),
-        ):
-            record(name, linalg.frobenius(app(k1, app(k2, xi)) - app(k2, app(k1, xi))))
+        record("commute_j_jm", frobenius(md.j(jm) - md.j(xi).conj().T))
+        record("commute_j_u", frobenius(md.j(md.u(xi)) - md.u(md.j(xi))))
+        record("commute_jm_u", frobenius(md.u(xi).conj().T - md.u(jm)))
         # J commutes with Delta powers
         t = float(rng.uniform(-1.0, 1.0))
-        record("j_delta_commute", linalg.frobenius(
-            app(CONJUGATION_J, app(DELTA_POWER, xi, t)) - app(DELTA_POWER, app(CONJUGATION_J, xi), t)))
+        record("j_delta_commute", frobenius(md.j(md.delta(xi, t)) - md.delta(md.j(xi), t)))
         # polar form tau = U Delta^{1/2}
-        record("tau_polar", linalg.frobenius(
-            app(TAU, xi) - app(TRANSPOSITION_U, app(DELTA_POWER, xi, 0.5))))
+        record("tau_polar", frobenius(md.tau(xi) - md.u(md.delta(xi, 0.5))))
         # U Delta U = Delta^{-1}
-        record("u_delta_u", linalg.frobenius(
-            app(TRANSPOSITION_U, app(DELTA_POWER, app(TRANSPOSITION_U, xi), 1.0))
-            - app(DELTA_POWER, xi, -1.0)))
+        record("u_delta_u", frobenius(md.u(md.delta(md.u(xi), 1.0)) - md.delta(xi, -1.0)))
         # a^t xi = J a* J xi  (transpose taken in the eigenbasis)
-        at = md.from_eigenbasis(md.to_eigenbasis(a).T)
-        record("transpose_via_j", linalg.frobenius(
-            at @ xi - app(CONJUGATION_J, a.conj().T @ app(CONJUGATION_J, xi))))
+        at = md.u(a)
+        record("transpose_via_j", frobenius(at @ xi - md.j(a.conj().T @ md.j(xi))))
         # commutant mapping: U L_a U = R_{a^t}
-        record("commutant_map", linalg.frobenius(
-            app(TRANSPOSITION_U, a @ app(TRANSPOSITION_U, xi)) - xi @ at))
+        record("commutant_map", frobenius(md.u(a @ md.u(xi)) - xi @ at))
         # U Delta^{1/2} maps a Omega with a >= 0 into V_0
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         pos = g @ g.conj().T
-        pos /= linalg.frobenius(pos)
-        image = app(TAU, pos @ md.rho_half)
+        pos /= frobenius(pos)
+        image = md.tau(pos @ md.rho_half)
         record("tau_v0_invariance", linalg.psd_deficit(image @ md.rho_inv_half))
     return res

@@ -4,7 +4,10 @@ Given a positive unital phi: M_2 -> M_2 and a unit vector eta, the state
 omega_eta(a) = <eta, phi(a) eta> induces a left ideal L, a right ideal R,
 the quotient Hilbert space K_eta = M_2/L + M_2/R with its averaged inner
 product, a unital Jordan morphism rho_eta and an operator V_eta with
-phi(a) eta = V_eta rho_eta(a) V_eta* eta.
+phi(a) eta = V_eta rho_eta(a) V_eta* eta.  The state is held as one 2 x 2
+matrix w[i, j] = omega_eta(E_ij): its density matrix is w^T, and its Gram
+forms on the matrix units, whose kernels are L and R, are I (x) w / 2 and
+w^T (x) I / 2.
 
 When phi lies in a maximal face (phi(|xi><xi|) eta = 0) the ideals are
 known exactly, K_eta is four dimensional with an explicit orthonormal
@@ -149,25 +152,19 @@ class StormerData:
         return out
 
 
-def _omega_functional(phi: MapObject, eta: np.ndarray):
-    def omega(a):
-        return complex(eta.conj() @ apply_map(phi, a) @ eta)
-    return omega
+def _omega(phi: MapObject, eta: np.ndarray, a: np.ndarray) -> complex:
+    """omega_eta(a) = <eta, phi(a) eta>."""
+    return complex(eta.conj() @ apply_map(phi, a) @ eta)
 
 
-def _gram_blocks(omega, m: int):
-    units = [(i, j) for i in range(m) for j in range(m)]
-    gl = np.zeros((m * m, m * m), dtype=complex)
-    gr = np.zeros((m * m, m * m), dtype=complex)
-    for a, (i, j) in enumerate(units):
-        for b, (p, q) in enumerate(units):
-            ua, ub = _unit(m, i, j), _unit(m, p, q)
-            gl[a, b] = 0.5 * omega(ua.conj().T @ ub)
-            gr[a, b] = 0.5 * omega(ub @ ua.conj().T)
-    gram = np.zeros((2 * m * m, 2 * m * m), dtype=complex)
-    gram[: m * m, : m * m] = gl
-    gram[m * m:, m * m:] = gr
-    return gl, gr, gram
+def _gram_blocks(w: np.ndarray):
+    """Gram forms of omega_eta on the matrix units, left and right.
+
+    gl[(i,j), (p,q)] = omega(E_ij* E_pq) / 2 = w[j, q] [i = p] / 2 and
+    gr[(i,j), (p,q)] = omega(E_pq E_ij*) / 2 = w[p, i] [j = q] / 2.
+    """
+    eye = np.eye(len(w))
+    return 0.5 * np.kron(eye, w), 0.5 * np.kron(w.T, eye)
 
 
 def _kernel_basis(g: np.ndarray, m: int) -> list[np.ndarray]:
@@ -201,8 +198,8 @@ def build_local_decomposition(
         raise NotPositiveEvidence(
             f"positivity violated on a product vector, value {search.value:.3e}")
 
-    omega = _omega_functional(phi, eta)
-    gl, gr, gram = _gram_blocks(omega, m)
+    w = np.array([[_omega(phi, eta, _unit(m, i, j)) for j in range(m)] for i in range(m)])
+    gl, gr = _gram_blocks(w)
     left_basis = _kernel_basis(gl, m)
     right_basis = _kernel_basis(gr, m)
 
@@ -210,21 +207,17 @@ def build_local_decomposition(
     if face is not None:
         xi = face.xi
     else:
-        # density matrix of omega_eta; a kernel vector is a face candidate
-        density = np.zeros((m, m), dtype=complex)
-        for i in range(m):
-            for j in range(m):
-                density[j, i] = omega(_unit(m, i, j))
-        w_d, v_d = np.linalg.eigh(linalg.herm_part(density))
+        # w^T is the density matrix of omega_eta; a kernel vector is a face candidate
+        w_d, v_d = np.linalg.eigh(linalg.herm_part(w.T))
         if w_d[0] < _KER_TOL:
             xi = v_d[:, 0]
     if xi is not None and np.linalg.norm(
             apply_map(phi, np.outer(xi, xi.conj())) @ eta) <= max(tol, 1e-8):
-        return _build_face_case(phi, eta, xi, omega, left_basis, right_basis)
-    return _build_generic(phi, eta, gram, left_basis, right_basis)
+        return _build_face_case(phi, eta, xi, left_basis, right_basis)
+    return _build_generic(phi, eta, gl, gr, left_basis, right_basis)
 
 
-def _build_face_case(phi, eta, xi, omega, left_basis, right_basis):
+def _build_face_case(phi, eta, xi, left_basis, right_basis):
     xb = complete_basis(xi)
     e = {(i, j): np.outer(xb[:, i], xb[:, j].conj()) for i in range(2) for j in range(2)}
     eb = complete_basis(eta)
@@ -247,8 +240,8 @@ def _build_face_case(phi, eta, xi, omega, left_basis, right_basis):
     ]
 
     def inner(pair_a, pair_b):
-        return 0.5 * omega(pair_a[0].conj().T @ pair_b[0]) \
-            + 0.5 * omega(pair_b[1] @ pair_a[1].conj().T)
+        return 0.5 * _omega(phi, eta, pair_a[0].conj().T @ pair_b[0]) \
+            + 0.5 * _omega(phi, eta, pair_b[1] @ pair_a[1].conj().T)
 
     ortho = 0.0
     for a in range(4):
@@ -291,8 +284,11 @@ def _build_face_case(phi, eta, xi, omega, left_basis, right_basis):
     )
 
 
-def _build_generic(phi, eta, gram, left_basis, right_basis):
+def _build_generic(phi, eta, gl, gr, left_basis, right_basis):
     m = 2
+    gram = np.zeros((8, 8), dtype=complex)
+    gram[:4, :4] = gl
+    gram[4:, 4:] = gr
     w, v = np.linalg.eigh(linalg.herm_part(gram))
     keep = w > _KER_TOL
     mu = w[keep]

@@ -50,7 +50,7 @@ def test_criterion_02_cone_mapping(report):
                     break
                 xi = cones.sample_cone(md, cones.ConeSpec(cones.VBETA, beta=beta),
                                        400 + 17 * s + checked)
-                u_xi = modular.apply_modular(md, modular.TRANSPOSITION_U, xi)
+                u_xi = md.u(xi)
                 res = cones.cone_membership(
                     md, cones.ConeSpec(cones.VBETA, beta=0.5 - beta), u_xi, tol=1e-8)
                 worst = max(worst, res.residual if not res.inside else res.residual)
@@ -61,7 +61,7 @@ def test_criterion_02_cone_mapping(report):
     natural_ok = True
     for md in states:
         xi = cones.sample_cone(md, cones.ConeSpec(cones.NATURAL), 555)
-        u_xi = modular.apply_modular(md, modular.TRANSPOSITION_U, xi)
+        u_xi = md.u(xi)
         natural_ok &= cones.cone_membership(md, cones.ConeSpec(cones.NATURAL), u_xi).inside
     ok = checked >= 200 and natural_ok
     report(2, "cone mapping", ok,
@@ -76,9 +76,9 @@ def test_criterion_03_state_transposition(report):
         md = modular.build_modular(linalg.sample_density(n, 700 + trial))
         xi = cones.sample_cone(md, cones.ConeSpec(cones.NATURAL), 800 + trial)
         xi = xi / linalg.frobenius(xi)
-        u_xi = modular.apply_modular(md, modular.TRANSPOSITION_U, xi)
-        lhs = modular.state_of_cone_vector(md, u_xi)
-        rhs = md.from_eigenbasis(md.to_eigenbasis(modular.state_of_cone_vector(md, xi)).T)
+        u_xi = md.u(xi)
+        lhs = cones.state_of_cone_vector(md, u_xi)
+        rhs = md.from_eigenbasis(md.to_eigenbasis(cones.state_of_cone_vector(md, xi)).T)
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     ok = worst <= 1e-9
     report(3, "vector-state transposition", ok,

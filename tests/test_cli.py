@@ -182,10 +182,15 @@ class TestContract:
         ["stormer-verify", "--map", "id", "--eta", "eta", "--samples", "0"],
         ["map-analyze", "--map", "id", "--tests", ""],
         ["map-analyze", "--map", "id", "--tests", ","],
+        ["decompose", "--map", "id", "--tol", "nan"],
+        ["decompose", "--map", "id", "--tol", "-1"],
+        ["cone-member", "--rho", "rho", "--xi", "xi2", "--cone", '{"kind": "natural"}',
+         "--tol", "inf"],
     ], ids=["decompose-max-iter-0", "hull-max-iter-0", "kpos-x", "identity-x",
             "mix-weight-abc", "choi-dim-a", "seed-negative", "transfer-k-0",
             "kpos-restarts-0", "transfer-trials-0", "probe-trials-0",
-            "modular-samples-0", "stormer-samples-0", "tests-empty", "tests-comma"])
+            "modular-samples-0", "stormer-samples-0", "tests-empty", "tests-comma",
+            "tol-nan", "tol-negative", "tol-inf"])
     def test_malformed_request_is_error_report(self, tmp_path, argv):
         inputs = {
             "id": {"key": "identity:2"},
@@ -195,11 +200,17 @@ class TestContract:
             "choi_dim_a": {"dim_in": "a", "dim_out": 2, "choi": matrix_json(np.eye(4))},
             "rho": matrix_json(np.eye(2) / 2),
             "xi": matrix_json(np.eye(4)),
+            "xi2": matrix_json(np.eye(2) / np.sqrt(2)),
         }
         argv = [write_json(tmp_path / f"{a}.json", inputs[a]) if a in inputs else a
                 for a in argv]
         report, code = cli.run(argv)
         assert code == 2 and report["verdict"] == "error"
+
+    def test_non_finite_tol_echoed_as_text(self, transpose_map_file):
+        report, code = cli.run(["decompose", "--map", transpose_map_file, "--tol", "nan"])
+        assert code == 2 and report["request"]["tol"] == "nan"
+        json.loads(cli.render_report(report), parse_constant=pytest.fail)
 
     @pytest.mark.parametrize("argv", [
         ["no-such-command"],

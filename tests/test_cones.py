@@ -89,7 +89,7 @@ class TestUMapping:
         for beta in (0.0, 0.125, 0.25, 0.375, 0.5):
             for s in range(5):
                 xi = cones.sample_cone(md, cones.ConeSpec(cones.VBETA, beta=beta), 17 + s)
-                u_xi = modular.apply_modular(md, modular.TRANSPOSITION_U, xi)
+                u_xi = md.u(xi)
                 res = cones.cone_membership(
                     md, cones.ConeSpec(cones.VBETA, beta=0.5 - beta), u_xi, tol=1e-8)
                 assert res.inside
@@ -97,7 +97,7 @@ class TestUMapping:
     def test_natural_cone_u_invariant(self):
         md = modular.build_modular(linalg.sample_density(4, 19))
         xi = cones.sample_cone(md, cones.ConeSpec(cones.NATURAL), 23)
-        u_xi = modular.apply_modular(md, modular.TRANSPOSITION_U, xi)
+        u_xi = md.u(xi)
         assert cones.cone_membership(md, cones.ConeSpec(cones.NATURAL), u_xi).inside
 
 

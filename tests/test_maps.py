@@ -144,6 +144,12 @@ class TestSkSampler:
         with pytest.raises(NonFinite):
             maps.sk_sampler(maps.MapObject(2, 2, choi), 1, trials=2)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        # with no trial the sampler would report "no violation" untested
+        with pytest.raises(InvalidOption):
+            maps.sk_sampler(maps.identity_map(2), 1, trials=trials)
+
     def test_m3_map_has_sk_witness(self):
         """Targeted search exhibits the S_3 failure random sampling misses."""
         phi = choi_m3_map()

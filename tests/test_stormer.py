@@ -134,6 +134,38 @@ class TestBuild:
             stormer.build_local_decomposition(phi, E1)
 
 
+def reference_gram_blocks(phi, eta):
+    """The 32-call loop that filled the Gram forms from omega_eta directly."""
+    m = 2
+    units = [(i, j) for i in range(m) for j in range(m)]
+    gl = np.zeros((m * m, m * m), dtype=complex)
+    gr = np.zeros((m * m, m * m), dtype=complex)
+    for a, (i, j) in enumerate(units):
+        for b, (p, q) in enumerate(units):
+            ua, ub = linalg._unit(m, i, j), linalg._unit(m, p, q)
+            gl[a, b] = 0.5 * stormer._omega(phi, eta, ua.conj().T @ ub)
+            gr[a, b] = 0.5 * stormer._omega(phi, eta, ub @ ua.conj().T)
+    return gl, gr
+
+
+class TestGramBlocks:
+    @pytest.mark.parametrize("case", ["face", "generic"])
+    def test_match_omega_loop(self, case):
+        rng = np.random.default_rng(21)
+        eta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        eta /= np.linalg.norm(eta)
+        if case == "face":
+            phi = stormer.sample_face_map(stormer.FaceSpec(xi=E1, eta=eta), 2, seed=3)
+        else:
+            u, v = linalg.sample_unitary(2, 11), linalg.sample_unitary(2, 12)
+            phi = maps.mix_maps(0.4, maps.adjoint_map(u),
+                                maps.compose_transpose(maps.adjoint_map(v)))
+        w = np.array([[stormer._omega(phi, eta, linalg._unit(2, i, j)) for j in range(2)]
+                      for i in range(2)])
+        for got, want in zip(stormer._gram_blocks(w), reference_gram_blocks(phi, eta)):
+            assert np.array_equal(got, want)
+
+
 class TestVerify:
     def test_ad_sigma_x(self):
         rep = stormer.verify_locdec(ad_sigma_x(), E1, 100, seed=0)
