@@ -174,11 +174,11 @@ def hull_membership(
     tol: float = DEFAULT.cone,
     max_iter: int = DEFAULT.max_iter,
 ) -> MembershipResult:
-    """Membership in co(P_n u P_n^tau) via Dykstra split feasibility.
+    """Membership in co(P_n u P_n^tau) via split feasibility.
 
     Decides whether the reduction c admits c = a + b with a PSD and
-    b^{t2} PSD.  Infeasibility is reported (residual stagnation), not
-    proved; the witness is the normalized unsplit deficit direction.
+    b^{t2} PSD.  An outside verdict carries a witness exactly when it is
+    proved: the split's dual witness of c, mapped back from the eigenbasis.
     """
     spec = ConeSpec(HULL, layout=layout)
     _check_tensor(md, spec)
@@ -191,7 +191,7 @@ def hull_membership(
         raise NonHermitianReduction(f"reduction deviation {dev:.3e} exceeds {tol:.1e}")
     c = (c + c.conj().T) / 2
     split = dykstra.split_sum(c, dykstra.PPTPair(layout, 2), tol=tol, max_iter=max_iter)
-    witness = None if split.deficit is None else md.from_eigenbasis(split.deficit)
+    witness = None if split.witness is None else md.from_eigenbasis(split.witness)
     return MembershipResult(inside=split.converged, residual=split.residual, witness=witness)
 
 

@@ -1,32 +1,18 @@
-"""Dykstra alternating projections for the two-cone pair of the package.
+"""The two-cone engine: Dykstra projection and Douglas–Rachford splitting.
 
-Every Dykstra problem in decomap runs on one cone pair, :class:`PPTPair`:
-K1 = {a ⪰ 0} and K2 = {a : a^Γ ⪰ 0}, with Γ the partial transpose of one
-tensor factor.  Two flavours are used throughout the package:
+Every solve runs on one cone pair, :class:`PPTPair`: K1 = {a ⪰ 0} and
+K2 = {a : a^Γ ⪰ 0}, with Γ the partial transpose of one tensor factor.
 
-* projection onto the intersection K1 ∩ K2, and
-* the split feasibility question c = a + b with a ∈ K1, b ∈ K2
-  (membership of c in the Minkowski sum K1 + K2).
+* ``project_intersection``: the nearest point of K1 ∩ K2 by Dykstra, whose
+  correction terms make the iterates reach the nearest point, not just any
+  point.  It stops converged, stagnated or at ``max_iter``.
+* ``split_sum``: c = a + b with a ∈ K1, b ∈ K2, which needs *a* split, not
+  the nearest one.  It stops ``converged``, ``certified`` by a dual witness
+  that proves c ∉ K1 + K2, or ``capped`` at ``max_iter``.
 
-Plain alternating projections would only find a point of an intersection
-of translates; Dykstra's correction terms make the iterates converge to
-the actual nearest point, which is what turns the final residual into a
-meaningful distance estimate.
-
-The split keeps one stacked state [a, b^Γ]: the partial transpose only
-permutes entries, so both of its cones become the PSD cone and each
-iteration projects the two parts with one batched ``eigh``.  The
-intersection runs its two projections one after the other, as Dykstra
-must: the second projects the output of the first.
-
-Inputs are validated once, when a pair is built and when a solve starts
-(finite entries, the pair's side, ``max_iter >= 1``); the projections
-inside the loop run on trusted arrays and validate nothing.  Callers reach
-the two solvers through this module (``dykstra.split_sum(...)``,
-``dykstra.project_intersection(...)``), one call per solve, and the
-iteration cap is the parameter ``max_iter``: the benchmark counts solves
-and their stop reasons (converged, stagnated or capped at ``max_iter``) by
-wrapping these two attributes.
+Inputs are validated once, when a pair is built and when a solve starts.
+Callers reach the solvers through this module, one call per solve, which
+lets the benchmark count solves and stop reasons by wrapping them.
 """
 
 from __future__ import annotations
@@ -38,6 +24,8 @@ import numpy as np
 from . import linalg
 from .errors import InvalidOption
 from .linalg import DEFAULT, TensorLayout, frobenius
+
+_WITNESS_EVERY = 8      # split iterations between dual-witness checks
 
 
 @dataclass(frozen=True)
@@ -88,8 +76,12 @@ class SplitResult:
     part2: np.ndarray
     residual: float             # ||c - part1 - part2||_F
     iterations: int
-    converged: bool
-    deficit: np.ndarray | None  # normalized unsplit direction when infeasible
+    stop_reason: str            # "converged", "certified" or "capped"
+    witness: np.ndarray | None = None   # unit dual witness when certified
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 def _stagnated(history: list[float]) -> bool:
@@ -139,42 +131,44 @@ def split_sum(
     tol: float = DEFAULT.cone,
     max_iter: int = DEFAULT.max_iter,
 ) -> SplitResult:
-    """Decide c = a + b with a ∈ K1, b ∈ K2 by Dykstra in the product space.
+    """Decide c = a + b with a ∈ K1, b ∈ K2 by Douglas–Rachford.
 
-    The product-space sets are C1 = K1 × K2 (cone projections, with Dykstra
-    corrections) and the affine constraint C2 = {(a, b) : a + b = c}
-    (exact projection, no correction needed for an affine set).  The state
-    is the stack s = [a, b^Γ] with its correction p = [pa, pb^Γ]: Γ only
-    permutes entries, so in these coordinates C1 is the PSD cone on both
-    slots and one batched clip projects onto it.
+    On the stack z = [a, b^Γ] both cones are the PSD cone, so an iteration
+    x = P_affine(z), y = clip(2x − z), z += y − x makes one batched clip, and
+    the parts (y's slots) lie in their cones at every stop.  Infeasible
+    iterates diverge along a certificate direction (Banjac et al., JOTA
+    2019), which :func:`_witness` reads off the gap.
     """
     c = pair.validate(c, max_iter)
     pt = pair.pt
-    half = c / 2
-    s = np.stack((half, pt(half)))
-    p = np.zeros_like(s)
-    history: list[float] = []
-    best = None
+    bound = tol * min(1.0, frobenius(c))
+    z = np.stack((c, pt(c))) / 2
     for it in range(1, max_iter + 1):
-        y = s + p
-        s1 = linalg._psd_clip(y)
-        p = y - s1
-        a1, b1 = s1[0], pt(s1[1])
-        gap = c - a1 - b1
+        g = (c - z[0] - pt(z[1])) / 2
+        step = np.stack((g, pt(g)))
+        y = linalg._psd_clip(z + 2 * step)
+        a, b = y[0], pt(y[1])
+        gap = c - a - b
         res = frobenius(gap)
-        history.append(res)
-        if best is None or res < best[0]:
-            best = (res, a1, b1, gap)
-        if res <= tol:
-            return SplitResult(part1=a1, part2=b1, residual=res, iterations=it,
-                               converged=True, deficit=None)
-        # affine step: distribute the split gap evenly
-        g = gap / 2
-        s = s1 + np.stack((g, pt(g)))
-        if _stagnated(history):
-            break
-    res, a1, b1, gap = best
-    scale = frobenius(gap)
-    deficit = gap / scale if scale > 0 else gap
-    return SplitResult(part1=a1, part2=b1, residual=res, iterations=len(history),
-                       converged=False, deficit=deficit)
+        if res <= bound:
+            return SplitResult(a, b, res, it, "converged")
+        if it % _WITNESS_EVERY == 0:
+            witness = _witness(gap, c, pt)
+            if witness is not None:
+                return SplitResult(a, b, res, it, "certified", witness)
+        z = y - step
+    return SplitResult(a, b, res, max_iter, "capped")
+
+
+def _witness(gap: np.ndarray, c: np.ndarray, pt) -> np.ndarray | None:
+    """Unit W with W ⪰ 0, W^Γ ⪰ 0 and Tr(W c) < 0, proving c ∉ K1 + K2, or None.
+
+    W is the PSD part of −gap plus the multiple of I (I^Γ = I) that makes
+    W^Γ PSD: a decomposable entanglement witness.
+    """
+    w = linalg._psd_clip(-gap)
+    w += max(0.0, -linalg.min_eig(pt(w))) * np.eye(len(w))
+    w_norm = frobenius(w)
+    if np.vdot(w, c).real < -DEFAULT.certificate * w_norm * frobenius(c):
+        return w / w_norm
+    return None

@@ -34,6 +34,7 @@ class Tolerances:
     cone: float = 1e-8            # default cone membership tolerance
     dykstra_progress: float = 1e-12   # relative decrease counted as progress
     dykstra_window: int = 100     # stagnation window (iterations)
+    certificate: float = 1e-10    # Tr(WC) margin / (‖W‖‖C‖): above eigh's error, ~side·ε
     max_iter: int = 5000          # default Dykstra iteration cap
 
 

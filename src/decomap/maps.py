@@ -295,14 +295,17 @@ class DecompositionResult:
     residual: float
     iterations: int
     converged: bool
+    stop_reason: str                    # "converged", "certified" or "capped"
+    witness: np.ndarray | None = None   # unit decomposable witness when certified
 
 
 def decompose(phi: MapObject, tol: float = 1e-8,
               max_iter: int = DEFAULT.max_iter) -> DecompositionResult:
     """Split the Choi matrix as C1 + C2 with C1 PSD and C2^{t2} PSD.
 
-    Success certifies decomposability up to the residual; stagnation above
-    tol is numerical evidence of non-decomposability, not a proof.
+    ``converged``: decomposable up to the residual, at most tol·min(1, ‖C‖).
+    ``certified``: not decomposable; W ⪰ 0, W^{t2} ⪰ 0 and Tr(W C) < 0.
+    ``capped``: no verdict within ``max_iter`` iterations.
     """
     choi = linalg.require_hermitian(phi.choi)
     split = dykstra.split_sum(choi, dykstra.PPTPair(phi.layout, 2), tol=tol,
@@ -315,6 +318,8 @@ def decompose(phi: MapObject, tol: float = 1e-8,
         residual=split.residual,
         iterations=split.iterations,
         converged=split.converged,
+        stop_reason=split.stop_reason,
+        witness=split.witness,
     )
 
 

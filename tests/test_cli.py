@@ -262,7 +262,7 @@ class TestContract:
                             "kpos_1.violation_found", "label", "min_eig_choi",
                             "min_eig_choi_pt"],
             "decompose": [*matrix("ccp_part"), "converged", *matrix("cp_part"),
-                          "iterations", "label", "residual"],
+                          "iterations", "label", "residual", "stop_reason"],
             "transfer-check": ["criteria", "criteria.hull", "criteria.p", "criteria.pt",
                                "db_pairing_residual", "db_unital_residual",
                                "delta_commutation_residual", "label", "levels",

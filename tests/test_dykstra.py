@@ -5,20 +5,20 @@ from decomap import dykstra, linalg, maps
 from decomap.errors import InvalidOption, LayoutMismatch, NonFinite
 from decomap.linalg import TensorLayout
 
-from conftest import random_matrix
+from conftest import assert_split, assert_witness, random_matrix
 
 LAYOUTS = [(2, 2), (2, 3), (3, 3)]      # sides 4, 6 and 9
 
 
 def reference_split_sum(c, pair, tol=linalg.DEFAULT.cone, max_iter=linalg.DEFAULT.max_iter):
-    """The split as two separate projections per iteration, a and b kept apart."""
+    """Product-space Dykstra with two separate projections per iteration and a
+    stagnation stop: a verdict oracle for the split.  Returns ``converged``."""
     a = c / 2
     b = c / 2
     pa = np.zeros_like(c)
     pb = np.zeros_like(c)
     history = []
-    best = None
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         a1 = pair.proj1(a + pa)
         b1 = pair.proj2(b + pb)
         pa = a + pa - a1
@@ -26,18 +26,13 @@ def reference_split_sum(c, pair, tol=linalg.DEFAULT.cone, max_iter=linalg.DEFAUL
         gap = c - a1 - b1
         res = linalg.frobenius(gap)
         history.append(res)
-        if best is None or res < best[0]:
-            best = (res, a1, b1, gap)
         if res <= tol:
-            return dykstra.SplitResult(a1, b1, res, it, True, None)
+            return True
         a = a1 + gap / 2
         b = b1 + gap / 2
         if dykstra._stagnated(history):
             break
-    res, a1, b1, gap = best
-    scale = linalg.frobenius(gap)
-    return dykstra.SplitResult(a1, b1, res, len(history), False,
-                               gap / scale if scale > 0 else gap)
+    return False
 
 
 def choi_map_choi():
@@ -48,17 +43,21 @@ def choi_map_choi():
     return maps.map_from_action(act, 3, 3).choi
 
 
-def assert_same_split(got, want):
-    for name in ("part1", "part2", "deficit"):
-        g, w = getattr(got, name), getattr(want, name)
-        assert (g is None) == (w is None), name
-        assert g is None or np.array_equal(g, w), name
-    assert (got.residual, got.iterations, got.converged) == \
-        (want.residual, want.iterations, want.converged)
+def assert_valid_split(res, c, pair):
+    """Invariants of every stop: parts in their cones, the residual recomputed
+    from them, and the stop reason backed by its evidence."""
+    assert_split(res.part1, res.part2, res.residual, c, pair.layout)
+    assert res.converged == (res.stop_reason == "converged")
+    if res.stop_reason == "converged":
+        assert res.residual <= linalg.DEFAULT.cone * min(1.0, linalg.frobenius(c))
+    if res.stop_reason == "certified":
+        assert_witness(res.witness, c, pair.layout)
+    else:
+        assert res.witness is None
 
 
 class TestStackedSplit:
-    """The stacked [a, b^Γ] solver against the two-projection loop, bit for bit."""
+    """The split's verdicts against the Dykstra oracle, and its invariants."""
 
     @pytest.mark.parametrize("dims", LAYOUTS)
     def test_feasible(self, dims):
@@ -67,22 +66,32 @@ class TestStackedSplit:
         for seed in range(3):
             c = linalg.sample_psd(side, seed) + pair.pt(linalg.sample_psd(side, seed + 10))
             got = dykstra.split_sum(c, pair)
-            assert got.converged
-            assert_same_split(got, reference_split_sum(c, pair))
+            assert got.stop_reason == "converged" and reference_split_sum(c, pair)
+            assert_valid_split(got, c, pair)
 
     @pytest.mark.parametrize("dims", LAYOUTS)
     def test_indefinite(self, dims):
         pair = dykstra.PPTPair(TensorLayout(dims), 2)
         for seed in range(3):
             c = linalg.sample_hermitian(pair.layout.side, seed)
-            assert_same_split(dykstra.split_sum(c, pair), reference_split_sum(c, pair))
+            got = dykstra.split_sum(c, pair)
+            assert got.stop_reason != "capped"
+            assert got.converged == reference_split_sum(c, pair)
+            assert_valid_split(got, c, pair)
 
-    def test_choi_map_stagnates_identically(self):
+    def test_choi_map_certified(self):
         pair = dykstra.PPTPair(TensorLayout((3, 3)), 2)
         c = choi_map_choi()
         got = dykstra.split_sum(c, pair)
-        assert not got.converged and got.iterations < linalg.DEFAULT.max_iter
-        assert_same_split(got, reference_split_sum(c, pair))
+        assert got.stop_reason == "certified" and not reference_split_sum(c, pair)
+        assert_valid_split(got, c, pair)
+
+    def test_capped_without_witness(self):
+        pair = dykstra.PPTPair(TensorLayout((3, 3)), 2)
+        c = choi_map_choi()
+        got = dykstra.split_sum(c, pair, max_iter=5)
+        assert (got.stop_reason, got.iterations) == ("capped", 5)
+        assert_valid_split(got, c, pair)
 
     @pytest.mark.parametrize("dims", LAYOUTS)
     def test_psd_clip_on_a_stack(self, dims, rng):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decomap import dykstra, linalg, maps, modular
 from decomap.errors import BadChoi, InvalidOption, NoDetailedBalance, NonFinite, UnknownKind
 from decomap.linalg import TensorLayout
 
-from conftest import SIGMA_X, random_matrix
+from conftest import SIGMA_X, assert_split, assert_witness, random_matrix
 
 
 def swap(n=2):
@@ -22,6 +24,36 @@ def choi_m3_map():
         d = [a[0, 0] + a[1, 1], a[1, 1] + a[2, 2], a[2, 2] + a[0, 0]]
         return np.diag(d).astype(complex) - (a - np.diag(np.diag(a)))
     return maps.map_from_action(act, 3, 3, label="m3-nondecomposable")
+
+
+def _lowest_eig_on_sphere(h4, theta, phi):
+    """Smallest eigenvalue of (x* (x) I) H (x (x) I) at Bloch angles (theta, phi)."""
+    x = np.stack((np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)), axis=-1)
+    return np.linalg.eigvalsh(np.einsum("...i,ipjq,...j->...pq", x.conj(), h4, x))[..., 0]
+
+
+def product_minimum(h, n):
+    """min <x (x) y|H|x (x) y> over unit x in C^2, y in C^n.
+
+    The minimum over y is an eigenvalue, so only the Bloch sphere of x is
+    searched: a 41 x 80 grid, then a 5 x 5 zoom that halves its step 60 times
+    around each of the 8 lowest grid points.
+    """
+    h4 = h.reshape(2, n, 2, n)
+    theta, phi = np.meshgrid(np.linspace(0, np.pi, 41),
+                             np.linspace(0, 2 * np.pi, 80, endpoint=False), indexing="ij")
+    values = _lowest_eig_on_sphere(h4, theta, phi)
+    offsets = np.linspace(-1, 1, 5)
+    best = np.inf
+    for idx in np.argsort(values, axis=None)[:8]:
+        t, p, step = theta.flat[idx], phi.flat[idx], np.pi / 40
+        for _ in range(60):
+            tt, pp = np.meshgrid(t + step * offsets, p + step * offsets, indexing="ij")
+            v = _lowest_eig_on_sphere(h4, tt, pp)
+            k = np.argmin(v)
+            t, p, step = tt.flat[k], pp.flat[k], step / 2
+        best = min(best, float(v.flat[k]))
+    return best
 
 
 class TestRepresentation:
@@ -200,6 +232,39 @@ class TestDecompose:
         res = maps.decompose(choi_m3_map(), tol=1e-6)
         assert not res.converged
         assert res.residual > 0.1
+        assert res.stop_reason == "certified"
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(-9, 9), seed=st.integers(0, 2**32 - 1))
+    def test_scaled_m3_map_certified(self, k, seed):
+        """No scale hides non-decomposability: Choi's map times 10^k, under
+        random local unitaries, ends with a witness that checks from scratch."""
+        local = np.kron(linalg.sample_unitary(3, seed), linalg.sample_unitary(3, seed + 1))
+        choi = 10.0**k * local @ choi_m3_map().choi @ local.conj().T
+        res = maps.decompose(maps.make_map(choi, 3, 3))
+        assert res.stop_reason == "certified" and not res.converged
+        assert_witness(res.witness, choi, TensorLayout((3, 3)))
+        assert_split(res.cp_part.choi, res.ccp_part.choi, res.residual, choi,
+                     TensorLayout((3, 3)))
+
+    def test_small_scale_residual_is_relative(self):
+        choi = 1e-6 * maps.identity_map(2).choi
+        res = maps.decompose(maps.make_map(choi, 2, 2))
+        assert res.converged and res.residual <= 1e-8 * np.linalg.norm(choi)
+
+    @pytest.mark.parametrize("margin", [1e-1, 1e-3])
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_block_positive_maps_decompose(self, n, seed, margin):
+        """Størmer–Woronowicz oracle: every positive map M_2 -> M_2 or
+        M_2 -> M_3 is decomposable.  C = H - (mu - margin) I is block
+        positive, with mu the minimum of H over product vectors."""
+        h = linalg.sample_hermitian(2 * n, seed)
+        choi = h - (product_minimum(h, n) - margin) * np.eye(2 * n)
+        res = maps.decompose(maps.make_map(choi, 2, n), tol=1e-8)
+        assert res.stop_reason == "converged" and res.residual <= 1e-8
+        assert_split(res.cp_part.choi, res.ccp_part.choi, res.residual, choi,
+                     TensorLayout((2, n)))
 
 
 class TestDetailedBalance:
