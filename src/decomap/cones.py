@@ -75,15 +75,40 @@ def _check_tensor(md: ModularData, spec: ConeSpec) -> None:
         )
 
 
-def _reduction_eig(md: ModularData, xi: np.ndarray, beta: float = 0.25):
-    """rho^{-beta} xi rho^{beta - 1/2} in eigenbasis coordinates."""
+def _reduce(md: ModularData, xe: np.ndarray, beta: float) -> np.ndarray:
+    """Lambda^{-beta} xe Lambda^{beta - 1/2}, on eigenbasis coordinates."""
     lam = md.eigenvalues
-    xe = md.to_eigenbasis(np.asarray(xi, dtype=complex))
     return (lam**-beta)[:, None] * xe * (lam ** (beta - 0.5))[None, :]
 
 
-def _verdict(md: ModularData, r: np.ndarray, tol: float) -> MembershipResult:
-    """Decide PSD-ness of a reduction, with symmetrization and witness."""
+def _reduction_eig(md: ModularData, xi: np.ndarray, beta: float = 0.25):
+    """rho^{-beta} xi rho^{beta - 1/2} in eigenbasis coordinates."""
+    return _reduce(md, md.to_eigenbasis(np.asarray(xi, dtype=complex)), beta)
+
+
+def _pull_back(md: ModularData, w: np.ndarray, beta: float = 0.25,
+               layout: TensorLayout | None = None) -> np.ndarray:
+    """Unit V with <V, xi> a positive multiple of <w, r>, r the reduction of xi.
+
+    r is R(xi), or its second-factor partial transpose when ``layout`` is
+    given.  R and the partial transpose are self-adjoint for the
+    Hilbert-Schmidt pairing, so V = R(w^Gamma) mapped back from the
+    eigenbasis: a witness for the reduction becomes one for xi.
+    """
+    if layout is not None:
+        w = linalg.partial_transpose(w, layout, 2)
+    v = md.from_eigenbasis(_reduce(md, w, beta))
+    return v / linalg.frobenius(v)
+
+
+def _verdict(md: ModularData, xi: np.ndarray, tol: float, beta: float = 0.25,
+             layout: TensorLayout | None = None) -> MembershipResult:
+    """Decide PSD-ness of the reduction of xi (partially transposed when
+    ``layout`` is given), with symmetrization and a witness that pairs
+    negatively with xi and non-negatively with every member."""
+    r = _reduction_eig(md, xi, beta)
+    if layout is not None:
+        r = linalg.partial_transpose(r, layout, 2)
     dev = float(np.linalg.norm(r - r.conj().T))
     if dev > tol:
         return MembershipResult(inside=False, residual=dev, witness=None)
@@ -91,9 +116,9 @@ def _verdict(md: ModularData, r: np.ndarray, tol: float) -> MembershipResult:
     w, v = np.linalg.eigh(h)
     if w[0] >= -tol:
         return MembershipResult(inside=True, residual=max(0.0, -float(w[0])))
-    vec = md.eigenbasis @ v[:, 0]
     return MembershipResult(inside=False, residual=-float(w[0]),
-                            witness=np.outer(vec, vec.conj()))
+                            witness=_pull_back(md, np.outer(v[:, 0], v[:, 0].conj()),
+                                               beta, layout))
 
 
 def cone_membership(md: ModularData, spec: ConeSpec, xi, tol: float = DEFAULT.cone) -> MembershipResult:
@@ -105,18 +130,17 @@ def cone_membership(md: ModularData, spec: ConeSpec, xi, tol: float = DEFAULT.co
     if xi.shape != (n, n):
         raise LayoutMismatch(f"expected {n}x{n}, got {xi.shape}")
     if spec.kind == VBETA:
-        return _verdict(md, _reduction_eig(md, xi, spec.beta), tol)
+        return _verdict(md, xi, tol, spec.beta)
     if spec.kind == NATURAL:
-        return _verdict(md, _reduction_eig(md, xi), tol)
+        return _verdict(md, xi, tol)
     _check_tensor(md, spec)
-    r = _reduction_eig(md, xi)
     if spec.kind == NATURAL_TENSOR:
-        return _verdict(md, r, tol)
+        return _verdict(md, xi, tol)
     if spec.kind == TRANSPOSED_TENSOR:
-        return _verdict(md, linalg.partial_transpose(r, spec.layout, 2), tol)
+        return _verdict(md, xi, tol, layout=spec.layout)
     # intersection: both reductions PSD
-    plain = _verdict(md, r, tol)
-    transposed = _verdict(md, linalg.partial_transpose(r, spec.layout, 2), tol)
+    plain = _verdict(md, xi, tol)
+    transposed = _verdict(md, xi, tol, layout=spec.layout)
     worse = max(plain, transposed, key=lambda m: m.residual)
     return MembershipResult(inside=plain.inside and transposed.inside,
                             residual=worse.residual, witness=worse.witness)
@@ -178,7 +202,8 @@ def hull_membership(
 
     Decides whether the reduction c admits c = a + b with a PSD and
     b^{t2} PSD.  An outside verdict carries a witness exactly when it is
-    proved: the split's dual witness of c, mapped back from the eigenbasis.
+    proved: the split's dual witness W of c, pulled back so that it pairs
+    negatively with xi and non-negatively with every member of the hull.
     """
     spec = ConeSpec(HULL, layout=layout)
     _check_tensor(md, spec)
@@ -191,7 +216,7 @@ def hull_membership(
         raise NonHermitianReduction(f"reduction deviation {dev:.3e} exceeds {tol:.1e}")
     c = (c + c.conj().T) / 2
     split = dykstra.split_sum(c, dykstra.PPTPair(layout, 2), tol=tol, max_iter=max_iter)
-    witness = None if split.witness is None else md.from_eigenbasis(split.witness)
+    witness = None if split.witness is None else _pull_back(md, split.witness)
     return MembershipResult(inside=split.converged, residual=split.residual, witness=witness)
 
 
@@ -281,7 +306,7 @@ def fit_transposed_generator(md_a: ModularData, md_b: ModularData, xi) -> tuple[
     xi_e = md.to_eigenbasis(xi)
     eta_e = linalg.partial_transpose(xi_e, layout, 2)
     lam = md.eigenvalues
-    c = (lam**-0.25)[:, None] * eta_e * (lam**-0.25)[None, :]
+    c = _reduce(md, eta_e, 0.25)
     w_c, v_c = np.linalg.eigh((c + c.conj().T) / 2)
     sqrt_c = (v_c * np.sqrt(np.maximum(w_c, 0.0))) @ v_c.conj().T
     w = (lam**0.25)[:, None] * sqrt_c * (lam**-0.25)[None, :]

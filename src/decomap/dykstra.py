@@ -5,7 +5,10 @@ K2 = {a : a^Γ ⪰ 0}, with Γ the partial transpose of one tensor factor.
 
 * ``project_intersection``: the nearest point of K1 ∩ K2 by Dykstra, whose
   correction terms make the iterates reach the nearest point, not just any
-  point.  It stops converged, stagnated or at ``max_iter``.
+  point.  Anderson acceleration with a safeguard extrapolates the Dykstra
+  step from its last images and keeps Dykstra's invariant, so the limit is
+  the same nearest point in far fewer steps.  It stops converged, stagnated
+  or at ``max_iter``; every Dykstra step counts as an iteration.
 * ``split_sum``: c = a + b with a ∈ K1, b ∈ K2, which needs *a* split, not
   the nearest one.  It stops ``converged``, ``certified`` by a dual witness
   that proves c ∉ K1 + K2, or ``capped`` at ``max_iter``.
@@ -26,6 +29,8 @@ from .errors import InvalidOption
 from .linalg import DEFAULT, TensorLayout, frobenius
 
 _WITNESS_EVERY = 8      # split iterations between dual-witness checks
+_MEMORY = 5             # Anderson differences kept by project_intersection
+_RIDGE = 1e-14          # their least-squares ridge, relative to the Gram trace
 
 
 @dataclass(frozen=True)
@@ -64,7 +69,7 @@ class PPTPair:
 
 @dataclass
 class DykstraResult:
-    point: np.ndarray           # final K1-feasible iterate (intersection flavour)
+    point: np.ndarray           # P2's last output, so K2-feasible (intersection flavour)
     residual: float
     iterations: int
     converged: bool
@@ -99,30 +104,81 @@ def project_intersection(
     tol: float = DEFAULT.cone,
     max_iter: int = DEFAULT.max_iter,
 ) -> DykstraResult:
-    """Dykstra projection of x0 onto K1 ∩ K2.
+    """Nearest point of K1 ∩ K2 to x0: Dykstra's projection, Anderson-accelerated.
 
-    The residual is the distance between the two one-sided projections,
-    which vanishes exactly on the intersection.
+    T is one Dykstra step on the stacked state u = [x, p, q]:
+    y = P1(x + p), x' = P2(y + q), p' = x + p − y, q' = y + q − x'.
+    From the third step on, the next state is the type-II Anderson
+    extrapolation G[-1] − ΔG·γ of the last images G = T(U) (Walker & Ni,
+    SIAM J. Numer. Anal. 2011), with real γ fitted by least squares to the
+    residuals T(U) − U.  Its weights sum to one, so it keeps Dykstra's
+    invariant x0 − x = p + q, which is why a fixed point's x is the nearest
+    point of the intersection and not just any point of it; real weights keep
+    Hermitian iterates Hermitian.  An extrapolated state is kept only if
+    ‖T(u) − u‖ there is no larger than at the state it replaced (Zhang,
+    O'Donoghue & Boyd, SIAM J. Optim. 2020); otherwise the memory is cleared
+    and the plain step taken.
+
+    ``iterations`` counts the evaluations of T, rejected ones included: two
+    ``eigh`` each.  The residual ‖x' − y‖ vanishes exactly on the
+    intersection; the stagnation stop reads it at accepted states only.  The
+    point is P2's output x', so it lies in K2.
     """
     x = pair.validate(x0, max_iter)
     proj1, proj2 = pair.proj1, pair.proj2
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
+    u = np.stack((x, np.zeros_like(x), np.zeros_like(x)))
+    states: list[np.ndarray] = []       # Anderson memory: states U ...
+    images: list[np.ndarray] = []       # ... and their images T(U)
+    fallback = None                     # (T(u), ‖T(u) − u‖) of the state u extrapolated from
     history: list[float] = []
     for it in range(1, max_iter + 1):
+        x, p, q = u
         xp = x + p
         y = proj1(xp)
-        p = xp - y
         yq = y + q
         x = proj2(yq)
-        q = yq - x
+        tu = np.stack((x, xp - y, yq - x))
+        step = frobenius(tu - u)
+        if fallback is not None:
+            plain, plain_step = fallback
+            fallback = None
+            if step > plain_step:
+                states.clear()
+                images.clear()
+                u = plain
+                continue
+        point = x
         res = frobenius(x - y)
         history.append(res)
         if res <= tol:
-            return DykstraResult(point=x, residual=res, iterations=it, converged=True)
+            return DykstraResult(point=point, residual=res, iterations=it, converged=True)
         if _stagnated(history):
             break
-    return DykstraResult(point=x, residual=history[-1], iterations=len(history), converged=False)
+        states.append(u)
+        images.append(tu)
+        if len(images) < 2:
+            u = tu
+            continue
+        del states[:-_MEMORY - 1], images[:-_MEMORY - 1]
+        fallback = (tu, step)
+        u = _anderson(states, images)
+    return DykstraResult(point=point, residual=history[-1], iterations=it, converged=False)
+
+
+def _anderson(states: list[np.ndarray], images: list[np.ndarray]) -> np.ndarray:
+    """The type-II Anderson state G[-1] − ΔG·γ, F = G − U.
+
+    γ minimises ‖F[-1] − ΔF·γ‖ on the real view, through its normal
+    equations with a ridge of ``_RIDGE`` times their trace.
+    """
+    g = np.array(images).reshape(len(images), -1)
+    f = (g - np.array(states).reshape(g.shape)).view(float)
+    df = f[1:] - f[:-1]
+    gram = df @ df.T
+    # the floor keeps the system regular when all residuals are equal (γ = 0)
+    gram += (_RIDGE * np.trace(gram) + np.finfo(float).tiny) * np.eye(len(gram))
+    gamma = np.linalg.solve(gram, df @ f[-1])
+    return (g[-1] - gamma @ (g[1:] - g[:-1])).reshape(images[-1].shape)
 
 
 def split_sum(

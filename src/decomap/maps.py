@@ -266,8 +266,19 @@ class SkResult:
     worst_output_eig: float
 
 
+def _in_sk_set(c: np.ndarray, pair: dykstra.PPTPair) -> bool:
+    """[a_ij] and [a_ji] PSD, up to DEFAULT.cone relative to the norm of c."""
+    floor = -DEFAULT.cone * linalg.frobenius(c)
+    return linalg.min_eig(c) >= floor and linalg.min_eig(pair.pt(c)) >= floor
+
+
 def sk_sampler(phi: MapObject, k: int, trials: int, seed: int = 0) -> SkResult:
-    """Sample [a_ij] with [a_ij] and [a_ji] PSD; test [phi(a_ij)] >= 0."""
+    """Sample [a_ij] with [a_ij] and [a_ji] PSD; test [phi(a_ij)] >= 0.
+
+    A violation is reported only for a point that passes :func:`_in_sk_set`;
+    ``worst_output_eig`` is taken over the trials that are not set aside
+    (inf if every trial is).
+    """
     linalg.require_hermitian(phi.choi)
     if trials < 1:
         raise InvalidOption(f"trials must be at least 1, got {trials}")
@@ -278,8 +289,9 @@ def sk_sampler(phi: MapObject, k: int, trials: int, seed: int = 0) -> SkResult:
         h = linalg.sample_hermitian(k * m, seed + t)
         res = dykstra.project_intersection(h, pair, tol=1e-11, max_iter=DEFAULT.max_iter)
         c = linalg.herm_part(res.point)
-        out = amplify(phi, k, c)
-        w = linalg.min_eig(out)
+        w = linalg.min_eig(amplify(phi, k, c))
+        if w < -DEFAULT.cone and not _in_sk_set(c, pair):
+            continue            # the projection fell short: not a sample of the set
         worst = min(worst, w)
         if w < -DEFAULT.cone:
             return SkResult(k=k, violation_found=True, witness=c, trials=t + 1,

@@ -125,6 +125,67 @@ class TestHull:
             assert cones.hull_membership(md_tensor22, xi, layout).inside
 
 
+class TestWitnesses:
+    """An outside verdict's witness V separates xi from the cone:
+    Re<V, xi> < 0, and Re<V, eta> >= 0 for every member eta."""
+
+    LAYOUT = TensorLayout((2, 2))
+
+    @pytest.fixture
+    def md(self):
+        # a steep spectrum: the reduction's coordinates differ most from xi's
+        return modular.tensor_modular(modular.build_modular(np.diag([0.995, 0.005])),
+                                      modular.build_modular(np.diag([0.99, 0.01])))
+
+    def outside(self, md, seed):
+        """A natural-cone member minus a random rank-one term."""
+        rng = np.random.default_rng(seed)
+        member = cones.sample_cone(md, cones.ConeSpec(cones.NATURAL_TENSOR, layout=self.LAYOUT),
+                                   seed)
+        g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        return member - 0.1 * linalg.frobenius(member) * np.outer(g, g.conj()) / np.vdot(g, g).real
+
+    def assert_separates(self, witness, xi, members):
+        assert linalg.frobenius(witness) == pytest.approx(1.0)
+        assert np.vdot(witness, xi).real < 0
+        for eta in members:
+            assert np.vdot(witness, eta).real >= -1e-12 * linalg.frobenius(eta)
+
+    @pytest.mark.parametrize("kind", [cones.NATURAL, cones.NATURAL_TENSOR,
+                                      cones.TRANSPOSED_TENSOR, cones.INTERSECTION])
+    def test_cone_witnesses(self, md, kind):
+        spec = cones.ConeSpec(kind, layout=self.LAYOUT)
+        members = [cones.sample_cone(md, spec, 500 + s) for s in range(5)]
+        for seed in range(40):
+            xi = self.outside(md, seed)
+            res = cones.cone_membership(md, spec, xi)
+            assert not res.inside
+            self.assert_separates(res.witness, xi, members)
+
+    def test_vbeta_witnesses(self, md):
+        spec = cones.ConeSpec(cones.VBETA, beta=0.1)
+        members = [cones.sample_cone(md, spec, 500 + s) for s in range(5)]
+        for seed in range(20):
+            h = linalg.sample_hermitian(4, seed)      # indefinite: xi is outside
+            xi = md.rho_power(0.1) @ h @ md.rho_power(0.4)
+            res = cones.cone_membership(md, spec, xi)
+            assert not res.inside
+            self.assert_separates(res.witness, xi, members)
+
+    def test_hull_witnesses(self, md):
+        members = [cones.sample_cone(md, cones.ConeSpec(kind, layout=self.LAYOUT), 500 + s)
+                   for kind in (cones.NATURAL_TENSOR, cones.TRANSPOSED_TENSOR)
+                   for s in range(5)]
+        certified = 0
+        for seed in range(40):
+            xi = self.outside(md, seed)
+            res = cones.hull_membership(md, xi, self.LAYOUT)
+            if res.witness is not None:
+                certified += 1
+                self.assert_separates(res.witness, xi, members)
+        assert certified >= 30
+
+
 class TestGenerators:
     @pytest.fixture
     def factors(self):

@@ -5,7 +5,7 @@ from decomap import dykstra, linalg, maps
 from decomap.errors import InvalidOption, LayoutMismatch, NonFinite
 from decomap.linalg import TensorLayout
 
-from conftest import assert_split, assert_witness, random_matrix
+from conftest import EIG_SLACK, assert_split, assert_witness, random_matrix
 
 LAYOUTS = [(2, 2), (2, 3), (3, 3)]      # sides 4, 6 and 9
 
@@ -33,6 +33,24 @@ def reference_split_sum(c, pair, tol=linalg.DEFAULT.cone, max_iter=linalg.DEFAUL
         if dykstra._stagnated(history):
             break
     return False
+
+
+def reference_intersection(x0, pair, tol=1e-13, max_iter=20000):
+    """Plain Dykstra on (x, p, q), no acceleration and no stagnation stop: the
+    nearest-point reference for project_intersection.  Returns (point, steps)."""
+    x = np.asarray(x0, dtype=complex)
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
+    for it in range(1, max_iter + 1):
+        xp = x + p
+        y = pair.proj1(xp)
+        p = xp - y
+        yq = y + q
+        x = pair.proj2(yq)
+        q = yq - x
+        if linalg.frobenius(x - y) <= tol:
+            break
+    return x, it
 
 
 def choi_map_choi():
@@ -101,6 +119,69 @@ class TestStackedSplit:
         assert clipped.shape == stack.shape
         for x, y in zip(stack, clipped):
             assert np.array_equal(y, linalg._psd_clip(x))
+
+
+def assert_in_k2(x, pair):
+    slack = EIG_SLACK * max(1.0, linalg.frobenius(x))
+    assert linalg.min_eig(pair.pt(x)) >= -slack
+
+
+class TestAcceleratedIntersection:
+    """Anderson-accelerated Dykstra against the plain loop it accelerates."""
+
+    @pytest.mark.parametrize("dims", LAYOUTS)
+    @pytest.mark.parametrize("factor", [1, 2])
+    @pytest.mark.parametrize("sample", [linalg.sample_hermitian, linalg.sample_psd])
+    def test_nearest_point(self, dims, factor, sample):
+        pair = dykstra.PPTPair(TensorLayout(dims), factor)
+        for seed in range(3):
+            x0 = sample(pair.layout.side, seed)
+            got = dykstra.project_intersection(x0, pair, tol=1e-11)
+            ref, _ = reference_intersection(x0, pair)
+            assert got.converged
+            assert linalg.frobenius(got.point - ref) <= 1e-9 * max(1.0, linalg.frobenius(x0))
+            assert_in_k2(got.point, pair)
+
+    @pytest.mark.parametrize("dims", LAYOUTS)
+    def test_member_stops_at_once(self, dims):
+        pair = dykstra.PPTPair(TensorLayout(dims), 2)
+        a, b = dims
+        x0 = sum(np.kron(linalg.sample_psd(a, s), linalg.sample_psd(b, s + 1))
+                 for s in range(3))        # separable, so in both cones
+        got = dykstra.project_intersection(x0, pair)
+        assert got.converged and got.iterations == 1
+
+    @pytest.mark.parametrize("dims", LAYOUTS)
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_two_plain_steps_are_bit_identical(self, dims, factor):
+        pair = dykstra.PPTPair(TensorLayout(dims), factor)
+        vec = np.zeros(pair.layout.side)
+        vec[[(pair.layout.dims[1] + 1) * i for i in range(min(dims))]] = 1.0
+        x0 = np.outer(vec, vec)            # entangled, PSD, with PSD image in K2
+        assert linalg.min_eig(pair.pt(x0)) < -0.1
+        assert linalg.min_eig(pair.proj2(x0)) >= -EIG_SLACK
+        got = dykstra.project_intersection(x0, pair)
+        ref, steps = reference_intersection(x0, pair, tol=linalg.DEFAULT.cone)
+        assert got.converged and got.iterations == steps == 2
+        assert np.array_equal(got.point, ref)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_capped_point_lies_in_k2(self, max_iter):
+        pair = dykstra.PPTPair(TensorLayout((3, 3)), 2)
+        got = dykstra.project_intersection(linalg.sample_hermitian(9, 0), pair,
+                                           max_iter=max_iter)
+        assert not got.converged and got.iterations == max_iter
+        assert_in_k2(got.point, pair)
+
+    def test_sampler_solves_converge(self):
+        """The 180 solves of the S_k sampler benchmark: k in 1..3, m in {2, 3}."""
+        for i in range(60):
+            m = 2 if i % 2 else 2 + (i // 2) % 2
+            k = 1 + i % 3
+            pair = dykstra.PPTPair(TensorLayout((k, m)), 1)
+            for t in range(3):
+                x0 = linalg.sample_hermitian(k * m, 5000 + 3 * i + t)
+                assert dykstra.project_intersection(x0, pair, tol=1e-11).converged
 
 
 @pytest.mark.parametrize("dims", LAYOUTS)

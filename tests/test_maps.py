@@ -182,6 +182,14 @@ class TestSkSampler:
         with pytest.raises(InvalidOption):
             maps.sk_sampler(maps.identity_map(2), 1, trials=trials)
 
+    def test_infeasible_point_is_no_violation(self, monkeypatch):
+        # a projection that returns its indefinite input, outside both cones
+        monkeypatch.setattr(dykstra, "project_intersection",
+                            lambda x, pair, tol, max_iter: dykstra.DykstraResult(
+                                point=x, residual=1.0, iterations=max_iter, converged=False))
+        res = maps.sk_sampler(maps.identity_map(2), 2, trials=5, seed=0)
+        assert not res.violation_found and res.witness is None and res.trials == 5
+
     def test_m3_map_has_sk_witness(self):
         """Targeted search exhibits the S_3 failure random sampling misses."""
         phi = choi_m3_map()
