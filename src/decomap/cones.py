@@ -103,18 +103,24 @@ def _pull_back(md: ModularData, w: np.ndarray, beta: float = 0.25,
 
 def _verdict(md: ModularData, xi: np.ndarray, tol: float, beta: float = 0.25,
              layout: TensorLayout | None = None) -> MembershipResult:
-    """Decide PSD-ness of the reduction of xi (partially transposed when
+    """Decide PSD-ness of the reduction r of xi (partially transposed when
     ``layout`` is given), with symmetrization and a witness that pairs
-    negatively with xi and non-negatively with every member."""
+    negatively with xi and non-negatively with every member.
+
+    The Hermitian deviation and the lowest eigenvalue of r are held against
+    tol·‖r‖, so the verdict does not change when xi is scaled; the residual
+    is the absolute deviation or deficit.
+    """
     r = _reduction_eig(md, xi, beta)
     if layout is not None:
         r = linalg.partial_transpose(r, layout, 2)
+    bound = tol * linalg.frobenius(r)
     dev = float(np.linalg.norm(r - r.conj().T))
-    if dev > tol:
+    if dev > bound:
         return MembershipResult(inside=False, residual=dev, witness=None)
     h = (r + r.conj().T) / 2
     w, v = np.linalg.eigh(h)
-    if w[0] >= -tol:
+    if w[0] >= -bound:
         return MembershipResult(inside=True, residual=max(0.0, -float(w[0])))
     return MembershipResult(inside=False, residual=-float(w[0]),
                             witness=_pull_back(md, np.outer(v[:, 0], v[:, 0].conj()),

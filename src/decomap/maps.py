@@ -4,9 +4,10 @@ A map phi: M_m -> M_n is stored through its Choi matrix with the fixed
 convention C = sum_ij E_ij (x) phi(E_ij) (first factor the input algebra);
 partial transposes for co-positivity always act on factor 2.  On top of
 that representation sit the CP/co-CP tests, the Schmidt-rank-constrained
-see-saw for k-positivity, the block-matrix sampler for the S_k
-condition, the Dykstra decomposition solver, detailed-balance adjoints,
-GNS transfer operators and the cone criteria for (weak) k-decomposability.
+see-saw for k-positivity (all restarts as one batched pass), the
+block-matrix sampler for the S_k condition, the Dykstra decomposition
+solver, detailed-balance adjoints, GNS transfer operators and the cone
+criteria for (weak) k-decomposability.
 """
 
 from __future__ import annotations
@@ -141,13 +142,16 @@ def map_from_key(key: str, loader=None) -> MapObject:
 
 
 def apply_map(phi: MapObject, a) -> np.ndarray:
-    """Contract the Choi matrix against a: phi(a) = sum_ij a_ij phi(E_ij)."""
+    """Contract the Choi matrix against a: phi(a) = sum_ij a_ij phi(E_ij).
+
+    ``a`` may be a stack (..., m, m); phi acts on each matrix.
+    """
     a = np.asarray(a, dtype=complex)
     m, n = phi.dim_in, phi.dim_out
-    if a.shape != (m, m):
-        raise ShapeMismatch(f"expected {m}x{m}, got {a.shape}")
+    if a.shape[-2:] != (m, m):
+        raise ShapeMismatch(f"expected (..., {m}, {m}), got {a.shape}")
     c4 = phi.choi.reshape(m, n, m, n)
-    return np.einsum("ij,ipjq->pq", a, c4)
+    return np.einsum("...ij,ipjq->...pq", a, c4)
 
 
 def amplify(phi: MapObject, k: int, c) -> np.ndarray:
@@ -193,48 +197,73 @@ def global_positivity_test(phi: MapObject, tol: float = 1e-9) -> GlobalPositivit
 @dataclass
 class KPositivityResult:
     """One-sided verdict: a violation certifies non-k-positivity exactly;
-    its absence is heuristic evidence only."""
+    its absence is heuristic evidence only.
+
+    ``values`` and ``sweeps`` hold each restart's final value and the
+    number of sweeps it ran, 2 to 60 (the sweep that stalled counts);
+    ``value`` is the first minimum of ``values``.
+    """
 
     k: int
     violation_found: bool
     value: float
     vector: np.ndarray | None
     restarts: int
+    values: np.ndarray
+    sweeps: np.ndarray
 
 
-def _schmidt_vector(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """v = sum_r x[:, r] (x) y[:, r], row-major factor order (input, output)."""
-    return np.einsum("ir,pr->ip", x, y).reshape(-1)
+_SWEEPS = 60                # see-saw sweeps per restart, at most
+_STALL = 1e-12              # a sweep that lowers the value less than this is the last
 
 
-def _seesaw_once(choi4, m, n, k, rng):
-    y, _ = np.linalg.qr(linalg.sample_ginibre(n, k, rng.integers(2**63)))
-    value = np.inf
-    x = None
-    for _ in range(60):                 # at most 60 see-saw sweeps
-        a = np.einsum("pr,ipjq,qs->risj", y.conj(), choi4, y).reshape(k * m, k * m)
-        w, vecs = np.linalg.eigh((a + a.conj().T) / 2)
-        x = vecs[:, 0].reshape(k, m).T
-        q, r = np.linalg.qr(x)
-        y_eff = y @ r.T
-        b = np.einsum("ir,ipjq,js->rpsq", q.conj(), choi4, q).reshape(k * n, k * n)
-        w2, vecs2 = np.linalg.eigh((b + b.conj().T) / 2)
-        y = vecs2[:, 0].reshape(k, n).T
-        x = q
-        new_value = float(w2[0])
-        if value - new_value < 1e-12:
-            value = new_value
+def _seesaw(choi4: np.ndarray, k: int, y: np.ndarray):
+    """See-saw minimization of <v|C|v> over v = sum_r x_r (x) y_r, all restarts at once.
+
+    ``y`` is the stack (R, n, k) of the restarts' starting isometries.  Each sweep
+    fixes y and takes the lowest eigenvector of the compressed Choi matrix
+    for x (orthonormalized by QR), then fixes x and does the same for y.
+    A restart whose sweep lowers its value by less than ``_STALL`` is frozen
+    after that sweep; the others run on, up to ``_SWEEPS`` sweeps.  Returns
+    the unit Schmidt vectors (R, m n), their values <v|C|v> and the sweep
+    counts.
+    """
+    m, n = choi4.shape[:2]
+    count = len(y)
+    xs = np.empty((count, m, k), dtype=complex)
+    yts = np.empty((count, k, n), dtype=complex)     # each restart's y, transposed
+    values = np.full(count, np.inf)
+    sweeps = np.zeros(count, dtype=int)
+    live = np.arange(count)
+    for _ in range(_SWEEPS):
+        a = np.einsum("Rpr,ipjq,Rqs->Rrisj", y.conj(), choi4, y).reshape(-1, k * m, k * m)
+        _, vecs = np.linalg.eigh((a + a.conj().mT) / 2)
+        x, _ = np.linalg.qr(vecs[..., 0].reshape(-1, k, m).mT)
+        b = np.einsum("Rir,ipjq,Rjs->Rrpsq", x.conj(), choi4, x).reshape(-1, k * n, k * n)
+        w, vecs = np.linalg.eigh((b + b.conj().mT) / 2)
+        xs[live] = x
+        yts[live] = vecs[..., 0].reshape(-1, k, n)
+        sweeps[live] += 1
+        stalled = values[live] - w[:, 0] < _STALL
+        values[live] = w[:, 0]
+        live = live[~stalled]
+        if not live.size:
             break
-        value = new_value
-    v = _schmidt_vector(x, y)
-    v /= np.linalg.norm(v)
-    return float(np.real(v.conj() @ choi4.reshape(m * n, m * n) @ v)), v
+        y = yts[live].mT
+    # norms and values as stacked (1 x mn) products, which round as the
+    # products of a single vector do
+    v = np.einsum("Rir,Rpr->Rip", xs, yts.mT).reshape(count, 1, m * n)
+    v /= np.sqrt(v.real @ v.real.mT + v.imag @ v.imag.mT)
+    values = (v.conj() @ choi4.reshape(m * n, m * n) @ v.mT)[:, 0, 0].real
+    return v[:, 0], values, sweeps
 
 
 def k_positivity_search(phi: MapObject, k: int, restarts: int = 32, seed: int = 0,
                         tol: float = 1e-9) -> KPositivityResult:
     """Multi-restart see-saw minimizing <v|C|v> over Schmidt rank <= k unit v.
 
+    Restart r starts from the QR of a Ginibre matrix drawn by
+    ``default_rng(seed + r)``; all restarts run as one batched see-saw.
     A value below -tol is verified by direct evaluation and certifies that
     phi is not k-positive; otherwise no violation was found.
     """
@@ -243,16 +272,15 @@ def k_positivity_search(phi: MapObject, k: int, restarts: int = 32, seed: int = 
         raise DimensionMismatch(f"k must be in 1..{min(m, n)}, got {k}")
     if restarts < 1:
         raise InvalidOption(f"restarts must be at least 1, got {restarts}")
-    choi4 = phi.choi.reshape(m, n, m, n)
-    best_value, best_vec = np.inf, None
-    for r in range(restarts):
-        rng = np.random.default_rng(seed + r)
-        value, v = _seesaw_once(choi4, m, n, k, rng)
-        if value < best_value:
-            best_value, best_vec = value, v
-    found = best_value < -tol
-    return KPositivityResult(k=k, violation_found=found, value=best_value,
-                             vector=best_vec if found else None, restarts=restarts)
+    starts = [linalg.sample_ginibre(n, k, np.random.default_rng(seed + r).integers(2**63))
+              for r in range(restarts)]
+    y, _ = np.linalg.qr(np.array(starts))
+    vecs, values, sweeps = _seesaw(phi.choi.reshape(m, n, m, n), k, y)
+    best = int(np.argmin(values))
+    found = values[best] < -tol
+    return KPositivityResult(k=k, violation_found=bool(found), value=float(values[best]),
+                             vector=vecs[best] if found else None, restarts=restarts,
+                             values=values, sweeps=sweeps)
 
 
 @dataclass

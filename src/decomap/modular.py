@@ -7,7 +7,9 @@ the conjugation J, ``u`` for the transposition unitary U and ``tau`` for
 U Delta^{1/2}; the modular conjugation J_m is plain ``x.conj().T``.  The
 basis-dependent ones (J, U, tau) are evaluated in the rho-eigenbasis:
 inputs in the standard basis are rotated in and out by the cached
-eigenbasis unitary.
+eigenbasis unitary.  Every operator takes one matrix or a stack
+(..., n, n) and acts on the last two axes, so :func:`check_identities`
+checks each identity once over all of its samples.
 """
 
 from __future__ import annotations
@@ -64,17 +66,19 @@ class ModularData:
 
     def _square(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
-        if x.shape != (self.dim, self.dim):
-            raise ShapeMismatch(f"expected {self.dim}x{self.dim}, got {x.shape}")
+        if x.shape[-2:] != (self.dim, self.dim):
+            raise ShapeMismatch(f"expected (..., {self.dim}, {self.dim}), got {x.shape}")
         return x
 
-    def delta(self, x, t: float) -> np.ndarray:
-        """Delta^t: x -> rho^t x rho^{-t}."""
+    def delta(self, x, t) -> np.ndarray:
+        """Delta^t: x -> rho^t x rho^{-t}; t is one number or one per matrix."""
         x = self._square(x)
-        if not np.isfinite(t):
+        t = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(t)):
             raise InvalidOption(f"Delta exponent must be finite, got {t}")
         lam = self.eigenvalues
-        scale = np.outer(lam**t, lam**-t)
+        t = t[..., None, None]
+        scale = lam[:, None] ** t * lam[None, :] ** -t
         return self.from_eigenbasis(scale * self.to_eigenbasis(x))
 
     def j(self, x) -> np.ndarray:
@@ -83,13 +87,13 @@ class ModularData:
 
     def u(self, x) -> np.ndarray:
         """Transposition unitary U: transpose in the eigenbasis."""
-        return self.from_eigenbasis(self.to_eigenbasis(self._square(x)).T)
+        return self.from_eigenbasis(self.to_eigenbasis(self._square(x)).mT)
 
     def tau(self, x) -> np.ndarray:
         """tau = U Delta^{1/2}: x -> rho^{-1/2} x^t rho^{1/2} in the eigenbasis."""
         xe = self.to_eigenbasis(self._square(x))
         lam = self.eigenvalues
-        return self.from_eigenbasis((lam**-0.5)[:, None] * xe.T * (lam**0.5)[None, :])
+        return self.from_eigenbasis((lam**-0.5)[:, None] * xe.mT * (lam**0.5)[None, :])
 
 
 def build_modular(rho) -> ModularData:
@@ -144,6 +148,8 @@ def check_identities(md: ModularData, samples: int, seed) -> dict[str, float]:
 
     Each entry is named after the identity it checks; all vanish
     analytically, so the values measure floating-point conditioning only.
+    The samples are drawn one after another from one generator and then
+    checked together: every identity is one pass over the sample stack.
     """
     if samples < 1:
         raise InvalidOption(f"samples must be at least 1, got {samples}")
@@ -154,40 +160,49 @@ def check_identities(md: ModularData, samples: int, seed) -> dict[str, float]:
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         return m / frobenius(m)
 
-    res: dict[str, float] = {}
-
-    def record(name, value):
-        res[name] = max(res.get(name, 0.0), float(value))
-
+    draws = []
     for _ in range(samples):
         a, xi, psi = rand(), rand(), rand()
-        # U is an involution and self-adjoint; J_m is x -> x*
-        record("u_squared", frobenius(md.u(md.u(xi)) - xi))
-        record("u_selfadjoint", abs(linalg.hs_inner(md.u(xi), psi)
-                                    - linalg.hs_inner(xi, md.u(psi))))
-        # J = U J_m
-        jm = xi.conj().T
-        record("j_eq_u_jm", frobenius(md.j(xi) - md.u(jm)))
-        # pairwise commutation of J, J_m, U
-        record("commute_j_jm", frobenius(md.j(jm) - md.j(xi).conj().T))
-        record("commute_j_u", frobenius(md.j(md.u(xi)) - md.u(md.j(xi))))
-        record("commute_jm_u", frobenius(md.u(xi).conj().T - md.u(jm)))
-        # J commutes with Delta powers
         t = float(rng.uniform(-1.0, 1.0))
-        record("j_delta_commute", frobenius(md.j(md.delta(xi, t)) - md.delta(md.j(xi), t)))
-        # polar form tau = U Delta^{1/2}
-        record("tau_polar", frobenius(md.tau(xi) - md.u(md.delta(xi, 0.5))))
-        # U Delta U = Delta^{-1}
-        record("u_delta_u", frobenius(md.u(md.delta(md.u(xi), 1.0)) - md.delta(xi, -1.0)))
-        # a^t xi = J a* J xi  (transpose taken in the eigenbasis)
-        at = md.u(a)
-        record("transpose_via_j", frobenius(at @ xi - md.j(a.conj().T @ md.j(xi))))
-        # commutant mapping: U L_a U = R_{a^t}
-        record("commutant_map", frobenius(md.u(a @ md.u(xi)) - xi @ at))
-        # U Delta^{1/2} maps a Omega with a >= 0 into V_0
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        pos = g @ g.conj().T
-        pos /= frobenius(pos)
-        image = md.tau(pos @ md.rho_half)
-        record("tau_v0_invariance", linalg.psd_deficit(image @ md.rho_inv_half))
-    return res
+        draws.append((a, xi, psi, t, g))
+    a, xi, psi, t, g = (np.array(column) for column in zip(*draws))
+
+    def worst(x):
+        return float(np.max(np.linalg.norm(x, axis=(-2, -1))))
+
+    def adj(x):
+        return x.conj().mT
+
+    u, j = md.u, md.j
+    jm = adj(xi)
+    at = u(a)
+    pos = g @ adj(g)
+    pos /= np.linalg.norm(pos, axis=(-2, -1))[:, None, None]
+    image = md.tau(pos @ md.rho_half) @ md.rho_inv_half
+    return {
+        # U is an involution and self-adjoint; J_m is x -> x*
+        "u_squared": worst(u(u(xi)) - xi),
+        "u_selfadjoint": float(np.max(np.abs(
+            np.sum(u(xi).conj() * psi, axis=(-2, -1))
+            - np.sum(xi.conj() * u(psi), axis=(-2, -1))))),
+        # J = U J_m
+        "j_eq_u_jm": worst(j(xi) - u(jm)),
+        # pairwise commutation of J, J_m, U
+        "commute_j_jm": worst(j(jm) - adj(j(xi))),
+        "commute_j_u": worst(j(u(xi)) - u(j(xi))),
+        "commute_jm_u": worst(adj(u(xi)) - u(jm)),
+        # J commutes with Delta powers
+        "j_delta_commute": worst(j(md.delta(xi, t)) - md.delta(j(xi), t)),
+        # polar form tau = U Delta^{1/2}
+        "tau_polar": worst(md.tau(xi) - u(md.delta(xi, 0.5))),
+        # U Delta U = Delta^{-1}
+        "u_delta_u": worst(u(md.delta(u(xi), 1.0)) - md.delta(xi, -1.0)),
+        # a^t xi = J a* J xi  (transpose taken in the eigenbasis)
+        "transpose_via_j": worst(at @ xi - j(adj(a) @ j(xi))),
+        # commutant mapping: U L_a U = R_{a^t}
+        "commutant_map": worst(u(a @ u(xi)) - xi @ at),
+        # U Delta^{1/2} maps a Omega with a >= 0 into V_0
+        "tau_v0_invariance": max(0.0, -float(np.min(
+            np.linalg.eigvalsh((image + adj(image)) / 2)[:, 0]))),
+    }

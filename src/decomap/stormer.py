@@ -7,7 +7,8 @@ product, a unital Jordan morphism rho_eta and an operator V_eta with
 phi(a) eta = V_eta rho_eta(a) V_eta* eta.  The state is held as one 2 x 2
 matrix w[i, j] = omega_eta(E_ij): its density matrix is w^T, and its Gram
 forms on the matrix units, whose kernels are L and R, are I (x) w / 2 and
-w^T (x) I / 2.
+w^T (x) I / 2.  The Jordan morphism is stored as the (2, 2, K, K) array of
+rho_eta(E_ij), so rho_eta of a stack of matrices is one contraction.
 
 When phi lies in a maximal face (phi(|xi><xi|) eta = 0) the ideals are
 known exactly, K_eta is four dimensional with an explicit orthonormal
@@ -132,7 +133,7 @@ class StormerData:
     left_ideal_basis: list[np.ndarray]
     right_ideal_basis: list[np.ndarray]
     k_dim: int
-    rho_units: dict[tuple[int, int], np.ndarray]
+    rho_units: np.ndarray                      # (2, 2, k_dim, k_dim): rho_eta(E_ij)
     v_eta: np.ndarray                          # dim_out x k_dim, standard basis
     eta: np.ndarray
     eta_basis: np.ndarray
@@ -145,16 +146,19 @@ class StormerData:
     v_norm: float
 
     def rho_of(self, a: np.ndarray) -> np.ndarray:
-        """Jordan morphism matrix for an arbitrary element, by linearity."""
-        out = np.zeros((self.k_dim, self.k_dim), dtype=complex)
-        for (i, j), r in self.rho_units.items():
-            out += a[i, j] * r
-        return out
+        """Jordan morphism matrix of a, or of each matrix of a stack, by linearity."""
+        return np.einsum("...ij,ijkl->...kl", a, self.rho_units)
 
 
-def _omega(phi: MapObject, eta: np.ndarray, a: np.ndarray) -> complex:
-    """omega_eta(a) = <eta, phi(a) eta>."""
-    return complex(eta.conj() @ apply_map(phi, a) @ eta)
+def _omega(phi: MapObject, eta: np.ndarray, a: np.ndarray):
+    """omega_eta(a) = <eta, phi(a) eta>, of a or of each matrix of a stack."""
+    return eta.conj() @ apply_map(phi, a) @ eta
+
+
+def _units_along(xi: np.ndarray) -> np.ndarray:
+    """Matrix units of the basis x_1 = xi, x_2 as one stack: e[i, j] = x_i x_j*."""
+    xb = complete_basis(xi)
+    return np.einsum("pi,qj->ijpq", xb, xb.conj())
 
 
 def _gram_blocks(w: np.ndarray):
@@ -198,7 +202,8 @@ def build_local_decomposition(
         raise NotPositiveEvidence(
             f"positivity violated on a product vector, value {search.value:.3e}")
 
-    w = np.array([[_omega(phi, eta, _unit(m, i, j)) for j in range(m)] for i in range(m)])
+    # w[i, j] = omega_eta(E_ij), over the stack of matrix units
+    w = _omega(phi, eta, np.eye(m * m, dtype=complex).reshape(m, m, m, m))
     gl, gr = _gram_blocks(w)
     left_basis = _kernel_basis(gl, m)
     right_basis = _kernel_basis(gr, m)
@@ -213,57 +218,42 @@ def build_local_decomposition(
             xi = v_d[:, 0]
     if xi is not None and np.linalg.norm(
             apply_map(phi, np.outer(xi, xi.conj())) @ eta) <= max(tol, 1e-8):
-        return _build_face_case(phi, eta, xi, left_basis, right_basis)
+        return _build_face_case(phi, eta, xi, w, left_basis, right_basis)
     return _build_generic(phi, eta, gl, gr, left_basis, right_basis)
 
 
-def _build_face_case(phi, eta, xi, left_basis, right_basis):
-    xb = complete_basis(xi)
-    e = {(i, j): np.outer(xb[:, i], xb[:, j].conj()) for i in range(2) for j in range(2)}
+def _build_face_case(phi, eta, xi, w, left_basis, right_basis):
+    """The face case, with every inner product on K_eta read from w.
+
+    omega_eta is linear, omega_eta(x) = sum_ij x_ij w[i, j], so the averaged
+    inner product <(a1, a2), (b1, b2)> = (omega(a1* b1) + omega(b2 a2*)) / 2
+    and rho_eta(E_pq) in the basis k1..k4 are contractions against w.
+    """
+    e = _units_along(xi)
     eb = complete_basis(eta)
     eta1 = eb[:, 0]
     eta2 = eb[:, 1]
+    phi_e01 = apply_map(phi, e[0, 1])
     # pin the free phase of eta2 so alpha is real nonnegative when possible
-    alpha0 = np.sqrt(2) * (eta2.conj() @ apply_map(phi, e[(0, 1)]) @ eta1)
+    alpha0 = np.sqrt(2) * (eta2.conj() @ phi_e01 @ eta1)
     if abs(alpha0) > 1e-12:
         eta2 = eta2 * (alpha0 / abs(alpha0))
         eb = np.column_stack([eta1, eta2])
-    alpha = np.sqrt(2) * (eta2.conj() @ apply_map(phi, e[(0, 1)]) @ eta1)
-    beta = np.sqrt(2) * (eta2.conj() @ apply_map(phi, e[(1, 0)]) @ eta1)
+    alpha = np.sqrt(2) * (eta2.conj() @ phi_e01 @ eta1)
+    beta = np.sqrt(2) * (eta2.conj() @ apply_map(phi, e[1, 0]) @ eta1)
 
     s2 = np.sqrt(2)
-    reps = [                                   # the basis k1..k4 of K_eta
-        (s2 * e[(0, 1)], s2 * e[(0, 1)]),
-        (s2 * e[(1, 0)], s2 * e[(1, 0)]),
-        (e[(1, 1)], e[(1, 1)]),
-        (e[(1, 1)], -e[(1, 1)]),
-    ]
+    # the basis k1..k4 of K_eta as pairs (r0[s], r1[s])
+    r0 = np.array([s2 * e[0, 1], s2 * e[1, 0], e[1, 1], e[1, 1]])
+    r1 = np.array([s2 * e[0, 1], s2 * e[1, 0], e[1, 1], -e[1, 1]])
+    # rho_units[p, q, s, t] = <k_s, (E_pq r0[t], r1[t] E_pq)>
+    rho_units = 0.5 * (np.einsum("spi,ij,tqj->pqst", r0.conj(), w, r0)
+                       + np.einsum("tip,ij,sjq->pqst", r1, w, r1.conj()))
+    # rho_eta(1) is the Gram matrix of k1..k4
+    ortho = np.max(np.abs(rho_units[0, 0] + rho_units[1, 1] - np.eye(4)))
 
-    def inner(pair_a, pair_b):
-        return 0.5 * _omega(phi, eta, pair_a[0].conj().T @ pair_b[0]) \
-            + 0.5 * _omega(phi, eta, pair_b[1] @ pair_a[1].conj().T)
-
-    ortho = 0.0
-    for a in range(4):
-        for b in range(4):
-            val = inner(reps[a], reps[b])
-            ortho = max(ortho, abs(val - (1.0 if a == b else 0.0)))
-
-    def coord(a1, a2):
-        return np.array([inner((r1, r2), (a1, a2)) for r1, r2 in reps])
-
-    rho_units = {}
-    for p in range(2):
-        for q in range(2):
-            u = _unit(2, p, q)
-            cols = [coord(u @ r1, r2 @ u) for r1, r2 in reps]
-            rho_units[(p, q)] = np.column_stack(cols)
-
-    v_cols = [apply_map(phi, reps[0][0]) @ eta,
-              apply_map(phi, reps[1][0]) @ eta,
-              apply_map(phi, reps[2][0]) @ eta,
-              np.zeros(2, dtype=complex)]
-    v_eta = np.column_stack(v_cols)
+    v_eta = np.zeros((2, 4), dtype=complex)           # V_eta k4 = 0
+    v_eta[:, :3] = (apply_map(phi, r0[:3]) @ eta).T
     v_face = eb.conj().T @ v_eta
 
     return StormerData(
@@ -313,8 +303,8 @@ def _build_generic(phi, eta, gl, gr, left_basis, right_basis):
                     big[4 + i * m + q, 4 + src] += 1.0
         return big
 
-    rho_units = {(p, q): q_mat @ rho_w(p, q) @ q_plus
-                 for p in range(m) for q in range(m)}
+    rho_units = np.array([[q_mat @ rho_w(p, q) @ q_plus for q in range(m)]
+                          for p in range(m)])
 
     diag_cols = []
     phi_cols = []
@@ -366,13 +356,14 @@ def verify_locdec(phi: MapObject, eta, samples: int, seed: int = 0,
     v = data.v_eta
     v_star_eta = v.conj().T @ eta_v
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    draws = []
     for _ in range(samples):
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        a /= np.linalg.norm(a)
-        lhs = apply_map(phi, a) @ eta_v
-        rhs = v @ (data.rho_of(a) @ v_star_eta)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+        draws.append(a / np.linalg.norm(a))
+    a = np.array(draws)
+    lhs = apply_map(phi, a) @ eta_v
+    rhs = (data.rho_of(a) @ v_star_eta) @ v.T
+    worst = float(np.max(np.linalg.norm(lhs - rhs, axis=-1)))
     return LocdecReport(samples=samples, max_residual=worst, v_norm=data.v_norm,
                         k_dim=data.k_dim, face_case=data.face_case)
 
@@ -402,28 +393,26 @@ def check_prop41(phi: MapObject, face: FaceSpec, tol: float = 1e-8) -> Prop41Rep
     if not face_membership(phi, face, tol=max(tol, 1e-8)):
         raise NotInFace("map does not satisfy the face conditions")
     data = build_local_decomposition(phi, face.eta, face=face, tol=max(tol, 1e-8))
-    xb = complete_basis(face.xi)
-    e = {(i, j): np.outer(xb[:, i], xb[:, j].conj()) for i in range(2) for j in range(2)}
+    e = _units_along(face.xi)
+    phi_e = apply_map(phi, e)
     eta1 = data.eta_basis[:, 0]
     eta2 = data.eta_basis[:, 1]
 
     tr = {
-        "e12": abs(np.trace(apply_map(phi, e[(0, 1)]))),
-        "e21": abs(np.trace(apply_map(phi, e[(1, 0)]))),
-        "e22": abs(np.trace(apply_map(phi, e[(1, 1)])) - 1.0),
+        "e12": abs(np.trace(phi_e[0, 1])),
+        "e21": abs(np.trace(phi_e[1, 0])),
+        "e22": abs(np.trace(phi_e[1, 1]) - 1.0),
     }
-    rhs = 2.0 * (abs(eta2.conj() @ apply_map(phi, e[(0, 1)]) @ eta1) ** 2
-                 + abs(eta2.conj() @ apply_map(phi, e[(1, 0)]) @ eta1) ** 2)
-    alfabeta = abs(np.trace(apply_map(phi, e[(0, 0)])) - rhs)
+    rhs = 2.0 * (abs(eta2.conj() @ phi_e[0, 1] @ eta1) ** 2
+                 + abs(eta2.conj() @ phi_e[1, 0] @ eta1) ** 2)
+    alfabeta = abs(np.trace(phi_e[0, 0]) - rhs)
 
     v = data.v_eta
-    global_res = 0.0
-    eta2_res = {}
-    for (i, j), mat in e.items():
-        recon = v @ data.rho_of(mat) @ v.conj().T
-        diff = apply_map(phi, mat) - recon
-        global_res = max(global_res, float(np.linalg.norm(diff)))
-        eta2_res[f"e{i + 1}{j + 1}"] = float(np.linalg.norm(diff @ eta2))
+    diff = phi_e - v @ data.rho_of(e) @ v.conj().T
+    units = [(i, j) for i in range(2) for j in range(2)]
+    global_res = max(float(np.linalg.norm(diff[i, j])) for i, j in units)
+    eta2_res = {f"e{i + 1}{j + 1}": float(np.linalg.norm(diff[i, j] @ eta2))
+                for i, j in units}
 
     cond_res = max(max(tr.values()), alfabeta)
     conditions_hold = cond_res <= tol

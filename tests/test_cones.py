@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from decomap import cones, linalg, modular
 from decomap.errors import HullNotSupportedHere, LayoutMismatch, UnsupportedKind
@@ -184,6 +186,31 @@ class TestWitnesses:
                 certified += 1
                 self.assert_separates(res.witness, xi, members)
         assert certified >= 30
+
+
+class TestScaleInvariance:
+    """Cones are invariant under positive scaling, and so are the verdicts:
+    a member times 10^k stays inside and a non-member stays outside."""
+
+    LAYOUT = TensorLayout((2, 2))
+    MD = modular.tensor_modular(modular.build_modular(np.diag([0.9, 0.1])),
+                                modular.build_modular(linalg.sample_density(2, 6)))
+    SPECS = [cones.ConeSpec(cones.VBETA, beta=0.1), cones.ConeSpec(cones.NATURAL),
+             cones.ConeSpec(cones.NATURAL_TENSOR, layout=LAYOUT),
+             cones.ConeSpec(cones.TRANSPOSED_TENSOR, layout=LAYOUT),
+             cones.ConeSpec(cones.INTERSECTION, layout=LAYOUT)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.integers(0, 4), k=st.integers(-9, 9), seed=st.integers(0, 2**16))
+    @example(kind=1, k=8, seed=3)       # a natural-cone member x 1e8
+    @example(kind=1, k=-9, seed=3)      # a non-member x 1e-9
+    def test_scaled_verdicts(self, kind, k, seed):
+        spec = self.SPECS[kind]
+        member = cones.sample_cone(self.MD, spec, seed)
+        # the reduction of -member is minus a nonzero PSD matrix
+        for xi, inside in ((member, True), (-member, False)):
+            assert cones.cone_membership(self.MD, spec, xi).inside == inside
+            assert cones.cone_membership(self.MD, spec, 10.0**k * xi).inside == inside
 
 
 class TestGenerators:

@@ -160,6 +160,100 @@ class TestKPositivity:
             maps.k_positivity_search(maps.identity_map(2), 1, restarts=0)
 
 
+def seesaw_once(choi4, m, n, k, rng):
+    """One restart of the see-saw as a loop of its own: (value, vector, sweeps)."""
+    y, _ = np.linalg.qr(linalg.sample_ginibre(n, k, rng.integers(2**63)))
+    value = np.inf
+    for sweep in range(1, 61):
+        a = np.einsum("pr,ipjq,qs->risj", y.conj(), choi4, y).reshape(k * m, k * m)
+        _, vecs = np.linalg.eigh((a + a.conj().T) / 2)
+        x, _ = np.linalg.qr(vecs[:, 0].reshape(k, m).T)
+        b = np.einsum("ir,ipjq,js->rpsq", x.conj(), choi4, x).reshape(k * n, k * n)
+        w2, vecs2 = np.linalg.eigh((b + b.conj().T) / 2)
+        y = vecs2[:, 0].reshape(k, n).T
+        new_value = float(w2[0])
+        stalled = value - new_value < 1e-12
+        value = new_value
+        if stalled:
+            break
+    v = np.einsum("ir,pr->ip", x, y).reshape(-1)
+    v /= np.linalg.norm(v)
+    return float(np.real(v.conj() @ choi4.reshape(m * n, m * n) @ v)), v, sweep
+
+
+def seesaw_oracle(phi, k, restarts, seed):
+    """Restart after restart, the first minimum kept: (best index, values, sweeps)."""
+    m, n = phi.dim_in, phi.dim_out
+    runs = [seesaw_once(phi.choi.reshape(m, n, m, n), m, n, k,
+                        np.random.default_rng(seed + r)) for r in range(restarts)]
+    values = np.array([run[0] for run in runs])
+    best = 0
+    for r in range(restarts):
+        if values[r] < values[best]:
+            best = r
+    return best, values, np.array([run[2] for run in runs]), runs[best][1]
+
+
+def random_choi_map(n, seed):
+    return maps.make_map(linalg.sample_hermitian(n * n, seed), n, n)
+
+
+# a diagonal Choi matrix on which some restarts stall at their second sweep
+# and others run a third
+STALL_MIX = maps.make_map(np.diag([2.0, 3, 0, 4, 1, 6, 5, -2, -1]), 3, 3)
+
+
+class TestBatchedSeesaw:
+    CASES = [(maps.transposition_map(3), 2, 32, 0), (maps.transposition_map(2), 1, 16, 0),
+             (random_choi_map(2, 4), 1, 8, 3), (random_choi_map(2, 5), 2, 8, 9),
+             (random_choi_map(3, 6), 2, 12, 1), (random_choi_map(3, 7), 3, 6, 2),
+             (maps.identity_map(3), 2, 8, 1), (STALL_MIX, 1, 8, 0)]
+
+    @pytest.mark.parametrize("phi,k,restarts,seed", CASES)
+    def test_matches_restart_loop(self, phi, k, restarts, seed):
+        best, values, sweeps, vector = seesaw_oracle(phi, k, restarts, seed)
+        res = maps.k_positivity_search(phi, k, restarts=restarts, seed=seed)
+        slack = 1e-12 * max(1.0, np.linalg.norm(phi.choi))
+        assert int(np.argmin(res.values)) == best
+        assert res.violation_found == (values[best] < -1e-9)
+        assert res.value == pytest.approx(values[best], abs=slack)
+        assert np.max(np.abs(res.values - values)) <= slack
+        assert np.array_equal(res.sweeps, sweeps)
+        if res.violation_found:
+            assert np.max(np.abs(res.vector - vector)) <= slack
+
+    @pytest.mark.parametrize("phi,k,restarts,seed", CASES)
+    def test_restarts_are_independent(self, phi, k, restarts, seed):
+        """Each restart's value and sweep count are those of a run of that restart alone."""
+        res = maps.k_positivity_search(phi, k, restarts=restarts, seed=seed)
+        for r in range(restarts):
+            alone = maps.k_positivity_search(phi, k, restarts=1, seed=seed + r)
+            assert alone.values[0] == res.values[r]
+            assert alone.sweeps[0] == res.sweeps[r]
+
+    def test_stalled_restarts_freeze_while_others_run(self):
+        res = maps.k_positivity_search(STALL_MIX, 1, restarts=8, seed=0)
+        assert res.sweeps.min() == 2 and res.sweeps.max() > 2
+        _, values, sweeps, _ = seesaw_oracle(STALL_MIX, 1, 8, 0)
+        assert np.array_equal(res.sweeps, sweeps)
+        assert np.array_equal(res.values, values)
+
+    def test_single_restart(self):
+        phi = random_choi_map(2, 4)
+        res = maps.k_positivity_search(phi, 1, restarts=1, seed=5)
+        value, vector, sweeps = seesaw_once(phi.choi.reshape(2, 2, 2, 2), 2, 2, 1,
+                                            np.random.default_rng(5))
+        assert res.values.shape == (1,) and res.sweeps.tolist() == [sweeps]
+        assert res.value == res.values[0] == pytest.approx(value, abs=1e-12)
+        assert res.violation_found == (value < -1e-9)
+
+    def test_record_shapes(self):
+        res = maps.k_positivity_search(maps.transposition_map(3), 2, restarts=5, seed=0)
+        assert res.values.shape == (5,) and res.sweeps.shape == (5,)
+        assert res.value == res.values.min()
+        assert np.all((res.sweeps >= 1) & (res.sweeps <= 60))
+
+
 class TestSkSampler:
     def test_identity_never_violates(self):
         res = maps.sk_sampler(maps.identity_map(2), 2, trials=20, seed=0)

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from decomap import cones, linalg, modular
-from decomap.errors import InvalidOption, NotDensity, NotFaithful, NotInCone
+from decomap.errors import (
+    InvalidOption,
+    NotDensity,
+    NotFaithful,
+    NotInCone,
+    ShapeMismatch,
+)
 
 from conftest import random_matrix
 
@@ -71,6 +77,121 @@ class TestIdentities:
     def test_no_samples_rejected(self, md_skew, samples):
         with pytest.raises(InvalidOption):
             modular.check_identities(md_skew, samples, 0)
+
+
+def identities_oracle(md, samples, seed):
+    """The identity residuals sample by sample, each on 2-D matrices."""
+    n = md.dim
+    rng = np.random.default_rng(seed)
+    frob = linalg.frobenius
+
+    def rand():
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return m / frob(m)
+
+    res = {}
+
+    def record(name, value):
+        res[name] = max(res.get(name, 0.0), float(value))
+
+    for _ in range(samples):
+        a, xi, psi = rand(), rand(), rand()
+        record("u_squared", frob(md.u(md.u(xi)) - xi))
+        record("u_selfadjoint", abs(linalg.hs_inner(md.u(xi), psi)
+                                    - linalg.hs_inner(xi, md.u(psi))))
+        jm = xi.conj().T
+        record("j_eq_u_jm", frob(md.j(xi) - md.u(jm)))
+        record("commute_j_jm", frob(md.j(jm) - md.j(xi).conj().T))
+        record("commute_j_u", frob(md.j(md.u(xi)) - md.u(md.j(xi))))
+        record("commute_jm_u", frob(md.u(xi).conj().T - md.u(jm)))
+        t = float(rng.uniform(-1.0, 1.0))
+        record("j_delta_commute", frob(md.j(md.delta(xi, t)) - md.delta(md.j(xi), t)))
+        record("tau_polar", frob(md.tau(xi) - md.u(md.delta(xi, 0.5))))
+        record("u_delta_u", frob(md.u(md.delta(md.u(xi), 1.0)) - md.delta(xi, -1.0)))
+        at = md.u(a)
+        record("transpose_via_j", frob(at @ xi - md.j(a.conj().T @ md.j(xi))))
+        record("commutant_map", frob(md.u(a @ md.u(xi)) - xi @ at))
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        pos = g @ g.conj().T
+        pos /= frob(pos)
+        image = md.tau(pos @ md.rho_half)
+        record("tau_v0_invariance", linalg.psd_deficit(image @ md.rho_inv_half))
+    return res
+
+
+def reference_ops(md):
+    """Each operator written out on one matrix, as plain products."""
+    v, lam = md.eigenbasis, md.eigenvalues
+
+    def into(x):
+        return v.conj().T @ x @ v
+
+    def out(x):
+        return v @ x @ v.conj().T
+
+    return {
+        "to_eigenbasis": into,
+        "from_eigenbasis": out,
+        "delta": lambda x, t: out(np.outer(lam**t, lam**-t) * into(x)),
+        "j": lambda x: out(into(x).conj()),
+        "u": lambda x: out(into(x).T),
+        "tau": lambda x: out((lam**-0.5)[:, None] * into(x).T * (lam**0.5)[None, :]),
+    }
+
+
+STATES = [np.diag([0.8, 0.2]), linalg.sample_density(3, 17),
+          np.kron(linalg.sample_density(2, 4), linalg.sample_density(2, 5))]
+
+
+class TestStacks:
+    @pytest.mark.parametrize("rho", STATES)
+    @pytest.mark.parametrize("name", ["to_eigenbasis", "from_eigenbasis", "j", "u", "tau"])
+    def test_stack_matches_matrices(self, rho, name, rng):
+        md = modular.build_modular(rho)
+        xs = random_matrix(rng, 2 * 3 * md.dim, md.dim).reshape(2, 3, md.dim, md.dim)
+        ref = reference_ops(md)[name]
+        got = getattr(md, name)(xs)
+        assert got.shape == xs.shape
+        for i in range(2):
+            for s in range(3):
+                assert np.array_equal(getattr(md, name)(xs[i, s]), ref(xs[i, s]))
+                slack = 1e-14 * linalg.frobenius(xs[i, s])
+                assert np.max(np.abs(got[i, s] - ref(xs[i, s]))) <= slack
+
+    @pytest.mark.parametrize("rho", STATES)
+    def test_delta_exponent_per_matrix(self, rho, rng):
+        md = modular.build_modular(rho)
+        xs = random_matrix(rng, 4 * md.dim, md.dim).reshape(4, md.dim, md.dim)
+        ts = np.array([-1.0, -0.3, 0.5, 1.0])
+        ref = reference_ops(md)["delta"]
+        stacked = md.delta(xs, ts)
+        shared = md.delta(xs, 0.5)
+        for s, t in enumerate(ts):
+            assert np.array_equal(md.delta(xs[s], t), ref(xs[s], t))
+            assert np.max(np.abs(stacked[s] - ref(xs[s], t))) <= 1e-13 * linalg.frobenius(xs[s])
+            assert np.max(np.abs(shared[s] - ref(xs[s], 0.5))) <= 1e-13 * linalg.frobenius(xs[s])
+
+    def test_trailing_shape_checked(self, md_skew):
+        with pytest.raises(ShapeMismatch):
+            md_skew.u(np.zeros((3, 3, 3)))
+        with pytest.raises(ShapeMismatch):
+            md_skew.j(np.zeros(2))
+
+    def test_non_finite_exponent_in_stack_rejected(self, md_skew):
+        with pytest.raises(InvalidOption):
+            md_skew.delta(np.zeros((2, 2, 2)), np.array([0.5, np.nan]))
+
+
+class TestIdentitiesOracle:
+    @pytest.mark.parametrize("rho", STATES)
+    @pytest.mark.parametrize("samples,seed", [(1, 0), (7, 3), (50, 11)])
+    def test_matches_sample_loop(self, rho, samples, seed):
+        md = modular.build_modular(rho)
+        got = modular.check_identities(md, samples, seed)
+        want = identities_oracle(md, samples, seed)
+        assert list(got) == list(want)
+        for name in want:
+            assert abs(got[name] - want[name]) <= 1e-12, name
 
 
 class TestTensor:

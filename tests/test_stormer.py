@@ -166,6 +166,119 @@ class TestGramBlocks:
             assert np.array_equal(got, want)
 
 
+def reference_face_forms(phi, eta, xi):
+    """Gram matrix and rho_eta(E_pq) of the face basis k1..k4, each inner
+    product evaluated through phi itself: (omega(a1* b1) + omega(b2 a2*)) / 2."""
+    xb = stormer.complete_basis(xi)
+    e = {(i, j): np.outer(xb[:, i], xb[:, j].conj()) for i in range(2) for j in range(2)}
+    s2 = np.sqrt(2)
+    reps = [(s2 * e[0, 1], s2 * e[0, 1]), (s2 * e[1, 0], s2 * e[1, 0]),
+            (e[1, 1], e[1, 1]), (e[1, 1], -e[1, 1])]
+
+    def inner(pa, pb):
+        return 0.5 * stormer._omega(phi, eta, pa[0].conj().T @ pb[0]) \
+            + 0.5 * stormer._omega(phi, eta, pb[1] @ pa[1].conj().T)
+
+    gram = np.array([[inner(ra, rb) for rb in reps] for ra in reps])
+    rho = np.zeros((2, 2, 4, 4), dtype=complex)
+    for p in range(2):
+        for q in range(2):
+            u = linalg._unit(2, p, q)
+            for t, (r1, r2) in enumerate(reps):
+                rho[p, q, :, t] = [inner(ra, (u @ r1, r2 @ u)) for ra in reps]
+    return gram, rho
+
+
+def locdec_oracle(phi, data, samples, seed):
+    """Worst residual of phi(a) eta = V rho(a) V* eta, sample by sample."""
+    v = data.v_eta
+    v_star_eta = v.conj().T @ data.eta
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        a /= np.linalg.norm(a)
+        rho_a = sum(a[i, j] * data.rho_units[i, j] for i in range(2) for j in range(2))
+        lhs = maps.apply_map(phi, a) @ data.eta
+        worst = max(worst, float(np.linalg.norm(lhs - v @ (rho_a @ v_star_eta))))
+    return worst
+
+
+def face_cases():
+    rng = np.random.default_rng(31)
+    cases = [stormer.symmetric_face_example(), (ad_sigma_x(), FACE_E1)]
+    for seed in range(3):
+        xi, eta = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        face = stormer.FaceSpec(xi=xi / np.linalg.norm(xi), eta=eta / np.linalg.norm(eta))
+        cases.append((stormer.sample_face_map(face, 2, seed=seed), face))
+    return cases
+
+
+class TestFaceFromOmega:
+    @pytest.mark.parametrize("case", range(5))
+    def test_forms_match_per_entry_omega(self, case):
+        phi, face = face_cases()[case]
+        data = stormer.build_local_decomposition(phi, face.eta, face=face)
+        assert data.face_case
+        gram, rho = reference_face_forms(phi, face.eta, face.xi)
+        assert np.max(np.abs(data.rho_units - rho)) <= 1e-12
+        ortho = np.max(np.abs(gram - np.eye(4)))
+        assert abs(data.basis_orthonormality_residual - ortho) <= 1e-12
+
+    def test_face_build_evaluates_phi_a_few_times(self, monkeypatch):
+        calls = [0]
+        inner = stormer.apply_map
+
+        def counted(phi, a):
+            calls[0] += 1
+            return inner(phi, a)
+
+        monkeypatch.setattr(stormer, "apply_map", counted)
+        phi, face = stormer.symmetric_face_example()
+        data = stormer.build_local_decomposition(phi, face.eta, face=face)
+        assert data.face_case
+        assert calls[0] <= 12
+
+    @pytest.mark.parametrize("case", ["face", "generic"])
+    def test_rho_of_stack(self, case, rng):
+        if case == "face":
+            phi, face = stormer.symmetric_face_example()
+            data = stormer.build_local_decomposition(phi, face.eta, face=face)
+        else:
+            u, v = linalg.sample_unitary(2, 11), linalg.sample_unitary(2, 12)
+            phi = maps.mix_maps(0.4, maps.adjoint_map(u),
+                                maps.compose_transpose(maps.adjoint_map(v)))
+            data = stormer.build_local_decomposition(phi, np.array([0.6, 0.8]))
+        assert data.rho_units.shape == (2, 2, data.k_dim, data.k_dim)
+        a = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+        stacked = data.rho_of(a)
+        for s in range(5):
+            want = sum(a[s, i, j] * data.rho_units[i, j] for i in range(2) for j in range(2))
+            assert np.max(np.abs(stacked[s] - want)) <= 1e-14 * np.linalg.norm(a[s])
+            assert np.array_equal(stacked[s], data.rho_of(a[s]))
+
+
+class TestVerifyOracle:
+    @pytest.mark.parametrize("case", range(5))
+    @pytest.mark.parametrize("samples,seed", [(1, 0), (20, 4), (100, 0)])
+    def test_matches_sample_loop(self, case, samples, seed):
+        phi, face = face_cases()[case]
+        data = stormer.build_local_decomposition(phi, face.eta, face=face)
+        rep = stormer.verify_locdec(phi, face.eta, samples, seed=seed, data=data)
+        assert rep.samples == samples
+        assert abs(rep.max_residual - locdec_oracle(phi, data, samples, seed)) <= 1e-12
+
+    def test_generic_case(self):
+        u, v = linalg.sample_unitary(2, 11), linalg.sample_unitary(2, 12)
+        phi = maps.mix_maps(0.4, maps.adjoint_map(u),
+                            maps.compose_transpose(maps.adjoint_map(v)))
+        eta = np.array([0.6, 0.8j])
+        data = stormer.build_local_decomposition(phi, eta)
+        assert not data.face_case
+        rep = stormer.verify_locdec(phi, eta, 30, seed=2, data=data)
+        assert abs(rep.max_residual - locdec_oracle(phi, data, 30, 2)) <= 1e-12
+
+
 class TestVerify:
     def test_ad_sigma_x(self):
         rep = stormer.verify_locdec(ad_sigma_x(), E1, 100, seed=0)
