@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__, cones, maps, modular, stormer
 from .errors import DecomapError, ParseError
-from .linalg import TensorLayout
+from .linalg import DEFAULT, TensorLayout
 
 
 # -- JSON (de)serialization ---------------------------------------------------
@@ -321,7 +321,7 @@ def _cmd_stormer_build(args, phi):
 def _cmd_stormer_verify(args, phi):
     face, eta = _stormer_inputs(args)
     data = stormer.build_local_decomposition(phi, eta, face=face, seed=args.seed,
-                                             tol=max(args.tol, 1e-8))
+                                             tol=args.tol)
     rep = stormer.verify_locdec(phi, eta, args.samples, seed=args.seed, data=data)
     return rep, rep.max_residual <= args.tol
 
@@ -333,41 +333,42 @@ def _cmd_prop41(args, phi):
 
 # -- the subcommand table: name -> (handler, {flag: argparse spec}) ----------
 
-_REQ = {"required": True}
-_OPT = {"default": None}
-_SEED = {"type": int, "required": True}
-
-
 def _default(value) -> dict:
     """An optional flag parsed as the type of its default."""
     return {"type": type(value), "default": value}
 
 
+_REQ = {"required": True}
+_OPT = {"default": None}
+_SEED = {"type": int, "required": True}
+_TOL = _default(DEFAULT.cone)
+_EIG_TOL = _default(DEFAULT.eig)
+_MAX_ITER = _default(DEFAULT.max_iter)
+
+
 _HANDLERS = {
     "modular-check": (_cmd_modular_check, {
-        "rho": _REQ, "samples": _default(50), "seed": _SEED, "tol": _default(1e-9)}),
+        "rho": _REQ, "samples": _default(50), "seed": _SEED, "tol": _EIG_TOL}),
     "cone-member": (_cmd_cone_member, {
-        "rho": _REQ, "xi": _REQ, "cone": _REQ, "rho-b": _OPT, "tol": _default(1e-8)}),
+        "rho": _REQ, "xi": _REQ, "cone": _REQ, "rho-b": _OPT, "tol": _TOL}),
     "hull-member": (_cmd_hull_member, {
-        "rho": _REQ, "xi": _REQ, "dims": _REQ, "rho-b": _OPT, "tol": _default(1e-8),
-        "max-iter": _default(5000)}),
+        "rho": _REQ, "xi": _REQ, "dims": _REQ, "rho-b": _OPT, "tol": _TOL,
+        "max-iter": _MAX_ITER}),
     "probe": (_cmd_probe, {
-        "dims": _REQ, "trials": _default(20), "seed": _SEED, "tol": _default(1e-8)}),
+        "dims": _REQ, "trials": _default(20), "seed": _SEED, "tol": _TOL}),
     "map-analyze": (_cmd_map_analyze, {
-        "map": _REQ, "tests": _default("cp,ccp"), "tol": _default(1e-9),
+        "map": _REQ, "tests": _default("cp,ccp"), "tol": _EIG_TOL,
         "seed": _default(0), "restarts": _default(32)}),
-    "decompose": (_cmd_decompose, {
-        "map": _REQ, "tol": _default(1e-8), "max-iter": _default(5000)}),
+    "decompose": (_cmd_decompose, {"map": _REQ, "tol": _TOL, "max-iter": _MAX_ITER}),
     "transfer-check": (_cmd_transfer_check, {
         "map": _REQ, "rho": _REQ, "k": _default(2), "trials": _default(10),
-        "seed": _SEED, "tol": _default(1e-8)}),
+        "seed": _SEED, "tol": _TOL}),
     "stormer-build": (_cmd_stormer_build, {
-        "map": _REQ, "face": _OPT, "eta": _OPT, "seed": _default(0),
-        "tol": _default(1e-8)}),
+        "map": _REQ, "face": _OPT, "eta": _OPT, "seed": _default(0), "tol": _TOL}),
     "stormer-verify": (_cmd_stormer_verify, {
         "map": _REQ, "face": _OPT, "eta": _OPT, "samples": _default(50),
-        "seed": _default(0), "tol": _default(1e-9)}),
-    "prop41": (_cmd_prop41, {"map": _REQ, "face": _REQ, "tol": _default(1e-8)}),
+        "seed": _default(0), "tol": _EIG_TOL}),
+    "prop41": (_cmd_prop41, {"map": _REQ, "face": _REQ, "tol": _TOL}),
 }
 
 

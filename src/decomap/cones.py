@@ -37,6 +37,10 @@ INTERSECTION = "intersection"
 _TENSOR_KINDS = (NATURAL_TENSOR, TRANSPOSED_TENSOR, HULL, INTERSECTION)
 _KINDS = (VBETA, NATURAL) + _TENSOR_KINDS
 
+# intersection samples are projected this close to {a ⪰ 0, a^Γ ⪰ 0}, well
+# inside DEFAULT.cone, so they read inside at the default tolerance
+_SAMPLE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ConeSpec:
@@ -114,12 +118,10 @@ def _verdict(md: ModularData, xi: np.ndarray, tol: float, beta: float = 0.25,
     r = _reduction_eig(md, xi, beta)
     if layout is not None:
         r = linalg.partial_transpose(r, layout, 2)
-    bound = tol * linalg.frobenius(r)
-    dev = float(np.linalg.norm(r - r.conj().T))
+    dev, bound = linalg.hermitian_deviation(r, tol)
     if dev > bound:
         return MembershipResult(inside=False, residual=dev, witness=None)
-    h = (r + r.conj().T) / 2
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(linalg.herm_part(r))
     if w[0] >= -bound:
         return MembershipResult(inside=True, residual=max(0.0, -float(w[0])))
     return MembershipResult(inside=False, residual=-float(w[0]),
@@ -137,10 +139,9 @@ def cone_membership(md: ModularData, spec: ConeSpec, xi, tol: float = DEFAULT.co
         raise LayoutMismatch(f"expected {n}x{n}, got {xi.shape}")
     if spec.kind == VBETA:
         return _verdict(md, xi, tol, spec.beta)
-    if spec.kind == NATURAL:
-        return _verdict(md, xi, tol)
-    _check_tensor(md, spec)
-    if spec.kind == NATURAL_TENSOR:
+    if spec.kind != NATURAL:
+        _check_tensor(md, spec)
+    if spec.kind in (NATURAL, NATURAL_TENSOR):
         return _verdict(md, xi, tol)
     if spec.kind == TRANSPOSED_TENSOR:
         return _verdict(md, xi, tol, layout=spec.layout)
@@ -192,7 +193,7 @@ def sample_cone(md: ModularData, spec: ConeSpec, seed) -> np.ndarray:
     # intersection: Dykstra-project the reduction onto {a >= 0, a^{t2} >= 0}
     # and map back
     c = dykstra.project_intersection(_reduction_eig(md, natural),
-                                     dykstra.PPTPair(spec.layout, 2), tol=1e-12).point
+                                     dykstra.PPTPair(spec.layout, 2), tol=_SAMPLE_TOL).point
     lam = md.eigenvalues
     return md.from_eigenbasis((lam**0.25)[:, None] * c * (lam**0.25)[None, :])
 
@@ -207,9 +208,12 @@ def hull_membership(
     """Membership in co(P_n u P_n^tau) via split feasibility.
 
     Decides whether the reduction c admits c = a + b with a PSD and
-    b^{t2} PSD.  An outside verdict carries a witness exactly when it is
-    proved: the split's dual witness W of c, pulled back so that it pairs
-    negatively with xi and non-negatively with every member of the hull.
+    b^{t2} PSD.  The split runs on c/s, s the power of two that brings ‖c‖
+    into [1/2, 1) (an exact scaling), so the verdict does not change when
+    xi is scaled; the residual ‖c − a − b‖ is reported at c's scale.
+    An outside verdict carries a witness exactly when it is proved: the
+    split's dual witness W of c, pulled back so that it pairs negatively
+    with xi and non-negatively with every member of the hull.
     """
     spec = ConeSpec(HULL, layout=layout)
     _check_tensor(md, spec)
@@ -217,13 +221,15 @@ def hull_membership(
     if xi.shape != (md.dim, md.dim):
         raise LayoutMismatch(f"expected {md.dim}x{md.dim}, got {xi.shape}")
     c = _reduction_eig(md, xi)
-    dev = float(np.linalg.norm(c - c.conj().T))
-    if dev > tol:
-        raise NonHermitianReduction(f"reduction deviation {dev:.3e} exceeds {tol:.1e}")
-    c = (c + c.conj().T) / 2
-    split = dykstra.split_sum(c, dykstra.PPTPair(layout, 2), tol=tol, max_iter=max_iter)
+    dev, bound = linalg.hermitian_deviation(c, tol)
+    if dev > bound:
+        raise NonHermitianReduction(f"reduction deviation {dev:.3e} exceeds {bound:.1e}")
+    scale = 2.0 ** np.frexp(linalg.frobenius(c))[1]
+    split = dykstra.split_sum(linalg.herm_part(c) / scale, dykstra.PPTPair(layout, 2),
+                              tol=tol, max_iter=max_iter)
     witness = None if split.witness is None else _pull_back(md, split.witness)
-    return MembershipResult(inside=split.converged, residual=split.residual, witness=witness)
+    return MembershipResult(inside=split.converged, residual=split.residual * scale,
+                            witness=witness)
 
 
 @dataclass
@@ -266,9 +272,8 @@ def probe_finite_dim_equality(
     for t in range(trials):
         xi = sample_cone(md, spec, rho_seed + 1000 + t)
         a = _reduction_eig(md, xi)
-        dev = float(np.linalg.norm(a - a.conj().T))
-        res = max(linalg.psd_deficit(a),
-                  linalg.psd_deficit(linalg.partial_transpose(a, layout, 2)), dev)
+        res = max(linalg.psd_deficit(a), linalg.hermitian_deviation(a)[0],
+                  linalg.psd_deficit(linalg.partial_transpose(a, layout, 2)))
         residuals.append(float(res))
     max_res = max(residuals) if residuals else 0.0
     return ProbeReport(dims=(m, n), trials=trials, residuals=residuals,
@@ -313,7 +318,7 @@ def fit_transposed_generator(md_a: ModularData, md_b: ModularData, xi) -> tuple[
     eta_e = linalg.partial_transpose(xi_e, layout, 2)
     lam = md.eigenvalues
     c = _reduce(md, eta_e, 0.25)
-    w_c, v_c = np.linalg.eigh((c + c.conj().T) / 2)
+    w_c, v_c = np.linalg.eigh(linalg.herm_part(c))
     sqrt_c = (v_c * np.sqrt(np.maximum(w_c, 0.0))) @ v_c.conj().T
     w = (lam**0.25)[:, None] * sqrt_c * (lam**-0.25)[None, :]
     blocks = w.reshape(m, n, m, n)

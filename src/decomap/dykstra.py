@@ -7,8 +7,8 @@ K2 = {a : a^Γ ⪰ 0}, with Γ the partial transpose of one tensor factor.
   correction terms make the iterates reach the nearest point, not just any
   point.  Anderson acceleration with a safeguard extrapolates the Dykstra
   step from its last images and keeps Dykstra's invariant, so the limit is
-  the same nearest point in far fewer steps.  It stops converged, stagnated
-  or at ``max_iter``; every Dykstra step counts as an iteration.
+  the same nearest point in far fewer steps.  It stops converged or capped
+  at ``max_iter``; every Dykstra step counts as an iteration.
 * ``split_sum``: c = a + b with a ∈ K1, b ∈ K2, which needs *a* split, not
   the nearest one.  It stops ``converged``, ``certified`` by a dual witness
   that proves c ∉ K1 + K2, or ``capped`` at ``max_iter``.
@@ -89,15 +89,6 @@ class SplitResult:
         return self.stop_reason == "converged"
 
 
-def _stagnated(history: list[float]) -> bool:
-    window = DEFAULT.dykstra_window
-    if len(history) <= window:
-        return False
-    old = history[-window - 1]
-    new = history[-1]
-    return old - new < DEFAULT.dykstra_progress * max(1.0, old)
-
-
 def project_intersection(
     x0: np.ndarray,
     pair: PPTPair,
@@ -121,8 +112,9 @@ def project_intersection(
 
     ``iterations`` counts the evaluations of T, rejected ones included: two
     ``eigh`` each.  The residual ‖x' − y‖ vanishes exactly on the
-    intersection; the stagnation stop reads it at accepted states only.  The
-    point is P2's output x', so it lies in K2.
+    intersection and is read at accepted states only.  The solve stops
+    converged, once it is at most ``tol``, or capped after ``max_iter``
+    evaluations.  The point is P2's output x', so it lies in K2.
     """
     x = pair.validate(x0, max_iter)
     proj1, proj2 = pair.proj1, pair.proj2
@@ -130,7 +122,6 @@ def project_intersection(
     states: list[np.ndarray] = []       # Anderson memory: states U ...
     images: list[np.ndarray] = []       # ... and their images T(U)
     fallback = None                     # (T(u), ‖T(u) − u‖) of the state u extrapolated from
-    history: list[float] = []
     for it in range(1, max_iter + 1):
         x, p, q = u
         xp = x + p
@@ -149,11 +140,8 @@ def project_intersection(
                 continue
         point = x
         res = frobenius(x - y)
-        history.append(res)
         if res <= tol:
             return DykstraResult(point=point, residual=res, iterations=it, converged=True)
-        if _stagnated(history):
-            break
         states.append(u)
         images.append(tu)
         if len(images) < 2:
@@ -162,7 +150,7 @@ def project_intersection(
         del states[:-_MEMORY - 1], images[:-_MEMORY - 1]
         fallback = (tu, step)
         u = _anderson(states, images)
-    return DykstraResult(point=point, residual=history[-1], iterations=it, converged=False)
+    return DykstraResult(point=point, residual=res, iterations=max_iter, converged=False)
 
 
 def _anderson(states: list[np.ndarray], images: list[np.ndarray]) -> np.ndarray:

@@ -6,7 +6,8 @@ matrices, PSD projections, partial transposes and seeded Ginibre
 ensembles, all collected here.  Matrices are plain complex numpy arrays.
 The numerical tolerances live in one constant record, :data:`DEFAULT`
 (a :class:`Tolerances`), which the package reads directly instead of
-passing it around.
+passing it around; a ``tol`` is held against the norm of its input, so a
+verdict does not change when the input is scaled.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ class Tolerances:
     herm_rel: float = 1e-10       # Hermitian deviation, relative
     pd_floor: float = 1e-12       # strict positivity floor
     kernel: float = 1e-10         # Gram-form kernel cutoff
-    cone: float = 1e-8            # default cone membership tolerance
-    dykstra_progress: float = 1e-12   # relative decrease counted as progress
-    dykstra_window: int = 100     # stagnation window (iterations)
+    cone: float = 1e-8            # default tol: cones, splits, Størmer's construction
+    eig: float = 1e-9             # default tol: CP / k-positivity and identity residuals
     certificate: float = 1e-10    # Tr(WC) margin / (‖W‖‖C‖): above eigh's error, ~side·ε
     max_iter: int = 5000          # default Dykstra iteration cap
 
@@ -99,12 +99,17 @@ def _unit(n: int, i: int, j: int) -> np.ndarray:
     return e
 
 
+def hermitian_deviation(x: np.ndarray, rel: float = DEFAULT.herm_rel) -> tuple[float, float]:
+    """‖x − x*‖ and the bound rel·‖x‖ it is held against (Frobenius norms)."""
+    return frobenius(x - x.conj().T), rel * frobenius(x)
+
+
 def require_hermitian(x) -> np.ndarray:
+    """x as a finite Hermitian matrix (its Hermitian part), or a typed error."""
     x = _as_matrix(x)
     if x.shape[0] != x.shape[1]:
         raise NotHermitian(f"matrix is not square: {x.shape}")
-    bound = DEFAULT.herm_rel * max(1.0, frobenius(x))
-    dev = float(np.linalg.norm(x - x.conj().T))
+    dev, bound = hermitian_deviation(x)
     if dev > bound:
         raise NotHermitian(f"Hermitian deviation {dev:.3e} exceeds {bound:.3e}")
     return herm_part(x)

@@ -22,6 +22,8 @@ from .errors import (
     DimensionMismatch,
     InvalidOption,
     NoDetailedBalance,
+    NonFinite,
+    NotHermitian,
     ShapeMismatch,
     UnknownKind,
 )
@@ -49,13 +51,11 @@ def make_map(choi, dim_in: int, dim_out: int, label: str = "") -> MapObject:
     side = dim_in * dim_out
     if choi.shape != (side, side):
         raise BadChoi(f"Choi matrix must be {side}x{side}, got {choi.shape}")
-    if not np.all(np.isfinite(choi)):
-        raise BadChoi("Choi matrix contains NaN or Inf entries")
-    dev = float(np.linalg.norm(choi - choi.conj().T))
-    if dev > DEFAULT.herm_rel * max(1.0, linalg.frobenius(choi)):
-        raise BadChoi(f"Choi matrix Hermitian deviation {dev:.3e} too large")
-    return MapObject(dim_in=dim_in, dim_out=dim_out, choi=linalg.herm_part(choi),
-                     label=label)
+    try:
+        choi = linalg.require_hermitian(choi)
+    except (NonFinite, NotHermitian) as exc:
+        raise BadChoi(f"Choi matrix: {exc}") from None
+    return MapObject(dim_in=dim_in, dim_out=dim_out, choi=choi, label=label)
 
 
 def map_from_action(action, dim_in: int, dim_out: int, label: str = "") -> MapObject:
@@ -181,14 +181,16 @@ class GlobalPositivity:
     min_eig_choi_pt: float
 
 
-def global_positivity_test(phi: MapObject, tol: float = 1e-9) -> GlobalPositivity:
-    """CP iff the Choi matrix is PSD; co-CP iff its factor-2 partial transpose is."""
+def global_positivity_test(phi: MapObject, tol: float = DEFAULT.eig) -> GlobalPositivity:
+    """CP iff the Choi matrix C is PSD; co-CP iff its factor-2 partial transpose
+    is; each lowest eigenvalue is held against −tol·‖C‖."""
     choi = linalg.require_hermitian(phi.choi)
+    floor = -tol * linalg.frobenius(choi)
     w = linalg.min_eig(choi)
     w_pt = linalg.min_eig(linalg.partial_transpose(choi, phi.layout, 2))
     return GlobalPositivity(
-        completely_positive=w >= -tol,
-        completely_copositive=w_pt >= -tol,
+        completely_positive=w >= floor,
+        completely_copositive=w_pt >= floor,
         min_eig_choi=w,
         min_eig_choi_pt=w_pt,
     )
@@ -259,13 +261,14 @@ def _seesaw(choi4: np.ndarray, k: int, y: np.ndarray):
 
 
 def k_positivity_search(phi: MapObject, k: int, restarts: int = 32, seed: int = 0,
-                        tol: float = 1e-9) -> KPositivityResult:
+                        tol: float = DEFAULT.eig) -> KPositivityResult:
     """Multi-restart see-saw minimizing <v|C|v> over Schmidt rank <= k unit v.
 
     Restart r starts from the QR of a Ginibre matrix drawn by
     ``default_rng(seed + r)``; all restarts run as one batched see-saw.
-    A value below -tol is verified by direct evaluation and certifies that
-    phi is not k-positive; otherwise no violation was found.
+    A value below −tol·‖C‖, C the Choi matrix, is verified by direct
+    evaluation and certifies that phi is not k-positive; otherwise no
+    violation was found.
     """
     m, n = phi.dim_in, phi.dim_out
     if not 1 <= k <= min(m, n):
@@ -277,7 +280,7 @@ def k_positivity_search(phi: MapObject, k: int, restarts: int = 32, seed: int = 
     y, _ = np.linalg.qr(np.array(starts))
     vecs, values, sweeps = _seesaw(phi.choi.reshape(m, n, m, n), k, y)
     best = int(np.argmin(values))
-    found = values[best] < -tol
+    found = values[best] < -tol * linalg.frobenius(phi.choi)
     return KPositivityResult(k=k, violation_found=bool(found), value=float(values[best]),
                              vector=vecs[best] if found else None, restarts=restarts,
                              values=values, sweeps=sweeps)
@@ -292,6 +295,11 @@ class SkResult:
     witness: np.ndarray | None
     trials: int
     worst_output_eig: float
+
+
+# sk_sampler projects its samples to this residual, three decades inside
+# DEFAULT.cone, so a projected point passes _in_sk_set
+_SK_TOL = 1e-11
 
 
 def _in_sk_set(c: np.ndarray, pair: dykstra.PPTPair) -> bool:
@@ -315,7 +323,7 @@ def sk_sampler(phi: MapObject, k: int, trials: int, seed: int = 0) -> SkResult:
     worst = np.inf
     for t in range(trials):
         h = linalg.sample_hermitian(k * m, seed + t)
-        res = dykstra.project_intersection(h, pair, tol=1e-11, max_iter=DEFAULT.max_iter)
+        res = dykstra.project_intersection(h, pair, tol=_SK_TOL, max_iter=DEFAULT.max_iter)
         c = linalg.herm_part(res.point)
         w = linalg.min_eig(amplify(phi, k, c))
         if w < -DEFAULT.cone and not _in_sk_set(c, pair):
@@ -339,7 +347,7 @@ class DecompositionResult:
     witness: np.ndarray | None = None   # unit decomposable witness when certified
 
 
-def decompose(phi: MapObject, tol: float = 1e-8,
+def decompose(phi: MapObject, tol: float = DEFAULT.cone,
               max_iter: int = DEFAULT.max_iter) -> DecompositionResult:
     """Split the Choi matrix as C1 + C2 with C1 PSD and C2^{t2} PSD.
 
@@ -385,7 +393,7 @@ class DetailedBalanceResult:
         return self.unital and self.positive_evidence
 
 
-def db_adjoint(phi: MapObject, md: ModularData, tol: float = 1e-8,
+def db_adjoint(phi: MapObject, md: ModularData, tol: float = DEFAULT.cone,
                seed: int = 0) -> DetailedBalanceResult:
     """Solve the nondegenerate pairing for phi^beta = rho^{-1} phi^*(rho .)."""
     if phi.dim_in != phi.dim_out:
@@ -408,7 +416,7 @@ def db_adjoint(phi: MapObject, md: ModularData, tol: float = 1e-8,
             choi += np.kron(_unit(n, i, j), rho_inv @ trace_dual(rho @ _unit(n, i, j)))
     # a non-Hermitian Choi matrix means the pairing solution does not
     # preserve Hermiticity, so it cannot be a positive map
-    herm_dev = float(np.linalg.norm(choi - choi.conj().T))
+    herm_dev, herm_bound = linalg.hermitian_deviation(choi, tol)
     beta = MapObject(n, n, linalg.herm_part(choi), label=f"db-adjoint({phi.label})")
     # residual of the defining identity on matrix-unit pairs
     pairing = 0.0
@@ -423,8 +431,7 @@ def db_adjoint(phi: MapObject, md: ModularData, tol: float = 1e-8,
                     pairing = max(pairing, abs(lhs - rhs))
     unital_residual = float(np.linalg.norm(apply_map(beta, np.eye(n)) - np.eye(n)))
     search = k_positivity_search(beta, k=1, restarts=16, seed=seed, tol=tol)
-    positive = herm_dev <= tol * max(1.0, linalg.frobenius(choi)) \
-        and not search.violation_found
+    positive = herm_dev <= herm_bound and not search.violation_found
     unital = unital_residual <= tol
     return DetailedBalanceResult(
         adjoint=beta if positive else None,
@@ -446,7 +453,7 @@ class TransferOperator:
     cone_preservation_residual: float
 
 
-def transfer_operator(phi: MapObject, md: ModularData, tol: float = 1e-8,
+def transfer_operator(phi: MapObject, md: ModularData, tol: float = DEFAULT.cone,
                       samples: int = 100, seed: int = 0) -> TransferOperator:
     """Build T_phi and record its modular compatibility diagnostics.
 

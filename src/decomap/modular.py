@@ -28,6 +28,8 @@ from .errors import (
 )
 from .linalg import DEFAULT, TensorLayout, frobenius
 
+_TRACE_TOL = 1e-10          # |Tr ρ − 1| accepted: a density given to ten digits
+
 @dataclass(frozen=True)
 class ModularData:
     """Faithful density rho, its eigenbasis and cached fractional powers.
@@ -102,7 +104,7 @@ def build_modular(rho) -> ModularData:
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise NotDensity(f"expected a square matrix, got {rho.shape}")
     n = rho.shape[0]
-    if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
+    if abs(np.trace(rho).real - 1.0) > _TRACE_TOL or abs(np.trace(rho).imag) > _TRACE_TOL:
         raise NotDensity(f"trace {np.trace(rho)} is not 1")
     try:
         dec = linalg.herm_eig(rho)

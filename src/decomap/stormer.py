@@ -43,12 +43,15 @@ from .maps import (
 )
 
 _KER_TOL = DEFAULT.kernel
+_UNIT_TOL = 1e-12           # |‖v‖ − 1| accepted: a unit vector given to twelve digits
+_PHASE_FLOOR = 1e-12        # |alpha| below this has no phase worth pinning
+_RCOND = 1e-10              # pinv cutoff for V_eta, relative to d_mat's top singular value
 
 
 def _unit_vector(v) -> np.ndarray:
     v = np.asarray(v, dtype=complex).reshape(-1)
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-12:
+    if abs(norm - 1.0) > _UNIT_TOL:
         raise ShapeMismatch(f"vector must be normalized, |v| = {norm}")
     return v
 
@@ -74,7 +77,7 @@ class FaceSpec:
         object.__setattr__(self, "eta", _unit_vector(self.eta))
 
 
-def face_membership(phi: MapObject, face: FaceSpec, tol: float = 1e-8) -> bool:
+def face_membership(phi: MapObject, face: FaceSpec, tol: float = DEFAULT.cone) -> bool:
     """phi is in F_{xi,eta} iff it is unital and phi(|xi><xi|) eta = 0."""
     m, n = phi.dim_in, phi.dim_out
     if face.xi.shape[0] != m or face.eta.shape[0] != n:
@@ -181,19 +184,22 @@ def build_local_decomposition(
     eta,
     face: FaceSpec | None = None,
     seed: int = 0,
-    tol: float = 1e-8,
+    tol: float = DEFAULT.cone,
 ) -> StormerData:
     """Carry out the quotient construction for (phi, eta).
 
     When phi sits in a maximal face (detected from the kernel of omega_eta
     or supplied explicitly) the ideals are taken exactly and the explicit
     four-element basis is emitted; otherwise the quotients are realized
-    numerically from the Gram spectrum.
+    numerically from the Gram spectrum.  tol is raised to at least
+    ``DEFAULT.cone``: the face test's candidate vector comes from a kernel
+    read at ``DEFAULT.kernel``, so the construction resolves no finer.
     """
     m, n = phi.dim_in, phi.dim_out
     if (m, n) != (2, 2):
         raise DimensionMismatch("the construction is implemented for M_2 -> M_2")
     eta = _unit_vector(eta)
+    tol = max(tol, DEFAULT.cone)
     unital_res = np.linalg.norm(apply_map(phi, np.eye(m)) - np.eye(n))
     if unital_res > tol:
         raise NotUnital(f"phi(I) deviates from I by {unital_res:.3e}")
@@ -217,7 +223,7 @@ def build_local_decomposition(
         if w_d[0] < _KER_TOL:
             xi = v_d[:, 0]
     if xi is not None and np.linalg.norm(
-            apply_map(phi, np.outer(xi, xi.conj())) @ eta) <= max(tol, 1e-8):
+            apply_map(phi, np.outer(xi, xi.conj())) @ eta) <= tol:
         return _build_face_case(phi, eta, xi, w, left_basis, right_basis)
     return _build_generic(phi, eta, gl, gr, left_basis, right_basis)
 
@@ -231,12 +237,11 @@ def _build_face_case(phi, eta, xi, w, left_basis, right_basis):
     """
     e = _units_along(xi)
     eb = complete_basis(eta)
-    eta1 = eb[:, 0]
-    eta2 = eb[:, 1]
+    eta1, eta2 = eb.T
     phi_e01 = apply_map(phi, e[0, 1])
     # pin the free phase of eta2 so alpha is real nonnegative when possible
     alpha0 = np.sqrt(2) * (eta2.conj() @ phi_e01 @ eta1)
-    if abs(alpha0) > 1e-12:
+    if abs(alpha0) > _PHASE_FLOOR:
         eta2 = eta2 * (alpha0 / abs(alpha0))
         eb = np.column_stack([eta1, eta2])
     alpha = np.sqrt(2) * (eta2.conj() @ phi_e01 @ eta1)
@@ -287,35 +292,22 @@ def _build_generic(phi, eta, gl, gr, left_basis, right_basis):
     q_mat = (np.sqrt(mu)[:, None]) * vk.conj().T          # K x 8
     q_plus = vk * (1.0 / np.sqrt(mu))[None, :]            # 8 x K
 
-    def coord(a1, a2):
-        c = np.concatenate([np.asarray(a1, dtype=complex).reshape(-1),
-                            np.asarray(a2, dtype=complex).reshape(-1)])
-        return q_mat @ c
-
     def rho_w(p, q):
+        # (a1, a2) -> (E_pq a1, a2 E_pq) on matrix-unit coordinates
+        e, eye = _unit(m, p, q), np.eye(m)
         big = np.zeros((8, 8), dtype=complex)
-        for i in range(m):
-            for j in range(m):
-                src = i * m + j
-                if i == q:                       # E_pq E_ij = E_pj
-                    big[p * m + j, src] += 1.0
-                if j == p:                       # E_ij E_pq = E_iq
-                    big[4 + i * m + q, 4 + src] += 1.0
+        big[:4, :4] = np.kron(e, eye)
+        big[4:, 4:] = np.kron(eye, e.T)
         return big
 
     rho_units = np.array([[q_mat @ rho_w(p, q) @ q_plus for q in range(m)]
                           for p in range(m)])
 
-    diag_cols = []
-    phi_cols = []
-    for i in range(m):
-        for j in range(m):
-            u = _unit(m, i, j)
-            diag_cols.append(coord(u, u))
-            phi_cols.append(apply_map(phi, u) @ eta)
-    d_mat = np.column_stack(diag_cols)                    # K x 4
-    phi_mat = np.column_stack(phi_cols)                   # 2 x 4
-    v_eta = phi_mat @ np.linalg.pinv(d_mat, rcond=1e-10)
+    # column (i, j): the pair (E_ij, E_ij) in K_eta coordinates, and phi(E_ij) eta
+    d_mat = q_mat[:, :4] + q_mat[:, 4:]                   # K x 4
+    units = np.eye(m * m, dtype=complex).reshape(m, m, m, m)
+    phi_mat = (apply_map(phi, units) @ eta).reshape(4, m).T   # 2 x 4
+    v_eta = phi_mat @ np.linalg.pinv(d_mat, rcond=_RCOND)
     lsq = float(np.linalg.norm(v_eta @ d_mat - phi_mat))
 
     return StormerData(
@@ -383,20 +375,19 @@ class Prop41Report:
     beta: complex
 
 
-def check_prop41(phi: MapObject, face: FaceSpec, tol: float = 1e-8) -> Prop41Report:
+def check_prop41(phi: MapObject, face: FaceSpec, tol: float = DEFAULT.cone) -> Prop41Report:
     """Check the iff between the trace conditions and the global equality.
 
     The iff verdict uses a tenfold hysteresis band: an inconsistency is
     flagged only when one side fails by more than 10*tol while the other
     holds within tol.
     """
-    if not face_membership(phi, face, tol=max(tol, 1e-8)):
+    if not face_membership(phi, face, tol=tol):
         raise NotInFace("map does not satisfy the face conditions")
-    data = build_local_decomposition(phi, face.eta, face=face, tol=max(tol, 1e-8))
+    data = build_local_decomposition(phi, face.eta, face=face, tol=tol)
     e = _units_along(face.xi)
     phi_e = apply_map(phi, e)
-    eta1 = data.eta_basis[:, 0]
-    eta2 = data.eta_basis[:, 1]
+    eta1, eta2 = data.eta_basis.T
 
     tr = {
         "e12": abs(np.trace(phi_e[0, 1])),

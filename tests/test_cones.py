@@ -212,6 +212,23 @@ class TestScaleInvariance:
             assert cones.cone_membership(self.MD, spec, xi).inside == inside
             assert cones.cone_membership(self.MD, spec, 10.0**k * xi).inside == inside
 
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(-9, 9), seed=st.integers(0, 2**16))
+    @example(k=8, seed=3)               # a hull member x 1e8
+    def test_scaled_hull_verdicts(self, k, seed):
+        member = hull_sample(self.MD, self.LAYOUT, seed)
+        for xi, inside in ((member, True), (-member, False)):
+            res = cones.hull_membership(self.MD, 10.0**k * xi, self.LAYOUT)
+            assert res.inside == inside
+            assert (res.witness is None) == inside
+
+    def test_hull_residual_at_input_scale(self):
+        # an outside verdict's residual is the gap ‖c − a − b‖ of xi's own reduction
+        member = hull_sample(self.MD, self.LAYOUT, 3)
+        small = cones.hull_membership(self.MD, -member, self.LAYOUT)
+        large = cones.hull_membership(self.MD, -1e6 * member, self.LAYOUT)
+        assert large.residual == pytest.approx(1e6 * small.residual, rel=1e-9)
+
 
 class TestGenerators:
     @pytest.fixture

@@ -10,6 +10,15 @@ from conftest import EIG_SLACK, assert_split, assert_witness, random_matrix
 LAYOUTS = [(2, 2), (2, 3), (3, 3)]      # sides 4, 6 and 9
 
 
+def stagnated(history, window=100, progress=1e-12):
+    """The residual fell by less than ``progress`` (relative, floored at one)
+    over the last ``window`` iterations."""
+    if len(history) <= window:
+        return False
+    old = history[-window - 1]
+    return old - history[-1] < progress * max(1.0, old)
+
+
 def reference_split_sum(c, pair, tol=linalg.DEFAULT.cone, max_iter=linalg.DEFAULT.max_iter):
     """Product-space Dykstra with two separate projections per iteration and a
     stagnation stop: a verdict oracle for the split.  Returns ``converged``."""
@@ -30,7 +39,7 @@ def reference_split_sum(c, pair, tol=linalg.DEFAULT.cone, max_iter=linalg.DEFAUL
             return True
         a = a1 + gap / 2
         b = b1 + gap / 2
-        if dykstra._stagnated(history):
+        if stagnated(history):
             break
     return False
 
@@ -171,6 +180,16 @@ class TestAcceleratedIntersection:
         got = dykstra.project_intersection(linalg.sample_hermitian(9, 0), pair,
                                            max_iter=max_iter)
         assert not got.converged and got.iterations == max_iter
+        assert_in_k2(got.point, pair)
+
+    def test_unreachable_tol_runs_to_the_cap(self):
+        # the residual levels off at rounding, far above tol: the solve stops
+        # only at max_iter, with the last accepted iterate
+        pair = dykstra.PPTPair(TensorLayout((3, 3)), 2)
+        got = dykstra.project_intersection(linalg.sample_hermitian(9, 0), pair,
+                                           tol=1e-300, max_iter=500)
+        assert not got.converged and got.iterations == 500
+        assert 0.0 < got.residual <= 1e-11
         assert_in_k2(got.point, pair)
 
     def test_sampler_solves_converge(self):

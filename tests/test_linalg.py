@@ -35,6 +35,19 @@ class TestHermEig:
         with pytest.raises(NotHermitian):
             linalg.herm_eig(random_matrix(rng, 3))
 
+    def test_hermitian_test_is_scale_free(self, rng):
+        a = random_matrix(rng, 3)
+        h = (a + a.conj().T) / 2
+        for scale in (1e-12, 1.0, 1e12):
+            assert np.array_equal(linalg.require_hermitian(scale * h), scale * h)
+            with pytest.raises(NotHermitian):
+                linalg.require_hermitian(scale * a)
+
+    def test_hermitian_deviation(self):
+        x = np.array([[1.0, 2.0], [0.0, 1.0]])
+        dev, bound = linalg.hermitian_deviation(x, 0.5)
+        assert dev == pytest.approx(np.sqrt(8)) and bound == pytest.approx(np.sqrt(6) / 2)
+
 
 class TestFracPower:
     def test_diagonal_sqrt(self):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decomap import dykstra, linalg, maps, modular
@@ -93,6 +93,12 @@ class TestRepresentation:
         with pytest.raises(BadChoi):
             maps.make_map(random_matrix(rng, 4), 2, 2)
 
+    def test_tiny_non_hermitian_choi_rejected(self):
+        # relative deviation ‖C − C*‖/‖C‖ ≈ 1.6: not Hermitian at any scale
+        choi = 1e-12 * np.random.default_rng(0).standard_normal((4, 4))
+        with pytest.raises(BadChoi):
+            maps.make_map(choi, 2, 2)
+
     def test_non_finite_choi_rejected(self):
         choi = maps.identity_map(2).choi.copy()
         choi[0, 0] = np.nan
@@ -134,6 +140,35 @@ class TestGlobalPositivity:
         assert gp.min_eig_choi_pt == pytest.approx(-0.5)
         res = maps.k_positivity_search(phi, 1, restarts=16, seed=0)
         assert not res.violation_found
+
+
+class TestScaledVerdicts:
+    """CP, co-CP and k-positivity are cone properties: phi and 10^k phi get
+    the same verdicts."""
+
+    @staticmethod
+    def scaled(phi, k):
+        return maps.make_map(10.0**k * phi.choi, phi.dim_in, phi.dim_out)
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(-12, 12))
+    @example(k=-10)
+    def test_global_positivity(self, k):
+        for phi, cp, ccp in ((maps.transposition_map(2), False, True),
+                             (maps.identity_map(2), True, False)):
+            gp = maps.global_positivity_test(self.scaled(phi, k))
+            assert (gp.completely_positive, gp.completely_copositive) == (cp, ccp)
+
+    @settings(max_examples=10, deadline=None)
+    @given(k=st.integers(-12, 12))
+    @example(k=-10)
+    def test_k_positivity(self, k):
+        t3 = maps.k_positivity_search(self.scaled(maps.transposition_map(3), k), 2,
+                                      restarts=8)
+        assert t3.violation_found
+        ident = maps.k_positivity_search(self.scaled(maps.identity_map(3), k), 2,
+                                         restarts=8)
+        assert not ident.violation_found
 
 
 class TestKPositivity:
