@@ -275,17 +275,19 @@ def _cmd_transfer_check(args, phi):
     md = modular.build_modular(parse_matrix_file(args.rho))
     report = maps.cone_criterion_check(phi, md, args.k, args.trials,
                                        seed=args.seed, tol=args.tol)
-    criteria = {name: report.worst(name) <= args.tol for name in ("p", "pt", "hull")}
     # the hull criterion is the (weak) decomposability verdict; the p / pt
     # criteria are stricter sub-verdicts and legitimately fail for maps
     # that are only decomposable
-    return {
+    payload = {
         "delta_commutation_residual": report.transfer.delta_commutation_residual,
         "db_unital_residual": report.transfer.db.unital_residual,
         "db_pairing_residual": report.transfer.db.pairing_residual,
         "levels": report.levels,
-        "criteria": criteria,
-    }, criteria["hull"]
+        "criteria": {name: report.holds(name) for name in maps.CRITERIA},
+    }
+    if not report.holds("hull"):
+        payload["hull_failure"] = report.failures["hull"]
+    return payload, report.holds("hull")
 
 
 def _stormer_inputs(args):

@@ -60,12 +60,8 @@ def make_map(choi, dim_in: int, dim_out: int, label: str = "") -> MapObject:
 
 def map_from_action(action, dim_in: int, dim_out: int, label: str = "") -> MapObject:
     """Build the Choi matrix of a callable a -> phi(a) on matrix units."""
-    side = dim_in * dim_out
-    choi = np.zeros((side, side), dtype=complex)
-    for i in range(dim_in):
-        for j in range(dim_in):
-            block = np.asarray(action(_unit(dim_in, i, j)), dtype=complex)
-            choi += np.kron(_unit(dim_in, i, j), block)
+    units = [_unit(dim_in, i, j) for i in range(dim_in) for j in range(dim_in)]
+    choi = sum(np.kron(e, np.asarray(action(e), dtype=complex)) for e in units)
     return make_map(choi, dim_in, dim_out, label=label)
 
 
@@ -309,7 +305,8 @@ def _in_sk_set(c: np.ndarray, pair: dykstra.PPTPair) -> bool:
 
 
 def sk_sampler(phi: MapObject, k: int, trials: int, seed: int = 0) -> SkResult:
-    """Sample [a_ij] with [a_ij] and [a_ji] PSD; test [phi(a_ij)] >= 0.
+    """Sample [a_ij] with [a_ij] and [a_ji] PSD; test λmin([phi(a_ij)]) against
+    −DEFAULT.cone·‖[phi(a_ij)]‖, a scale-free floor.
 
     A violation is reported only for a point that passes :func:`_in_sk_set`;
     ``worst_output_eig`` is taken over the trials that are not set aside
@@ -325,11 +322,13 @@ def sk_sampler(phi: MapObject, k: int, trials: int, seed: int = 0) -> SkResult:
         h = linalg.sample_hermitian(k * m, seed + t)
         res = dykstra.project_intersection(h, pair, tol=_SK_TOL, max_iter=DEFAULT.max_iter)
         c = linalg.herm_part(res.point)
-        w = linalg.min_eig(amplify(phi, k, c))
-        if w < -DEFAULT.cone and not _in_sk_set(c, pair):
+        out = amplify(phi, k, c)
+        w = linalg.min_eig(out)
+        violated = w < -DEFAULT.cone * linalg.frobenius(out)
+        if violated and not _in_sk_set(c, pair):
             continue            # the projection fell short: not a sample of the set
         worst = min(worst, w)
-        if w < -DEFAULT.cone:
+        if violated:
             return SkResult(k=k, violation_found=True, witness=c, trials=t + 1,
                             worst_output_eig=w)
     return SkResult(k=k, violation_found=False, witness=None, trials=trials,
@@ -395,52 +394,34 @@ class DetailedBalanceResult:
 
 def db_adjoint(phi: MapObject, md: ModularData, tol: float = DEFAULT.cone,
                seed: int = 0) -> DetailedBalanceResult:
-    """Solve the nondegenerate pairing for phi^beta = rho^{-1} phi^*(rho .)."""
+    """Solve the nondegenerate pairing for phi^beta = rho^{-1} phi^*(rho .),
+    phi^* the trace dual: Tr(x phi(b)) = Tr(phi^*(x) b)."""
     if phi.dim_in != phi.dim_out:
         raise DimensionMismatch("detailed balance needs m = n")
     n = phi.dim_in
     rho = md.rho
     if rho.shape != (n, n):
         raise DimensionMismatch(f"state dimension {rho.shape} does not match map {n}")
-    rho_inv = np.linalg.inv(rho)
-    s_dag = superoperator(phi).conj().T
-
-    def trace_dual(x):
-        # phi^*(x) with Tr(x phi(b)) = Tr(phi^*(x) b)
-        y = (s_dag @ x.conj().T.reshape(-1)).reshape(n, n)
-        return y.conj().T
-
-    choi = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            choi += np.kron(_unit(n, i, j), rho_inv @ trace_dual(rho @ _unit(n, i, j)))
+    # the Choi matrix of phi^beta, one contraction of phi's Choi tensor
+    choi = np.einsum("ac,qi,bjcq->iajb", np.linalg.inv(rho), rho,
+                     phi.choi.reshape(n, n, n, n)).reshape(n * n, n * n)
     # a non-Hermitian Choi matrix means the pairing solution does not
     # preserve Hermiticity, so it cannot be a positive map
     herm_dev, herm_bound = linalg.hermitian_deviation(choi, tol)
     beta = MapObject(n, n, linalg.herm_part(choi), label=f"db-adjoint({phi.label})")
-    # residual of the defining identity on matrix-unit pairs
-    pairing = 0.0
-    for i in range(n):
-        for j in range(n):
-            a = _unit(n, i, j)
-            for p in range(n):
-                for q in range(n):
-                    b = _unit(n, p, q)
-                    lhs = np.trace(rho @ a.conj().T @ apply_map(phi, b))
-                    rhs = np.trace(rho @ apply_map(beta, a.conj().T) @ b)
-                    pairing = max(pairing, abs(lhs - rhs))
+    # residual of Tr(rho a* phi(b)) = Tr(rho beta(a*) b) over matrix units a, b
+    units = np.eye(n * n).reshape(n * n, n, n)
+    pair = lambda a, b: np.einsum("xy,syz,tzx->st", rho, a, b)
+    pairing = np.max(np.abs(pair(units.mT, apply_map(phi, units))
+                            - pair(apply_map(beta, units.mT), units)))
     unital_residual = float(np.linalg.norm(apply_map(beta, np.eye(n)) - np.eye(n)))
     search = k_positivity_search(beta, k=1, restarts=16, seed=seed, tol=tol)
     positive = herm_dev <= herm_bound and not search.violation_found
     unital = unital_residual <= tol
     return DetailedBalanceResult(
-        adjoint=beta if positive else None,
-        unital=unital,
-        positive_evidence=positive,
-        unital_residual=unital_residual,
-        pairing_residual=float(pairing),
-        positivity_value=search.value,
-    )
+        adjoint=beta if positive else None, unital=unital, positive_evidence=positive,
+        unital_residual=unital_residual, pairing_residual=float(pairing),
+        positivity_value=search.value)
 
 
 @dataclass
@@ -450,47 +431,50 @@ class TransferOperator:
     matrix: np.ndarray
     db: DetailedBalanceResult
     delta_commutation_residual: float
-    cone_preservation_residual: float
 
 
 def transfer_operator(phi: MapObject, md: ModularData, tol: float = DEFAULT.cone,
-                      samples: int = 100, seed: int = 0) -> TransferOperator:
-    """Build T_phi and record its modular compatibility diagnostics.
-
-    Delta-commutation and cone preservation are guaranteed only under
-    detailed balance; the residuals are reported either way.
-    """
+                      seed: int = 0) -> TransferOperator:
+    """Build T_phi with its Delta-commutation residual (zero under detailed
+    balance) and its detailed-balance adjoint.  Cone preservation is level 1
+    of the ``p`` criterion of :func:`cone_criterion_check`."""
     if phi.dim_in != phi.dim_out:
         raise DimensionMismatch("transfer operators need m = n")
     n = phi.dim_in
     if md.dim != n:
         raise DimensionMismatch(f"modular data dimension {md.dim} != map {n}")
-    s = superoperator(phi)
-    right_half = np.kron(np.eye(n), md.rho_half.T)
-    right_inv_half = np.kron(np.eye(n), md.rho_inv_half.T)
-    t_mat = right_half @ s @ right_inv_half
+    t_mat = (np.kron(np.eye(n), md.rho_half.T) @ superoperator(phi)
+             @ np.kron(np.eye(n), md.rho_inv_half.T))
     delta_q = np.kron(md.rho_quarter, md.rho_inv_quarter.T)
     delta_res = float(np.linalg.norm(t_mat @ delta_q - delta_q @ t_mat))
-    spec = cones.ConeSpec(cones.NATURAL)
-    worst = 0.0
-    t_dag = t_mat.conj().T
-    for i in range(samples):
-        xi = cones.sample_cone(md, spec, seed + i)
-        image = (t_dag @ xi.reshape(-1)).reshape(n, n)
-        worst = max(worst, cones.cone_membership(md, spec, image, tol).residual)
-    db = db_adjoint(phi, md, tol=tol, seed=seed)
-    return TransferOperator(matrix=t_mat, db=db,
-                            delta_commutation_residual=delta_res,
-                            cone_preservation_residual=worst)
+    return TransferOperator(matrix=t_mat, db=db_adjoint(phi, md, tol=tol, seed=seed),
+                            delta_commutation_residual=delta_res)
+
+
+CRITERIA = ("p", "pt", "hull")      # images in P_n, in P_n^tau, in their hull
+
+
+@dataclass
+class CriterionFailure:
+    """The first level where a cone criterion failed, and the witness of its
+    first image there that read outside (None when the hull solve capped)."""
+
+    level: int
+    witness: np.ndarray | None
 
 
 @dataclass
 class CriterionReport:
-    """Worst residuals of the three cone criteria per tensor level n."""
+    """Worst residuals of the three cone criteria per tensor level n; a
+    criterion holds when all its membership tests read inside."""
 
     levels: dict[int, dict[str, float]]
+    failures: dict[str, CriterionFailure]
     trials: int
-    transfer: TransferOperator      # built without cone-preservation samples
+    transfer: TransferOperator
+
+    def holds(self, criterion: str) -> bool:
+        return criterion not in self.failures
 
     def worst(self, criterion: str) -> float:
         return max(level[criterion] for level in self.levels.values())
@@ -500,16 +484,19 @@ def cone_criterion_check(phi: MapObject, md_m: ModularData, k: int, trials: int,
                          seed: int = 0, tol: float = DEFAULT.cone) -> CriterionReport:
     """Test (T_phi (x) I)* images of P_n against P_n, P_n^tau and their hull.
 
-    Requires the detailed-balance adjoint to exist as a positive unital
-    map.  The auxiliary state on the M_n tensor factor is the tracial
-    state.
+    At n >= m every vector of C^m (x) C^n is (I (x) X) Omega, Omega =
+    sum_{i<m} e_i (x) e_i, and the cones and T* (x) id commute with congruence
+    by I (x) X: the image of the extreme ray rho^{1/4} Omega Omega* rho^{1/4}
+    decides level n.  Below m, ``trials`` members drawn from the seeds
+    seed + 4099 n + t are tested.  Requires the detailed-balance adjoint to
+    exist as a positive unital map; the M_n factor carries the tracial state.
     """
     if k < 1:
         raise DimensionMismatch(f"k must be at least 1, got {k}")
     if trials < 1:
         raise InvalidOption(f"trials must be at least 1, got {trials}")
     m = phi.dim_in
-    transfer = transfer_operator(phi, md_m, tol=tol, samples=0, seed=seed)
+    transfer = transfer_operator(phi, md_m, tol=tol, seed=seed)
     if not transfer.db.holds:
         raise NoDetailedBalance(
             f"map {phi.label!r} has no positive unital detailed-balance adjoint "
@@ -518,19 +505,29 @@ def cone_criterion_check(phi: MapObject, md_m: ModularData, k: int, trials: int,
         )
     td4 = transfer.matrix.conj().T.reshape(m, m, m, m)
     levels: dict[int, dict[str, float]] = {}
+    failures: dict[str, CriterionFailure] = {}
     for level in range(1, k + 1):
         mdt = tensor_modular(md_m, build_modular(np.eye(level) / level))
         layout = TensorLayout((m, level))
         spec_p = cones.ConeSpec(cones.NATURAL_TENSOR, layout=layout)
         spec_pt = cones.ConeSpec(cones.TRANSPOSED_TENSOR, layout=layout)
-        worst = {"p": 0.0, "pt": 0.0, "hull": 0.0}
-        for t in range(trials):
-            xi = cones.sample_cone(mdt, spec_p, seed + 4099 * level + t)
+        if level >= m:
+            omega = np.eye(m, level).reshape(-1, 1)
+            probes = [mdt.rho_quarter @ (omega @ omega.T) @ mdt.rho_quarter]
+        else:
+            probes = [cones.sample_cone(mdt, spec_p, seed + 4099 * level + t)
+                      for t in range(trials)]
+        worst = dict.fromkeys(CRITERIA, 0.0)
+        for xi in probes:
             xi4 = xi.reshape(m, level, m, level)
             image = np.einsum("abcd,cpdq->apbq", td4, xi4).reshape(m * level, m * level)
-            worst["p"] = max(worst["p"], cones.cone_membership(mdt, spec_p, image, tol).residual)
-            worst["pt"] = max(worst["pt"], cones.cone_membership(mdt, spec_pt, image, tol).residual)
-            worst["hull"] = max(worst["hull"], cones.hull_membership(
-                mdt, image, layout, tol).residual)
+            results = zip(CRITERIA, (cones.cone_membership(mdt, spec_p, image, tol),
+                                     cones.cone_membership(mdt, spec_pt, image, tol),
+                                     cones.hull_membership(mdt, image, layout, tol)))
+            for name, res in results:
+                worst[name] = max(worst[name], res.residual)
+                if not res.inside:
+                    failures.setdefault(name, CriterionFailure(level, res.witness))
         levels[level] = worst
-    return CriterionReport(levels=levels, trials=trials, transfer=transfer)
+    return CriterionReport(levels=levels, failures=failures, trials=trials,
+                           transfer=transfer)

@@ -67,3 +67,12 @@ def assert_witness(w, c, layout):
     assert _min_eig(w) >= -EIG_SLACK
     assert _min_eig(linalg.partial_transpose(w, layout, 2)) >= -EIG_SLACK
     assert np.vdot(w, c).real < 0
+
+
+def assert_separates(witness, xi, members):
+    """An outside verdict's witness V separates xi from the cone: unit V with
+    Re<V, xi> < 0 and Re<V, eta> >= 0 for every member eta."""
+    assert linalg.frobenius(witness) == pytest.approx(1.0)
+    assert np.vdot(witness, xi).real < 0
+    for eta in members:
+        assert np.vdot(witness, eta).real >= -1e-12 * linalg.frobenius(eta)

@@ -141,6 +141,33 @@ class TestCommands:
         assert report["result"]["criteria"]["p"] is True
         assert report["result"]["criteria"]["hull"] is True
 
+    @pytest.mark.parametrize("k, code", [(2, 0), (3, 1)])
+    def test_transfer_check_halved_choi_map(self, tmp_path, k, code):
+        """Choi's map halved on M_3 with the tracial state: level 3 = m
+        proves it outside the hull, and the report carries the witness."""
+        choi = np.zeros((9, 9))
+        for i in range(3):
+            choi[4 * i, 4 * i] += 0.5
+            choi[3 * i + (i - 1) % 3, 3 * i + (i - 1) % 3] += 0.5
+            for j in range(3):
+                if j != i:
+                    choi[4 * i, 4 * j] -= 0.5
+        map_file = write_json(tmp_path / "m.json",
+                              {"dim_in": 3, "dim_out": 3, "choi": matrix_json(choi)})
+        rho_file = write_json(tmp_path / "r.json", matrix_json(np.eye(3) / 3))
+        report, got = cli.run(["transfer-check", "--map", map_file, "--rho", rho_file,
+                               "--k", str(k), "--trials", "10", "--seed", "0"])
+        assert got == code
+        result = report["result"]
+        assert result["criteria"]["hull"] is (k == 2)
+        if k == 3:
+            assert result["hull_failure"]["level"] == 3
+            assert result["levels"]["3"]["hull"] == pytest.approx(0.17, abs=0.01)
+            witness = cli.parse_matrix(result["hull_failure"]["witness"])
+            assert np.linalg.norm(witness) == pytest.approx(1.0)
+        else:
+            assert "hull_failure" not in result
+
 
 class TestContract:
     def test_error_exit_code(self, tmp_path):

@@ -7,7 +7,7 @@ from decomap import cones, linalg, modular
 from decomap.errors import HullNotSupportedHere, LayoutMismatch, UnsupportedKind
 from decomap.linalg import TensorLayout
 
-from conftest import SIGMA_X
+from conftest import SIGMA_X, assert_separates
 
 
 @pytest.fixture
@@ -147,12 +147,6 @@ class TestWitnesses:
         g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         return member - 0.1 * linalg.frobenius(member) * np.outer(g, g.conj()) / np.vdot(g, g).real
 
-    def assert_separates(self, witness, xi, members):
-        assert linalg.frobenius(witness) == pytest.approx(1.0)
-        assert np.vdot(witness, xi).real < 0
-        for eta in members:
-            assert np.vdot(witness, eta).real >= -1e-12 * linalg.frobenius(eta)
-
     @pytest.mark.parametrize("kind", [cones.NATURAL, cones.NATURAL_TENSOR,
                                       cones.TRANSPOSED_TENSOR, cones.INTERSECTION])
     def test_cone_witnesses(self, md, kind):
@@ -162,7 +156,7 @@ class TestWitnesses:
             xi = self.outside(md, seed)
             res = cones.cone_membership(md, spec, xi)
             assert not res.inside
-            self.assert_separates(res.witness, xi, members)
+            assert_separates(res.witness, xi, members)
 
     def test_vbeta_witnesses(self, md):
         spec = cones.ConeSpec(cones.VBETA, beta=0.1)
@@ -172,7 +166,7 @@ class TestWitnesses:
             xi = md.rho_power(0.1) @ h @ md.rho_power(0.4)
             res = cones.cone_membership(md, spec, xi)
             assert not res.inside
-            self.assert_separates(res.witness, xi, members)
+            assert_separates(res.witness, xi, members)
 
     def test_hull_witnesses(self, md):
         members = [cones.sample_cone(md, cones.ConeSpec(kind, layout=self.LAYOUT), 500 + s)
@@ -184,7 +178,7 @@ class TestWitnesses:
             res = cones.hull_membership(md, xi, self.LAYOUT)
             if res.witness is not None:
                 certified += 1
-                self.assert_separates(res.witness, xi, members)
+                assert_separates(res.witness, xi, members)
         assert certified >= 30
 
 

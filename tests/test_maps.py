@@ -3,11 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from decomap import dykstra, linalg, maps, modular
+from decomap import cones, dykstra, linalg, maps, modular
 from decomap.errors import BadChoi, InvalidOption, NoDetailedBalance, NonFinite, UnknownKind
 from decomap.linalg import TensorLayout
 
-from conftest import SIGMA_X, assert_split, assert_witness, random_matrix
+from conftest import SIGMA_X, assert_separates, assert_split, assert_witness, random_matrix
 
 
 def swap(n=2):
@@ -18,11 +18,11 @@ def swap(n=2):
     return s
 
 
-def choi_m3_map():
+def choi_m3_map(scale=1.0):
     """A positive, non-decomposable map on M_3 (diagonal-reinforced sign flip)."""
     def act(a):
         d = [a[0, 0] + a[1, 1], a[1, 1] + a[2, 2], a[2, 2] + a[0, 0]]
-        return np.diag(d).astype(complex) - (a - np.diag(np.diag(a)))
+        return scale * (np.diag(d).astype(complex) - (a - np.diag(np.diag(a))))
     return maps.map_from_action(act, 3, 3, label="m3-nondecomposable")
 
 
@@ -319,6 +319,25 @@ class TestSkSampler:
         res = maps.sk_sampler(maps.identity_map(2), 2, trials=5, seed=0)
         assert not res.violation_found and res.witness is None and res.trials == 5
 
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(-12, 12), seed=st.integers(0, 2**16), level=st.integers(1, 2))
+    @example(k=-10, seed=0, level=2)    # read "no violation" against an absolute floor
+    @example(k=9, seed=0, level=1)      # the identity read a violation
+    def test_scaled_verdicts(self, k, seed, level):
+        """No scale hides an S_k violation or makes one up: a -> Tr(a) I - 2a
+        times 10^k ends with a witness that checks from scratch, and the
+        identity times 10^k ends with none."""
+        phi = maps.map_from_action(lambda a: 10.0**k * (np.trace(a) * np.eye(2) - 2 * a), 2, 2)
+        res = maps.sk_sampler(phi, level, trials=20, seed=seed)
+        assert res.violation_found
+        c = res.witness
+        floor = -1e-8 * np.linalg.norm(c)
+        assert np.linalg.eigvalsh(c)[0] >= floor
+        assert np.linalg.eigvalsh(linalg.partial_transpose(c, TensorLayout((level, 2)), 1))[0] >= floor
+        assert np.linalg.eigvalsh(maps.amplify(phi, level, c))[0] < 0
+        ident = maps.make_map(10.0**k * maps.identity_map(2).choi, 2, 2)
+        assert not maps.sk_sampler(ident, level, trials=5, seed=seed).violation_found
+
     def test_m3_map_has_sk_witness(self):
         """Targeted search exhibits the S_3 failure random sampling misses."""
         phi = choi_m3_map()
@@ -404,7 +423,45 @@ class TestDecompose:
                      TensorLayout((2, n)))
 
 
+def reference_db_adjoint(phi, rho):
+    """phi^beta = rho^{-1} phi^*(rho .) built one matrix unit at a time, with
+    the trace dual phi^* read off the superoperator, and the residual of
+    Tr(rho a* phi(b)) = Tr(rho phi^beta(a*) b) over every pair of matrix units,
+    one trace at a time.  Returns the Choi matrix and that residual."""
+    n = phi.dim_in
+    unit = lambda i, j: np.eye(n)[:, [i]] @ np.eye(n)[[j], :]
+    s_dag = maps.superoperator(phi).conj().T
+    trace_dual = lambda x: (s_dag @ x.conj().T.reshape(-1)).reshape(n, n).conj().T
+    choi = sum(np.kron(unit(i, j), np.linalg.inv(rho) @ trace_dual(rho @ unit(i, j)))
+               for i in range(n) for j in range(n))
+    beta = maps.MapObject(n, n, (choi + choi.conj().T) / 2)
+    pairing = max(abs(np.trace(rho @ unit(i, j).T @ maps.apply_map(phi, unit(p, q)))
+                      - np.trace(rho @ maps.apply_map(beta, unit(i, j).T) @ unit(p, q)))
+                  for i in range(n) for j in range(n) for p in range(n) for q in range(n))
+    return choi, pairing
+
+
 class TestDetailedBalance:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_closed_form_matches_reference(self, n, seed):
+        """The one-contraction adjoint against the matrix-unit loop: the same
+        Choi matrix where the adjoint exists (a conjugation by a unitary that
+        commutes with rho), the same pairing residual for every map."""
+        md = modular.build_modular(linalg.sample_density(n, seed))
+        rng = np.random.default_rng(seed)
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        u = md.eigenbasis @ np.diag(phases) @ md.eigenbasis.conj().T
+        choi = random_matrix(rng, n * n)
+        phis = [maps.adjoint_map(u), maps.adjoint_map(random_matrix(rng, n)),
+                maps.make_map(choi + choi.conj().T, n, n)]
+        for phi in phis:
+            db = maps.db_adjoint(phi, md, seed=seed)
+            ref_choi, ref_pairing = reference_db_adjoint(phi, md.rho)
+            if phi is phis[0]:
+                assert np.abs(db.adjoint.choi - ref_choi).max() <= 1e-14 * np.linalg.norm(ref_choi)
+            assert db.pairing_residual == pytest.approx(ref_pairing, abs=1e-13)
+
     def test_identity_self_adjoint(self):
         md = modular.build_modular(linalg.sample_density(2, 3))
         db = maps.db_adjoint(maps.identity_map(2), md)
@@ -430,14 +487,14 @@ class TestDetailedBalance:
 class TestTransfer:
     def test_identity_transfer(self):
         md = modular.build_modular(linalg.sample_density(2, 12))
-        t = maps.transfer_operator(maps.identity_map(2), md, samples=5)
+        t = maps.transfer_operator(maps.identity_map(2), md)
         assert np.allclose(t.matrix, np.eye(4))
         assert t.delta_commutation_residual <= 1e-12
 
     def test_trace_map_rank_one(self):
         md = modular.build_modular(np.eye(2) / 2)
         phi = maps.map_from_action(lambda a: np.trace(a) / 2 * np.eye(2), 2, 2)
-        t = maps.transfer_operator(phi, md, samples=0)
+        t = maps.transfer_operator(phi, md)
         s = np.linalg.svd(t.matrix, compute_uv=False)
         assert int((s > 1e-10).sum()) == 1
         omega = md.rho_half.reshape(-1)
@@ -447,10 +504,23 @@ class TestTransfer:
         md = modular.build_modular(linalg.sample_density(2, 40))
         # conjugation by a rho-commuting unitary satisfies detailed balance
         u = md.eigenbasis @ np.diag(np.exp(1j * np.array([0.3, 1.1]))) @ md.eigenbasis.conj().T
-        t = maps.transfer_operator(maps.adjoint_map(u), md, samples=10)
+        t = maps.transfer_operator(maps.adjoint_map(u), md)
         assert t.db.holds
         assert t.delta_commutation_residual <= 1e-8
-        assert t.cone_preservation_residual <= 1e-8
+        # cone preservation: level 1 of the P_n criterion
+        rep = maps.cone_criterion_check(maps.adjoint_map(u), md, k=1, trials=10)
+        assert rep.levels[1]["p"] <= 1e-8
+
+
+def criterion_image(rep, xi, m, level):
+    """(T_phi (x) I)* xi on C^m (x) C^level, from the report's transfer matrix."""
+    td4 = rep.transfer.matrix.conj().T.reshape(m, m, m, m)
+    image = np.einsum("abcd,cpdq->apbq", td4, xi.reshape(m, level, m, level))
+    return image.reshape(m * level, m * level)
+
+
+def tensor_level(md, level):
+    return modular.tensor_modular(md, modular.build_modular(np.eye(level) / level))
 
 
 class TestConeCriteria:
@@ -475,6 +545,56 @@ class TestConeCriteria:
         phi = maps.mix_maps(0.5, maps.identity_map(2), maps.transposition_map(2))
         rep = maps.cone_criterion_check(phi, md, k=2, trials=5, seed=2)
         assert rep.worst("hull") <= 1e-8
+
+    def test_halved_choi_map_fails_hull_at_level_three(self):
+        """Negative control: Choi's map, halved so that it is unital and
+        trace-preserving, is positive but not decomposable.  Level 3 = m
+        decides it with a witness that separates the image from the hull."""
+        md = modular.build_modular(np.eye(3) / 3)
+        phi = choi_m3_map(0.5)
+        assert maps.cone_criterion_check(phi, md, k=2, trials=10, seed=0).holds("hull")
+        rep = maps.cone_criterion_check(phi, md, k=3, trials=10, seed=0)
+        assert not rep.holds("hull")
+        failure = rep.failures["hull"]
+        assert failure.level == 3 and rep.levels[3]["hull"] > 0.1
+        mdt = tensor_level(md, 3)
+        omega = np.eye(3).reshape(-1)
+        image = criterion_image(rep, mdt.rho_quarter @ np.outer(omega, omega) @ mdt.rho_quarter,
+                                3, 3)
+        layout = TensorLayout((3, 3))
+        members = [cones.sample_cone(mdt, cones.ConeSpec(kind, layout=layout), 900 + s)
+                   for kind in (cones.NATURAL_TENSOR, cones.TRANSPOSED_TENSOR)
+                   for s in range(5)]
+        assert_separates(failure.witness, image, members)
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_omega_probe_decides_level_m(self, i):
+        """At level m = 2 the Omega probe is exact: where it reads inside, so
+        do random rank-one members rho^{1/4} vv* rho^{1/4} of P_2."""
+        md = modular.build_modular(np.eye(2) / 2)
+        phi = maps.mix_maps((i + 1) / 5, maps.identity_map(2),
+                            maps.compose_transpose(maps.adjoint_map(linalg.sample_unitary(2, 6600 + i))))
+        rep = maps.cone_criterion_check(phi, md, k=2, trials=2, seed=i)
+        assert rep.holds("hull")
+        mdt = tensor_level(md, 2)
+        rng = np.random.default_rng(i)
+        for _ in range(5):
+            v = random_matrix(rng, 4, 1)
+            xi = mdt.rho_quarter @ (v @ v.conj().T) @ mdt.rho_quarter
+            image = criterion_image(rep, xi, 2, 2)
+            assert cones.hull_membership(mdt, image, TensorLayout((2, 2))).inside
+
+    def test_one_hull_solve_per_level_from_m(self, monkeypatch):
+        calls = []
+        hull_membership = cones.hull_membership
+        monkeypatch.setattr(cones, "hull_membership",
+                            lambda md, xi, layout, *a: calls.append(layout.dims[1])
+                            or hull_membership(md, xi, layout, *a))
+        md = modular.build_modular(np.diag([0.7, 0.3]))
+        rep = maps.cone_criterion_check(maps.identity_map(2), md, k=4, trials=3, seed=0)
+        assert calls == [1, 1, 1, 2, 3, 4]
+        assert rep.holds("p") and rep.holds("hull")
+        assert rep.failures["pt"].level == 2        # (Omega Omega*)^Gamma is the swap
 
     def test_requires_detailed_balance(self):
         md = modular.build_modular(np.diag([0.8, 0.2]))
