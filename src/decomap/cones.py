@@ -70,6 +70,8 @@ class MembershipResult:
     inside: bool
     residual: float
     witness: np.ndarray | None = None
+    stop_reason: str | None = None      # the hull's split: converged, certified or capped
+    iterations: int | None = None       # ... and its iteration count
 
 
 def _check_tensor(md: ModularData, spec: ConeSpec) -> None:
@@ -213,7 +215,9 @@ def hull_membership(
     xi is scaled; the residual ‖c − a − b‖ is reported at c's scale.
     An outside verdict carries a witness exactly when it is proved: the
     split's dual witness W of c, pulled back so that it pairs negatively
-    with xi and non-negatively with every member of the hull.
+    with xi and non-negatively with every member of the hull.  The split's
+    stop reason and iteration count come along, so a capped solve, which
+    reads outside without a proof, can be told from a refuted one.
     """
     spec = ConeSpec(HULL, layout=layout)
     _check_tensor(md, spec)
@@ -229,7 +233,8 @@ def hull_membership(
                               tol=tol, max_iter=max_iter)
     witness = None if split.witness is None else _pull_back(md, split.witness)
     return MembershipResult(inside=split.converged, residual=split.residual * scale,
-                            witness=witness)
+                            witness=witness, stop_reason=split.stop_reason,
+                            iterations=split.iterations)
 
 
 @dataclass

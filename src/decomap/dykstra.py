@@ -20,6 +20,7 @@ lets the benchmark count solves and stop reasons by wrapping them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ from .linalg import DEFAULT, TensorLayout, frobenius
 _WITNESS_EVERY = 8      # split iterations between dual-witness checks
 _MEMORY = 5             # Anderson differences kept by project_intersection
 _RIDGE = 1e-14          # their least-squares ridge, relative to the Gram trace
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,7 @@ class PPTPair:
     factor: int
 
     def __post_init__(self):
-        object.__setattr__(self, "_plan", linalg._pt_plan(self.layout, self.factor))
+        object.__setattr__(self, "_index", linalg._pt_index(self.layout, self.factor))
 
     def validate(self, x, max_iter: int) -> np.ndarray:
         """x as a finite complex matrix of the pair's side, or a typed error.
@@ -54,9 +56,10 @@ class PPTPair:
         self.layout.check(x)
         return x
 
-    def pt(self, x: np.ndarray) -> np.ndarray:
-        """The partial transpose Γ (an involution)."""
-        return linalg._permute(x, *self._plan)
+    def pt(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The partial transpose Γ (an involution), into ``out`` if given."""
+        # the index is in range, so "clip" only drops take's buffered range check
+        return x.take(self._index, out=out, mode="clip")
 
     def proj1(self, x: np.ndarray) -> np.ndarray:
         """Nearest point of {a ⪰ 0} to the Hermitian part of x."""
@@ -102,7 +105,7 @@ def project_intersection(
     From the third step on, the next state is the type-II Anderson
     extrapolation G[-1] − ΔG·γ of the last images G = T(U) (Walker & Ni,
     SIAM J. Numer. Anal. 2011), with real γ fitted by least squares to the
-    residuals T(U) − U.  Its weights sum to one, so it keeps Dykstra's
+    residuals F = T(U) − U.  Its weights sum to one, so it keeps Dykstra's
     invariant x0 − x = p + q, which is why a fixed point's x is the nearest
     point of the intersection and not just any point of it; real weights keep
     Hermitian iterates Hermitian.  An extrapolated state is kept only if
@@ -115,58 +118,70 @@ def project_intersection(
     intersection and is read at accepted states only.  The solve stops
     converged, once it is at most ``tol``, or capped after ``max_iter``
     evaluations.  The point is P2's output x', so it lies in K2.
+
+    The memory is two fixed buffers of ``_MEMORY + 1`` rows, oldest first:
+    G and F, whose row is written where T(u) and T(u) − u are computed.
     """
     x = pair.validate(x0, max_iter)
-    proj1, proj2 = pair.proj1, pair.proj2
-    u = np.stack((x, np.zeros_like(x), np.zeros_like(x)))
-    states: list[np.ndarray] = []       # Anderson memory: states U ...
-    images: list[np.ndarray] = []       # ... and their images T(U)
-    fallback = None                     # (T(u), ‖T(u) − u‖) of the state u extrapolated from
+    pt = pair.pt
+    u = np.zeros((3,) + x.shape, dtype=complex)
+    u[0] = x
+    images = np.empty((_MEMORY + 1,) + u.shape, dtype=complex)     # G = T(U)
+    residuals = np.empty_like(images)                               # F = T(U) − U
+    xp, y, yq, t, d = np.empty((5,) + x.shape, dtype=complex)
+    kept = 0                    # rows of the memory in use
+    plain_step = None           # ‖T(u) − u‖ at the state u was extrapolated from
     for it in range(1, max_iter + 1):
-        x, p, q = u
-        xp = x + p
-        y = proj1(xp)
-        yq = y + q
-        x = proj2(yq)
-        tu = np.stack((x, xp - y, yq - x))
-        step = frobenius(tu - u)
-        if fallback is not None:
-            plain, plain_step = fallback
-            fallback = None
-            if step > plain_step:
-                states.clear()
-                images.clear()
-                u = plain
+        if kept == len(images):     # drop the oldest row (a rejection clears them all)
+            images[:-1] = images[1:]
+            residuals[:-1] = residuals[1:]
+            kept -= 1
+        tu, f = images[kept], residuals[kept]
+        np.add(u[0], u[1], out=xp)
+        linalg._psd_clip(xp, out=y)
+        np.add(y, u[2], out=yq)
+        pt(yq, out=t)
+        pt(linalg._psd_clip(t, out=d), out=tu[0])
+        np.subtract(xp, y, out=tu[1])
+        np.subtract(yq, tu[0], out=tu[2])
+        step = frobenius(np.subtract(tu, u, out=f))
+        if plain_step is not None:
+            rejected = step > plain_step
+            plain_step = None
+            if rejected:
+                u[...] = images[kept - 1]
+                point = u[0]        # the last accepted x', whose row a shift may reuse
+                kept = 0
                 continue
-        point = x
-        res = frobenius(x - y)
+        point = tu[0]
+        res = frobenius(np.subtract(point, y, out=d))
         if res <= tol:
-            return DykstraResult(point=point, residual=res, iterations=it, converged=True)
-        states.append(u)
-        images.append(tu)
-        if len(images) < 2:
-            u = tu
+            return DykstraResult(point=point.copy(), residual=res, iterations=it,
+                                 converged=True)
+        kept += 1
+        if kept < 2:
+            u[...] = tu
             continue
-        del states[:-_MEMORY - 1], images[:-_MEMORY - 1]
-        fallback = (tu, step)
-        u = _anderson(states, images)
-    return DykstraResult(point=point, residual=res, iterations=max_iter, converged=False)
+        plain_step = step
+        _anderson(images[:kept], residuals[:kept], out=u)
+    return DykstraResult(point=point.copy(), residual=res, iterations=max_iter,
+                         converged=False)
 
 
-def _anderson(states: list[np.ndarray], images: list[np.ndarray]) -> np.ndarray:
-    """The type-II Anderson state G[-1] − ΔG·γ, F = G − U.
+def _anderson(images: np.ndarray, residuals: np.ndarray, out: np.ndarray) -> None:
+    """The type-II Anderson state G[-1] − ΔG·γ, written into ``out``.
 
     γ minimises ‖F[-1] − ΔF·γ‖ on the real view, through its normal
     equations with a ridge of ``_RIDGE`` times their trace.
     """
-    g = np.array(images).reshape(len(images), -1)
-    f = (g - np.array(states).reshape(g.shape)).view(float)
+    g = images.reshape(len(images), -1)
+    f = residuals.reshape(len(g), -1).view(float)
     df = f[1:] - f[:-1]
     gram = df @ df.T
     # the floor keeps the system regular when all residuals are equal (γ = 0)
-    gram += (_RIDGE * np.trace(gram) + np.finfo(float).tiny) * np.eye(len(gram))
+    gram += (_RIDGE * np.trace(gram) + _TINY) * _eye(len(gram))
     gamma = np.linalg.solve(gram, df @ f[-1])
-    return (g[-1] - gamma @ (g[1:] - g[:-1])).reshape(images[-1].shape)
+    np.subtract(g[-1], gamma @ (g[1:] - g[:-1]), out=out.reshape(g[-1].shape))
 
 
 def split_sum(
@@ -182,37 +197,64 @@ def split_sum(
     the parts (y's slots) lie in their cones at every stop.  Infeasible
     iterates diverge along a certificate direction (Banjac et al., JOTA
     2019), which :func:`_witness` reads off the gap.
+
+    The loop writes into buffers made once per solve.  Γ permutes entries,
+    so it commutes with the elementwise updates: z[1]^Γ is carried as b − g
+    rather than transposed again.
     """
     c = pair.validate(c, max_iter)
     pt = pair.pt
-    bound = tol * min(1.0, frobenius(c))
-    z = np.stack((c, pt(c))) / 2
+    c_norm = frobenius(c)
+    bound = tol * min(1.0, c_norm)
+    z = np.empty((2,) + c.shape, dtype=complex)
+    z[0] = c
+    pt(c, out=z[1])
+    z /= 2
+    z1_pt = z[0].copy()         # z[1]^Γ
+    step, s, y = np.empty((3,) + z.shape, dtype=complex)
+    g, b, gap = np.empty((3,) + c.shape, dtype=complex)
     for it in range(1, max_iter + 1):
-        g = (c - z[0] - pt(z[1])) / 2
-        step = np.stack((g, pt(g)))
-        y = linalg._psd_clip(z + 2 * step)
-        a, b = y[0], pt(y[1])
-        gap = c - a - b
+        np.subtract(c, z[0], out=g)
+        g -= z1_pt
+        g /= 2
+        step[0] = g
+        pt(g, out=step[1])
+        np.multiply(step, 2, out=s)
+        s += z
+        linalg._psd_clip(s, out=y)
+        a = y[0]
+        pt(y[1], out=b)
+        np.subtract(c, a, out=gap)
+        gap -= b
         res = frobenius(gap)
         if res <= bound:
             return SplitResult(a, b, res, it, "converged")
         if it % _WITNESS_EVERY == 0:
-            witness = _witness(gap, c, pt)
+            witness = _witness(gap, c, c_norm, pt)
             if witness is not None:
                 return SplitResult(a, b, res, it, "certified", witness)
-        z = y - step
+        np.subtract(y, step, out=z)
+        np.subtract(b, g, out=z1_pt)
     return SplitResult(a, b, res, max_iter, "capped")
 
 
-def _witness(gap: np.ndarray, c: np.ndarray, pt) -> np.ndarray | None:
+def _witness(gap: np.ndarray, c: np.ndarray, c_norm: float, pt) -> np.ndarray | None:
     """Unit W with W ⪰ 0, W^Γ ⪰ 0 and Tr(W c) < 0, proving c ∉ K1 + K2, or None.
 
     W is the PSD part of −gap plus the multiple of I (I^Γ = I) that makes
-    W^Γ PSD: a decomposable entanglement witness.
+    W^Γ PSD: a decomposable entanglement witness.  c_norm is ‖c‖.
     """
     w = linalg._psd_clip(-gap)
-    w += max(0.0, -linalg.min_eig(pt(w))) * np.eye(len(w))
+    w += max(0.0, -linalg.min_eig(pt(w))) * _eye(len(w))
     w_norm = frobenius(w)
-    if np.vdot(w, c).real < -DEFAULT.certificate * w_norm * frobenius(c):
+    if np.vdot(w, c).real < -DEFAULT.certificate * w_norm * c_norm:
         return w / w_norm
     return None
+
+
+@functools.cache
+def _eye(n: int) -> np.ndarray:
+    """The real identity of side n, made once."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye

@@ -12,6 +12,8 @@ verdict does not change when the input is scaled.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +86,19 @@ def _as_matrix(x) -> np.ndarray:
     return x
 
 
-def frobenius(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x))
+def frobenius(x) -> float:
+    """‖x‖_F of a matrix or a stack: bit for bit ``float(np.linalg.norm(x))``.
+
+    It is numpy's own formula without the wrapper's dispatch: the entries in
+    memory order, then sqrt(re·re + im·im) of float64 parts.
+    """
+    x = np.asarray(x).ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    if x.dtype.kind != "f":
+        x = x.astype(float)
+    return math.sqrt(x.dot(x))
 
 
 def herm_part(x: np.ndarray) -> np.ndarray:
@@ -134,13 +147,22 @@ def frac_power(p, t: float) -> np.ndarray:
     return (v * dec.eigenvalues**t) @ v.conj().T
 
 
-def _psd_clip(x: np.ndarray) -> np.ndarray:
+def _psd_clip(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Clip the negative eigenvalues of the Hermitian part; no validation.
 
-    Works on a matrix or on a stack of matrices (one batched ``eigh``).
+    Works on a matrix or on a stack of matrices (one batched ``eigh``).  The
+    Hermitian part is formed in ``out`` (C-ordered, not overlapping x), which
+    then receives the result; x is left as it was.
     """
-    w, v = np.linalg.eigh((x + x.conj().swapaxes(-1, -2)) / 2)
-    return (v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    if out is None:
+        out = np.empty(x.shape, dtype=complex)
+    h = np.conjugate(x.swapaxes(-1, -2), out=out)
+    h += x
+    h /= 2
+    w, v = np.linalg.eigh(h)
+    np.maximum(w, 0.0, out=w)
+    vw = v * w[..., None, :]
+    return np.matmul(vw, np.conjugate(v, out=v).swapaxes(-1, -2), out=out)
 
 
 def psd_project(h) -> np.ndarray:
@@ -158,24 +180,28 @@ def psd_deficit(h: np.ndarray) -> float:
     return max(0.0, -min_eig(h))
 
 
-def _pt_plan(layout: TensorLayout, factor: int) -> tuple:
-    """Index shape, swapped axes and side of a partial transpose."""
+@functools.cache
+def _pt_index(layout: TensorLayout, factor: int) -> np.ndarray:
+    """Flat source index of every entry of x^Γ, so that x^Γ = x.take(index).
+
+    Γ transposes the indices of factor ``factor`` (1-based).  It is a
+    permutation of the entries, so it moves values without arithmetic.
+    """
     k = len(layout.dims)
     if not 1 <= factor <= k:
         raise LayoutMismatch(f"factor {factor} out of range for {layout.dims}")
-    return layout.dims + layout.dims, factor - 1, k + factor - 1, layout.side
-
-
-def _permute(x: np.ndarray, shape: tuple, axis1: int, axis2: int, side: int) -> np.ndarray:
-    """Partial transpose along a precomputed plan; no validation."""
-    return np.swapaxes(x.reshape(shape), axis1, axis2).reshape(side, side)
+    side = layout.side
+    index = np.arange(side * side).reshape(layout.dims + layout.dims)
+    index = index.swapaxes(factor - 1, k + factor - 1).reshape(side, side)
+    index.flags.writeable = False
+    return index
 
 
 def partial_transpose(x, layout: TensorLayout, factor: int) -> np.ndarray:
     """Transpose the indices of one tensor factor (1-based) only."""
     x = _as_matrix(x)
     layout.check(x)
-    return _permute(x, *_pt_plan(layout, factor))
+    return x.take(_pt_index(layout, factor))
 
 
 def hs_inner(x, y) -> complex:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from decomap import linalg, modular
+from decomap import linalg, maps, modular, stormer
 
 
 @pytest.fixture
@@ -76,3 +76,24 @@ def assert_separates(witness, xi, members):
     assert np.vdot(witness, xi).real < 0
     for eta in members:
         assert np.vdot(witness, eta).real >= -1e-12 * linalg.frobenius(eta)
+
+
+def decomposable_test_set():
+    """The 100 maps of criterion 6: 50 explicit mixes + 50 face-family maps."""
+    out = []
+    for i in range(50):
+        n = 2 + i % 2
+        u = linalg.sample_unitary(n, 1000 + i)
+        v = linalg.sample_unitary(n, 2000 + i)
+        lam = (i + 1) / 51.0
+        out.append(maps.mix_maps(lam, maps.adjoint_map(u),
+                                 maps.compose_transpose(maps.adjoint_map(v)),
+                                 label=f"mix-{i}"))
+    rng = np.random.default_rng(3000)
+    for i in range(50):
+        xi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        eta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        face = stormer.FaceSpec(xi=xi / np.linalg.norm(xi),
+                                eta=eta / np.linalg.norm(eta))
+        out.append(stormer.sample_face_map(face, 1 + i % 3, seed=3100 + i))
+    return out

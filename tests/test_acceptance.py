@@ -8,7 +8,7 @@ import pytest
 from decomap import cli, cones, linalg, maps, modular, stormer
 from decomap.linalg import TensorLayout
 
-from conftest import SIGMA_X, matrix_json, write_json
+from conftest import SIGMA_X, decomposable_test_set, matrix_json, write_json
 
 
 @pytest.fixture
@@ -132,30 +132,9 @@ def test_criterion_05_transposition_hierarchy(report):
     report(5, "transposition positivity hierarchy", ok, "; ".join(details))
 
 
-def _decomposable_test_set():
-    """The 100 maps of criterion 6: 50 explicit mixes + 50 face-family maps."""
-    out = []
-    for i in range(50):
-        n = 2 + i % 2
-        u = linalg.sample_unitary(n, 1000 + i)
-        v = linalg.sample_unitary(n, 2000 + i)
-        lam = (i + 1) / 51.0
-        out.append(maps.mix_maps(lam, maps.adjoint_map(u),
-                                 maps.compose_transpose(maps.adjoint_map(v)),
-                                 label=f"mix-{i}"))
-    rng = np.random.default_rng(3000)
-    for i in range(50):
-        xi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        eta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        face = stormer.FaceSpec(xi=xi / np.linalg.norm(xi),
-                                eta=eta / np.linalg.norm(eta))
-        out.append(stormer.sample_face_map(face, 1 + i % 3, seed=3100 + i))
-    return out
-
-
 @pytest.fixture(scope="module")
 def split_results():
-    phis = _decomposable_test_set()
+    phis = decomposable_test_set()
     return [(phi, maps.decompose(phi, tol=1e-6)) for phi in phis]
 
 

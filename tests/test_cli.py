@@ -120,6 +120,22 @@ class TestCommands:
         report, code = cli.run(["hull-member", "--rho", rho_file,
                                 "--xi", xi_file, "--dims", "2,2"])
         assert code == 0 and report["result"]["inside"]
+        assert report["result"]["stop_reason"] == "converged"
+
+    def test_hull_member_reports_a_cap(self, tmp_path):
+        """A capped split reads outside (exit 1) as before, but says it was
+        capped and carries no witness, unlike a refuted member."""
+        rho_file = write_json(tmp_path / "r.json", matrix_json(np.eye(2) / 2))
+        swap_file = write_json(tmp_path / "swap.json", matrix_json(np.eye(4)[[0, 2, 1, 3]]))
+        minus_file = write_json(tmp_path / "m1.json", matrix_json(-np.eye(4)))
+        base = ["hull-member", "--rho", rho_file, "--dims", "2,2"]
+        report, code = cli.run([*base, "--xi", swap_file, "--max-iter", "1"])
+        result = report["result"]
+        assert code == 1 and not result["inside"] and "witness" not in result
+        assert (result["stop_reason"], result["iterations"]) == ("capped", 1)
+        report, code = cli.run([*base, "--xi", minus_file])
+        result = report["result"]
+        assert code == 1 and result["stop_reason"] == "certified" and "witness" in result
 
     def test_probe(self):
         report, code = cli.run(["probe", "--dims", "2,3", "--trials", "5",
@@ -283,7 +299,8 @@ class TestContract:
                               "residuals.u_delta_u", "residuals.u_selfadjoint",
                               "residuals.u_squared"],
             "cone-member": ["inside", "residual", *matrix("witness")],
-            "hull-member": ["inside", "residual", *matrix("witness")],
+            "hull-member": ["inside", "iterations", "residual", "stop_reason",
+                            *matrix("witness")],
             "probe": ["dims", "max_residual", "note", "trials"],
             "map-analyze": ["ccp", "cp", "kpos_1", "kpos_1.restarts", "kpos_1.value",
                             "kpos_1.violation_found", "label", "min_eig_choi",
@@ -339,7 +356,7 @@ class TestContract:
         ]
         expected = {
             "cone-member": ["inside", "residual"],
-            "hull-member": ["inside", "residual"],
+            "hull-member": ["inside", "iterations", "residual", "stop_reason"],
             "stormer-build": ["basis_orthonormality_residual", "face_case", "k_dim",
                               "label", "left_ideal_dim", "right_ideal_dim", "v_eta",
                               "v_eta.cols", "v_eta.entries", "v_eta.rows",

@@ -5,7 +5,8 @@ from decomap import dykstra, linalg, maps
 from decomap.errors import InvalidOption, LayoutMismatch, NonFinite
 from decomap.linalg import TensorLayout
 
-from conftest import EIG_SLACK, assert_split, assert_witness, random_matrix
+from conftest import (EIG_SLACK, assert_split, assert_witness, decomposable_test_set,
+                      random_matrix)
 
 LAYOUTS = [(2, 2), (2, 3), (3, 3)]      # sides 4, 6 and 9
 
@@ -81,6 +82,146 @@ def assert_valid_split(res, c, pair):
         assert_witness(res.witness, c, pair.layout)
     else:
         assert res.witness is None
+
+
+# -- the reference loops ---------------------------------------------------------
+# The solvers as they were before their loops moved to per-solve buffers, with
+# their kernels: a fresh array for every intermediate, Γ as reshape → swapaxes
+# → reshape, the norm through np.linalg.norm.  Copied verbatim except for the
+# kernel names (ref_*).  The buffered loops must return exactly what these
+# return, bit for bit, with the same counts and stop reasons.
+
+_REF_WITNESS_EVERY = 8
+_REF_MEMORY = 5
+_REF_RIDGE = 1e-14
+
+
+def ref_frobenius(x):
+    return float(np.linalg.norm(x))
+
+
+def ref_psd_clip(x):
+    w, v = np.linalg.eigh((x + x.conj().swapaxes(-1, -2)) / 2)
+    return (v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def ref_pt(pair):
+    dims, factor = pair.layout.dims, pair.factor
+    shape, side, k = dims + dims, pair.layout.side, len(dims)
+    return lambda x: np.swapaxes(x.reshape(shape), factor - 1, k + factor - 1).reshape(side, side)
+
+
+def ref_project_intersection(x0, pair, tol=linalg.DEFAULT.cone,
+                             max_iter=linalg.DEFAULT.max_iter):
+    x = pair.validate(x0, max_iter)
+    pt = ref_pt(pair)
+    proj1, proj2 = ref_psd_clip, lambda x: pt(ref_psd_clip(pt(x)))
+    u = np.stack((x, np.zeros_like(x), np.zeros_like(x)))
+    states: list[np.ndarray] = []       # Anderson memory: states U ...
+    images: list[np.ndarray] = []       # ... and their images T(U)
+    fallback = None                     # (T(u), ‖T(u) − u‖) of the state u extrapolated from
+    for it in range(1, max_iter + 1):
+        x, p, q = u
+        xp = x + p
+        y = proj1(xp)
+        yq = y + q
+        x = proj2(yq)
+        tu = np.stack((x, xp - y, yq - x))
+        step = ref_frobenius(tu - u)
+        if fallback is not None:
+            plain, plain_step = fallback
+            fallback = None
+            if step > plain_step:
+                states.clear()
+                images.clear()
+                u = plain
+                continue
+        point = x
+        res = ref_frobenius(x - y)
+        if res <= tol:
+            return dykstra.DykstraResult(point=point, residual=res, iterations=it,
+                                         converged=True)
+        states.append(u)
+        images.append(tu)
+        if len(images) < 2:
+            u = tu
+            continue
+        del states[:-_REF_MEMORY - 1], images[:-_REF_MEMORY - 1]
+        fallback = (tu, step)
+        u = ref_anderson(states, images)
+    return dykstra.DykstraResult(point=point, residual=res, iterations=max_iter,
+                                 converged=False)
+
+
+def ref_anderson(states, images):
+    g = np.array(images).reshape(len(images), -1)
+    f = (g - np.array(states).reshape(g.shape)).view(float)
+    df = f[1:] - f[:-1]
+    gram = df @ df.T
+    # the floor keeps the system regular when all residuals are equal (γ = 0)
+    gram += (_REF_RIDGE * np.trace(gram) + np.finfo(float).tiny) * np.eye(len(gram))
+    gamma = np.linalg.solve(gram, df @ f[-1])
+    return (g[-1] - gamma @ (g[1:] - g[:-1])).reshape(images[-1].shape)
+
+
+def ref_split_sum(c, pair, tol=linalg.DEFAULT.cone, max_iter=linalg.DEFAULT.max_iter):
+    c = pair.validate(c, max_iter)
+    pt = ref_pt(pair)
+    bound = tol * min(1.0, ref_frobenius(c))
+    z = np.stack((c, pt(c))) / 2
+    for it in range(1, max_iter + 1):
+        g = (c - z[0] - pt(z[1])) / 2
+        step = np.stack((g, pt(g)))
+        y = ref_psd_clip(z + 2 * step)
+        a, b = y[0], pt(y[1])
+        gap = c - a - b
+        res = ref_frobenius(gap)
+        if res <= bound:
+            return dykstra.SplitResult(a, b, res, it, "converged")
+        if it % _REF_WITNESS_EVERY == 0:
+            witness = ref_witness(gap, c, pt)
+            if witness is not None:
+                return dykstra.SplitResult(a, b, res, it, "certified", witness)
+        z = y - step
+    return dykstra.SplitResult(a, b, res, max_iter, "capped")
+
+
+def ref_witness(gap, c, pt):
+    w = ref_psd_clip(-gap)
+    w += max(0.0, -linalg.min_eig(pt(w))) * np.eye(len(w))
+    w_norm = ref_frobenius(w)
+    if np.vdot(w, c).real < -linalg.DEFAULT.certificate * w_norm * ref_frobenius(c):
+        return w / w_norm
+    return None
+
+
+def assert_same_split(c, pair, **kw):
+    got, ref = dykstra.split_sum(c, pair, **kw), ref_split_sum(c, pair, **kw)
+    assert (got.residual, got.iterations, got.stop_reason) == \
+        (ref.residual, ref.iterations, ref.stop_reason)
+    assert np.array_equal(got.part1, ref.part1) and np.array_equal(got.part2, ref.part2)
+    assert (got.witness is None) == (ref.witness is None)
+    assert got.witness is None or np.array_equal(got.witness, ref.witness)
+    return got
+
+
+def assert_same_intersection(x0, pair, **kw):
+    got, ref = (dykstra.project_intersection(x0, pair, **kw),
+                ref_project_intersection(x0, pair, **kw))
+    assert (got.residual, got.iterations, got.converged) == \
+        (ref.residual, ref.iterations, ref.converged)
+    assert np.array_equal(got.point, ref.point)
+    return got
+
+
+def local_conjugates(c, n, count, seed):
+    """(Zᵀ ⊗ W) c (Zᵀ ⊗ W)* for Haar-random Z, W on C^n."""
+    out = []
+    for i in range(count):
+        z, w = (linalg.sample_unitary(n, seed + 2 * i + j) for j in range(2))
+        local = np.kron(z.T, w)
+        out.append(local @ c @ local.conj().T)
+    return out
 
 
 class TestStackedSplit:
@@ -193,14 +334,52 @@ class TestAcceleratedIntersection:
         assert_in_k2(got.point, pair)
 
     def test_sampler_solves_converge(self):
-        """The 180 solves of the S_k sampler benchmark: k in 1..3, m in {2, 3}."""
+        """The 180 solves of the S_k sampler benchmark, k in 1..3 and m in {2, 3}:
+        all converge, bit-identical to the reference loop."""
         for i in range(60):
             m = 2 if i % 2 else 2 + (i // 2) % 2
             k = 1 + i % 3
             pair = dykstra.PPTPair(TensorLayout((k, m)), 1)
             for t in range(3):
                 x0 = linalg.sample_hermitian(k * m, 5000 + 3 * i + t)
-                assert dykstra.project_intersection(x0, pair, tol=1e-11).converged
+                assert assert_same_intersection(x0, pair, tol=1e-11).converged
+
+
+class TestBitIdentical:
+    """The buffered loops against the reference loops: the same floating-point
+    operations in the same order, so equal arrays, not close ones."""
+
+    def test_criterion_6_maps(self):
+        for phi in decomposable_test_set():
+            c = linalg.require_hermitian(phi.choi)
+            assert_same_split(c, dykstra.PPTPair(phi.layout, 2), tol=1e-6)
+
+    def test_choi_map_conjugates(self):
+        pair = dykstra.PPTPair(TensorLayout((3, 3)), 2)
+        stops = {assert_same_split(c, pair).stop_reason
+                 for c in local_conjugates(choi_map_choi(), 3, 12, 900)}
+        assert stops == {"certified"}
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_gue_inputs(self, dims, factor):
+        pair = dykstra.PPTPair(TensorLayout(dims), factor)
+        for seed in range(2):
+            x = linalg.sample_hermitian(pair.layout.side, 40 + seed)
+            assert_same_split(x, pair)
+            assert_same_intersection(x, pair, tol=1e-11)
+            # far below rounding: the Anderson memory fills, shifts and is
+            # reset, and several of these caps fall on a rejected step
+            # right after a shift, which must return the last accepted point
+            for cap in (10, 12, 20, 30, 60):
+                assert_same_intersection(x, pair, tol=1e-300, max_iter=cap)
+
+    @pytest.mark.parametrize("max_iter", [1, 7, 8, 9])
+    def test_capped_on_the_witness_cadence(self, max_iter):
+        pair = dykstra.PPTPair(TensorLayout((3, 3)), 2)
+        for c in (choi_map_choi(), linalg.sample_hermitian(9, 3)):
+            assert_same_split(c, pair, max_iter=max_iter)
+            assert_same_intersection(c, pair, max_iter=max_iter)
 
 
 @pytest.mark.parametrize("dims", LAYOUTS)

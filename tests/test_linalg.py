@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decomap import linalg
 from decomap.errors import LayoutMismatch, NotHermitian, NotPositiveDefinite
@@ -104,6 +106,48 @@ class TestPartialTranspose:
         assert np.allclose(
             linalg.partial_transpose(
                 linalg.partial_transpose(x, layout, 2), layout, 2), x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           seed=st.integers(0, 2**16))
+    def test_against_explicit_indices(self, data, dims, seed):
+        """Every layout of 1-3 factors, every factor: the entries moved one by
+        one, and Γ applied twice is the identity, exactly."""
+        factor = data.draw(st.integers(1, len(dims)), label="factor")
+        layout = TensorLayout(dims)
+        x = random_matrix(np.random.default_rng(seed), layout.side)
+        got = linalg.partial_transpose(x, layout, factor)
+        assert np.array_equal(got, explicit_partial_transpose(x, dims, factor))
+        assert np.array_equal(linalg.partial_transpose(got, layout, factor), x)
+
+    def test_factor_out_of_range(self):
+        with pytest.raises(LayoutMismatch):
+            linalg.partial_transpose(np.eye(4), TensorLayout((2, 2)), 0)
+
+
+def explicit_partial_transpose(x, dims, factor):
+    """x^Γ entry by entry: the factor's digits of the row and column swapped."""
+    out = np.empty_like(x)
+    for i, j in np.ndindex(x.shape):
+        row, col = list(np.unravel_index(i, dims)), list(np.unravel_index(j, dims))
+        row[factor - 1], col[factor - 1] = col[factor - 1], row[factor - 1]
+        out[np.ravel_multi_index(row, dims), np.ravel_multi_index(col, dims)] = x[i, j]
+    return out
+
+
+class TestFrobenius:
+    @settings(max_examples=80, deadline=None)
+    @given(shape=st.lists(st.integers(1, 6), min_size=2, max_size=3),
+           scale=st.integers(-150, 150), seed=st.integers(0, 2**16),
+           view=st.sampled_from(["plain", "swapaxes", "strided", "real", "imag"]))
+    def test_bitwise_numpy_norm(self, shape, scale, seed, view):
+        """Matrices and stacks, contiguous or not, complex or real: the same
+        float, bit for bit, as np.linalg.norm."""
+        rng = np.random.default_rng(seed)
+        x = 10.0**scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        x = {"plain": x, "swapaxes": x.swapaxes(-1, -2), "strided": x[..., ::2, :],
+             "real": x.real, "imag": x.imag}[view]
+        assert linalg.frobenius(x).hex() == float(np.linalg.norm(x)).hex()
 
 
 class TestHsInner:
