@@ -231,7 +231,7 @@ def _cmd_hull_member(args, phi):
 
 def _cmd_probe(args, phi):
     m, n = _parse_dims(args.dims)
-    rep = cones.probe_finite_dim_equality(m, n, args.seed, args.trials, tol=args.tol)
+    rep = cones.probe_finite_dim_equality(m, n, args.seed, args.trials)
     return {"dims": rep.dims, "trials": rep.trials, "max_residual": rep.max_residual,
             "note": rep.note}, rep.max_residual <= args.tol
 

@@ -81,15 +81,9 @@ def _check_tensor(md: ModularData, spec: ConeSpec) -> None:
         )
 
 
-def _reduce(md: ModularData, xe: np.ndarray, beta: float) -> np.ndarray:
-    """Lambda^{-beta} xe Lambda^{beta - 1/2}, on eigenbasis coordinates."""
-    lam = md.eigenvalues
-    return (lam**-beta)[:, None] * xe * (lam ** (beta - 0.5))[None, :]
-
-
 def _reduction_eig(md: ModularData, xi: np.ndarray, beta: float = 0.25):
     """rho^{-beta} xi rho^{beta - 1/2} in eigenbasis coordinates."""
-    return _reduce(md, md.to_eigenbasis(np.asarray(xi, dtype=complex)), beta)
+    return md.weigh(md.to_eigenbasis(np.asarray(xi, dtype=complex)), -beta, beta - 0.5)
 
 
 def _pull_back(md: ModularData, w: np.ndarray, beta: float = 0.25,
@@ -103,7 +97,7 @@ def _pull_back(md: ModularData, w: np.ndarray, beta: float = 0.25,
     """
     if layout is not None:
         w = linalg.partial_transpose(w, layout, 2)
-    v = md.from_eigenbasis(_reduce(md, w, beta))
+    v = md.from_eigenbasis(md.weigh(w, -beta, beta - 0.5))
     return v / linalg.frobenius(v)
 
 
@@ -173,31 +167,29 @@ def state_of_cone_vector(md: ModularData, xi) -> np.ndarray:
 
 
 def sample_cone(md: ModularData, spec: ConeSpec, seed) -> np.ndarray:
-    """Draw an exact member of the requested cone (hull excluded)."""
+    """Draw an exact member of the requested cone (hull excluded).
+
+    Every kind is rho^beta G G* rho^{1/2 - beta} in eigenbasis coordinates,
+    beta = 1/4 but for V_beta, after G G* is made a member of the reduced
+    cone: partially transposed for the transposed tensor cone, projected
+    onto {a >= 0, a^{t2} >= 0} for the intersection.
+    """
     if spec.kind == HULL:
         raise UnsupportedKind(
             "hull samples are convex combinations of natural and transposed samples"
         )
+    if spec.kind in _TENSOR_KINDS:
+        _check_tensor(md, spec)
     n = md.dim
     g = linalg.sample_ginibre(n, n, seed)
-    gg = g @ g.conj().T
-    if spec.kind == VBETA:
-        return md.rho_power(spec.beta) @ gg @ md.rho_power(0.5 - spec.beta)
-    if spec.kind == NATURAL:
-        return md.rho_quarter @ gg @ md.rho_quarter
-    _check_tensor(md, spec)
-    natural = md.rho_quarter @ gg @ md.rho_quarter
-    if spec.kind == NATURAL_TENSOR:
-        return natural
+    a = md.to_eigenbasis(g @ g.conj().T)
     if spec.kind == TRANSPOSED_TENSOR:
-        return md.from_eigenbasis(
-            linalg.partial_transpose(md.to_eigenbasis(natural), spec.layout, 2))
-    # intersection: Dykstra-project the reduction onto {a >= 0, a^{t2} >= 0}
-    # and map back
-    c = dykstra.project_intersection(_reduction_eig(md, natural),
-                                     dykstra.PPTPair(spec.layout, 2), tol=_SAMPLE_TOL).point
-    lam = md.eigenvalues
-    return md.from_eigenbasis((lam**0.25)[:, None] * c * (lam**0.25)[None, :])
+        a = linalg.partial_transpose(a, spec.layout, 2)
+    elif spec.kind == INTERSECTION:
+        a = dykstra.project_intersection(a, dykstra.PPTPair(spec.layout, 2),
+                                         tol=_SAMPLE_TOL).point
+    beta = spec.beta if spec.kind == VBETA else 0.25
+    return md.from_eigenbasis(md.weigh(a, beta, 0.5 - beta))
 
 
 def hull_membership(
@@ -258,7 +250,6 @@ def probe_finite_dim_equality(
     n: int,
     rho_seed,
     trials: int,
-    tol: float = DEFAULT.cone,
 ) -> ProbeReport:
     """Exhibit intersection samples in the double-PSD generator form.
 
@@ -319,18 +310,16 @@ def fit_transposed_generator(md_a: ModularData, md_b: ModularData, xi) -> tuple[
     md = tensor_modular(md_a, md_b)
     layout = TensorLayout((m, n))
     xi = np.asarray(xi, dtype=complex)
-    xi_e = md.to_eigenbasis(xi)
-    eta_e = linalg.partial_transpose(xi_e, layout, 2)
-    lam = md.eigenvalues
-    c = _reduce(md, eta_e, 0.25)
+    eta_e = linalg.partial_transpose(md.to_eigenbasis(xi), layout, 2)
+    c = md.weigh(eta_e, -0.25, -0.25)
     w_c, v_c = np.linalg.eigh(linalg.herm_part(c))
     sqrt_c = (v_c * np.sqrt(np.maximum(w_c, 0.0))) @ v_c.conj().T
-    w = (lam**0.25)[:, None] * sqrt_c * (lam**-0.25)[None, :]
+    w = md.weigh(sqrt_c, 0.25, -0.25)
     blocks = w.reshape(m, n, m, n)
     terms = []
     for i in range(m):
         for j in range(m):
-            terms.append((md_a.eigenbasis @ _unit(m, i, j) @ md_a.eigenbasis.conj().T,
+            terms.append((md_a.from_eigenbasis(_unit(m, i, j)),
                           md_b.from_eigenbasis(blocks[i, :, j, :])))
     recon = transposed_tensor_generator(md_a, md_b, terms)
     return float(np.linalg.norm(recon - xi)), recon

@@ -13,10 +13,6 @@ class NotHermitian(DecomapError):
     """Matrix deviates from its adjoint beyond tolerance."""
 
 
-class NotPositiveDefinite(DecomapError):
-    """Matrix has an eigenvalue at or below the positive-definiteness floor."""
-
-
 class InvalidOption(DecomapError):
     """Numerical option outside its valid range."""
 

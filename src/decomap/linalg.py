@@ -1,9 +1,8 @@
 """Dense complex linear algebra kernels.
 
 Everything downstream (modular data, cone tests, map hierarchies) is built
-on Hermitian spectral decompositions, fractional powers of positive
-matrices, PSD projections, partial transposes and seeded Ginibre
-ensembles, all collected here.  Matrices are plain complex numpy arrays.
+on the Hermitian checks, PSD projections, partial transposes and seeded
+Ginibre ensembles collected here.  Matrices are plain complex numpy arrays.
 The numerical tolerances live in one constant record, :data:`DEFAULT`
 (a :class:`Tolerances`), which the package reads directly instead of
 passing it around; a ``tol`` is held against the norm of its input, so a
@@ -22,7 +21,6 @@ from .errors import (
     LayoutMismatch,
     NonFinite,
     NotHermitian,
-    NotPositiveDefinite,
     ShapeMismatch,
 )
 
@@ -63,18 +61,6 @@ class TensorLayout:
             raise LayoutMismatch(
                 f"layout {self.dims} annotates side {self.side}, matrix is {x.shape}"
             )
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -126,25 +112,6 @@ def require_hermitian(x) -> np.ndarray:
     if dev > bound:
         raise NotHermitian(f"Hermitian deviation {dev:.3e} exceeds {bound:.3e}")
     return herm_part(x)
-
-
-def herm_eig(h) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian matrix, eigenvalues ascending."""
-    h = require_hermitian(h)
-    w, v = np.linalg.eigh(h)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
-
-
-def frac_power(p, t: float) -> np.ndarray:
-    """p**t for positive-definite p via the spectral calculus."""
-    dec = herm_eig(p)
-    if dec.eigenvalues.min() <= DEFAULT.pd_floor:
-        raise NotPositiveDefinite(
-            f"minimum eigenvalue {dec.eigenvalues.min():.3e} at or below "
-            f"floor {DEFAULT.pd_floor:.1e}"
-        )
-    v = dec.eigenvectors
-    return (v * dec.eigenvalues**t) @ v.conj().T
 
 
 def _psd_clip(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

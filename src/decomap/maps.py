@@ -399,9 +399,9 @@ def db_adjoint(phi: MapObject, md: ModularData, tol: float = DEFAULT.cone,
     if phi.dim_in != phi.dim_out:
         raise DimensionMismatch("detailed balance needs m = n")
     n = phi.dim_in
-    rho = md.rho
-    if rho.shape != (n, n):
-        raise DimensionMismatch(f"state dimension {rho.shape} does not match map {n}")
+    if md.dim != n:
+        raise DimensionMismatch(f"state dimension {md.dim} does not match map {n}")
+    rho = md.rho_power(1)
     # the Choi matrix of phi^beta, one contraction of phi's Choi tensor
     choi = np.einsum("ac,qi,bjcq->iajb", np.linalg.inv(rho), rho,
                      phi.choi.reshape(n, n, n, n)).reshape(n * n, n * n)
@@ -443,9 +443,9 @@ def transfer_operator(phi: MapObject, md: ModularData, tol: float = DEFAULT.cone
     n = phi.dim_in
     if md.dim != n:
         raise DimensionMismatch(f"modular data dimension {md.dim} != map {n}")
-    t_mat = (np.kron(np.eye(n), md.rho_half.T) @ superoperator(phi)
-             @ np.kron(np.eye(n), md.rho_inv_half.T))
-    delta_q = np.kron(md.rho_quarter, md.rho_inv_quarter.T)
+    t_mat = (np.kron(np.eye(n), md.rho_power(0.5).T) @ superoperator(phi)
+             @ np.kron(np.eye(n), md.rho_power(-0.5).T))
+    delta_q = np.kron(md.rho_power(0.25), md.rho_power(-0.25).T)
     delta_res = float(np.linalg.norm(t_mat @ delta_q - delta_q @ t_mat))
     return TransferOperator(matrix=t_mat, db=db_adjoint(phi, md, tol=tol, seed=seed),
                             delta_commutation_residual=delta_res)
@@ -456,11 +456,14 @@ CRITERIA = ("p", "pt", "hull")      # images in P_n, in P_n^tau, in their hull
 
 @dataclass
 class CriterionFailure:
-    """The first level where a cone criterion failed, and the witness of its
-    first image there that read outside (None when the hull solve capped)."""
+    """The first level where a cone criterion failed, and the witness and
+    stop reason of its first image there that read outside.  For the hull
+    the stop reason is the split's, ``certified`` (with a witness) or
+    ``capped`` (without one, so not refuted); it is None for ``p`` / ``pt``."""
 
     level: int
     witness: np.ndarray | None
+    stop_reason: str | None
 
 
 @dataclass
@@ -513,7 +516,8 @@ def cone_criterion_check(phi: MapObject, md_m: ModularData, k: int, trials: int,
         spec_pt = cones.ConeSpec(cones.TRANSPOSED_TENSOR, layout=layout)
         if level >= m:
             omega = np.eye(m, level).reshape(-1, 1)
-            probes = [mdt.rho_quarter @ (omega @ omega.T) @ mdt.rho_quarter]
+            quarter = mdt.rho_power(0.25)
+            probes = [quarter @ (omega @ omega.T) @ quarter]
         else:
             probes = [cones.sample_cone(mdt, spec_p, seed + 4099 * level + t)
                       for t in range(trials)]
@@ -527,7 +531,8 @@ def cone_criterion_check(phi: MapObject, md_m: ModularData, k: int, trials: int,
             for name, res in results:
                 worst[name] = max(worst[name], res.residual)
                 if not res.inside:
-                    failures.setdefault(name, CriterionFailure(level, res.witness))
+                    failures.setdefault(
+                        name, CriterionFailure(level, res.witness, res.stop_reason))
         levels[level] = worst
     return CriterionReport(levels=levels, failures=failures, trials=trials,
                            transfer=transfer)

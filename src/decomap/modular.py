@@ -1,15 +1,18 @@
 """Finite-dimensional modular (Tomita-Takesaki) data for a faithful state.
 
 The GNS space of (M_n, rho) is identified with M_n under the trace inner
-product, with cyclic vector Omega = rho^{1/2}.  The modular operators are
-methods of :class:`ModularData`: ``delta(x, t)`` for Delta^t, ``j`` for
-the conjugation J, ``u`` for the transposition unitary U and ``tau`` for
+product, with cyclic vector Omega = rho^{1/2}.  A state is held as its
+spectrum, rho = V diag(lam) V*, and every object of the modular theory is
+a function of it: ``rho_power(t)`` for rho^t (Omega is ``rho_power(0.5)``),
+``weigh(x, a, b)`` for Lambda^a x Lambda^b on eigenbasis coordinates, and
+the modular operators ``delta(x, t)`` for Delta^t, ``j`` for the
+conjugation J, ``u`` for the transposition unitary U and ``tau`` for
 U Delta^{1/2}; the modular conjugation J_m is plain ``x.conj().T``.  The
 basis-dependent ones (J, U, tau) are evaluated in the rho-eigenbasis:
-inputs in the standard basis are rotated in and out by the cached
-eigenbasis unitary.  Every operator takes one matrix or a stack
-(..., n, n) and acts on the last two axes, so :func:`check_identities`
-checks each identity once over all of its samples.
+inputs in the standard basis are rotated in and out by the eigenbasis
+unitary.  Every operator takes one matrix or a stack (..., n, n) and acts
+on the last two axes, so :func:`check_identities` checks each identity
+once over all of its samples.
 """
 
 from __future__ import annotations
@@ -32,22 +35,16 @@ _TRACE_TOL = 1e-10          # |Tr ρ − 1| accepted: a density given to ten dig
 
 @dataclass(frozen=True)
 class ModularData:
-    """Faithful density rho, its eigenbasis and cached fractional powers.
+    """Faithful density rho held as its spectrum: eigenvalues and eigenbasis.
 
-    ``rho_half`` is the cyclic vector Omega = rho^{1/2}.  ``eigenbasis``
-    columns are the chosen eigenvectors x_i; for tensor states built by
-    :func:`tensor_modular` it is the Kronecker product of the factor
-    eigenbases, so factor-wise transposes in eigenbasis coordinates
-    implement I (x) U exactly.
+    ``eigenbasis`` columns are the chosen eigenvectors x_i; for tensor
+    states built by :func:`tensor_modular` it is the Kronecker product of
+    the factor eigenbases, so factor-wise transposes in eigenbasis
+    coordinates implement I (x) U exactly.
     """
 
-    rho: np.ndarray
     eigenvalues: np.ndarray
     eigenbasis: np.ndarray
-    rho_quarter: np.ndarray
-    rho_inv_quarter: np.ndarray
-    rho_half: np.ndarray              # Omega
-    rho_inv_half: np.ndarray
     layout: TensorLayout
 
     @property
@@ -63,8 +60,14 @@ class ModularData:
         return v @ x @ v.conj().T
 
     def rho_power(self, t: float) -> np.ndarray:
+        """rho^t from the spectrum; rho_power(0.5) is Omega."""
         v = self.eigenbasis
         return (v * self.eigenvalues**t) @ v.conj().T
+
+    def weigh(self, x: np.ndarray, a: float, b: float) -> np.ndarray:
+        """Lambda^a x Lambda^b on eigenbasis coordinates (a matrix or a stack)."""
+        lam = self.eigenvalues
+        return (lam**a)[:, None] * x * (lam**b)[None, :]
 
     def _square(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
@@ -94,12 +97,11 @@ class ModularData:
     def tau(self, x) -> np.ndarray:
         """tau = U Delta^{1/2}: x -> rho^{-1/2} x^t rho^{1/2} in the eigenbasis."""
         xe = self.to_eigenbasis(self._square(x))
-        lam = self.eigenvalues
-        return self.from_eigenbasis((lam**-0.5)[:, None] * xe.mT * (lam**0.5)[None, :])
+        return self.from_eigenbasis(self.weigh(xe.mT, -0.5, 0.5))
 
 
 def build_modular(rho) -> ModularData:
-    """Validate rho as a faithful density matrix and cache modular data."""
+    """Validate rho as a faithful density matrix and hold it as its spectrum."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise NotDensity(f"expected a square matrix, got {rho.shape}")
@@ -107,41 +109,21 @@ def build_modular(rho) -> ModularData:
     if abs(np.trace(rho).real - 1.0) > _TRACE_TOL or abs(np.trace(rho).imag) > _TRACE_TOL:
         raise NotDensity(f"trace {np.trace(rho)} is not 1")
     try:
-        dec = linalg.herm_eig(rho)
+        rho = linalg.require_hermitian(rho)
     except NotHermitian as exc:
         raise NotDensity(str(exc)) from exc
-    lam = dec.eigenvalues
+    lam, v = np.linalg.eigh(rho)
     if lam.min() <= DEFAULT.pd_floor:
         raise NotFaithful(f"minimum eigenvalue {lam.min():.3e} not positive")
-    v = dec.eigenvectors
-
-    def power(t):
-        return (v * lam**t) @ v.conj().T
-
-    return ModularData(
-        rho=dec.reconstruct(),
-        eigenvalues=lam,
-        eigenbasis=v,
-        rho_quarter=power(0.25),
-        rho_inv_quarter=power(-0.25),
-        rho_half=power(0.5),
-        rho_inv_half=power(-0.5),
-        layout=TensorLayout((n,)),
-    )
+    return ModularData(eigenvalues=lam, eigenbasis=v, layout=TensorLayout((n,)))
 
 
 def tensor_modular(md_a: ModularData, md_b: ModularData) -> ModularData:
     """Modular data of rho_A (x) rho_B with Kronecker-structured eigenbasis."""
-    dims = md_a.layout.dims + md_b.layout.dims
     return ModularData(
-        rho=np.kron(md_a.rho, md_b.rho),
         eigenvalues=np.kron(md_a.eigenvalues, md_b.eigenvalues),
         eigenbasis=np.kron(md_a.eigenbasis, md_b.eigenbasis),
-        rho_quarter=np.kron(md_a.rho_quarter, md_b.rho_quarter),
-        rho_inv_quarter=np.kron(md_a.rho_inv_quarter, md_b.rho_inv_quarter),
-        rho_half=np.kron(md_a.rho_half, md_b.rho_half),
-        rho_inv_half=np.kron(md_a.rho_inv_half, md_b.rho_inv_half),
-        layout=TensorLayout(dims),
+        layout=TensorLayout(md_a.layout.dims + md_b.layout.dims),
     )
 
 
@@ -181,7 +163,7 @@ def check_identities(md: ModularData, samples: int, seed) -> dict[str, float]:
     at = u(a)
     pos = g @ adj(g)
     pos /= np.linalg.norm(pos, axis=(-2, -1))[:, None, None]
-    image = md.tau(pos @ md.rho_half) @ md.rho_inv_half
+    image = md.tau(pos @ md.rho_power(0.5)) @ md.rho_power(-0.5)
     return {
         # U is an involution and self-adjoint; J_m is x -> x*
         "u_squared": worst(u(u(xi)) - xi),

@@ -96,8 +96,8 @@ class TestCommands:
         assert code == 0 and report["result"]["k_dim"] == 4
 
     def test_cone_member(self, tmp_path, rho_skew_file):
-        from decomap import linalg
-        omega = linalg.frac_power(np.diag([0.8, 0.2]), 0.5)
+        from decomap import modular
+        omega = modular.build_modular(np.diag([0.8, 0.2])).rho_power(0.5)
         xi_file = write_json(tmp_path / "xi.json", matrix_json(omega))
         report, code = cli.run(["cone-member", "--rho", rho_skew_file,
                                 "--xi", xi_file, "--cone", '{"kind": "natural"}'])
@@ -178,6 +178,7 @@ class TestCommands:
         assert result["criteria"]["hull"] is (k == 2)
         if k == 3:
             assert result["hull_failure"]["level"] == 3
+            assert result["hull_failure"]["stop_reason"] == "certified"
             assert result["levels"]["3"]["hull"] == pytest.approx(0.17, abs=0.01)
             witness = cli.parse_matrix(result["hull_failure"]["witness"])
             assert np.linalg.norm(witness) == pytest.approx(1.0)

@@ -60,7 +60,7 @@ class TestMembership:
         assert res.witness is not None
 
     def test_v0_membership_by_construction(self, md_skew):
-        xi = linalg.sample_psd(2, 7) @ md_skew.rho_half
+        xi = linalg.sample_psd(2, 7) @ md_skew.rho_power(0.5)
         res = cones.cone_membership(md_skew, cones.ConeSpec(cones.VBETA, beta=0.0), xi)
         assert res.inside
 
@@ -70,17 +70,27 @@ class TestMembership:
             spec = cones.ConeSpec(cones.VBETA, beta=beta)
             xi = cones.sample_cone(md, spec, 5)
             assert cones.cone_membership(md, spec, xi, tol=1e-9).inside
+        # every other kind, on a non-tracial tensor state
+        layout = TensorLayout((2, 3))
+        md = modular.tensor_modular(modular.build_modular(linalg.sample_density(2, 3)),
+                                    modular.build_modular(linalg.sample_density(3, 4)))
+        for kind in (cones.NATURAL, cones.NATURAL_TENSOR, cones.TRANSPOSED_TENSOR,
+                     cones.INTERSECTION):
+            spec = cones.ConeSpec(kind, layout=layout)
+            for seed in range(3):
+                xi = cones.sample_cone(md, spec, 5 + seed)
+                assert cones.cone_membership(md, spec, xi, tol=1e-9).inside, (kind, seed)
 
     def test_omega_is_natural_sample_with_identity_seed_matrix(self, md_skew):
         res = cones.cone_membership(
-            md_skew, cones.ConeSpec(cones.NATURAL), md_skew.rho_half)
+            md_skew, cones.ConeSpec(cones.NATURAL), md_skew.rho_power(0.5))
         assert res.inside
 
     def test_transposed_sample_reduction(self, md_tensor22):
         layout = TensorLayout((2, 2))
         spec = cones.ConeSpec(cones.TRANSPOSED_TENSOR, layout=layout)
         xi = cones.sample_cone(md_tensor22, spec, 3)
-        r = md_tensor22.rho_inv_quarter @ xi @ md_tensor22.rho_inv_quarter
+        r = md_tensor22.rho_power(-0.25) @ xi @ md_tensor22.rho_power(-0.25)
         pt = linalg.partial_transpose(r, layout, 2)
         assert linalg.psd_deficit(pt) <= 1e-10
 

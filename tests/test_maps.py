@@ -457,7 +457,7 @@ class TestDetailedBalance:
                 maps.make_map(choi + choi.conj().T, n, n)]
         for phi in phis:
             db = maps.db_adjoint(phi, md, seed=seed)
-            ref_choi, ref_pairing = reference_db_adjoint(phi, md.rho)
+            ref_choi, ref_pairing = reference_db_adjoint(phi, md.rho_power(1))
             if phi is phis[0]:
                 assert np.abs(db.adjoint.choi - ref_choi).max() <= 1e-14 * np.linalg.norm(ref_choi)
             assert db.pairing_residual == pytest.approx(ref_pairing, abs=1e-13)
@@ -497,7 +497,7 @@ class TestTransfer:
         t = maps.transfer_operator(phi, md)
         s = np.linalg.svd(t.matrix, compute_uv=False)
         assert int((s > 1e-10).sum()) == 1
-        omega = md.rho_half.reshape(-1)
+        omega = md.rho_power(0.5).reshape(-1)
         assert np.allclose(t.matrix @ omega, omega)
 
     def test_cp_unital_delta_commutation(self):
@@ -559,13 +559,23 @@ class TestConeCriteria:
         assert failure.level == 3 and rep.levels[3]["hull"] > 0.1
         mdt = tensor_level(md, 3)
         omega = np.eye(3).reshape(-1)
-        image = criterion_image(rep, mdt.rho_quarter @ np.outer(omega, omega) @ mdt.rho_quarter,
-                                3, 3)
+        quarter = mdt.rho_power(0.25)
+        image = criterion_image(rep, quarter @ np.outer(omega, omega) @ quarter, 3, 3)
         layout = TensorLayout((3, 3))
         members = [cones.sample_cone(mdt, cones.ConeSpec(kind, layout=layout), 900 + s)
                    for kind in (cones.NATURAL_TENSOR, cones.TRANSPOSED_TENSOR)
                    for s in range(5)]
         assert_separates(failure.witness, image, members)
+
+    def test_failures_carry_the_stop_reason(self):
+        """A refuted hull reads ``certified``; p / pt failures carry no stop reason."""
+        rep = maps.cone_criterion_check(choi_m3_map(0.5), modular.build_modular(np.eye(3) / 3),
+                                        k=3, trials=10, seed=0)
+        assert rep.failures["hull"].level == 3
+        assert rep.failures["hull"].stop_reason == "certified"
+        rep = maps.cone_criterion_check(maps.transposition_map(2),
+                                        modular.build_modular(np.eye(2) / 2), k=2, trials=2)
+        assert rep.failures["p"].stop_reason is None
 
     @pytest.mark.parametrize("i", range(4))
     def test_omega_probe_decides_level_m(self, i):
@@ -580,7 +590,7 @@ class TestConeCriteria:
         rng = np.random.default_rng(i)
         for _ in range(5):
             v = random_matrix(rng, 4, 1)
-            xi = mdt.rho_quarter @ (v @ v.conj().T) @ mdt.rho_quarter
+            xi = mdt.rho_power(0.25) @ (v @ v.conj().T) @ mdt.rho_power(0.25)
             image = criterion_image(rep, xi, 2, 2)
             assert cones.hull_membership(mdt, image, TensorLayout((2, 2))).inside
 

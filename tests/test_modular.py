@@ -22,7 +22,7 @@ class TestBuild:
         assert np.allclose(md_tracial2.delta(x, 0.7), x)
 
     def test_omega_of_skew_state(self, md_skew):
-        assert np.allclose(md_skew.rho_half,
+        assert np.allclose(md_skew.rho_power(0.5),
                            np.diag([0.8944271909999159, 0.4472135954999579]))
 
     def test_singular_state_rejected(self):
@@ -114,8 +114,8 @@ def identities_oracle(md, samples, seed):
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         pos = g @ g.conj().T
         pos /= frob(pos)
-        image = md.tau(pos @ md.rho_half)
-        record("tau_v0_invariance", linalg.psd_deficit(image @ md.rho_inv_half))
+        image = md.tau(pos @ md.rho_power(0.5))
+        record("tau_v0_invariance", linalg.psd_deficit(image @ md.rho_power(-0.5)))
     return res
 
 
@@ -198,15 +198,18 @@ class TestTensor:
     def test_tracial_product(self):
         md = modular.tensor_modular(
             modular.build_modular(np.eye(2) / 2), modular.build_modular(np.eye(2) / 2))
-        assert np.allclose(md.rho, np.eye(4) / 4)
+        assert np.allclose(md.rho_power(1), np.eye(4) / 4)
         x = linalg.sample_ginibre(4, 4, 0)
         assert np.allclose(md.delta(x, 0.5), x)
 
-    def test_omega_factorizes(self):
+    @pytest.mark.parametrize("t", [0.25, -0.25, 0.5, -0.5, 1.0, -1.0])
+    def test_omega_factorizes(self, t):
+        """Powers of a tensor state are the Kronecker products of the
+        factors' powers."""
         a = modular.build_modular(linalg.sample_density(2, 1))
         b = modular.build_modular(linalg.sample_density(3, 2))
         md = modular.tensor_modular(a, b)
-        assert np.allclose(md.rho_half, np.kron(a.rho_half, b.rho_half))
+        assert np.allclose(md.rho_power(t), np.kron(a.rho_power(t), b.rho_power(t)))
 
     def test_delta_quarter_factorizes(self, rng):
         a = modular.build_modular(linalg.sample_density(2, 4))
@@ -221,8 +224,8 @@ class TestTensor:
 class TestConeVectorState:
     def test_omega_gives_rho(self, md_skew):
         assert np.allclose(
-            cones.state_of_cone_vector(md_skew, md_skew.rho_half),
-            md_skew.rho, atol=1e-12)
+            cones.state_of_cone_vector(md_skew, md_skew.rho_power(0.5)),
+            md_skew.rho_power(1), atol=1e-12)
 
     def test_unit_projection_tracial(self, md_tracial2):
         e11 = np.diag([1.0, 0.0]).astype(complex)
@@ -231,7 +234,7 @@ class TestConeVectorState:
     def test_transpose_intertwines_states(self):
         md = modular.build_modular(linalg.sample_density(3, 8))
         g = linalg.sample_psd(3, 9)
-        xi = md.rho_quarter @ g @ md.rho_quarter
+        xi = md.rho_power(0.25) @ g @ md.rho_power(0.25)
         xi = xi / linalg.frobenius(xi)
         u_xi = md.u(xi)
         lhs = cones.state_of_cone_vector(md, u_xi)
