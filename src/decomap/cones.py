@@ -287,15 +287,14 @@ def transposed_tensor_generator(md_a: ModularData, md_b: ModularData,
     vectors generate P^tau instead of P.  Conjugates and transposes are
     taken in the second factor's eigenbasis.
     """
-    va, vb = md_a.eigenbasis, md_b.eigenbasis
-    terms_e = [(va.conj().T @ a @ va, vb.conj().T @ b @ vb) for a, b in terms]
-    omega_e = np.kron(np.diag(md_a.eigenvalues**0.5), np.diag(md_b.eigenvalues**0.5))
-    gen = np.zeros_like(omega_e, dtype=complex)
+    md = tensor_modular(md_a, md_b)
+    terms_e = [(md_a.to_eigenbasis(a), md_b.to_eigenbasis(b)) for a, b in terms]
+    gen = np.zeros((md.dim, md.dim), dtype=complex)
     for a_k, b_k in terms_e:
         for a_l, b_l in terms_e:
-            gen += np.kron(a_k, b_l.conj()) @ omega_e @ np.kron(a_l.conj().T, b_k.T)
-    big_v = np.kron(va, vb)
-    return big_v @ gen @ big_v.conj().T
+            # (a_k ⊗ b̄_l) Ω (a_l* ⊗ b_kᵀ), Ω = Λ^½ in the tensor eigenbasis
+            gen += md.weigh(np.kron(a_k, b_l.conj()), 0, 0.5) @ np.kron(a_l.conj().T, b_k.T)
+    return md.from_eigenbasis(gen)
 
 
 def fit_transposed_generator(md_a: ModularData, md_b: ModularData, xi) -> tuple[float, np.ndarray]:

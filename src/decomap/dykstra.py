@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidOption
-from .linalg import DEFAULT, TensorLayout, frobenius
+from .linalg import DEFAULT, TensorLayout
 
 _WITNESS_EVERY = 8      # split iterations between dual-witness checks
 _MEMORY = 5             # Anderson differences kept by project_intersection
@@ -121,14 +121,21 @@ def project_intersection(
 
     The memory is two fixed buffers of ``_MEMORY + 1`` rows, oldest first:
     G and F, whose row is written where T(u) and T(u) − u are computed.
+    The two clips and the norms of every F row and of x' − y read fixed
+    buffers through workspaces made once per solve.
     """
     x = pair.validate(x0, max_iter)
     pt = pair.pt
     u = np.zeros((3,) + x.shape, dtype=complex)
     u[0] = x
+    x, p, q = u                 # views of the state's rows
     images = np.empty((_MEMORY + 1,) + u.shape, dtype=complex)     # G = T(U)
     residuals = np.empty_like(images)                               # F = T(U) − U
+    step_norms = [linalg._norm_reader(f) for f in residuals]        # ‖T(u) − u‖ by row
     xp, y, yq, t, d = np.empty((5,) + x.shape, dtype=complex)
+    clip_y = linalg._clipper(xp, y)         # y = P1(xp)
+    clip_d = linalg._clipper(t, d)          # d = clip(yq^Γ), so P2(yq) = d^Γ
+    res_norm = linalg._norm_reader(d)
     kept = 0                    # rows of the memory in use
     plain_step = None           # ‖T(u) − u‖ at the state u was extrapolated from
     for it in range(1, max_iter + 1):
@@ -136,25 +143,28 @@ def project_intersection(
             images[:-1] = images[1:]
             residuals[:-1] = residuals[1:]
             kept -= 1
-        tu, f = images[kept], residuals[kept]
-        np.add(u[0], u[1], out=xp)
-        linalg._psd_clip(xp, out=y)
-        np.add(y, u[2], out=yq)
+        tu = images[kept]
+        x1, p1, q1 = tu
+        np.add(x, p, out=xp)
+        clip_y()
+        np.add(y, q, out=yq)
         pt(yq, out=t)
-        pt(linalg._psd_clip(t, out=d), out=tu[0])
-        np.subtract(xp, y, out=tu[1])
-        np.subtract(yq, tu[0], out=tu[2])
-        step = frobenius(np.subtract(tu, u, out=f))
+        pt(clip_d(), out=x1)
+        np.subtract(xp, y, out=p1)
+        np.subtract(yq, x1, out=q1)
+        np.subtract(tu, u, out=residuals[kept])
+        step = step_norms[kept]()
         if plain_step is not None:
             rejected = step > plain_step
             plain_step = None
             if rejected:
                 u[...] = images[kept - 1]
-                point = u[0]        # the last accepted x', whose row a shift may reuse
+                point = x           # the last accepted x', whose row a shift may reuse
                 kept = 0
                 continue
-        point = tu[0]
-        res = frobenius(np.subtract(point, y, out=d))
+        point = x1
+        np.subtract(point, y, out=d)
+        res = res_norm()
         if res <= tol:
             return DykstraResult(point=point.copy(), residual=res, iterations=it,
                                  converged=True)
@@ -198,39 +208,45 @@ def split_sum(
     iterates diverge along a certificate direction (Banjac et al., JOTA
     2019), which :func:`_witness` reads off the gap.
 
-    The loop writes into buffers made once per solve.  Γ permutes entries,
+    The loop writes into buffers made once per solve, and its clip and
+    ‖gap‖ read them through workspaces made with them.  Γ permutes entries,
     so it commutes with the elementwise updates: z[1]^Γ is carried as b − g
     rather than transposed again.
     """
     c = pair.validate(c, max_iter)
     pt = pair.pt
-    c_norm = frobenius(c)
+    c_norm = linalg.frobenius(c)
+    c_trace = np.trace(c).real
     bound = tol * min(1.0, c_norm)
     z = np.empty((2,) + c.shape, dtype=complex)
     z[0] = c
     pt(c, out=z[1])
     z /= 2
-    z1_pt = z[0].copy()         # z[1]^Γ
+    z0 = z[0]
+    z1_pt = z0.copy()           # z[1]^Γ
     step, s, y = np.empty((3,) + z.shape, dtype=complex)
-    g, b, gap = np.empty((3,) + c.shape, dtype=complex)
+    g, g_pt = step
+    a, y1 = y
+    b, gap = np.empty((2,) + c.shape, dtype=complex)
+    clip = linalg._clipper(s, y)
+    gap_norm = linalg._norm_reader(gap)
+    two = linalg._TWO
     for it in range(1, max_iter + 1):
-        np.subtract(c, z[0], out=g)
-        g -= z1_pt
-        g /= 2
-        step[0] = g
-        pt(g, out=step[1])
-        np.multiply(step, 2, out=s)
-        s += z
-        linalg._psd_clip(s, out=y)
-        a = y[0]
-        pt(y[1], out=b)
+        np.subtract(c, z0, out=g)
+        np.subtract(g, z1_pt, out=g)
+        np.divide(g, two, out=g)
+        pt(g, out=g_pt)
+        np.multiply(step, two, out=s)
+        np.add(s, z, out=s)
+        clip()
+        pt(y1, out=b)
         np.subtract(c, a, out=gap)
-        gap -= b
-        res = frobenius(gap)
+        np.subtract(gap, b, out=gap)
+        res = gap_norm()
         if res <= bound:
             return SplitResult(a, b, res, it, "converged")
         if it % _WITNESS_EVERY == 0:
-            witness = _witness(gap, c, c_norm, pt)
+            witness = _witness(gap, c, c_trace, c_norm, pt)
             if witness is not None:
                 return SplitResult(a, b, res, it, "certified", witness)
         np.subtract(y, step, out=z)
@@ -238,15 +254,32 @@ def split_sum(
     return SplitResult(a, b, res, max_iter, "capped")
 
 
-def _witness(gap: np.ndarray, c: np.ndarray, c_norm: float, pt) -> np.ndarray | None:
+def _witness(gap: np.ndarray, c: np.ndarray, c_trace: float, c_norm: float,
+             pt) -> np.ndarray | None:
     """Unit W with W ⪰ 0, W^Γ ⪰ 0 and Tr(W c) < 0, proving c ∉ K1 + K2, or None.
 
-    W is the PSD part of −gap plus the multiple of I (I^Γ = I) that makes
-    W^Γ PSD: a decomposable entanglement witness.  c_norm is ‖c‖.
+    W = P + sI with P the PSD part of −gap and s ≥ 0 the multiple of I
+    (I^Γ = I) that makes W^Γ PSD: a decomposable entanglement witness.  It
+    certifies when Tr(W c) < −κ‖W‖‖c‖, κ = ``DEFAULT.certificate``.  c_trace
+    is Re Tr c and c_norm is ‖c‖, both read once per solve.
+
+    Before the second eigensolve (for s), a bound rules most checks out.
+    s ≤ ‖P^Γ‖_F = ‖P‖_F, since Γ permutes entries, and ‖W‖ ≥ ‖P‖, since
+    Tr P ≥ 0; so Tr(W c) = Tr(P c) + s·Tr c ≥ Tr(P c) + min(0, Tr c)·‖P‖.
+    If that lower bound is at least −(κ/2)‖P‖‖c‖, no s can reach −κ‖W‖‖c‖
+    and the check returns None without forming P^Γ.  The κ/2 margin (5e-11
+    relative) is more than three decades above the rounding of these sums
+    (about side²·ε), so the bound returns None only where the full check
+    would: it never changes a verdict.
     """
-    w = linalg._psd_clip(-gap)
+    w = linalg._psd_clip(-gap)              # P, then W in place
+    norm = linalg._norm_reader(w)
+    p_norm = norm()
+    lower = np.vdot(w, c).real + min(0.0, c_trace) * p_norm
+    if lower >= -0.5 * DEFAULT.certificate * p_norm * c_norm:
+        return None
     w += max(0.0, -linalg.min_eig(pt(w))) * _eye(len(w))
-    w_norm = frobenius(w)
+    w_norm = norm()
     if np.vdot(w, c).real < -DEFAULT.certificate * w_norm * c_norm:
         return w / w_norm
     return None

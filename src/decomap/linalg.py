@@ -80,11 +80,19 @@ def frobenius(x) -> float:
     """
     x = np.asarray(x).ravel(order="K")
     if x.dtype.kind == "c":
-        re, im = x.real, x.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
+        return _norm_reader(x)()
     if x.dtype.kind != "f":
         x = x.astype(float)
     return math.sqrt(x.dot(x))
+
+
+def _norm_reader(x: np.ndarray):
+    """``frobenius`` of the complex buffer x, as a call without arguments that
+    reads x as it is then.  Its flat real and imaginary views are made once,
+    in memory order, so x must be C-contiguous (or already flat)."""
+    x = x.reshape(-1)
+    re, im = x.real, x.imag
+    return lambda: math.sqrt(re.dot(re) + im.dot(im))
 
 
 def herm_part(x: np.ndarray) -> np.ndarray:
@@ -123,13 +131,36 @@ def _psd_clip(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """
     if out is None:
         out = np.empty(x.shape, dtype=complex)
-    h = np.conjugate(x.swapaxes(-1, -2), out=out)
-    h += x
-    h /= 2
-    w, v = np.linalg.eigh(h)
-    np.maximum(w, 0.0, out=w)
-    vw = v * w[..., None, :]
-    return np.matmul(vw, np.conjugate(v, out=v).swapaxes(-1, -2), out=out)
+    return _clipper(x, out)()
+
+
+def _clipper(x: np.ndarray, out: np.ndarray):
+    """The PSD clip of the buffer x into the buffer out, as a call without
+    arguments that reads x as it is then.
+
+    A solve makes one per buffer pair and calls it every iteration: the
+    buffers and views that do not change (xᵀ, the scaled eigenvectors) are
+    made here, once.  ``eigh`` is looked up at each call.
+    """
+    xt = x.swapaxes(-1, -2)
+    vw = np.empty(x.shape, dtype=complex)
+
+    def clip() -> np.ndarray:
+        h = np.conjugate(xt, out=out)
+        np.add(h, x, out=h)
+        np.divide(h, _TWO, out=h)
+        w, v = np.linalg.eigh(h)
+        np.maximum(w, _ZERO, out=w)
+        np.multiply(v, w[..., None, :], out=vw)
+        return np.matmul(vw, np.conjugate(v, out=v).swapaxes(-1, -2), out=out)
+    return clip
+
+
+# 0-d operands: the same ufunc loops as the Python scalars 2 and 0.0, without
+# converting a scalar on every call (× ½ or h + h would differ from ÷ 2 and
+# × 2 in the sign of zero entries)
+_TWO = np.array(2.0 + 0.0j)
+_ZERO = np.array(0.0)
 
 
 def psd_project(h) -> np.ndarray:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decomap import dykstra, linalg, maps
 from decomap.errors import InvalidOption, LayoutMismatch, NonFinite
@@ -380,6 +382,131 @@ class TestBitIdentical:
         for c in (choi_map_choi(), linalg.sample_hermitian(9, 3)):
             assert_same_split(c, pair, max_iter=max_iter)
             assert_same_intersection(c, pair, max_iter=max_iter)
+
+
+def candidate_witness(gap, pair):
+    """The unnormalised W = P + sI that ref_witness tests, P the PSD part of −gap."""
+    w = ref_psd_clip(-gap)
+    w += max(0.0, -linalg.min_eig(ref_pt(pair)(w))) * np.eye(len(w))
+    return w
+
+
+class TestWitnessBound:
+    """The trace bound that lets _witness skip its second eigensolve returns
+    None only where the full check does, so it never changes a verdict."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dims=st.sampled_from(LAYOUTS), factor=st.sampled_from([1, 2]),
+           separable=st.booleans(), gap_scale=st.integers(-6, 6),
+           c_scale=st.integers(-6, 6), seed=st.integers(0, 2**16),
+           shift=st.floats(-3.0, 3.0), ratio=st.one_of(st.none(), st.floats(-2.0, 0.0)))
+    def test_same_answer_as_the_full_check(self, dims, factor, separable, gap_scale,
+                                           c_scale, seed, shift, ratio):
+        """Random Hermitian c with Tr c of either sign, and a random Hermitian
+        gap or minus a separable one (then P^Γ ⪰ 0 and s is about 0, where
+        the bound is tightest).  With ``ratio``, c is first moved along the
+        candidate W until Tr(Wc)/(‖W‖‖c‖) = ratio·κ: on either side of the
+        certification threshold −κ, within 2κ of zero."""
+        pair = dykstra.PPTPair(TensorLayout(dims), factor)
+        side = pair.layout.side
+        rng = np.random.default_rng(seed)
+        if separable:
+            gap = -sum(np.kron(*(linalg.sample_psd(d, rng.integers(2**32)) for d in dims))
+                       for _ in range(2))
+        else:
+            gap = linalg.herm_part(random_matrix(rng, side))
+        gap *= 10.0**gap_scale
+        c = linalg.herm_part(random_matrix(rng, side))
+        c = 10.0**c_scale * (c + shift * linalg.frobenius(c) / side * np.eye(side))
+        w = candidate_witness(gap, pair)
+        w_norm = ref_frobenius(w)
+        if ratio is not None and w_norm > 0:
+            target = ratio * linalg.DEFAULT.certificate * w_norm
+            t = 0.0
+            for _ in range(4):      # Tr(W c_t) = target·‖c_t‖ for c_t = c + tW
+                t = (target * ref_frobenius(c + t * w) - np.vdot(w, c).real) / w_norm**2
+            c = c + t * w
+        got = dykstra._witness(gap, c, np.trace(c).real, linalg.frobenius(c), pair.pt)
+        ref = ref_witness(gap, c, ref_pt(pair))
+        assert (got is None) == (ref is None)
+        assert got is None or np.array_equal(got, ref)
+
+
+class CallCounter:
+    """Counts of linalg.frobenius, np.linalg.eigh and np.linalg.eigvalsh calls,
+    and per witness check whether it passed the trace bound and how many
+    eigvalsh calls it made."""
+
+    def __init__(self, monkeypatch):
+        self.calls = dict.fromkeys(("frobenius", "eigh", "eigvalsh"), 0)
+        self.checks = []                    # (passed the bound, eigvalsh calls)
+        self.paused = False
+        for module, name in ((linalg, "frobenius"), (np.linalg, "eigh"),
+                             (np.linalg, "eigvalsh")):
+            monkeypatch.setattr(module, name, self._counted(getattr(module, name), name))
+        monkeypatch.setattr(dykstra, "_witness", self._checked(dykstra._witness))
+
+    def _counted(self, fn, name):
+        def counted(*args, **kwargs):
+            if not self.paused:
+                self.calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def _checked(self, witness):
+        def checked(gap, c, c_trace, c_norm, pt):
+            before = self.calls["eigvalsh"]
+            out = witness(gap, c, c_trace, c_norm, pt)
+            made = self.calls["eigvalsh"] - before
+            self.paused = True
+            p = ref_psd_clip(-gap)
+            p_norm = ref_frobenius(p)
+            lower = np.vdot(p, c).real + min(0.0, c_trace) * p_norm
+            self.paused = False
+            self.checks.append((lower < -0.5 * linalg.DEFAULT.certificate * p_norm * c_norm,
+                                made))
+            return out
+        return checked
+
+
+class TestCallsPerSolve:
+    """Per-iteration work stays off the traced public functions: a solve calls
+    linalg.frobenius a fixed number of times however long it runs, the split
+    one eigh per iteration plus one per witness check, and eigvalsh only on
+    the witness checks that pass the trace bound."""
+
+    @pytest.mark.parametrize("make, max_iters", [
+        (choi_map_choi, (1, 8, 5000)),                          # certified at 16
+        (lambda: linalg.sample_hermitian(9, 3), (1, 5000)),     # certified at 8
+        (lambda: linalg.sample_psd(9, 1) + 0.1 * linalg.sample_hermitian(9, 2),
+         (5, 50, 400)),                                         # capped, checks skipped
+    ])
+    def test_split(self, make, max_iters, monkeypatch):
+        pair = dykstra.PPTPair(TensorLayout((3, 3)), 2)
+        c = make()
+        counts = []
+        for max_iter in max_iters:
+            calls = CallCounter(monkeypatch)
+            res = dykstra.split_sum(c, pair, tol=1e-300, max_iter=max_iter)
+            checks = res.iterations // 8
+            assert len(calls.checks) == checks
+            assert calls.calls["eigh"] == res.iterations + checks
+            assert all(made == int(ok) for ok, made in calls.checks)
+            assert calls.calls["eigvalsh"] == sum(ok for ok, _ in calls.checks)
+            counts.append(calls.calls["frobenius"])
+            monkeypatch.undo()
+        assert counts == [1] * len(max_iters)
+
+    @pytest.mark.parametrize("dims", LAYOUTS)
+    def test_intersection(self, dims, monkeypatch):
+        pair = dykstra.PPTPair(TensorLayout(dims), 2)
+        x0 = linalg.sample_hermitian(pair.layout.side, 0)
+        for max_iter in (1, 10, 60):
+            calls = CallCounter(monkeypatch)
+            res = dykstra.project_intersection(x0, pair, tol=1e-300, max_iter=max_iter)
+            assert res.iterations == max_iter
+            assert calls.calls == {"frobenius": 0, "eigh": 2 * max_iter, "eigvalsh": 0}
+            monkeypatch.undo()
 
 
 @pytest.mark.parametrize("dims", LAYOUTS)
