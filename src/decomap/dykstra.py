@@ -121,8 +121,9 @@ def project_intersection(
 
     The memory is two fixed buffers of ``_MEMORY + 1`` rows, oldest first:
     G and F, whose row is written where T(u) and T(u) − u are computed.
-    The two clips and the norms of every F row and of x' − y read fixed
-    buffers through workspaces made once per solve.
+    The two clips, the norms of every F row and of x' − y, and the
+    extrapolation of each memory length read fixed buffers through
+    workspaces made once per solve.
     """
     x = pair.validate(x0, max_iter)
     pt = pair.pt
@@ -132,6 +133,9 @@ def project_intersection(
     images = np.empty((_MEMORY + 1,) + u.shape, dtype=complex)     # G = T(U)
     residuals = np.empty_like(images)                               # F = T(U) − U
     step_norms = [linalg._norm_reader(f) for f in residuals]        # ‖T(u) − u‖ by row
+    slots = [(tu, *tu) for tu in images]                            # T(u) and its rows
+    extrapolate = [None, None] + [_anderson(images[:k], residuals[:k], u)
+                                  for k in range(2, len(images) + 1)]   # by rows kept
     xp, y, yq, t, d = np.empty((5,) + x.shape, dtype=complex)
     clip_y = linalg._clipper(xp, y)         # y = P1(xp)
     clip_d = linalg._clipper(t, d)          # d = clip(yq^Γ), so P2(yq) = d^Γ
@@ -143,8 +147,7 @@ def project_intersection(
             images[:-1] = images[1:]
             residuals[:-1] = residuals[1:]
             kept -= 1
-        tu = images[kept]
-        x1, p1, q1 = tu
+        tu, x1, p1, q1 = slots[kept]
         np.add(x, p, out=xp)
         clip_y()
         np.add(y, q, out=yq)
@@ -173,25 +176,43 @@ def project_intersection(
             u[...] = tu
             continue
         plain_step = step
-        _anderson(images[:kept], residuals[:kept], out=u)
+        extrapolate[kept]()
     return DykstraResult(point=point.copy(), residual=res, iterations=max_iter,
                          converged=False)
 
 
-def _anderson(images: np.ndarray, residuals: np.ndarray, out: np.ndarray) -> None:
-    """The type-II Anderson state G[-1] − ΔG·γ, written into ``out``.
+def _anderson(images: np.ndarray, residuals: np.ndarray, out: np.ndarray):
+    """The type-II Anderson state G[-1] − ΔG·γ of the memory rows ``images``
+    (G) and ``residuals`` (F), written into ``out``, as a call without
+    arguments that reads the rows as they are then.
 
     γ minimises ‖F[-1] − ΔF·γ‖ on the real view, through its normal
-    equations with a ridge of ``_RIDGE`` times their trace.
+    equations with a ridge of ``_RIDGE`` times their trace.  A solve makes
+    one per memory length: the flat views of the rows and the ΔF, ΔG, Gram,
+    right-hand-side and correction buffers are made here, once.
     """
     g = images.reshape(len(images), -1)
     f = residuals.reshape(len(g), -1).view(float)
-    df = f[1:] - f[:-1]
-    gram = df @ df.T
-    # the floor keeps the system regular when all residuals are equal (γ = 0)
-    gram += (_RIDGE * np.trace(gram) + _TINY) * _eye(len(gram))
-    gamma = np.linalg.solve(gram, df @ f[-1])
-    np.subtract(g[-1], gamma @ (g[1:] - g[:-1]), out=out.reshape(g[-1].shape))
+    g_new, g_old, g_last = g[1:], g[:-1], g[-1]
+    f_new, f_old, f_last = f[1:], f[:-1], f[-1]
+    out = out.reshape(g_last.shape)
+    df = np.empty(f_new.shape)
+    df_t = df.T
+    dg = np.empty(g_new.shape, dtype=complex)
+    gram = np.empty((len(df), len(df)))
+    diagonal = gram.reshape(-1)[::len(gram) + 1]
+    rhs = np.empty(len(df))
+    correction = np.empty_like(out)
+
+    def extrapolate() -> None:
+        np.subtract(f_new, f_old, out=df)
+        np.matmul(df, df_t, out=gram)
+        # the floor keeps the system regular when all residuals are equal (γ = 0)
+        np.add(diagonal, _RIDGE * gram.trace() + _TINY, out=diagonal)
+        gamma = np.linalg.solve(gram, np.matmul(df, f_last, out=rhs))
+        np.subtract(g_new, g_old, out=dg)
+        np.subtract(g_last, np.matmul(gamma, dg, out=correction), out=out)
+    return extrapolate
 
 
 def split_sum(
@@ -208,6 +229,16 @@ def split_sum(
     iterates diverge along a certificate direction (Banjac et al., JOTA
     2019), which :func:`_witness` reads off the gap.
 
+    The start is the mean of the two extreme splits, one with all of c's PSD
+    part in a and one with all of c^Γ's PSD part in b^Γ:
+    z = ½([c₊, (c − c₊)^Γ] + [c − P^Γ, P]) with P = (c^Γ)₊, that is
+    a = c/2 + (|c| − |c^Γ|^Γ)/4 and b = c − a.  One batched clip of
+    [c, c^Γ] gives c₊ and P, so it costs one ``eigh``, the price of an
+    iteration.  DR converges from any start, and on an infeasible c its
+    divergence direction does not depend on the start; the stop rules are
+    those of every iteration and a certificate is checked on its own, so the
+    start moves iteration counts, never what a stop reason proves.
+
     The loop writes into buffers made once per solve, and its clip and
     ‖gap‖ read them through workspaces made with them.  Γ permutes entries,
     so it commutes with the elementwise updates: z[1]^Γ is carried as b − g
@@ -219,11 +250,7 @@ def split_sum(
     c_trace = np.trace(c).real
     bound = tol * min(1.0, c_norm)
     z = np.empty((2,) + c.shape, dtype=complex)
-    z[0] = c
-    pt(c, out=z[1])
-    z /= 2
-    z0 = z[0]
-    z1_pt = z0.copy()           # z[1]^Γ
+    z0, z1 = z
     step, s, y = np.empty((3,) + z.shape, dtype=complex)
     g, g_pt = step
     a, y1 = y
@@ -231,6 +258,17 @@ def split_sum(
     clip = linalg._clipper(s, y)
     gap_norm = linalg._norm_reader(gap)
     two = linalg._TWO
+    s[0] = c
+    pt(c, out=s[1])
+    clip()                      # y = [c₊, P], P = (c^Γ)₊
+    pt(y1, out=b)
+    np.subtract(c, b, out=z0)
+    np.add(a, z0, out=z0)       # c₊ + (c − P^Γ)
+    np.subtract(c, a, out=gap)
+    pt(gap, out=z1)
+    np.add(z1, y1, out=z1)      # (c − c₊)^Γ + P
+    np.divide(z, two, out=z)
+    z1_pt = pt(z1)              # z[1]^Γ
     for it in range(1, max_iter + 1):
         np.subtract(c, z0, out=g)
         np.subtract(g, z1_pt, out=g)

@@ -7,7 +7,8 @@ from decomap import cones, dykstra, linalg, maps, modular
 from decomap.errors import BadChoi, InvalidOption, NoDetailedBalance, NonFinite, UnknownKind
 from decomap.linalg import TensorLayout
 
-from conftest import SIGMA_X, assert_separates, assert_split, assert_witness, random_matrix
+from conftest import (SIGMA_X, assert_separates, assert_split, assert_witness, product_minimum,
+                      random_matrix)
 
 
 def swap(n=2):
@@ -24,36 +25,6 @@ def choi_m3_map(scale=1.0):
         d = [a[0, 0] + a[1, 1], a[1, 1] + a[2, 2], a[2, 2] + a[0, 0]]
         return scale * (np.diag(d).astype(complex) - (a - np.diag(np.diag(a))))
     return maps.map_from_action(act, 3, 3, label="m3-nondecomposable")
-
-
-def _lowest_eig_on_sphere(h4, theta, phi):
-    """Smallest eigenvalue of (x* (x) I) H (x (x) I) at Bloch angles (theta, phi)."""
-    x = np.stack((np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)), axis=-1)
-    return np.linalg.eigvalsh(np.einsum("...i,ipjq,...j->...pq", x.conj(), h4, x))[..., 0]
-
-
-def product_minimum(h, n):
-    """min <x (x) y|H|x (x) y> over unit x in C^2, y in C^n.
-
-    The minimum over y is an eigenvalue, so only the Bloch sphere of x is
-    searched: a 41 x 80 grid, then a 5 x 5 zoom that halves its step 60 times
-    around each of the 8 lowest grid points.
-    """
-    h4 = h.reshape(2, n, 2, n)
-    theta, phi = np.meshgrid(np.linspace(0, np.pi, 41),
-                             np.linspace(0, 2 * np.pi, 80, endpoint=False), indexing="ij")
-    values = _lowest_eig_on_sphere(h4, theta, phi)
-    offsets = np.linspace(-1, 1, 5)
-    best = np.inf
-    for idx in np.argsort(values, axis=None)[:8]:
-        t, p, step = theta.flat[idx], phi.flat[idx], np.pi / 40
-        for _ in range(60):
-            tt, pp = np.meshgrid(t + step * offsets, p + step * offsets, indexing="ij")
-            v = _lowest_eig_on_sphere(h4, tt, pp)
-            k = np.argmin(v)
-            t, p, step = tt.flat[k], pp.flat[k], step / 2
-        best = min(best, float(v.flat[k]))
-    return best
 
 
 class TestRepresentation:
