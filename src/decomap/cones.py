@@ -18,7 +18,6 @@ from . import dykstra, linalg
 from .errors import (
     HullNotSupportedHere,
     LayoutMismatch,
-    NonHermitianReduction,
     NotInCone,
     ShapeMismatch,
     UnsupportedKind,
@@ -210,6 +209,10 @@ def hull_membership(
     with xi and non-negatively with every member of the hull.  The split's
     stop reason and iteration count come along, so a capped solve, which
     reads outside without a proof, can be told from a refuted one.
+
+    No member of the hull has a non-Hermitian reduction, so one whose
+    deviation exceeds tol·‖c‖ reads outside, as in :func:`cone_membership`:
+    the residual is the deviation, with no witness and no split.
     """
     spec = ConeSpec(HULL, layout=layout)
     _check_tensor(md, spec)
@@ -219,7 +222,7 @@ def hull_membership(
     c = _reduction_eig(md, xi)
     dev, bound = linalg.hermitian_deviation(c, tol)
     if dev > bound:
-        raise NonHermitianReduction(f"reduction deviation {dev:.3e} exceeds {bound:.1e}")
+        return MembershipResult(inside=False, residual=dev)
     scale = 2.0 ** np.frexp(linalg.frobenius(c))[1]
     split = dykstra.split_sum(linalg.herm_part(c) / scale, dykstra.PPTPair(layout, 2),
                               tol=tol, max_iter=max_iter)
@@ -264,13 +267,13 @@ def probe_finite_dim_equality(
     )
     layout = TensorLayout((m, n))
     spec = ConeSpec(INTERSECTION, layout=layout)
+    pair = dykstra.PPTPair(layout, 2)
     residuals = []
     for t in range(trials):
         xi = sample_cone(md, spec, rho_seed + 1000 + t)
         a = _reduction_eig(md, xi)
-        res = max(linalg.psd_deficit(a), linalg.hermitian_deviation(a)[0],
-                  linalg.psd_deficit(linalg.partial_transpose(a, layout, 2)))
-        residuals.append(float(res))
+        w, w_pt = pair.min_eigs(a)
+        residuals.append(max(0.0, -w, linalg.hermitian_deviation(a)[0], -w_pt))
     max_res = max(residuals) if residuals else 0.0
     return ProbeReport(dims=(m, n), trials=trials, residuals=residuals,
                        max_residual=max_res, note=_PROBE_NOTE)

@@ -13,6 +13,10 @@ K2 = {a : a^Γ ⪰ 0}, with Γ the partial transpose of one tensor factor.
   the nearest one.  It stops ``converged``, ``certified`` by a dual witness
   that proves c ∉ K1 + K2, or ``capped`` at ``max_iter``.
 
+The pair also answers the pointwise question, λmin of x and of x^Γ
+(``PPTPair.min_eigs``), for the CP / co-CP test, the intersection probe and
+the S_k sampler's re-check.
+
 Inputs are validated once, when a pair is built and when a solve starts.
 Callers reach the solvers through this module, one call per solve, which
 lets the benchmark count solves and stop reasons by wrapping them.
@@ -20,7 +24,6 @@ lets the benchmark count solves and stop reasons by wrapping them.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,13 +64,15 @@ class PPTPair:
         # the index is in range, so "clip" only drops take's buffered range check
         return x.take(self._index, out=out, mode="clip")
 
-    def proj1(self, x: np.ndarray) -> np.ndarray:
-        """Nearest point of {a ⪰ 0} to the Hermitian part of x."""
-        return linalg._psd_clip(x)
+    def min_eigs(self, x: np.ndarray) -> tuple[float, float]:
+        """λmin of the Hermitian parts of x and of x^Γ, x of the pair's side.
 
-    def proj2(self, x: np.ndarray) -> np.ndarray:
-        """Nearest point of {a : a^Γ ⪰ 0} to the Hermitian part of x."""
-        return self.pt(linalg._psd_clip(self.pt(x)))
+        One batched ``eigvalsh`` of the stack [x, x^Γ]; LAPACK solves each
+        matrix of a stack on its own, so each value is bit for bit that of
+        ``linalg.min_eig`` on the matrix alone.
+        """
+        w = np.linalg.eigvalsh(linalg.herm_part(np.stack((x, self.pt(x)))))
+        return float(w[0, 0]), float(w[1, 0])
 
 
 @dataclass
@@ -316,16 +321,8 @@ def _witness(gap: np.ndarray, c: np.ndarray, c_trace: float, c_norm: float,
     lower = np.vdot(w, c).real + min(0.0, c_trace) * p_norm
     if lower >= -0.5 * DEFAULT.certificate * p_norm * c_norm:
         return None
-    w += max(0.0, -linalg.min_eig(pt(w))) * _eye(len(w))
+    w += max(0.0, -linalg.min_eig(pt(w))) * np.eye(len(w))
     w_norm = norm()
     if np.vdot(w, c).real < -DEFAULT.certificate * w_norm * c_norm:
         return w / w_norm
     return None
-
-
-@functools.cache
-def _eye(n: int) -> np.ndarray:
-    """The real identity of side n, made once."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye

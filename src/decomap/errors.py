@@ -45,10 +45,6 @@ class HullNotSupportedHere(DecomapError):
     """Hull membership must go through hull_membership."""
 
 
-class NonHermitianReduction(DecomapError):
-    """Conjugated reduction is too far from Hermitian to test."""
-
-
 class BadChoi(DecomapError):
     """Explicit Choi matrix is malformed."""
 

@@ -96,7 +96,8 @@ def _norm_reader(x: np.ndarray):
 
 
 def herm_part(x: np.ndarray) -> np.ndarray:
-    return (x + x.conj().T) / 2
+    """(x + x*)/2 of a matrix, or of each matrix of a stack."""
+    return (x + x.conj().mT) / 2
 
 
 def _unit(n: int, i: int, j: int) -> np.ndarray:
@@ -122,16 +123,13 @@ def require_hermitian(x) -> np.ndarray:
     return herm_part(x)
 
 
-def _psd_clip(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _psd_clip(x: np.ndarray) -> np.ndarray:
     """Clip the negative eigenvalues of the Hermitian part; no validation.
 
-    Works on a matrix or on a stack of matrices (one batched ``eigh``).  The
-    Hermitian part is formed in ``out`` (C-ordered, not overlapping x), which
-    then receives the result; x is left as it was.
+    Works on a matrix or on a stack of matrices (one batched ``eigh``); x is
+    left as it was.
     """
-    if out is None:
-        out = np.empty(x.shape, dtype=complex)
-    return _clipper(x, out)()
+    return _clipper(x, np.empty(x.shape, dtype=complex))()
 
 
 def _clipper(x: np.ndarray, out: np.ndarray):
@@ -163,19 +161,9 @@ _TWO = np.array(2.0 + 0.0j)
 _ZERO = np.array(0.0)
 
 
-def psd_project(h) -> np.ndarray:
-    """Frobenius-nearest PSD matrix: clip negative eigenvalues to zero."""
-    return _psd_clip(require_hermitian(h))
-
-
 def min_eig(h: np.ndarray) -> float:
     """Smallest eigenvalue of the Hermitian part."""
     return float(np.linalg.eigvalsh(herm_part(h))[0])
-
-
-def psd_deficit(h: np.ndarray) -> float:
-    """|most negative eigenvalue| of the Hermitian part, 0 if PSD."""
-    return max(0.0, -min_eig(h))
 
 
 @functools.cache
@@ -200,15 +188,6 @@ def partial_transpose(x, layout: TensorLayout, factor: int) -> np.ndarray:
     x = _as_matrix(x)
     layout.check(x)
     return x.take(_pt_index(layout, factor))
-
-
-def hs_inner(x, y) -> complex:
-    """Hilbert-Schmidt inner product Tr(x* y)."""
-    x = _as_matrix(x)
-    y = _as_matrix(y)
-    if x.shape != y.shape:
-        raise ShapeMismatch(f"shapes {x.shape} and {y.shape} differ")
-    return complex(np.sum(x.conj() * y))
 
 
 def sample_ginibre(rows: int, cols: int, seed) -> np.ndarray:

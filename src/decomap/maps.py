@@ -182,8 +182,7 @@ def global_positivity_test(phi: MapObject, tol: float = DEFAULT.eig) -> GlobalPo
     is; each lowest eigenvalue is held against −tol·‖C‖."""
     choi = linalg.require_hermitian(phi.choi)
     floor = -tol * linalg.frobenius(choi)
-    w = linalg.min_eig(choi)
-    w_pt = linalg.min_eig(linalg.partial_transpose(choi, phi.layout, 2))
+    w, w_pt = dykstra.PPTPair(phi.layout, 2).min_eigs(choi)
     return GlobalPositivity(
         completely_positive=w >= floor,
         completely_copositive=w_pt >= floor,
@@ -235,10 +234,10 @@ def _seesaw(choi4: np.ndarray, k: int, y: np.ndarray):
     live = np.arange(count)
     for _ in range(_SWEEPS):
         a = np.einsum("Rpr,ipjq,Rqs->Rrisj", y.conj(), choi4, y).reshape(-1, k * m, k * m)
-        _, vecs = np.linalg.eigh((a + a.conj().mT) / 2)
+        _, vecs = np.linalg.eigh(linalg.herm_part(a))
         x, _ = np.linalg.qr(vecs[..., 0].reshape(-1, k, m).mT)
         b = np.einsum("Rir,ipjq,Rjs->Rrpsq", x.conj(), choi4, x).reshape(-1, k * n, k * n)
-        w, vecs = np.linalg.eigh((b + b.conj().mT) / 2)
+        w, vecs = np.linalg.eigh(linalg.herm_part(b))
         xs[live] = x
         yts[live] = vecs[..., 0].reshape(-1, k, n)
         sweeps[live] += 1
@@ -294,23 +293,17 @@ class SkResult:
 
 
 # sk_sampler projects its samples to this residual, three decades inside
-# DEFAULT.cone, so a projected point passes _in_sk_set
+# DEFAULT.cone, so a projected point passes its re-check of the set
 _SK_TOL = 1e-11
-
-
-def _in_sk_set(c: np.ndarray, pair: dykstra.PPTPair) -> bool:
-    """[a_ij] and [a_ji] PSD, up to DEFAULT.cone relative to the norm of c."""
-    floor = -DEFAULT.cone * linalg.frobenius(c)
-    return linalg.min_eig(c) >= floor and linalg.min_eig(pair.pt(c)) >= floor
 
 
 def sk_sampler(phi: MapObject, k: int, trials: int, seed: int = 0) -> SkResult:
     """Sample [a_ij] with [a_ij] and [a_ji] PSD; test λmin([phi(a_ij)]) against
     −DEFAULT.cone·‖[phi(a_ij)]‖, a scale-free floor.
 
-    A violation is reported only for a point that passes :func:`_in_sk_set`;
-    ``worst_output_eig`` is taken over the trials that are not set aside
-    (inf if every trial is).
+    A violation is reported only for a point of the set: λmin of [a_ij] and
+    of [a_ji] at least −DEFAULT.cone·‖[a_ij]‖.  ``worst_output_eig`` is taken
+    over the trials that are not set aside (inf if every trial is).
     """
     linalg.require_hermitian(phi.choi)
     if trials < 1:
@@ -325,7 +318,7 @@ def sk_sampler(phi: MapObject, k: int, trials: int, seed: int = 0) -> SkResult:
         out = amplify(phi, k, c)
         w = linalg.min_eig(out)
         violated = w < -DEFAULT.cone * linalg.frobenius(out)
-        if violated and not _in_sk_set(c, pair):
+        if violated and min(pair.min_eigs(c)) < -DEFAULT.cone * linalg.frobenius(c):
             continue            # the projection fell short: not a sample of the set
         worst = min(worst, w)
         if violated:
@@ -473,14 +466,10 @@ class CriterionReport:
 
     levels: dict[int, dict[str, float]]
     failures: dict[str, CriterionFailure]
-    trials: int
     transfer: TransferOperator
 
     def holds(self, criterion: str) -> bool:
         return criterion not in self.failures
-
-    def worst(self, criterion: str) -> float:
-        return max(level[criterion] for level in self.levels.values())
 
 
 def cone_criterion_check(phi: MapObject, md_m: ModularData, k: int, trials: int,
@@ -534,5 +523,4 @@ def cone_criterion_check(phi: MapObject, md_m: ModularData, k: int, trials: int,
                     failures.setdefault(
                         name, CriterionFailure(level, res.witness, res.stop_reason))
         levels[level] = worst
-    return CriterionReport(levels=levels, failures=failures, trials=trials,
-                           transfer=transfer)
+    return CriterionReport(levels=levels, failures=failures, transfer=transfer)

@@ -188,5 +188,5 @@ def check_identities(md: ModularData, samples: int, seed) -> dict[str, float]:
         "commutant_map": worst(u(a @ u(xi)) - xi @ at),
         # U Delta^{1/2} maps a Omega with a >= 0 into V_0
         "tau_v0_invariance": max(0.0, -float(np.min(
-            np.linalg.eigvalsh((image + adj(image)) / 2)[:, 0]))),
+            np.linalg.eigvalsh(linalg.herm_part(image))[:, 0]))),
     }

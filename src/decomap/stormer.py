@@ -42,7 +42,6 @@ from .maps import (
     map_from_action,
 )
 
-_KER_TOL = DEFAULT.kernel
 _UNIT_TOL = 1e-12           # |‖v‖ − 1| accepted: a unit vector given to twelve digits
 _PHASE_FLOOR = 1e-12        # |alpha| below this has no phase worth pinning
 _RCOND = 1e-10              # pinv cutoff for V_eta, relative to d_mat's top singular value
@@ -176,7 +175,7 @@ def _gram_blocks(w: np.ndarray):
 
 def _kernel_basis(g: np.ndarray, m: int) -> list[np.ndarray]:
     w, v = np.linalg.eigh(linalg.herm_part(g))
-    return [v[:, s].reshape(m, m) for s in range(len(w)) if w[s] < _KER_TOL]
+    return [v[:, s].reshape(m, m) for s in range(len(w)) if w[s] < DEFAULT.kernel]
 
 
 def build_local_decomposition(
@@ -220,7 +219,7 @@ def build_local_decomposition(
     else:
         # w^T is the density matrix of omega_eta; a kernel vector is a face candidate
         w_d, v_d = np.linalg.eigh(linalg.herm_part(w.T))
-        if w_d[0] < _KER_TOL:
+        if w_d[0] < DEFAULT.kernel:
             xi = v_d[:, 0]
     if xi is not None and np.linalg.norm(
             apply_map(phi, np.outer(xi, xi.conj())) @ eta) <= tol:
@@ -285,7 +284,7 @@ def _build_generic(phi, eta, gl, gr, left_basis, right_basis):
     gram[:4, :4] = gl
     gram[4:, 4:] = gr
     w, v = np.linalg.eigh(linalg.herm_part(gram))
-    keep = w > _KER_TOL
+    keep = w > DEFAULT.kernel
     mu = w[keep]
     vk = v[:, keep]
     k_dim = int(keep.sum())

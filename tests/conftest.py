@@ -51,6 +51,11 @@ def _min_eig(x):
     return np.linalg.eigvalsh((x + x.conj().T) / 2)[0]
 
 
+def criterion_worst(rep, criterion):
+    """The worst residual of one cone criterion over a report's levels."""
+    return max(level[criterion] for level in rep.levels.values())
+
+
 def assert_split(part1, part2, residual, c, layout):
     """A split from scratch: part1 PSD, part2 PSD after its factor-2 partial
     transpose, and the residual recomputed from the parts."""

@@ -8,7 +8,8 @@ import pytest
 from decomap import cli, cones, linalg, maps, modular, stormer
 from decomap.linalg import TensorLayout
 
-from conftest import SIGMA_X, decomposable_test_set, matrix_json, write_json
+from conftest import (SIGMA_X, criterion_worst, decomposable_test_set, matrix_json,
+                      write_json)
 
 
 @pytest.fixture
@@ -183,16 +184,16 @@ def test_criterion_08_cone_criteria(report):
         u = md.eigenbasis @ np.diag(phases) @ md.eigenbasis.conj().T
         rep = maps.cone_criterion_check(maps.adjoint_map(u), md, k=3, trials=2,
                                         seed=6200 + i, tol=tol)
-        worst_p = max(worst_p, rep.worst("p"))
+        worst_p = max(worst_p, criterion_worst(rep, "p"))
     ok &= worst_p <= tol
     notes.append(f"CP/db P_n worst {worst_p:.2e}")
     # transposition with tracial state
     md2 = modular.build_modular(np.eye(2) / 2)
     rep = maps.cone_criterion_check(maps.transposition_map(2), md2, k=2, trials=5,
                                     seed=6500, tol=tol)
-    t_ok = rep.worst("pt") <= tol and rep.levels[2]["p"] >= 0.4
+    t_ok = criterion_worst(rep, "pt") <= tol and rep.levels[2]["p"] >= 0.4
     ok &= t_ok
-    notes.append(f"transposition: P^tau worst {rep.worst('pt'):.2e}, "
+    notes.append(f"transposition: P^tau worst {criterion_worst(rep, 'pt'):.2e}, "
                  f"P_2 residual {rep.levels[2]['p']:.3f}")
     # 20 decomposable maps: hull criterion
     worst_hull = 0.0
@@ -203,7 +204,7 @@ def test_criterion_08_cone_criteria(report):
                             maps.compose_transpose(maps.adjoint_map(u)))
         rep = maps.cone_criterion_check(phi, md2, k=2, trials=2,
                                         seed=6700 + i, tol=tol)
-        worst_hull = max(worst_hull, rep.worst("hull"))
+        worst_hull = max(worst_hull, criterion_worst(rep, "hull"))
     ok &= worst_hull <= tol
     notes.append(f"decomposable hull worst {worst_hull:.2e}")
     report(8, "cone criteria", ok, "; ".join(notes))

@@ -137,6 +137,20 @@ class TestCommands:
         result = report["result"]
         assert code == 1 and result["stop_reason"] == "certified" and "witness" in result
 
+    def test_hull_member_non_hermitian_reads_outside(self, tmp_path):
+        """A non-Hermitian --xi is outside the hull (exit 1, not an error), as
+        it is outside natural_tensor: the same residual and no witness."""
+        rho_file = write_json(tmp_path / "r.json", matrix_json(np.eye(2) / 2))
+        xi_file = write_json(tmp_path / "xi.json", matrix_json(np.triu(np.ones((4, 4)))))
+        hull, hull_code = cli.run(["hull-member", "--rho", rho_file, "--xi", xi_file,
+                                   "--dims", "2,2"])
+        cone, cone_code = cli.run(["cone-member", "--rho", rho_file, "--xi", xi_file,
+                                   "--cone", '{"kind": "natural_tensor", "dims": [2, 2]}'])
+        assert hull_code == cone_code == 1
+        assert hull["verdict"] == cone["verdict"] == "violated"
+        assert hull["result"] == cone["result"] == {"inside": False,
+                                                    "residual": cone["result"]["residual"]}
+
     def test_probe(self):
         report, code = cli.run(["probe", "--dims", "2,3", "--trials", "5",
                                 "--seed", "1"])

@@ -7,7 +7,7 @@ from decomap import cones, linalg, modular
 from decomap.errors import HullNotSupportedHere, LayoutMismatch, UnsupportedKind
 from decomap.linalg import TensorLayout
 
-from conftest import SIGMA_X, assert_separates
+from conftest import SIGMA_X, assert_separates, random_matrix
 
 
 @pytest.fixture
@@ -92,7 +92,7 @@ class TestMembership:
         xi = cones.sample_cone(md_tensor22, spec, 3)
         r = md_tensor22.rho_power(-0.25) @ xi @ md_tensor22.rho_power(-0.25)
         pt = linalg.partial_transpose(r, layout, 2)
-        assert linalg.psd_deficit(pt) <= 1e-10
+        assert linalg.min_eig(pt) >= -1e-10
 
 
 class TestUMapping:
@@ -135,6 +135,21 @@ class TestHull:
         for s in range(5):
             xi = hull_sample(md_tensor22, layout, 100 + 2 * s, weight=0.3)
             assert cones.hull_membership(md_tensor22, xi, layout).inside
+
+    def test_non_hermitian_reads_outside(self, md_tensor22, rng):
+        """No hull member has a non-Hermitian reduction: the hull reads one
+        outside, as natural_tensor does, with the same residual (the
+        deviation) and no witness or split."""
+        layout = TensorLayout((2, 2))
+        spec = cones.ConeSpec(cones.NATURAL_TENSOR, layout=layout)
+        for _ in range(3):
+            xi = random_matrix(rng, 4)
+            hull = cones.hull_membership(md_tensor22, xi, layout)
+            natural = cones.cone_membership(md_tensor22, spec, xi)
+            assert not hull.inside and not natural.inside
+            assert hull.residual == natural.residual > 0.1
+            assert hull.witness is None and natural.witness is None
+            assert hull.stop_reason is None and hull.iterations is None
 
 
 class TestWitnesses:

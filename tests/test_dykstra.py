@@ -25,14 +25,15 @@ def stagnated(history, window=100, progress=1e-12):
 def reference_split_sum(c, pair, tol=linalg.DEFAULT.cone, max_iter=linalg.DEFAULT.max_iter):
     """Product-space Dykstra with two separate projections per iteration and a
     stagnation stop: a verdict oracle for the split.  Returns ``converged``."""
+    proj1, proj2 = ref_projections(pair)
     a = c / 2
     b = c / 2
     pa = np.zeros_like(c)
     pb = np.zeros_like(c)
     history = []
     for _ in range(max_iter):
-        a1 = pair.proj1(a + pa)
-        b1 = pair.proj2(b + pb)
+        a1 = proj1(a + pa)
+        b1 = proj2(b + pb)
         pa = a + pa - a1
         pb = b + pb - b1
         gap = c - a1 - b1
@@ -50,15 +51,16 @@ def reference_split_sum(c, pair, tol=linalg.DEFAULT.cone, max_iter=linalg.DEFAUL
 def reference_intersection(x0, pair, tol=1e-13, max_iter=20000):
     """Plain Dykstra on (x, p, q), no acceleration and no stagnation stop: the
     nearest-point reference for project_intersection.  Returns (point, steps)."""
+    proj1, proj2 = ref_projections(pair)
     x = np.asarray(x0, dtype=complex)
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     for it in range(1, max_iter + 1):
         xp = x + p
-        y = pair.proj1(xp)
+        y = proj1(xp)
         p = xp - y
         yq = y + q
-        x = pair.proj2(yq)
+        x = proj2(yq)
         q = yq - x
         if linalg.frobenius(x - y) <= tol:
             break
@@ -113,6 +115,13 @@ def ref_pt(pair):
     dims, factor = pair.layout.dims, pair.factor
     shape, side, k = dims + dims, pair.layout.side, len(dims)
     return lambda x: np.swapaxes(x.reshape(shape), factor - 1, k + factor - 1).reshape(side, side)
+
+
+def ref_projections(pair):
+    """The pair's two projections from the reference kernels: the PSD clip,
+    and Γ ∘ clip ∘ Γ."""
+    pt = ref_pt(pair)
+    return ref_psd_clip, lambda x: pt(ref_psd_clip(pt(x)))
 
 
 def ref_project_intersection(x0, pair, tol=linalg.DEFAULT.cone,
@@ -364,7 +373,7 @@ class TestAcceleratedIntersection:
         vec[[(pair.layout.dims[1] + 1) * i for i in range(min(dims))]] = 1.0
         x0 = np.outer(vec, vec)            # entangled, PSD, with PSD image in K2
         assert linalg.min_eig(pair.pt(x0)) < -0.1
-        assert linalg.min_eig(pair.proj2(x0)) >= -EIG_SLACK
+        assert linalg.min_eig(ref_projections(pair)[1](x0)) >= -EIG_SLACK
         got = dykstra.project_intersection(x0, pair)
         ref, steps = reference_intersection(x0, pair, tol=linalg.DEFAULT.cone)
         assert got.converged and got.iterations == steps == 2
@@ -565,23 +574,7 @@ class TestCallsPerSolve:
 @pytest.mark.parametrize("dims", LAYOUTS)
 @pytest.mark.parametrize("factor", [1, 2])
 class TestPPTPair:
-    """The unvalidated projections against the validating public kernels."""
-
-    def test_proj1_matches_psd_project(self, dims, factor):
-        pair = dykstra.PPTPair(TensorLayout(dims), factor)
-        for seed in range(3):
-            h = linalg.sample_hermitian(pair.layout.side, seed)
-            assert np.array_equal(pair.proj1(h), linalg.psd_project(h))
-
-    def test_proj2_matches_transposed_psd_project(self, dims, factor):
-        layout = TensorLayout(dims)
-        pair = dykstra.PPTPair(layout, factor)
-        for seed in range(3):
-            h = linalg.sample_hermitian(layout.side, seed)
-            ref = linalg.partial_transpose(
-                linalg.psd_project(linalg.partial_transpose(h, layout, factor)),
-                layout, factor)
-            assert np.array_equal(pair.proj2(h), ref)
+    """The unvalidated partial transpose against the validating public kernel."""
 
     def test_pt_is_an_involution(self, dims, factor, rng):
         pair = dykstra.PPTPair(TensorLayout(dims), factor)
@@ -589,6 +582,21 @@ class TestPPTPair:
         assert np.array_equal(pair.pt(x),
                               linalg.partial_transpose(x, pair.layout, factor))
         assert np.array_equal(pair.pt(pair.pt(x)), x)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("factor", [1, 2])
+def test_min_eigs_match_min_eig(dims, factor):
+    """One batched eigvalsh of [x, x^Γ] gives, bit for bit, the two lowest
+    eigenvalues that min_eig finds on each matrix alone."""
+    layout = TensorLayout(dims)
+    pair = dykstra.PPTPair(layout, factor)
+    for seed in range(8):
+        h = linalg.sample_hermitian(layout.side, seed)
+        got = pair.min_eigs(h)
+        want = (linalg.min_eig(h), linalg.min_eig(linalg.partial_transpose(h, layout, factor)))
+        assert [type(w) for w in got] == [float, float]
+        assert [w.hex() for w in got] == [w.hex() for w in want]
 
 
 class TestValidation:

@@ -97,8 +97,7 @@ def identities_oracle(md, samples, seed):
     for _ in range(samples):
         a, xi, psi = rand(), rand(), rand()
         record("u_squared", frob(md.u(md.u(xi)) - xi))
-        record("u_selfadjoint", abs(linalg.hs_inner(md.u(xi), psi)
-                                    - linalg.hs_inner(xi, md.u(psi))))
+        record("u_selfadjoint", abs(np.vdot(md.u(xi), psi) - np.vdot(xi, md.u(psi))))
         jm = xi.conj().T
         record("j_eq_u_jm", frob(md.j(xi) - md.u(jm)))
         record("commute_j_jm", frob(md.j(jm) - md.j(xi).conj().T))
@@ -115,7 +114,7 @@ def identities_oracle(md, samples, seed):
         pos = g @ g.conj().T
         pos /= frob(pos)
         image = md.tau(pos @ md.rho_power(0.5))
-        record("tau_v0_invariance", linalg.psd_deficit(image @ md.rho_power(-0.5)))
+        record("tau_v0_invariance", max(0.0, -linalg.min_eig(image @ md.rho_power(-0.5))))
     return res
 
 
