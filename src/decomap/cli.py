@@ -37,6 +37,17 @@ from .linalg import DEFAULT, TensorLayout
 
 # -- JSON (de)serialization ---------------------------------------------------
 
+def _is_number(x) -> bool:
+    """A JSON number: an int or a float, and not a bool (which Python counts
+    as an int)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_dim(x) -> bool:
+    """A positive JSON integer: not a bool, a float or a string."""
+    return isinstance(x, int) and not isinstance(x, bool) and x > 0
+
+
 def _entry_pairs(raw, count: int) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != count:
         raise ParseError(f"expected {count} entries, got "
@@ -44,7 +55,7 @@ def _entry_pairs(raw, count: int) -> np.ndarray:
     flat = np.empty(count, dtype=complex)
     for idx, pair in enumerate(raw):
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)):
+                or not all(_is_number(x) for x in pair)):
             raise ParseError(f"entry {idx} is not a [re, im] pair: {pair!r}")
         if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
             raise ParseError(f"entry {idx} is not finite: {pair!r}")
@@ -57,19 +68,19 @@ def parse_matrix(obj) -> np.ndarray:
     if not isinstance(obj, dict) or not {"rows", "cols", "entries"} <= set(obj):
         raise ParseError("matrix JSON needs 'rows', 'cols' and 'entries'")
     rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
+    if not (_is_dim(rows) and _is_dim(cols)):
         raise ParseError(f"bad dimensions rows={rows!r} cols={cols!r}")
     return _entry_pairs(obj["entries"], rows * cols).reshape(rows, cols)
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
+    m = np.ascontiguousarray(m, dtype=complex)
     if m.ndim == 1:
         m = m.reshape(-1, 1)
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "entries": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
+        "entries": m.view(float).reshape(-1, 2).tolist(),
     }
 
 
@@ -102,21 +113,27 @@ def parse_map_file(path: str) -> maps.MapObject:
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: map JSON must be an object")
     if "key" in obj:
-        embedded = obj.get("matrices", {})
+        key, embedded = obj["key"], obj.get("matrices", {})
+        if not isinstance(key, str):
+            raise ParseError(f"{path}: 'key' must be a string, got {key!r}")
+        if not isinstance(embedded, dict):
+            raise ParseError(f"{path}: 'matrices' must be an object")
 
         def loader(name):
             if name in embedded:
                 return parse_matrix(embedded[name])
             return parse_matrix_file(name)
 
-        return maps.map_from_key(obj["key"], loader=loader)
+        return maps.map_from_key(key, loader=loader)
     if {"dim_in", "dim_out", "choi"} <= set(obj):
-        try:
-            dim_in, dim_out = int(obj["dim_in"]), int(obj["dim_out"])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: dim_in and dim_out must be integers") from exc
-        return maps.make_map(parse_matrix(obj["choi"]), dim_in, dim_out,
-                             label=obj.get("label", ""))
+        dim_in, dim_out = obj["dim_in"], obj["dim_out"]
+        if not (_is_dim(dim_in) and _is_dim(dim_out)):
+            raise ParseError(f"{path}: dim_in and dim_out must be positive integers, "
+                             f"got {dim_in!r} and {dim_out!r}")
+        label = obj.get("label", "")
+        if not isinstance(label, str):
+            raise ParseError(f"{path}: 'label' must be a string, got {label!r}")
+        return maps.make_map(parse_matrix(obj["choi"]), dim_in, dim_out, label=label)
     raise ParseError(f"{path}: map JSON needs 'key' or dim_in/dim_out/choi")
 
 
@@ -140,11 +157,13 @@ def parse_cone_spec(text: str) -> cones.ConeSpec:
     dims = obj.get("dims")
     layout = None
     if dims is not None:
-        if (not isinstance(dims, list) or len(dims) != 2
-                or not all(isinstance(d, int) and d > 0 for d in dims)):
+        if not isinstance(dims, list) or len(dims) != 2 or not all(map(_is_dim, dims)):
             raise ParseError(f"bad cone dims {dims!r}")
         layout = TensorLayout(tuple(dims))
-    return cones.ConeSpec(kind=kind, beta=obj.get("beta"), layout=layout)
+    beta = obj.get("beta")
+    if beta is not None and not _is_number(beta):
+        raise ParseError(f"cone beta must be a number, got {beta!r}")
+    return cones.ConeSpec(kind=kind, beta=beta, layout=layout)
 
 
 # -- report plumbing ----------------------------------------------------------

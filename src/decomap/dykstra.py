@@ -128,7 +128,8 @@ def project_intersection(
     G and F, whose row is written where T(u) and T(u) − u are computed.
     The two clips, the norms of every F row and of x' − y, and the
     extrapolation of each memory length read fixed buffers through
-    workspaces made once per solve.
+    workspaces made once per solve, the extrapolation's when the solve
+    first keeps that many rows.
     """
     x = pair.validate(x0, max_iter)
     pt = pair.pt
@@ -139,8 +140,7 @@ def project_intersection(
     residuals = np.empty_like(images)                               # F = T(U) − U
     step_norms = [linalg._norm_reader(f) for f in residuals]        # ‖T(u) − u‖ by row
     slots = [(tu, *tu) for tu in images]                            # T(u) and its rows
-    extrapolate = [None, None] + [_anderson(images[:k], residuals[:k], u)
-                                  for k in range(2, len(images) + 1)]   # by rows kept
+    extrapolate = [None] * (len(images) + 1)     # by rows kept, made on first use
     xp, y, yq, t, d = np.empty((5,) + x.shape, dtype=complex)
     clip_y = linalg._clipper(xp, y)         # y = P1(xp)
     clip_d = linalg._clipper(t, d)          # d = clip(yq^Γ), so P2(yq) = d^Γ
@@ -181,6 +181,8 @@ def project_intersection(
             u[...] = tu
             continue
         plain_step = step
+        if extrapolate[kept] is None:
+            extrapolate[kept] = _anderson(images[:kept], residuals[:kept], u)
         extrapolate[kept]()
     return DykstraResult(point=point.copy(), residual=res, iterations=max_iter,
                          converged=False)
@@ -194,7 +196,8 @@ def _anderson(images: np.ndarray, residuals: np.ndarray, out: np.ndarray):
     γ minimises ‖F[-1] − ΔF·γ‖ on the real view, through its normal
     equations with a ridge of ``_RIDGE`` times their trace.  A solve makes
     one per memory length: the flat views of the rows and the ΔF, ΔG, Gram,
-    right-hand-side and correction buffers are made here, once.
+    right-hand-side and correction buffers are made here, once, when the
+    solve first extrapolates from that many rows.
     """
     g = images.reshape(len(images), -1)
     f = residuals.reshape(len(g), -1).view(float)

@@ -54,7 +54,7 @@ class TensorLayout:
 
     @property
     def side(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def check(self, x: np.ndarray) -> None:
         if x.shape != (self.side, self.side):

@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatch,
     UnknownKind,
 )
-from .linalg import DEFAULT, TensorLayout, _unit
+from .linalg import DEFAULT, TensorLayout
 from .modular import ModularData, build_modular, tensor_modular
 
 
@@ -59,10 +59,29 @@ def make_map(choi, dim_in: int, dim_out: int, label: str = "") -> MapObject:
 
 
 def map_from_action(action, dim_in: int, dim_out: int, label: str = "") -> MapObject:
-    """Build the Choi matrix of a callable a -> phi(a) on matrix units."""
-    units = [_unit(dim_in, i, j) for i in range(dim_in) for j in range(dim_in)]
-    choi = sum(np.kron(e, np.asarray(action(e), dtype=complex)) for e in units)
-    return make_map(choi, dim_in, dim_out, label=label)
+    """Build the Choi matrix of a callable a -> phi(a) on matrix units.
+
+    The action is evaluated once on each unit E_ij, and block (i, j) of C
+    is its image: the stack of images, read as the tensor [i, j, p, q], is
+    C[(i, p), (j, q)] after one transpose.  Adding zero writes every zero
+    as +0, as the Kronecker sum sum_ij E_ij (x) phi(E_ij) does, so C is
+    that sum bit for bit.
+    """
+    if dim_in < 1 or dim_out < 1:
+        raise BadChoi(f"map dimensions must be at least 1, got {dim_in} -> {dim_out}")
+    units = np.eye(dim_in * dim_in, dtype=complex).reshape(-1, dim_in, dim_in)
+    images = np.empty((len(units), dim_out, dim_out), dtype=complex)
+    for image, e in zip(images, units):
+        fe = np.asarray(action(e), dtype=complex)
+        if fe.shape != image.shape:
+            raise BadChoi(f"image of a matrix unit must be {dim_out}x{dim_out}, "
+                          f"got {fe.shape}")
+        image[...] = fe
+    choi = np.empty((dim_in, dim_out, dim_in, dim_out), dtype=complex)
+    np.add(images.reshape(dim_in, dim_in, dim_out, dim_out).transpose(0, 2, 1, 3), 0.0,
+           out=choi)
+    side = dim_in * dim_out
+    return make_map(choi.reshape(side, side), dim_in, dim_out, label=label)
 
 
 def identity_map(n: int) -> MapObject:
@@ -76,16 +95,19 @@ def transposition_map(n: int) -> MapObject:
 def adjoint_map(v: np.ndarray, label: str = "") -> MapObject:
     """Conjugation a -> v a v*."""
     v = np.asarray(v, dtype=complex)
-    n = v.shape[1]
-    return map_from_action(lambda a: v @ a @ v.conj().T, n, v.shape[0],
+    vh = v.conj().T
+    return map_from_action(lambda a: v @ a @ vh, v.shape[1], v.shape[0],
                            label=label or "adu")
 
 
 def mix_maps(lam: float, phi: MapObject, psi: MapObject, label: str = "") -> MapObject:
     if (phi.dim_in, phi.dim_out) != (psi.dim_in, psi.dim_out):
         raise DimensionMismatch("mixed maps must share dimensions")
-    return MapObject(phi.dim_in, phi.dim_out,
-                     lam * phi.choi + (1.0 - lam) * psi.choi,
+    with np.errstate(over="ignore", invalid="ignore"):      # checked here instead
+        choi = lam * phi.choi + (1.0 - lam) * psi.choi
+    if not np.isfinite(choi).all():
+        raise BadChoi(f"mix weight {lam} makes a Choi matrix that is not finite")
+    return MapObject(phi.dim_in, phi.dim_out, choi,
                      label=label or f"mix:{lam}:{phi.label}:{psi.label}")
 
 

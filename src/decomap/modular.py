@@ -127,30 +127,41 @@ def tensor_modular(md_a: ModularData, md_b: ModularData) -> ModularData:
     )
 
 
+def _draws(rng: np.random.Generator, n: int, samples: int):
+    """The samples of :func:`check_identities`, drawn one after another.
+
+    A sample is three unit complex Ginibre matrices a, ξ, ψ (real and
+    imaginary parts in that order), a Δ exponent t uniform in [−1, 1) and
+    one complex Ginibre g.  The normals of a, ξ, ψ come from one draw and
+    those of g from a second; the generator fills an array one value after
+    another, so this reads the stream as a draw per part does.  Returns
+    the stacks a, ξ, ψ, t and g.
+    """
+    units = np.empty((3, samples, n, n), dtype=complex)     # a, ξ, ψ
+    t = np.empty(samples)
+    g = np.empty((samples, n, n), dtype=complex)
+    for s in range(samples):
+        z = rng.standard_normal((6, n, n))
+        for unit, m in zip(units[:, s], z[0::2] + 1j * z[1::2]):
+            np.divide(m, frobenius(m), out=unit)
+        t[s] = rng.uniform(-1.0, 1.0)
+        z = rng.standard_normal((2, n, n))
+        g[s] = z[0] + 1j * z[1]
+    return (*units, t, g)
+
+
 def check_identities(md: ModularData, samples: int, seed) -> dict[str, float]:
     """Max residuals of the modular identities over random samples.
 
     Each entry is named after the identity it checks; all vanish
     analytically, so the values measure floating-point conditioning only.
-    The samples are drawn one after another from one generator and then
-    checked together: every identity is one pass over the sample stack.
+    The samples (:func:`_draws`) are drawn one after another from one
+    generator and then checked together: every identity is one pass over
+    the sample stack.
     """
     if samples < 1:
         raise InvalidOption(f"samples must be at least 1, got {samples}")
-    n = md.dim
-    rng = np.random.default_rng(seed)
-
-    def rand():
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return m / frobenius(m)
-
-    draws = []
-    for _ in range(samples):
-        a, xi, psi = rand(), rand(), rand()
-        t = float(rng.uniform(-1.0, 1.0))
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        draws.append((a, xi, psi, t, g))
-    a, xi, psi, t, g = (np.array(column) for column in zip(*draws))
+    a, xi, psi, t, g = _draws(np.random.default_rng(seed), md.dim, samples)
 
     def worst(x):
         return float(np.max(np.linalg.norm(x, axis=(-2, -1))))

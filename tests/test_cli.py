@@ -47,6 +47,16 @@ class TestParsing:
             m = random_matrix(rng, rng.integers(1, 5), rng.integers(1, 5))
             assert np.array_equal(cli.parse_matrix(cli.matrix_to_json(m)), m)
 
+    def test_entries_written_as_pairs(self, rng):
+        m = random_matrix(rng, 3, 4)
+        m[0, 0] = complex(-0.0, -0.0)
+        for x in (m, m.T, m[:, 1], m.real):         # views, a vector, a real matrix
+            x2 = np.asarray(x, dtype=complex).reshape(len(x), -1)
+            want = [[float(z.real), float(z.imag)] for z in x2.reshape(-1)]
+            got = cli.matrix_to_json(x)
+            assert (got["rows"], got["cols"]) == x2.shape
+            assert json.dumps(got["entries"]) == json.dumps(want)
+
     def test_entry_count_mismatch(self):
         with pytest.raises(ParseError):
             cli.parse_matrix({"rows": 2, "cols": 2, "entries": [[1, 0]]})
@@ -264,6 +274,53 @@ class TestContract:
                 for a in argv]
         report, code = cli.run(argv)
         assert code == 2 and report["verdict"] == "error"
+
+    @pytest.mark.parametrize("argv, inputs, error", [
+        (["decompose", "--map", "map"], {"map": {"key": 5}}, "ParseError"),
+        (["decompose", "--map", "map"],
+         {"map": {"key": "adu:u", "matrices": 5}}, "ParseError"),
+        (["cone-member", "--rho", "rho", "--xi", "xi",
+          "--cone", '{"kind": "vbeta", "beta": "0.3"}'], {}, "ParseError"),
+        (["cone-member", "--rho", "rho", "--xi", "xi",
+          "--cone", '{"kind": "vbeta", "beta": false}'], {}, "ParseError"),
+        (["cone-member", "--rho", "rho1", "--xi", "xi",
+          "--cone", '{"kind": "natural_tensor", "dims": [true, 2]}'],
+         {"rho1": matrix_json(np.eye(1))}, "ParseError"),
+        (["modular-check", "--rho", "rho", "--seed", "0"],
+         {"rho": {"rows": True, "cols": 1, "entries": [[1, 0]]}}, "ParseError"),
+        (["modular-check", "--rho", "rho", "--seed", "0"],
+         {"rho": {"rows": 1, "cols": 1, "entries": [[True, 0]]}}, "ParseError"),
+        (["decompose", "--map", "map"],
+         {"map": {"dim_in": "2", "dim_out": True, "choi": matrix_json(np.eye(2))}},
+         "ParseError"),
+        (["decompose", "--map", "map"],
+         {"map": {"dim_in": 2.7, "dim_out": 2, "choi": matrix_json(np.eye(4))}},
+         "ParseError"),
+        (["decompose", "--map", "map"],
+         {"map": {"dim_in": 1, "dim_out": 1, "choi": matrix_json(np.eye(1)),
+                  "label": float("nan")}}, "ParseError"),
+        (["map-analyze", "--map", "map", "--tests", "kpos=2"],
+         {"map": {"key": "mix:nan:identity:2:transpose:2"}}, "BadChoi"),
+        (["map-analyze", "--map", "map", "--tests", "kpos=2"],
+         {"map": {"key": "mix:1e308:adu:v:transpose:2",
+                  "matrices": {"v": matrix_json(2 * np.eye(2))}}}, "BadChoi"),
+        (["decompose", "--map", "map"], {"map": {"key": "identity:0"}}, "BadChoi"),
+        (["decompose", "--map", "map"], {"map": {"key": "transpose:-1"}}, "BadChoi"),
+    ], ids=["key-number", "matrices-number", "beta-string", "beta-bool", "cone-dims-bool",
+            "rows-bool", "entry-bool", "dims-string-and-bool", "dim-float", "label-nan",
+            "mix-weight-nan", "mix-overflow", "identity-0",
+            "transpose-negative"])
+    def test_malformed_json_is_error_report(self, tmp_path, argv, inputs, error):
+        """JSON of the wrong type exits 2 with a typed, strict-JSON error report,
+        never a traceback; a bool is not a number and dims are JSON integers."""
+        inputs = {"rho": matrix_json(np.eye(2) / 2), "xi": matrix_json(np.eye(2) / 2),
+                  **inputs}
+        argv = [write_json(tmp_path / f"{a}.json", inputs[a]) if a in inputs else a
+                for a in argv]
+        report, code = cli.run(argv)
+        assert code == 2 and report["verdict"] == "error"
+        assert report["error"]["type"] == error
+        json.loads(cli.render_report(report), parse_constant=pytest.fail)
 
     def test_non_finite_tol_echoed_as_text(self, transpose_map_file):
         report, code = cli.run(["decompose", "--map", transpose_map_file, "--tol", "nan"])

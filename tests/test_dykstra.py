@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -569,6 +571,37 @@ class TestCallsPerSolve:
             assert res.iterations == max_iter
             assert calls.calls == {"frobenius": 0, "eigh": 2 * max_iter, "eigvalsh": 0}
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("dims", LAYOUTS)
+    def test_anderson_workspaces(self, dims, monkeypatch):
+        """An Anderson workspace is built when a solve first keeps that many
+        rows: none for a solve that converges at its first step, and each
+        memory length at most once however often rejections reset it."""
+        builds, runs = Counter(), Counter()
+        anderson = dykstra._anderson
+
+        def counted(images, residuals, out):
+            rows = len(images)
+            builds[rows] += 1
+            extrapolate = anderson(images, residuals, out)
+
+            def run():
+                runs[rows] += 1
+                extrapolate()
+            return run
+
+        monkeypatch.setattr(dykstra, "_anderson", counted)
+        pair = dykstra.PPTPair(TensorLayout(dims), 2)
+        res = dykstra.project_intersection(np.eye(pair.layout.side), pair, max_iter=60)
+        assert (res.iterations, res.converged, builds) == (1, True, Counter())
+        x0 = linalg.sample_hermitian(pair.layout.side, 0)
+        res = dykstra.project_intersection(x0, pair, tol=1e-300, max_iter=60)
+        assert res.iterations == 60
+        assert set(builds) <= set(range(2, dykstra._MEMORY + 2))
+        assert max(builds.values()) == 1
+        # the memory grows 2, 3, ... once; a length below the full one runs
+        # again only after a rejection has cleared the memory
+        assert runs[2] > 1
 
 
 @pytest.mark.parametrize("dims", LAYOUTS)

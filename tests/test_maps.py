@@ -90,6 +90,101 @@ class TestRepresentation:
             maps.map_from_key("nonsense:1")
 
 
+def kron_sum_choi(action, m, n):
+    """The Kronecker sum Σ_ij E_ij ⊗ φ(E_ij) through make_map: the reference
+    that map_from_action's placement must equal bit for bit."""
+    units = [linalg._unit(m, i, j) for i in range(m) for j in range(m)]
+    choi = sum(np.kron(e, np.asarray(action(e), dtype=complex)) for e in units)
+    return maps.make_map(choi, m, n).choi
+
+
+def _adu_matrices():
+    rng = np.random.default_rng(17)
+    mats = {}
+    for r in range(1, 5):
+        for c in range(1, 5):
+            mats[f"re{r}x{c}"] = rng.standard_normal((r, c))
+            mats[f"c{r}x{c}"] = random_matrix(rng, r, c)
+    # signed zeros and negative entries in v
+    mats["signed"] = np.array([[-0.0, -1.0, 0.0], [2.0, -0.0, -3.0]])
+    mats["signed_c"] = np.array([[-0.0 - 1j, 1.0 - 0.0j], [-2.0 + 0.0j, -0.0 - 0.0j]])
+    return mats
+
+
+ADU = _adu_matrices()
+
+
+def adu_action(v):
+    v = np.asarray(v, dtype=complex)
+    return lambda a: v @ a @ v.conj().T
+
+
+class TestPlacement:
+    """map_from_action places each unit's image as a block of C instead of
+    summing m² Kronecker products; the bytes are compared, so the sign of
+    every zero counts."""
+
+    @staticmethod
+    def assert_same_bytes(phi, ref):
+        assert phi.choi.dtype == ref.dtype and phi.choi.shape == ref.shape
+        assert phi.choi.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_identity_and_transpose(self, n):
+        self.assert_same_bytes(maps.map_from_key(f"identity:{n}"),
+                               kron_sum_choi(lambda a: a, n, n))
+        self.assert_same_bytes(maps.map_from_key(f"transpose:{n}"),
+                               kron_sum_choi(lambda a: a.T, n, n))
+
+    @pytest.mark.parametrize("name", list(ADU))
+    def test_adu(self, name):
+        v = ADU[name]
+        rows, cols = v.shape
+        phi = maps.map_from_key(f"adu:{name}", loader=ADU.get)
+        self.assert_same_bytes(phi, kron_sum_choi(adu_action(v), cols, rows))
+        # a -> v a^t v*: the Kronecker sum of the composed action
+        phi_t = maps.map_from_key(f"compose-t:adu:{name}", loader=ADU.get)
+        self.assert_same_bytes(phi_t, kron_sum_choi(lambda a: adu_action(v)(a.T),
+                                                    cols, rows))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_mix(self, lam):
+        phi = maps.map_from_key(f"mix:{lam}:adu:c3x3:transpose:3", loader=ADU.get)
+        ref = (lam * kron_sum_choi(adu_action(ADU["c3x3"]), 3, 3)
+               + (1.0 - lam) * kron_sum_choi(lambda a: a.T, 3, 3))
+        self.assert_same_bytes(phi, ref)
+
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_signed_zero_images(self, n):
+        # images whose zeros carry signs: -0 - 0j above the diagonal, -0 + 0j
+        # below it, a pair that the Hermitian part alone keeps at -0; the sum
+        # writes +0 there, and so must the placement
+        zeros = np.where(np.triu(np.ones((n, n))) > 0, complex(-0.0, -0.0),
+                         complex(-0.0, 0.0))
+        action = lambda a: np.where(a != 0, a, zeros)
+        ref = kron_sum_choi(action, n, n)
+        self.assert_same_bytes(maps.map_from_action(action, n, n), ref)
+        assert not np.signbit(ref.view(float)).any()
+
+    def test_action_of_choi_m3_map(self):
+        def act(a):
+            d = [a[0, 0] + a[1, 1], a[1, 1] + a[2, 2], a[2, 2] + a[0, 0]]
+            return np.diag(d).astype(complex) - (a - np.diag(np.diag(a)))
+        self.assert_same_bytes(choi_m3_map(), kron_sum_choi(act, 3, 3))
+
+    @pytest.mark.parametrize("dim_in, dim_out", [(0, 0), (-1, -1), (0, 2), (2, 0), (-1, 1)])
+    def test_dimensions_checked(self, dim_in, dim_out):
+        with pytest.raises(BadChoi, match="at least 1"):
+            maps.map_from_action(lambda a: a, dim_in, dim_out)
+
+    @pytest.mark.parametrize("action", [lambda a: a, lambda a: a[:1], lambda a: a[0],
+                                        lambda a: 1.0],
+                             ids=["wrong-side", "not-square", "vector", "scalar"])
+    def test_image_shape_checked(self, action):
+        with pytest.raises(BadChoi, match="image of a matrix unit"):
+            maps.map_from_action(action, 2, 3)
+
+
 class TestGlobalPositivity:
     def test_identity_cp(self):
         gp = maps.global_positivity_test(maps.identity_map(3))

@@ -193,6 +193,39 @@ class TestIdentitiesOracle:
             assert abs(got[name] - want[name]) <= 1e-12, name
 
 
+def reference_draws(rng, n, samples):
+    """The samples of check_identities drawn one matrix per call: six normal
+    (n, n) draws for a, ξ, ψ, a uniform t, two for g, sample after sample."""
+    def rand():
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return m / linalg.frobenius(m)
+
+    draws = []
+    for _ in range(samples):
+        a, xi, psi = rand(), rand(), rand()
+        t = float(rng.uniform(-1.0, 1.0))
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        draws.append((a, xi, psi, t, g))
+    return tuple(np.array(column) for column in zip(*draws))
+
+
+class TestDraws:
+    """Two normal draws per sample read the generator's stream as eight do:
+    the same samples, so the same residuals, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("samples", [1, 7, 50])
+    def test_matches_one_matrix_per_call(self, n, samples, monkeypatch):
+        md = modular.build_modular(linalg.sample_density(n, 40 + n))
+        seed = 100 * n + samples
+        got = modular._draws(np.random.default_rng(seed), n, samples)
+        want = reference_draws(np.random.default_rng(seed), n, samples)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want, strict=True))
+        res = modular.check_identities(md, samples, seed)
+        monkeypatch.setattr(modular, "_draws", reference_draws)
+        assert res == modular.check_identities(md, samples, seed)
+
+
 class TestTensor:
     def test_tracial_product(self):
         md = modular.tensor_modular(
