@@ -251,8 +251,7 @@ def _cmd_hull_member(args, phi):
 def _cmd_probe(args, phi):
     m, n = _parse_dims(args.dims)
     rep = cones.probe_finite_dim_equality(m, n, args.seed, args.trials)
-    return {"dims": rep.dims, "trials": rep.trials, "max_residual": rep.max_residual,
-            "note": rep.note}, rep.max_residual <= args.tol
+    return rep, rep.max_residual <= args.tol
 
 
 def _cmd_map_analyze(args, phi):

@@ -17,6 +17,7 @@ import numpy as np
 from . import dykstra, linalg
 from .errors import (
     HullNotSupportedHere,
+    InvalidOption,
     LayoutMismatch,
     NotInCone,
     ShapeMismatch,
@@ -236,7 +237,6 @@ def hull_membership(
 class ProbeReport:
     dims: tuple[int, int]
     trials: int
-    residuals: list[float]
     max_residual: float
     note: str
 
@@ -261,6 +261,8 @@ def probe_finite_dim_equality(
     partial transpose are PSD, i.e. that the two descriptions of the
     intersection coincide at desk scale.
     """
+    if trials < 1:
+        raise InvalidOption(f"trials must be at least 1, got {trials}")
     md = tensor_modular(
         build_modular(linalg.sample_density(m, rho_seed, ridge=1e-2)),
         build_modular(linalg.sample_density(n, rho_seed + 1, ridge=1e-2)),
@@ -268,15 +270,13 @@ def probe_finite_dim_equality(
     layout = TensorLayout((m, n))
     spec = ConeSpec(INTERSECTION, layout=layout)
     pair = dykstra.PPTPair(layout, 2)
-    residuals = []
+    max_res = 0.0
     for t in range(trials):
         xi = sample_cone(md, spec, rho_seed + 1000 + t)
         a = _reduction_eig(md, xi)
         w, w_pt = pair.min_eigs(a)
-        residuals.append(max(0.0, -w, linalg.hermitian_deviation(a)[0], -w_pt))
-    max_res = max(residuals) if residuals else 0.0
-    return ProbeReport(dims=(m, n), trials=trials, residuals=residuals,
-                       max_residual=max_res, note=_PROBE_NOTE)
+        max_res = max(max_res, -w, linalg.hermitian_deviation(a)[0], -w_pt)
+    return ProbeReport(dims=(m, n), trials=trials, max_residual=max_res, note=_PROBE_NOTE)
 
 
 # -- commutant-form generators of the transposed cone ------------------------

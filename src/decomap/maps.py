@@ -33,12 +33,26 @@ from .modular import ModularData, build_modular, tensor_modular
 
 @dataclass(frozen=True)
 class MapObject:
-    """Linear map M_m -> M_n as a Choi matrix with dimension metadata."""
+    """Linear map M_m -> M_n as a Choi matrix with dimension metadata.
+
+    The Choi matrix must be (m n) x (m n), finite and Hermitian up to
+    ``DEFAULT.herm_rel``, or ``BadChoi`` is raised; its Hermitian part is kept.
+    """
 
     dim_in: int
     dim_out: int
     choi: np.ndarray
     label: str = ""
+
+    def __post_init__(self):
+        choi = np.asarray(self.choi, dtype=complex)
+        side = self.dim_in * self.dim_out
+        if choi.shape != (side, side):
+            raise BadChoi(f"Choi matrix must be {side}x{side}, got {choi.shape}")
+        try:
+            object.__setattr__(self, "choi", linalg.require_hermitian(choi))
+        except (NonFinite, NotHermitian) as exc:
+            raise BadChoi(f"Choi matrix: {exc}") from None
 
     @property
     def layout(self) -> TensorLayout:
@@ -46,16 +60,8 @@ class MapObject:
 
 
 def make_map(choi, dim_in: int, dim_out: int, label: str = "") -> MapObject:
-    """Wrap an explicit Choi matrix after validating shape and Hermiticity."""
-    choi = np.asarray(choi, dtype=complex)
-    side = dim_in * dim_out
-    if choi.shape != (side, side):
-        raise BadChoi(f"Choi matrix must be {side}x{side}, got {choi.shape}")
-    try:
-        choi = linalg.require_hermitian(choi)
-    except (NonFinite, NotHermitian) as exc:
-        raise BadChoi(f"Choi matrix: {exc}") from None
-    return MapObject(dim_in=dim_in, dim_out=dim_out, choi=choi, label=label)
+    """Wrap an explicit Choi matrix; ``MapObject`` validates it."""
+    return MapObject(dim_in, dim_out, choi, label=label)
 
 
 def map_from_action(action, dim_in: int, dim_out: int, label: str = "") -> MapObject:
@@ -103,10 +109,8 @@ def adjoint_map(v: np.ndarray, label: str = "") -> MapObject:
 def mix_maps(lam: float, phi: MapObject, psi: MapObject, label: str = "") -> MapObject:
     if (phi.dim_in, phi.dim_out) != (psi.dim_in, psi.dim_out):
         raise DimensionMismatch("mixed maps must share dimensions")
-    with np.errstate(over="ignore", invalid="ignore"):      # checked here instead
+    with np.errstate(over="ignore", invalid="ignore"):      # MapObject rejects inf / nan
         choi = lam * phi.choi + (1.0 - lam) * psi.choi
-    if not np.isfinite(choi).all():
-        raise BadChoi(f"mix weight {lam} makes a Choi matrix that is not finite")
     return MapObject(phi.dim_in, phi.dim_out, choi,
                      label=label or f"mix:{lam}:{phi.label}:{psi.label}")
 
@@ -202,9 +206,8 @@ class GlobalPositivity:
 def global_positivity_test(phi: MapObject, tol: float = DEFAULT.eig) -> GlobalPositivity:
     """CP iff the Choi matrix C is PSD; co-CP iff its factor-2 partial transpose
     is; each lowest eigenvalue is held against −tol·‖C‖."""
-    choi = linalg.require_hermitian(phi.choi)
-    floor = -tol * linalg.frobenius(choi)
-    w, w_pt = dykstra.PPTPair(phi.layout, 2).min_eigs(choi)
+    floor = -tol * linalg.frobenius(phi.choi)
+    w, w_pt = dykstra.PPTPair(phi.layout, 2).min_eigs(phi.choi)
     return GlobalPositivity(
         completely_positive=w >= floor,
         completely_copositive=w_pt >= floor,
@@ -327,7 +330,6 @@ def sk_sampler(phi: MapObject, k: int, trials: int, seed: int = 0) -> SkResult:
     of [a_ji] at least −DEFAULT.cone·‖[a_ij]‖.  ``worst_output_eig`` is taken
     over the trials that are not set aside (inf if every trial is).
     """
-    linalg.require_hermitian(phi.choi)
     if trials < 1:
         raise InvalidOption(f"trials must be at least 1, got {trials}")
     m = phi.dim_in
@@ -335,7 +337,7 @@ def sk_sampler(phi: MapObject, k: int, trials: int, seed: int = 0) -> SkResult:
     worst = np.inf
     for t in range(trials):
         h = linalg.sample_hermitian(k * m, seed + t)
-        res = dykstra.project_intersection(h, pair, tol=_SK_TOL, max_iter=DEFAULT.max_iter)
+        res = dykstra.project_intersection(h, pair, tol=_SK_TOL)
         c = linalg.herm_part(res.point)
         out = amplify(phi, k, c)
         w = linalg.min_eig(out)
@@ -369,11 +371,9 @@ def decompose(phi: MapObject, tol: float = DEFAULT.cone,
     ``certified``: not decomposable; W ⪰ 0, W^{t2} ⪰ 0 and Tr(W C) < 0.
     ``capped``: no verdict within ``max_iter`` iterations.
     """
-    choi = linalg.require_hermitian(phi.choi)
-    split = dykstra.split_sum(choi, dykstra.PPTPair(phi.layout, 2), tol=tol,
+    split = dykstra.split_sum(phi.choi, dykstra.PPTPair(phi.layout, 2), tol=tol,
                               max_iter=max_iter)
-    mk = lambda c, tag: MapObject(phi.dim_in, phi.dim_out, linalg.herm_part(c),
-                                  label=f"{phi.label}{tag}")
+    mk = lambda c, tag: MapObject(phi.dim_in, phi.dim_out, c, label=f"{phi.label}{tag}")
     return DecompositionResult(
         cp_part=mk(split.part1, "#cp"),
         ccp_part=mk(split.part2, "#ccp"),

@@ -4,11 +4,14 @@ Given a positive unital phi: M_2 -> M_2 and a unit vector eta, the state
 omega_eta(a) = <eta, phi(a) eta> induces a left ideal L, a right ideal R,
 the quotient Hilbert space K_eta = M_2/L + M_2/R with its averaged inner
 product, a unital Jordan morphism rho_eta and an operator V_eta with
-phi(a) eta = V_eta rho_eta(a) V_eta* eta.  The state is held as one 2 x 2
-matrix w[i, j] = omega_eta(E_ij): its density matrix is w^T, and its Gram
-forms on the matrix units, whose kernels are L and R, are I (x) w / 2 and
-w^T (x) I / 2.  The Jordan morphism is stored as the (2, 2, K, K) array of
-rho_eta(E_ij), so rho_eta of a stack of matrices is one contraction.
+phi(a) eta = V_eta rho_eta(a) V_eta* eta.  The state is held as the 2 x 2
+matrix w[i, j] = omega_eta(E_ij) (density matrix w^T), and all of it comes
+from one eigh w = u diag(lam) u*: the Gram forms I (x) w / 2, w^T (x) I / 2
+have eigenvalue lam_k / 2 on outer(e_i, u_k), outer(conj(u_k), e_j), which
+span L and R at the null vectors of w and, scaled, are an orthonormal basis
+of K_eta at the others.  There rho_eta(a) = (I_r (x) a) (+) (I_r (x) a)^T, a
+representation plus an anti-representation, stored as the (2, 2, K, K)
+array of rho_eta(E_ij): rho_eta of a stack of matrices is one contraction.
 
 When phi lies in a maximal face (phi(|xi><xi|) eta = 0) the ideals are
 known exactly, K_eta is four dimensional with an explicit orthonormal
@@ -32,7 +35,7 @@ from .errors import (
     NotUnital,
     ShapeMismatch,
 )
-from .linalg import DEFAULT, _unit
+from .linalg import DEFAULT
 from .maps import (
     MapObject,
     adjoint_map,
@@ -116,7 +119,7 @@ def sample_face_map(face: FaceSpec, terms: int, seed: int) -> MapObject:
         choi += weights[t] * adjoint_map(u).choi
         v = constrained_unitary(xic1, xic2)
         choi += weights[terms + t] * compose_transpose(adjoint_map(v)).choi
-    return MapObject(2, 2, linalg.herm_part(choi), label=f"face-sample:{seed}")
+    return MapObject(2, 2, choi, label=f"face-sample:{seed}")
 
 
 def symmetric_face_example() -> tuple[MapObject, FaceSpec]:
@@ -163,19 +166,14 @@ def _units_along(xi: np.ndarray) -> np.ndarray:
     return np.einsum("pi,qj->ijpq", xb, xb.conj())
 
 
-def _gram_blocks(w: np.ndarray):
-    """Gram forms of omega_eta on the matrix units, left and right.
-
-    gl[(i,j), (p,q)] = omega(E_ij* E_pq) / 2 = w[j, q] [i = p] / 2 and
-    gr[(i,j), (p,q)] = omega(E_pq E_ij*) / 2 = w[p, i] [j = q] / 2.
-    """
-    eye = np.eye(len(w))
-    return 0.5 * np.kron(eye, w), 0.5 * np.kron(w.T, eye)
-
-
-def _kernel_basis(g: np.ndarray, m: int) -> list[np.ndarray]:
-    w, v = np.linalg.eigh(linalg.herm_part(g))
-    return [v[:, s].reshape(m, m) for s in range(len(w)) if w[s] < DEFAULT.kernel]
+def _eigenmatrices(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """outer(e_i, x_k) and outer(conj(x_k), e_j) for each column x_k of x, as
+    stacks in the order (k, i) and (k, j).  For an eigenvector x_k of w they
+    are eigenmatrices of the Gram forms I (x) w / 2 and w^T (x) I / 2."""
+    eye = np.eye(len(x))
+    left = np.einsum("ip,qk->kipq", eye, x)
+    right = np.einsum("pk,jq->kjpq", x.conj(), eye)
+    return left.reshape(-1, *eye.shape), right.reshape(-1, *eye.shape)
 
 
 def build_local_decomposition(
@@ -187,12 +185,14 @@ def build_local_decomposition(
 ) -> StormerData:
     """Carry out the quotient construction for (phi, eta).
 
-    When phi sits in a maximal face (detected from the kernel of omega_eta
-    or supplied explicitly) the ideals are taken exactly and the explicit
-    four-element basis is emitted; otherwise the quotients are realized
-    numerically from the Gram spectrum.  tol is raised to at least
-    ``DEFAULT.cone``: the face test's candidate vector comes from a kernel
-    read at ``DEFAULT.kernel``, so the construction resolves no finer.
+    One eigh of w gives the ideal bases (Gram eigenvalue lam_k / 2 below
+    ``DEFAULT.kernel``) and the face candidate conj(u_0), the kernel vector
+    of the density matrix w^T when lam_0 is below ``DEFAULT.kernel``.  In a
+    maximal face (detected that way or supplied explicitly) the explicit
+    four-element basis is emitted; otherwise K_eta has the basis of the
+    other Gram eigenmatrices.  tol is raised to at least ``DEFAULT.cone``:
+    the face candidate comes from a kernel read at ``DEFAULT.kernel``, so
+    the construction resolves no finer.
     """
     m, n = phi.dim_in, phi.dim_out
     if (m, n) != (2, 2):
@@ -209,22 +209,16 @@ def build_local_decomposition(
 
     # w[i, j] = omega_eta(E_ij), over the stack of matrix units
     w = _omega(phi, eta, np.eye(m * m, dtype=complex).reshape(m, m, m, m))
-    gl, gr = _gram_blocks(w)
-    left_basis = _kernel_basis(gl, m)
-    right_basis = _kernel_basis(gr, m)
+    lam, u = np.linalg.eigh(linalg.herm_part(w))
+    left_basis, right_basis = map(list, _eigenmatrices(u[:, lam / 2 < DEFAULT.kernel]))
 
-    xi = None
-    if face is not None:
-        xi = face.xi
-    else:
-        # w^T is the density matrix of omega_eta; a kernel vector is a face candidate
-        w_d, v_d = np.linalg.eigh(linalg.herm_part(w.T))
-        if w_d[0] < DEFAULT.kernel:
-            xi = v_d[:, 0]
+    xi = face.xi if face is not None else None
+    if face is None and lam[0] < DEFAULT.kernel:
+        xi = u[:, 0].conj()             # w^T u_0* = lam_0 u_0*
     if xi is not None and np.linalg.norm(
             apply_map(phi, np.outer(xi, xi.conj())) @ eta) <= tol:
         return _build_face_case(phi, eta, xi, w, left_basis, right_basis)
-    return _build_generic(phi, eta, gl, gr, left_basis, right_basis)
+    return _build_generic(phi, eta, lam, u, left_basis, right_basis)
 
 
 def _build_face_case(phi, eta, xi, w, left_basis, right_basis):
@@ -278,33 +272,24 @@ def _build_face_case(phi, eta, xi, w, left_basis, right_basis):
     )
 
 
-def _build_generic(phi, eta, gl, gr, left_basis, right_basis):
+def _build_generic(phi, eta, lam, u, left_basis, right_basis):
+    """K_eta on the r Gram eigenmatrices of each side whose lam_k / 2 exceeds
+    ``DEFAULT.kernel``, left ones (a, 0) first.  Scaled by 1 / sqrt(lam_k / 2)
+    they are orthonormal; E_pq multiplies the left ones as I_r (x) E_pq and
+    the right ones, from the right, as I_r (x) E_qp."""
     m = 2
-    gram = np.zeros((8, 8), dtype=complex)
-    gram[:4, :4] = gl
-    gram[4:, 4:] = gr
-    w, v = np.linalg.eigh(linalg.herm_part(gram))
-    keep = w > DEFAULT.kernel
-    mu = w[keep]
-    vk = v[:, keep]
-    k_dim = int(keep.sum())
-    q_mat = (np.sqrt(mu)[:, None]) * vk.conj().T          # K x 8
-    q_plus = vk * (1.0 / np.sqrt(mu))[None, :]            # 8 x K
-
-    def rho_w(p, q):
-        # (a1, a2) -> (E_pq a1, a2 E_pq) on matrix-unit coordinates
-        e, eye = _unit(m, p, q), np.eye(m)
-        big = np.zeros((8, 8), dtype=complex)
-        big[:4, :4] = np.kron(e, eye)
-        big[4:, 4:] = np.kron(eye, e.T)
-        return big
-
-    rho_units = np.array([[q_mat @ rho_w(p, q) @ q_plus for q in range(m)]
-                          for p in range(m)])
+    keep = lam / 2 > DEFAULT.kernel
+    r = int(keep.sum())
+    k_dim = 2 * m * r
+    units = np.eye(m * m, dtype=complex).reshape(m, m, m, m)
+    rep = np.kron(np.eye(r), units)                                 # I_r (x) E_pq
+    rho_units = np.zeros((m, m, k_dim, k_dim), dtype=complex)
+    rho_units[..., :m * r, :m * r] = rep
+    rho_units[..., m * r:, m * r:] = rep.mT
 
     # column (i, j): the pair (E_ij, E_ij) in K_eta coordinates, and phi(E_ij) eta
-    d_mat = q_mat[:, :4] + q_mat[:, 4:]                   # K x 4
-    units = np.eye(m * m, dtype=complex).reshape(m, m, m, m)
+    scaled = u[:, keep] * np.sqrt(lam[keep] / 2)
+    d_mat = np.concatenate(_eigenmatrices(scaled)).conj().reshape(k_dim, m * m)  # K x 4
     phi_mat = (apply_map(phi, units) @ eta).reshape(4, m).T   # 2 x 4
     v_eta = phi_mat @ np.linalg.pinv(d_mat, rcond=_RCOND)
     lsq = float(np.linalg.norm(v_eta @ d_mat - phi_mat))

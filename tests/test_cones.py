@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decomap import cones, linalg, modular
-from decomap.errors import HullNotSupportedHere, LayoutMismatch, UnsupportedKind
+from decomap.errors import HullNotSupportedHere, InvalidOption, LayoutMismatch, UnsupportedKind
 from decomap.linalg import TensorLayout
 
 from conftest import SIGMA_X, assert_separates, random_matrix
@@ -287,8 +287,10 @@ class TestProbe:
         assert rep.max_residual <= 1e-8
 
     def test_empty(self):
-        rep = cones.probe_finite_dim_equality(2, 2, 53, 0)
-        assert rep.trials == 0 and rep.residuals == []
+        # with no trial the probe would pass untested
+        for trials in (0, -1):
+            with pytest.raises(InvalidOption):
+                cones.probe_finite_dim_equality(2, 2, 53, trials)
 
     def test_note_mentions_scope(self):
         rep = cones.probe_finite_dim_equality(2, 2, 54, 1)

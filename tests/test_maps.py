@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decomap import cones, dykstra, linalg, maps, modular
-from decomap.errors import BadChoi, InvalidOption, NoDetailedBalance, NonFinite, UnknownKind
+from decomap.errors import BadChoi, InvalidOption, NoDetailedBalance, UnknownKind
 from decomap.linalg import TensorLayout
 
 from conftest import (SIGMA_X, assert_separates, assert_split, assert_witness,
@@ -75,6 +75,18 @@ class TestRepresentation:
         choi[0, 0] = np.nan
         with pytest.raises(BadChoi):
             maps.make_map(choi, 2, 2)
+
+    def test_map_object_checks_its_choi(self, rng):
+        """Every map, however made, holds a finite Hermitian Choi matrix of
+        its side, and keeps the Hermitian part of the one it is given."""
+        with pytest.raises(BadChoi):
+            maps.MapObject(2, 2, np.eye(3))
+        h = linalg.herm_part(random_matrix(rng, 4))
+        near = h + 1e-14 * random_matrix(rng, 4)
+        phi = maps.MapObject(2, 2, near)
+        assert np.array_equal(phi.choi, linalg.herm_part(near))
+        with pytest.raises(BadChoi):
+            maps.mix_maps(np.nan, maps.identity_map(2), maps.transposition_map(2))
 
     def test_registry_keys(self, tmp_path):
         assert maps.map_from_key("identity:3").dim_in == 3
@@ -366,10 +378,11 @@ class TestSkSampler:
         assert not res.violation_found
 
     def test_non_finite_map_rejected(self):
+        # the map is refused where it is built, so no sampler sees it
         choi = maps.identity_map(2).choi.copy()
         choi[0, 0] = np.nan
-        with pytest.raises(NonFinite):
-            maps.sk_sampler(maps.MapObject(2, 2, choi), 1, trials=2)
+        with pytest.raises(BadChoi):
+            maps.MapObject(2, 2, choi)
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_trials_rejected(self, trials):
@@ -378,10 +391,12 @@ class TestSkSampler:
             maps.sk_sampler(maps.identity_map(2), 1, trials=trials)
 
     def test_infeasible_point_is_no_violation(self, monkeypatch):
-        # a projection that returns its indefinite input, outside both cones
-        monkeypatch.setattr(dykstra, "project_intersection",
-                            lambda x, pair, tol, max_iter: dykstra.DykstraResult(
-                                point=x, residual=1.0, iterations=max_iter, converged=False))
+        def unprojected(x, pair, tol, max_iter=linalg.DEFAULT.max_iter):
+            # a projection that returns its indefinite input, outside both cones
+            return dykstra.DykstraResult(point=x, residual=1.0, iterations=max_iter,
+                                         converged=False)
+
+        monkeypatch.setattr(dykstra, "project_intersection", unprojected)
         res = maps.sk_sampler(maps.identity_map(2), 2, trials=5, seed=0)
         assert not res.violation_found and res.witness is None and res.trials == 5
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from decomap import linalg, maps, stormer
+from decomap.linalg import DEFAULT
 from decomap.errors import InvalidOption, NotInFace, NotPositiveEvidence, NotUnital
 
 from conftest import SIGMA_X
@@ -12,6 +13,18 @@ FACE_E1 = stormer.FaceSpec(xi=E1, eta=E1)
 
 def ad_sigma_x():
     return maps.adjoint_map(SIGMA_X, label="ad-sx")
+
+
+def mixed_map():
+    """0.4 ad(u) + 0.6 ad(v) o t: positive and unital, not in a face at a random eta."""
+    u, v = linalg.sample_unitary(2, 11), linalg.sample_unitary(2, 12)
+    return maps.mix_maps(0.4, maps.adjoint_map(u), maps.compose_transpose(maps.adjoint_map(v)))
+
+
+def both_paths():
+    """A face map at its face vector e1 and the mixed map at a complex eta."""
+    return [(stormer.sample_face_map(FACE_E1, 2, seed=6), E1, True),
+            (mixed_map(), np.array([0.6, 0.8j]), False)]
 
 
 def diagonal_flip():
@@ -95,24 +108,24 @@ class TestBuild:
 
     def test_jordan_property(self):
         rng = np.random.default_rng(3)
-        phi = stormer.sample_face_map(FACE_E1, 2, seed=6)
-        data = stormer.build_local_decomposition(phi, E1, face=FACE_E1)
-        for _ in range(5):
-            a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            lhs = data.rho_of(a @ b + b @ a)
-            rhs = data.rho_of(a) @ data.rho_of(b) + data.rho_of(b) @ data.rho_of(a)
-            assert np.linalg.norm(lhs - rhs) <= 1e-9
+        for phi, eta, face_case in both_paths():
+            data = stormer.build_local_decomposition(phi, eta)
+            assert data.face_case == face_case
+            for _ in range(5):
+                a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                lhs = data.rho_of(a @ b + b @ a)
+                rhs = data.rho_of(a) @ data.rho_of(b) + data.rho_of(b) @ data.rho_of(a)
+                assert np.linalg.norm(lhs - rhs) <= 1e-9
 
     def test_rho_unital(self):
-        phi = stormer.sample_face_map(FACE_E1, 2, seed=7)
-        data = stormer.build_local_decomposition(phi, E1, face=FACE_E1)
-        assert np.allclose(data.rho_of(np.eye(2)), np.eye(4), atol=1e-10)
+        for phi, eta, face_case in both_paths():
+            data = stormer.build_local_decomposition(phi, eta)
+            assert data.face_case == face_case
+            assert np.allclose(data.rho_of(np.eye(2)), np.eye(data.k_dim), atol=1e-10)
 
     def test_generic_path_dimension(self):
-        u, v = linalg.sample_unitary(2, 11), linalg.sample_unitary(2, 12)
-        phi = maps.mix_maps(0.4, maps.adjoint_map(u),
-                            maps.compose_transpose(maps.adjoint_map(v)))
+        phi = mixed_map()
         rng = np.random.default_rng(7)
         eta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         eta /= np.linalg.norm(eta)
@@ -148,7 +161,28 @@ def reference_gram_blocks(phi, eta):
     return gl, gr
 
 
+def oracle_gram(phi, eta):
+    """blockdiag(gl, gr): the inner product of K_eta on pairs (a1, a2)."""
+    gram = np.zeros((8, 8), dtype=complex)
+    gram[:4, :4], gram[4:, 4:] = reference_gram_blocks(phi, eta)
+    return gram
+
+
+def spectral_basis(phi, eta):
+    """K_eta's basis from the spectrum of w, as the rows of a K x 8 array of
+    pairs (a1, a2): Gram eigenmatrices over sqrt(lam_k / 2), left ones first."""
+    w = stormer._omega(phi, eta, np.eye(4, dtype=complex).reshape(2, 2, 2, 2))
+    lam, u = np.linalg.eigh(linalg.herm_part(w))
+    keep = lam / 2 > DEFAULT.kernel
+    left, right = stormer._eigenmatrices(u[:, keep] / np.sqrt(lam[keep] / 2))
+    zero = np.zeros((len(left), 4))
+    return np.concatenate([np.hstack([left.reshape(-1, 4), zero]),
+                           np.hstack([zero, right.reshape(-1, 4)])])
+
+
 class TestGramBlocks:
+    """The spectral construction against the Gram forms filled from omega_eta."""
+
     @pytest.mark.parametrize("case", ["face", "generic"])
     def test_match_omega_loop(self, case):
         rng = np.random.default_rng(21)
@@ -157,13 +191,66 @@ class TestGramBlocks:
         if case == "face":
             phi = stormer.sample_face_map(stormer.FaceSpec(xi=E1, eta=eta), 2, seed=3)
         else:
-            u, v = linalg.sample_unitary(2, 11), linalg.sample_unitary(2, 12)
-            phi = maps.mix_maps(0.4, maps.adjoint_map(u),
-                                maps.compose_transpose(maps.adjoint_map(v)))
-        w = np.array([[stormer._omega(phi, eta, linalg._unit(2, i, j)) for j in range(2)]
-                      for i in range(2)])
-        for got, want in zip(stormer._gram_blocks(w), reference_gram_blocks(phi, eta)):
-            assert np.array_equal(got, want)
+            phi = mixed_map()
+        data = stormer.build_local_decomposition(phi, eta)
+        assert data.face_case == (case == "face")
+        gram = oracle_gram(phi, eta)
+        for g, basis in ((gram[:4, :4], data.left_ideal_basis),
+                         (gram[4:, 4:], data.right_ideal_basis)):
+            assert len(basis) == np.sum(np.linalg.eigvalsh(g) < DEFAULT.kernel)
+            for b in basis:
+                assert np.linalg.norm(b) == pytest.approx(1.0)
+                assert np.linalg.norm(g @ b.reshape(-1)) <= 1e-12
+        basis = spectral_basis(phi, eta)
+        assert len(basis) == 8 - len(data.left_ideal_basis) - len(data.right_ideal_basis)
+        assert np.max(np.abs(basis.conj() @ gram @ basis.T - np.eye(len(basis)))) <= 1e-12
+
+    @pytest.mark.parametrize("eta", [np.array([0.6, 0.8j]), np.array([1.0, 0.0]),
+                                     np.array([1.0, 1.0]) / np.sqrt(2.0)])
+    def test_generic_path_in_oracle_basis(self, eta):
+        """rho_eta(E_pq) is left / right multiplication by E_pq read in the basis
+        through the oracle Gram forms, and V_eta maps the coordinates of
+        (E_pq, E_pq) to phi(E_pq) eta."""
+        phi = mixed_map()
+        data = stormer.build_local_decomposition(phi, eta)
+        assert not data.face_case and data.k_dim == 8
+        gram = oracle_gram(phi, eta)
+        basis = spectral_basis(phi, eta).T                          # 8 x K
+        for p in range(2):
+            for q in range(2):
+                e = linalg._unit(2, p, q)
+                act = np.zeros((8, 8), dtype=complex)
+                act[:4, :4], act[4:, 4:] = np.kron(e, np.eye(2)), np.kron(np.eye(2), e.T)
+                rho = basis.conj().T @ gram @ act @ basis
+                assert np.max(np.abs(data.rho_units[p, q] - rho)) <= 1e-12
+                coords = basis.conj().T @ gram @ np.concatenate([e.reshape(-1)] * 2)
+                image = maps.apply_map(phi, e) @ eta
+                assert np.linalg.norm(data.v_eta @ coords - image) <= 1e-12
+
+
+class TestOneEigh:
+    @pytest.mark.parametrize("case", ["generic", "face-given", "face-detected"])
+    def test_one_2x2_eigh_outside_seesaw(self, case, monkeypatch):
+        """The construction makes one eigh, of w; the positivity see-saw's
+        are stacks of its live restarts."""
+        if case == "generic":
+            phi, eta, face = mixed_map(), np.array([0.6, 0.8j]), None
+        else:
+            phi, face = stormer.symmetric_face_example()
+            eta, face = face.eta, (face if case == "face-given" else None)
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        data = stormer.build_local_decomposition(phi, eta, face=face)
+        assert data.face_case == (case != "generic")
+        assert [s for s in shapes if len(s) == 2] == [(2, 2)]
+        assert all(len(s) == 3 and s[0] <= 8 and s[1:] == (2, 2)
+                   for s in shapes if len(s) != 2)
 
 
 def reference_face_forms(phi, eta, xi):
@@ -245,9 +332,7 @@ class TestFaceFromOmega:
             phi, face = stormer.symmetric_face_example()
             data = stormer.build_local_decomposition(phi, face.eta, face=face)
         else:
-            u, v = linalg.sample_unitary(2, 11), linalg.sample_unitary(2, 12)
-            phi = maps.mix_maps(0.4, maps.adjoint_map(u),
-                                maps.compose_transpose(maps.adjoint_map(v)))
+            phi = mixed_map()
             data = stormer.build_local_decomposition(phi, np.array([0.6, 0.8]))
         assert data.rho_units.shape == (2, 2, data.k_dim, data.k_dim)
         a = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
@@ -269,9 +354,7 @@ class TestVerifyOracle:
         assert abs(rep.max_residual - locdec_oracle(phi, data, samples, seed)) <= 1e-12
 
     def test_generic_case(self):
-        u, v = linalg.sample_unitary(2, 11), linalg.sample_unitary(2, 12)
-        phi = maps.mix_maps(0.4, maps.adjoint_map(u),
-                            maps.compose_transpose(maps.adjoint_map(v)))
+        phi = mixed_map()
         eta = np.array([0.6, 0.8j])
         data = stormer.build_local_decomposition(phi, eta)
         assert not data.face_case
