@@ -225,8 +225,8 @@ def hull_membership(
     if dev > bound:
         return MembershipResult(inside=False, residual=dev)
     scale = 2.0 ** np.frexp(linalg.frobenius(c))[1]
-    split = dykstra.split_sum(linalg.herm_part(c) / scale, dykstra.PPTPair(layout, 2),
-                              tol=tol, max_iter=max_iter)
+    split = dykstra.split_sum(c / scale, dykstra.PPTPair(layout, 2), tol=tol,
+                              max_iter=max_iter)
     witness = None if split.witness is None else _pull_back(md, split.witness)
     return MembershipResult(inside=split.converged, residual=split.residual * scale,
                             witness=witness, stop_reason=split.stop_reason,

@@ -17,9 +17,10 @@ The pair also answers the pointwise question, λmin of x and of x^Γ
 (``PPTPair.min_eigs``), for the CP / co-CP test, the intersection probe and
 the S_k sampler's re-check.
 
-Inputs are validated once, when a pair is built and when a solve starts.
-Callers reach the solvers through this module, one call per solve, which
-lets the benchmark count solves and stop reasons by wrapping them.
+Inputs are validated once, when a pair is built and when a solve starts;
+``split_sum`` also takes its input's Hermitian part there, once.  Callers
+reach the solvers through this module, one call per solve, which lets the
+benchmark count solves and stop reasons by wrapping them.
 """
 
 from __future__ import annotations
@@ -232,10 +233,26 @@ def split_sum(
     """Decide c = a + b with a ∈ K1, b ∈ K2 by Douglas–Rachford.
 
     On the stack z = [a, b^Γ] both cones are the PSD cone, so an iteration
-    x = P_affine(z), y = clip(2x − z), z += y − x makes one batched clip, and
-    the parts (y's slots) lie in their cones at every stop.  Infeasible
+    x = P_affine(z), y = clip(2x − z), z' = z + y − x makes one batched clip,
+    and the parts (y's slots) lie in their cones at every stop.  Infeasible
     iterates diverge along a certificate direction (Banjac et al., JOTA
     2019), which :func:`_witness` reads off the gap.
+
+    The loop carries the affine step g, not z.  With P_affine(z) =
+    z + [g, g^Γ], g = (c − z₀ − z₁^Γ)/2, the update is z' = y − [g, g^Γ],
+    so z'₀ + z'₁^Γ = a + b − 2g and the next step is g' = g + gap/2, gap =
+    c − a − b.  The next clip's argument 2x' − z' = z' + 2[g', g'^Γ] is
+    s' = y + [h, h^Γ] with h = 2g' − g = g + gap.  Per iteration that is
+    h = g + gap, gap /= 2, g += gap, h^Γ and s = y + [h, h^Γ], on buffers
+    made once per solve; Γ permutes entries, so it commutes with them.
+
+    c is made Hermitian once, at entry; every later Hermitian matrix of the
+    loop is one only up to rounding, and the clip reads just the lower
+    triangle of s (``linalg._eig_clipper``), as ``eigh`` does.  An iterate
+    is thereby clipped as the Hermitian matrix its lower triangle defines,
+    which differs from the Hermitian part of s by rounding; the stop rules
+    and the witness read the parts and the gap as computed, so what a stop
+    reason proves does not rest on that choice.
 
     The start is the mean of the two extreme splits, one with all of c's PSD
     part in a and one with all of c^Γ's PSD part in b^Γ:
@@ -246,24 +263,18 @@ def split_sum(
     divergence direction does not depend on the start; the stop rules are
     those of every iteration and a certificate is checked on its own, so the
     start moves iteration counts, never what a stop reason proves.
-
-    The loop writes into buffers made once per solve, and its clip and
-    ‖gap‖ read them through workspaces made with them.  Γ permutes entries,
-    so it commutes with the elementwise updates: z[1]^Γ is carried as b − g
-    rather than transposed again.
     """
-    c = pair.validate(c, max_iter)
+    c = linalg.herm_part(pair.validate(c, max_iter))
     pt = pair.pt
     c_norm = linalg.frobenius(c)
     c_trace = np.trace(c).real
     bound = tol * min(1.0, c_norm)
-    z = np.empty((2,) + c.shape, dtype=complex)
-    z0, z1 = z
-    step, s, y = np.empty((3,) + z.shape, dtype=complex)
-    g, g_pt = step
+    s, y, hh = np.empty((3, 2) + c.shape, dtype=complex)
+    z0, z1 = s                  # the start's z, built where the first s goes
     a, y1 = y
-    b, gap = np.empty((2,) + c.shape, dtype=complex)
-    clip = linalg._clipper(s, y)
+    h, h_pt = hh
+    g, b, gap = np.empty((3,) + c.shape, dtype=complex)
+    clip = linalg._eig_clipper(s, y)
     gap_norm = linalg._norm_reader(gap)
     two = linalg._TWO
     s[0] = c
@@ -275,15 +286,15 @@ def split_sum(
     np.subtract(c, a, out=gap)
     pt(gap, out=z1)
     np.add(z1, y1, out=z1)      # (c − c₊)^Γ + P
-    np.divide(z, two, out=z)
-    z1_pt = pt(z1)              # z[1]^Γ
+    np.divide(s, two, out=s)
+    pt(z1, out=h)               # z[1]^Γ
+    np.subtract(c, z0, out=g)
+    np.subtract(g, h, out=g)
+    np.divide(g, two, out=g)
+    np.multiply(g, two, out=h)
+    pt(h, out=h_pt)
+    np.add(s, hh, out=s)        # s = z + 2[g, g^Γ]
     for it in range(1, max_iter + 1):
-        np.subtract(c, z0, out=g)
-        np.subtract(g, z1_pt, out=g)
-        np.divide(g, two, out=g)
-        pt(g, out=g_pt)
-        np.multiply(step, two, out=s)
-        np.add(s, z, out=s)
         clip()
         pt(y1, out=b)
         np.subtract(c, a, out=gap)
@@ -295,8 +306,11 @@ def split_sum(
             witness = _witness(gap, c, c_trace, c_norm, pt)
             if witness is not None:
                 return SplitResult(a, b, res, it, "certified", witness)
-        np.subtract(y, step, out=z)
-        np.subtract(b, g, out=z1_pt)
+        np.add(g, gap, out=h)
+        np.divide(gap, two, out=gap)
+        np.add(g, gap, out=g)
+        pt(h, out=h_pt)
+        np.add(y, hh, out=s)
     return SplitResult(a, b, res, max_iter, "capped")
 
 

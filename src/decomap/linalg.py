@@ -133,21 +133,39 @@ def _psd_clip(x: np.ndarray) -> np.ndarray:
 
 
 def _clipper(x: np.ndarray, out: np.ndarray):
-    """The PSD clip of the buffer x into the buffer out, as a call without
-    arguments that reads x as it is then.
+    """The PSD clip of the Hermitian part of the buffer x into the buffer out,
+    as a call without arguments that reads x as it is then.
 
-    A solve makes one per buffer pair and calls it every iteration: the
-    buffers and views that do not change (xᵀ, the scaled eigenvectors) are
-    made here, once.  ``eigh`` is looked up at each call.
+    It writes (x + x*)/2 into out and clips that in place with
+    :func:`_eig_clipper`.  A solve makes one per buffer pair and calls it
+    every iteration: xᵀ and the clip's own workspace are made here, once.
     """
     xt = x.swapaxes(-1, -2)
+    clip_out = _eig_clipper(out, out)
+
+    def clip() -> np.ndarray:
+        np.conjugate(xt, out=out)
+        np.add(out, x, out=out)
+        np.divide(out, _TWO, out=out)
+        return clip_out()
+    return clip
+
+
+def _eig_clipper(x: np.ndarray, out: np.ndarray):
+    """The PSD clip of the Hermitian matrix (or stack) whose lower triangle
+    is the buffer x's, into the buffer out (which may be x), as a call
+    without arguments that reads x as it is then.
+
+    ``eigh`` reads only the lower triangle and the real part of the
+    diagonal, so x's upper triangle is never read: x needs to be Hermitian
+    only up to what that triangle holds, and no symmetrization is made.  The
+    clip is V·max(w, 0)·V*.  The scaled eigenvectors' buffer is made here,
+    once; ``eigh`` is looked up at each call.
+    """
     vw = np.empty(x.shape, dtype=complex)
 
     def clip() -> np.ndarray:
-        h = np.conjugate(xt, out=out)
-        np.add(h, x, out=h)
-        np.divide(h, _TWO, out=h)
-        w, v = np.linalg.eigh(h)
+        w, v = np.linalg.eigh(x)
         np.maximum(w, _ZERO, out=w)
         np.multiply(v, w[..., None, :], out=vw)
         return np.matmul(vw, np.conjugate(v, out=v).swapaxes(-1, -2), out=out)

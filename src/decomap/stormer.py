@@ -218,7 +218,13 @@ def build_local_decomposition(
     if xi is not None and np.linalg.norm(
             apply_map(phi, np.outer(xi, xi.conj())) @ eta) <= tol:
         return _build_face_case(phi, eta, xi, w, left_basis, right_basis)
-    return _build_generic(phi, eta, lam, u, left_basis, right_basis)
+    return _build_generic(phi, eta, w, lam, u, left_basis, right_basis)
+
+
+def _images_of_units(phi, eta):
+    """The 2 x 4 array of phi(E_ij) eta, column (i, j)."""
+    units = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)
+    return (apply_map(phi, units) @ eta).reshape(4, 2).T
 
 
 def _build_face_case(phi, eta, xi, w, left_basis, right_basis):
@@ -226,7 +232,10 @@ def _build_face_case(phi, eta, xi, w, left_basis, right_basis):
 
     omega_eta is linear, omega_eta(x) = sum_ij x_ij w[i, j], so the averaged
     inner product <(a1, a2), (b1, b2)> = (omega(a1* b1) + omega(b2 a2*)) / 2
-    and rho_eta(E_pq) in the basis k1..k4 are contractions against w.
+    and rho_eta(E_pq) in the basis k1..k4 are contractions against w.  So
+    are the coordinates <k_s, (E_ij, E_ij)> = (conj(r0[s]) w + w conj(r1[s]))
+    [i, j] / 2, against which V_eta is checked: V_eta maps them to
+    phi(E_ij) eta.
     """
     e = _units_along(xi)
     eb = complete_basis(eta)
@@ -253,6 +262,9 @@ def _build_face_case(phi, eta, xi, w, left_basis, right_basis):
     v_eta = np.zeros((2, 4), dtype=complex)           # V_eta k4 = 0
     v_eta[:, :3] = (apply_map(phi, r0[:3]) @ eta).T
     v_face = eb.conj().T @ v_eta
+    # column (i, j): the pair (E_ij, E_ij) in k1..k4 coordinates
+    d_mat = 0.5 * (r0.conj() @ w + w @ r1.conj()).reshape(4, 4)
+    lsq = float(np.linalg.norm(v_eta @ d_mat - _images_of_units(phi, eta)))
 
     return StormerData(
         left_ideal_basis=left_basis,
@@ -267,16 +279,18 @@ def _build_face_case(phi, eta, xi, w, left_basis, right_basis):
         beta=complex(beta),
         v_eta_face_matrix=v_face,
         basis_orthonormality_residual=float(ortho),
-        v_lsq_residual=0.0,
+        v_lsq_residual=lsq,
         v_norm=float(np.linalg.norm(v_eta, 2)),
     )
 
 
-def _build_generic(phi, eta, lam, u, left_basis, right_basis):
+def _build_generic(phi, eta, w, lam, u, left_basis, right_basis):
     """K_eta on the r Gram eigenmatrices of each side whose lam_k / 2 exceeds
     ``DEFAULT.kernel``, left ones (a, 0) first.  Scaled by 1 / sqrt(lam_k / 2)
     they are orthonormal; E_pq multiplies the left ones as I_r (x) E_pq and
-    the right ones, from the right, as I_r (x) E_qp."""
+    the right ones, from the right, as I_r (x) E_qp.  Their orthonormality
+    is measured, not assumed: the Gram matrix of each side under
+    I (x) w / 2 and w^T (x) I / 2, read from w as in the face case."""
     m = 2
     keep = lam / 2 > DEFAULT.kernel
     r = int(keep.sum())
@@ -287,10 +301,16 @@ def _build_generic(phi, eta, lam, u, left_basis, right_basis):
     rho_units[..., :m * r, :m * r] = rep
     rho_units[..., m * r:, m * r:] = rep.mT
 
+    half = lam[keep] / 2
+    left, right = _eigenmatrices(u[:, keep] / np.sqrt(half))
+    eye = np.eye(m * r)
+    ortho = max(np.max(np.abs(0.5 * np.einsum("spi,ij,tpj->st", left.conj(), w, left) - eye)),
+                np.max(np.abs(0.5 * np.einsum("tip,ij,sjp->st", right, w, right.conj()) - eye)))
+
     # column (i, j): the pair (E_ij, E_ij) in K_eta coordinates, and phi(E_ij) eta
-    scaled = u[:, keep] * np.sqrt(lam[keep] / 2)
+    scaled = u[:, keep] * np.sqrt(half)
     d_mat = np.concatenate(_eigenmatrices(scaled)).conj().reshape(k_dim, m * m)  # K x 4
-    phi_mat = (apply_map(phi, units) @ eta).reshape(4, m).T   # 2 x 4
+    phi_mat = _images_of_units(phi, eta)
     v_eta = phi_mat @ np.linalg.pinv(d_mat, rcond=_RCOND)
     lsq = float(np.linalg.norm(v_eta @ d_mat - phi_mat))
 
@@ -306,7 +326,7 @@ def _build_generic(phi, eta, lam, u, left_basis, right_basis):
         alpha=None,
         beta=None,
         v_eta_face_matrix=None,
-        basis_orthonormality_residual=0.0,
+        basis_orthonormality_residual=float(ortho),
         v_lsq_residual=lsq,
         v_norm=float(np.linalg.norm(v_eta, 2)),
     )

@@ -91,13 +91,13 @@ def assert_valid_split(res, c, pair):
 
 
 # -- the reference loops ---------------------------------------------------------
-# The solvers as they were before their loops moved to per-solve buffers, with
-# their kernels: a fresh array for every intermediate, Γ as reshape → swapaxes
-# → reshape, the norm through np.linalg.norm.  Copied verbatim except for the
-# kernel names (ref_*) and the split's start, the mean of its two extreme
-# splits, written with the same operations on fresh arrays.  The buffered
-# loops must return exactly what these return, bit for bit, with the same
-# counts and stop reasons.
+# The solvers in their fresh-array form: a new array for every intermediate,
+# Γ as reshape → swapaxes → reshape, the norm through np.linalg.norm.  The
+# intersection loop is the one from before the loops moved to per-solve
+# buffers, copied verbatim except for the kernel names (ref_*).  The split
+# loop is the g/h recurrence of split_sum, written with the same operations
+# on fresh arrays.  The buffered loops must return exactly what these
+# return, bit for bit, with the same counts and stop reasons.
 
 _REF_WITNESS_EVERY = 8
 _REF_MEMORY = 5
@@ -108,9 +108,15 @@ def ref_frobenius(x):
     return float(np.linalg.norm(x))
 
 
-def ref_psd_clip(x):
-    w, v = np.linalg.eigh((x + x.conj().swapaxes(-1, -2)) / 2)
+def ref_eig_clip(x):
+    """The PSD clip of the Hermitian matrix whose lower triangle is x's; x
+    is not symmetrized."""
+    w, v = np.linalg.eigh(x)
     return (v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def ref_psd_clip(x):
+    return ref_eig_clip((x + x.conj().swapaxes(-1, -2)) / 2)
 
 
 def ref_pt(pair):
@@ -180,6 +186,34 @@ def ref_anderson(states, images):
 
 
 def ref_split_sum(c, pair, tol=linalg.DEFAULT.cone, max_iter=linalg.DEFAULT.max_iter):
+    c = pair.validate(c, max_iter)
+    c = (c + c.conj().T) / 2
+    pt = ref_pt(pair)
+    bound = tol * min(1.0, ref_frobenius(c))
+    y = ref_eig_clip(np.stack((c, pt(c))))     # [c₊, (c^Γ)₊]
+    z = np.stack((y[0] + (c - pt(y[1])), pt(c - y[0]) + y[1])) / 2
+    g = (c - z[0] - pt(z[1])) / 2
+    s = z + 2 * np.stack((g, pt(g)))
+    for it in range(1, max_iter + 1):
+        y = ref_eig_clip(s)
+        a, b = y[0], pt(y[1])
+        gap = c - a - b
+        res = ref_frobenius(gap)
+        if res <= bound:
+            return dykstra.SplitResult(a, b, res, it, "converged")
+        if it % _REF_WITNESS_EVERY == 0:
+            witness = ref_witness(gap, c, pt)
+            if witness is not None:
+                return dykstra.SplitResult(a, b, res, it, "certified", witness)
+        h = g + gap
+        g = g + gap / 2
+        s = y + np.stack((h, pt(h)))
+    return dykstra.SplitResult(a, b, res, max_iter, "capped")
+
+
+def ref_split_sum_resym(c, pair, tol=linalg.DEFAULT.cone, max_iter=linalg.DEFAULT.max_iter):
+    """The split loop as it was before the g/h recurrence: z carried, every
+    clip's argument symmetrized, c taken as given."""
     c = pair.validate(c, max_iter)
     pt = ref_pt(pair)
     bound = tol * min(1.0, ref_frobenius(c))
@@ -446,6 +480,102 @@ class TestBitIdentical:
         for c in (choi_map_choi(), linalg.sample_hermitian(9, 3)):
             assert_same_split(c, pair, max_iter=max_iter)
             assert_same_intersection(c, pair, max_iter=max_iter)
+
+
+def block_positive_choi(n, seed, margin):
+    """H − (μ − margin)·I on C^2 ⊗ C^n, μ = H's product minimum: block-positive,
+    so decomposable for n ≤ 3 (Størmer–Woronowicz), at distance about
+    ``margin`` from the boundary of the block-positive cone."""
+    h = linalg.sample_hermitian(2 * n, seed)
+    return h - (product_minimum(h, n) - margin) * np.eye(2 * n)
+
+
+class TestAgainstResymmetrizedLoop:
+    """split_sum against the loop it replaced, which carried z and symmetrized
+    every clip's argument.  The two differ by rounding only, so every input
+    keeps its stop reason and iteration count, and the parts agree within
+    1e-10·max(1, ‖c‖)."""
+
+    @staticmethod
+    def assert_same_course(c, pair):
+        got, ref = dykstra.split_sum(c, pair), ref_split_sum_resym(c, pair)
+        assert (got.stop_reason, got.iterations) == (ref.stop_reason, ref.iterations)
+        slack = 1e-10 * max(1.0, linalg.frobenius(c))
+        assert linalg.frobenius(got.part1 - ref.part1) <= slack
+        assert linalg.frobenius(got.part2 - ref.part2) <= slack
+        return got
+
+    def test_criterion_6_maps(self):
+        for phi in decomposable_test_set():
+            c = linalg.require_hermitian(phi.choi)
+            assert self.assert_same_course(c, dykstra.PPTPair(phi.layout, 2)).converged
+
+    def test_choi_map_conjugates(self):
+        """Local conjugates are Hermitian only up to rounding: the old loop
+        split them as given, split_sum splits their Hermitian part."""
+        pair = dykstra.PPTPair(TensorLayout((3, 3)), 2)
+        stops = {self.assert_same_course(c, pair).stop_reason
+                 for c in local_conjugates(choi_map_choi(), 3, 12, 900)}
+        assert stops == {"certified"}
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_gue_inputs(self, dims, factor):
+        pair = dykstra.PPTPair(TensorLayout(dims), factor)
+        for seed in range(2):
+            self.assert_same_course(linalg.sample_hermitian(pair.layout.side, 40 + seed),
+                                    pair)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("margin", [1e-1, 1e-3])
+    def test_block_positive_maps(self, n, margin):
+        pair = dykstra.PPTPair(TensorLayout((2, n)), 2)
+        for seed in range(100, 104):
+            c = block_positive_choi(n, seed, margin)
+            assert self.assert_same_course(c, pair).converged
+
+
+class TestHermitianBoundary:
+    """The split makes its input Hermitian once, at entry, and its clip reads
+    only the lower triangle of its argument, as eigh does."""
+
+    @pytest.mark.parametrize("dims", LAYOUTS)
+    def test_eig_clipper_reads_the_lower_triangle(self, dims, rng):
+        """A garbage upper triangle and imaginary diagonal are never read: the
+        clip equals, bit for bit, that of the Hermitian completion of the
+        lower triangle, on a matrix and on a stack."""
+        side = int(np.prod(dims))
+        x = np.stack([random_matrix(rng, side) for _ in range(3)])
+        lower = np.tril(x, -1)
+        completion = lower + lower.conj().swapaxes(-1, -2) + np.eye(side) * x.real
+        for got_in, want_in in ((x, completion), (x[0], completion[0])):
+            got = linalg._eig_clipper(got_in, np.empty_like(got_in))()
+            want = linalg._eig_clipper(want_in, np.empty_like(want_in))()
+            assert np.array_equal(got, want)
+            assert np.array_equal(want, linalg._psd_clip(want_in))
+
+    @pytest.mark.parametrize("dims, make", [
+        ((3, 3), choi_map_choi),                                    # certified
+        ((3, 3), lambda: linalg.sample_hermitian(9, 7)),            # certified
+        ((2, 3), lambda: block_positive_choi(3, 101, 1e-3)),        # converged
+    ])
+    def test_anti_hermitian_noise_is_dropped(self, dims, make, rng):
+        """c + ε·A, A anti-Hermitian and ε = 1e-14·‖c‖, has c's Hermitian part
+        to the last bit, so its split is c's."""
+        pair = dykstra.PPTPair(TensorLayout(dims), 2)
+        c = make()
+        x = random_matrix(rng, len(c))
+        noise = (x - x.conj().T) / 2
+        assert np.array_equal(noise, -noise.conj().T)
+        noisy = c + 1e-14 * linalg.frobenius(c) * noise
+        assert not np.array_equal(noisy, c)
+        got, want = dykstra.split_sum(noisy, pair), dykstra.split_sum(c, pair)
+        assert (got.residual, got.iterations, got.stop_reason) == \
+            (want.residual, want.iterations, want.stop_reason)
+        assert np.array_equal(got.part1, want.part1)
+        assert np.array_equal(got.part2, want.part2)
+        assert (got.witness is None) == (want.witness is None)
+        assert got.witness is None or np.array_equal(got.witness, want.witness)
 
 
 def candidate_witness(gap, pair):

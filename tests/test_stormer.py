@@ -172,7 +172,11 @@ def spectral_basis(phi, eta):
     """K_eta's basis from the spectrum of w, as the rows of a K x 8 array of
     pairs (a1, a2): Gram eigenmatrices over sqrt(lam_k / 2), left ones first."""
     w = stormer._omega(phi, eta, np.eye(4, dtype=complex).reshape(2, 2, 2, 2))
-    lam, u = np.linalg.eigh(linalg.herm_part(w))
+    return basis_of_spectrum(*np.linalg.eigh(linalg.herm_part(w)))
+
+
+def basis_of_spectrum(lam, u):
+    """spectral_basis from a given eigendecomposition (lam, u)."""
     keep = lam / 2 > DEFAULT.kernel
     left, right = stormer._eigenmatrices(u[:, keep] / np.sqrt(lam[keep] / 2))
     zero = np.zeros((len(left), 4))
@@ -253,9 +257,9 @@ class TestOneEigh:
                    for s in shapes if len(s) != 2)
 
 
-def reference_face_forms(phi, eta, xi):
-    """Gram matrix and rho_eta(E_pq) of the face basis k1..k4, each inner
-    product evaluated through phi itself: (omega(a1* b1) + omega(b2 a2*)) / 2."""
+def face_pairs(phi, eta, xi):
+    """The face basis k1..k4 as pairs (a1, a2), and the inner product of
+    K_eta evaluated through phi itself: (omega(a1* b1) + omega(b2 a2*)) / 2."""
     xb = stormer.complete_basis(xi)
     e = {(i, j): np.outer(xb[:, i], xb[:, j].conj()) for i in range(2) for j in range(2)}
     s2 = np.sqrt(2)
@@ -265,7 +269,13 @@ def reference_face_forms(phi, eta, xi):
     def inner(pa, pb):
         return 0.5 * stormer._omega(phi, eta, pa[0].conj().T @ pb[0]) \
             + 0.5 * stormer._omega(phi, eta, pb[1] @ pa[1].conj().T)
+    return reps, inner
 
+
+def reference_face_forms(phi, eta, xi):
+    """Gram matrix and rho_eta(E_pq) of the face basis k1..k4, each inner
+    product evaluated through phi itself."""
+    reps, inner = face_pairs(phi, eta, xi)
     gram = np.array([[inner(ra, rb) for rb in reps] for ra in reps])
     rho = np.zeros((2, 2, 4, 4), dtype=complex)
     for p in range(2):
@@ -299,6 +309,47 @@ def face_cases():
         face = stormer.FaceSpec(xi=xi / np.linalg.norm(xi), eta=eta / np.linalg.norm(eta))
         cases.append((stormer.sample_face_map(face, 2, seed=seed), face))
     return cases
+
+
+class TestMeasuredResiduals:
+    """The orthonormality and V_eta residuals are measured on both paths, each
+    against an oracle that reads K_eta's inner product through phi.  Moving
+    the input off the construction's assumptions by delta makes each of
+    them about delta, so a residual reported as a constant would fail."""
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-6, 1e-3])
+    def test_generic_orthonormality(self, delta):
+        """max|G - I| over the kept basis, here read off the spectrum of
+        w + delta·H, under the Gram forms filled from omega_eta."""
+        phi, eta = mixed_map(), np.array([0.6, 0.8j])
+        w = stormer._omega(phi, eta, np.eye(4, dtype=complex).reshape(2, 2, 2, 2))
+        lam, u = np.linalg.eigh(linalg.herm_part(w) + delta * linalg.sample_hermitian(2, 5))
+        data = stormer._build_generic(phi, eta, w, lam, u, [], [])
+        basis = basis_of_spectrum(lam, u)
+        oracle = np.max(np.abs(basis.conj() @ oracle_gram(phi, eta) @ basis.T
+                               - np.eye(len(basis))))
+        assert abs(data.basis_orthonormality_residual - oracle) <= 1e-12
+        assert (oracle >= delta / 10) if delta else (oracle <= 1e-12)
+
+    @pytest.mark.parametrize("case", range(5))
+    @pytest.mark.parametrize("delta", [0.0, 1e-5])
+    def test_face_lsq_residual(self, case, delta):
+        """||V_eta D - Phi|| with D the k1..k4 coordinates of the pairs
+        (E_ij, E_ij) and Phi the phi(E_ij) eta; xi is moved off the face by
+        delta, and tol raised to 1e-3 so that the face path still runs."""
+        phi, face = face_cases()[case]
+        xi = face.xi + delta * np.array([1.0, 1.0j])
+        xi /= np.linalg.norm(xi)
+        data = stormer.build_local_decomposition(
+            phi, face.eta, face=stormer.FaceSpec(xi=xi, eta=face.eta), tol=1e-3)
+        assert data.face_case
+        reps, inner = face_pairs(phi, face.eta, xi)
+        units = [linalg._unit(2, i, j) for i in range(2) for j in range(2)]
+        coords = np.array([[inner(k, (e, e)) for e in units] for k in reps])
+        images = np.array([maps.apply_map(phi, e) @ face.eta for e in units]).T
+        oracle = np.linalg.norm(data.v_eta @ coords - images)
+        assert abs(data.v_lsq_residual - oracle) <= 1e-12
+        assert (oracle >= delta / 100) if delta else (oracle <= 1e-12)
 
 
 class TestFaceFromOmega:
