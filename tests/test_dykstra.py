@@ -346,8 +346,7 @@ class TestStart:
         decomposable; here C = H − (μ − 1e-1)·I, μ = H's product minimum."""
         pair = dykstra.PPTPair(TensorLayout((2, n)), 2)
         for seed in range(100, 104):
-            h = linalg.sample_hermitian(2 * n, seed)
-            c = h - (product_minimum(h, n) - 1e-1) * np.eye(2 * n)
+            c = block_positive_choi(n, seed, 1e-1)
             got = dykstra.split_sum(c, pair)
             assert got.stop_reason == "converged"
             assert_valid_split(got, c, pair)
