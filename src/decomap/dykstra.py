@@ -18,7 +18,9 @@ The pair also answers the pointwise question, λmin of x and of x^Γ
 the S_k sampler's re-check.
 
 Inputs are validated once, when a pair is built and when a solve starts;
-``split_sum`` also takes its input's Hermitian part there, once.  Callers
+each solver also takes its input's Hermitian part there, once, and its
+clips then read only the lower triangle of their argument
+(``linalg._eig_clipper``), so no iterate is symmetrized again.  Callers
 reach the solvers through this module, one call per solve, which lets the
 benchmark count solves and stop reasons by wrapping them.
 """
@@ -111,13 +113,23 @@ def project_intersection(
     From the third step on, the next state is the type-II Anderson
     extrapolation G[-1] − ΔG·γ of the last images G = T(U) (Walker & Ni,
     SIAM J. Numer. Anal. 2011), with real γ fitted by least squares to the
-    residuals F = T(U) − U.  Its weights sum to one, so it keeps Dykstra's
-    invariant x0 − x = p + q, which is why a fixed point's x is the nearest
-    point of the intersection and not just any point of it; real weights keep
-    Hermitian iterates Hermitian.  An extrapolated state is kept only if
-    ‖T(u) − u‖ there is no larger than at the state it replaced (Zhang,
-    O'Donoghue & Boyd, SIAM J. Optim. 2020); otherwise the memory is cleared
-    and the plain step taken.
+    residuals F = T(U) − U, formed as the combination α·G of the rows with
+    α = [γ₀, γ₁ − γ₀, …, 1 − γ_{m−1}] (:func:`_anderson`).  Its weights sum
+    to one, so it keeps Dykstra's invariant x0 − x = p + q, which is why a
+    fixed point's x is the nearest point of the intersection and not just any
+    point of it; real weights keep Hermitian iterates Hermitian.
+
+    x0 is made Hermitian once, at entry, and x0 above means that Hermitian
+    part: the anti-Hermitian part is orthogonal to every Hermitian matrix,
+    so the nearest point does not change.  Both clips then read only the
+    lower triangle of their argument (``linalg._eig_clipper``), as ``eigh``
+    does, and no iterate is symmetrized again; iterates are Hermitian up to
+    rounding, and each is clipped as the Hermitian matrix its lower
+    triangle defines.
+
+    An extrapolated state is kept only if ‖T(u) − u‖ there is no larger
+    than at the state it replaced (Zhang, O'Donoghue & Boyd, SIAM J. Optim.
+    2020); otherwise the memory is cleared and the plain step taken.
 
     ``iterations`` counts the evaluations of T, rejected ones included: two
     ``eigh`` each.  The residual ‖x' − y‖ vanishes exactly on the
@@ -132,7 +144,7 @@ def project_intersection(
     workspaces made once per solve, the extrapolation's when the solve
     first keeps that many rows.
     """
-    x = pair.validate(x0, max_iter)
+    x = linalg.herm_part(pair.validate(x0, max_iter))
     pt = pair.pt
     u = np.zeros((3,) + x.shape, dtype=complex)
     u[0] = x
@@ -143,8 +155,8 @@ def project_intersection(
     slots = [(tu, *tu) for tu in images]                            # T(u) and its rows
     extrapolate = [None] * (len(images) + 1)     # by rows kept, made on first use
     xp, y, yq, t, d = np.empty((5,) + x.shape, dtype=complex)
-    clip_y = linalg._clipper(xp, y)         # y = P1(xp)
-    clip_d = linalg._clipper(t, d)          # d = clip(yq^Γ), so P2(yq) = d^Γ
+    clip_y = linalg._eig_clipper(xp, y)     # y = P1(xp)
+    clip_d = linalg._eig_clipper(t, d)      # d = clip(yq^Γ), so P2(yq) = d^Γ
     res_norm = linalg._norm_reader(d)
     kept = 0                    # rows of the memory in use
     plain_step = None           # ‖T(u) − u‖ at the state u was extrapolated from
@@ -190,28 +202,30 @@ def project_intersection(
 
 
 def _anderson(images: np.ndarray, residuals: np.ndarray, out: np.ndarray):
-    """The type-II Anderson state G[-1] − ΔG·γ of the memory rows ``images``
-    (G) and ``residuals`` (F), written into ``out``, as a call without
-    arguments that reads the rows as they are then.
+    """The type-II Anderson state α·G of the memory rows ``images`` (G) and
+    ``residuals`` (F), written into ``out``, as a call without arguments
+    that reads the rows as they are then.
 
     γ minimises ‖F[-1] − ΔF·γ‖ on the real view, through its normal
-    equations with a ridge of ``_RIDGE`` times their trace.  A solve makes
-    one per memory length: the flat views of the rows and the ΔF, ΔG, Gram,
-    right-hand-side and correction buffers are made here, once, when the
-    solve first extrapolates from that many rows.
+    equations with a ridge of ``_RIDGE`` times their trace.  The state
+    G[-1] − ΔG·γ is the combination α·G of the rows with α = [γ₀, γ₁ − γ₀,
+    …, γ_{m−1} − γ_{m−2}, 1 − γ_{m−1}], whose weights sum to one; it is one
+    real matrix-vector product on the real view of G, without forming ΔG.
+    A solve makes one per memory length: the flat real views of the rows
+    and the ΔF, Gram, right-hand-side and α buffers are made here, once,
+    when the solve first extrapolates from that many rows.
     """
-    g = images.reshape(len(images), -1)
+    g = images.reshape(len(images), -1).view(float)
     f = residuals.reshape(len(g), -1).view(float)
-    g_new, g_old, g_last = g[1:], g[:-1], g[-1]
     f_new, f_old, f_last = f[1:], f[:-1], f[-1]
-    out = out.reshape(g_last.shape)
+    out = out.reshape(-1).view(float)
     df = np.empty(f_new.shape)
     df_t = df.T
-    dg = np.empty(g_new.shape, dtype=complex)
     gram = np.empty((len(df), len(df)))
     diagonal = gram.reshape(-1)[::len(gram) + 1]
     rhs = np.empty(len(df))
-    correction = np.empty_like(out)
+    alpha = np.empty(len(g))
+    head, tail = alpha[:-1], alpha[1:]
 
     def extrapolate() -> None:
         np.subtract(f_new, f_old, out=df)
@@ -219,8 +233,10 @@ def _anderson(images: np.ndarray, residuals: np.ndarray, out: np.ndarray):
         # the floor keeps the system regular when all residuals are equal (γ = 0)
         np.add(diagonal, _RIDGE * gram.trace() + _TINY, out=diagonal)
         gamma = np.linalg.solve(gram, np.matmul(df, f_last, out=rhs))
-        np.subtract(g_new, g_old, out=dg)
-        np.subtract(g_last, np.matmul(gamma, dg, out=correction), out=out)
+        head[...] = gamma
+        alpha[-1] = 1.0
+        np.subtract(tail, gamma, out=tail)
+        np.matmul(alpha, g, out=out)
     return extrapolate
 
 

@@ -127,28 +127,11 @@ def _psd_clip(x: np.ndarray) -> np.ndarray:
     """Clip the negative eigenvalues of the Hermitian part; no validation.
 
     Works on a matrix or on a stack of matrices (one batched ``eigh``); x is
-    left as it was.
+    left as it was.  The clip is :func:`_eig_clipper`'s, made in place on a
+    fresh (x + x*)/2.
     """
-    return _clipper(x, np.empty(x.shape, dtype=complex))()
-
-
-def _clipper(x: np.ndarray, out: np.ndarray):
-    """The PSD clip of the Hermitian part of the buffer x into the buffer out,
-    as a call without arguments that reads x as it is then.
-
-    It writes (x + x*)/2 into out and clips that in place with
-    :func:`_eig_clipper`.  A solve makes one per buffer pair and calls it
-    every iteration: xᵀ and the clip's own workspace are made here, once.
-    """
-    xt = x.swapaxes(-1, -2)
-    clip_out = _eig_clipper(out, out)
-
-    def clip() -> np.ndarray:
-        np.conjugate(xt, out=out)
-        np.add(out, x, out=out)
-        np.divide(out, _TWO, out=out)
-        return clip_out()
-    return clip
+    h = herm_part(x).astype(complex, copy=False)
+    return _eig_clipper(h, h)()
 
 
 def _eig_clipper(x: np.ndarray, out: np.ndarray):

@@ -52,9 +52,11 @@ def reference_split_sum(c, pair, tol=linalg.DEFAULT.cone, max_iter=linalg.DEFAUL
 
 def reference_intersection(x0, pair, tol=1e-13, max_iter=20000):
     """Plain Dykstra on (x, p, q), no acceleration and no stagnation stop: the
-    nearest-point reference for project_intersection.  Returns (point, steps)."""
-    proj1, proj2 = ref_projections(pair)
-    x = np.asarray(x0, dtype=complex)
+    nearest-point reference for project_intersection, which it follows in
+    taking x0's Hermitian part once, at entry, and clipping the lower
+    triangle.  Returns (point, steps)."""
+    proj1, proj2 = ref_projections(pair, ref_eig_clip)
+    x = linalg.herm_part(np.asarray(x0, dtype=complex))
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     for it in range(1, max_iter + 1):
@@ -92,12 +94,16 @@ def assert_valid_split(res, c, pair):
 
 # -- the reference loops ---------------------------------------------------------
 # The solvers in their fresh-array form: a new array for every intermediate,
-# Γ as reshape → swapaxes → reshape, the norm through np.linalg.norm.  The
-# intersection loop is the one from before the loops moved to per-solve
-# buffers, copied verbatim except for the kernel names (ref_*).  The split
-# loop is the g/h recurrence of split_sum, written with the same operations
-# on fresh arrays.  The buffered loops must return exactly what these
-# return, bit for bit, with the same counts and stop reasons.
+# Γ as reshape → swapaxes → reshape, the norm through np.linalg.norm.  Both
+# take their input's Hermitian part once, at entry, and clip with
+# ref_eig_clip, which reads the lower triangle and symmetrizes nothing.  The
+# intersection loop extrapolates with the weights α of _anderson; the split
+# loop is the g/h recurrence of split_sum.  Each is written with the same
+# operations as its buffered loop, on fresh arrays, and the buffered loops
+# must return exactly what these return, bit for bit, with the same counts
+# and stop reasons.  The *_resym loops are the ones these replaced, which
+# symmetrized every clip's argument; they are course references, held to
+# the same stops and counts with points within 1e-10·max(1, ‖x0‖).
 
 _REF_WITNESS_EVERY = 8
 _REF_MEMORY = 5
@@ -125,18 +131,18 @@ def ref_pt(pair):
     return lambda x: np.swapaxes(x.reshape(shape), factor - 1, k + factor - 1).reshape(side, side)
 
 
-def ref_projections(pair):
+def ref_projections(pair, clip=ref_psd_clip):
     """The pair's two projections from the reference kernels: the PSD clip,
     and Γ ∘ clip ∘ Γ."""
     pt = ref_pt(pair)
-    return ref_psd_clip, lambda x: pt(ref_psd_clip(pt(x)))
+    return clip, lambda x: pt(clip(pt(x)))
 
 
 def ref_project_intersection(x0, pair, tol=linalg.DEFAULT.cone,
                              max_iter=linalg.DEFAULT.max_iter):
     x = pair.validate(x0, max_iter)
-    pt = ref_pt(pair)
-    proj1, proj2 = ref_psd_clip, lambda x: pt(ref_psd_clip(pt(x)))
+    x = (x + x.conj().T) / 2
+    proj1, proj2 = ref_projections(pair, ref_eig_clip)
     u = np.stack((x, np.zeros_like(x), np.zeros_like(x)))
     states: list[np.ndarray] = []       # Anderson memory: states U ...
     images: list[np.ndarray] = []       # ... and their images T(U)
@@ -175,6 +181,64 @@ def ref_project_intersection(x0, pair, tol=linalg.DEFAULT.cone,
 
 
 def ref_anderson(states, images):
+    g = np.array(images).reshape(len(images), -1)
+    f = (g - np.array(states).reshape(g.shape)).view(float)
+    df = f[1:] - f[:-1]
+    gram = df @ df.T
+    # the floor keeps the system regular when all residuals are equal (γ = 0)
+    gram += (_REF_RIDGE * np.trace(gram) + np.finfo(float).tiny) * np.eye(len(gram))
+    gamma = np.linalg.solve(gram, df @ f[-1])
+    # α = [γ₀, γ₁ − γ₀, …, 1 − γ₋₁], the weights of G[-1] − ΔG·γ on the rows of G
+    alpha = np.append(gamma, 1.0) - np.insert(gamma, 0, 0.0)
+    return (alpha @ g.view(float)).view(complex).reshape(images[-1].shape)
+
+
+def ref_project_intersection_resym(x0, pair, tol=linalg.DEFAULT.cone,
+                                   max_iter=linalg.DEFAULT.max_iter):
+    """The intersection loop as it was before the Hermitian boundary: x0
+    taken as given, every clip's argument symmetrized, and the Anderson
+    state formed as G[-1] − ΔG·γ."""
+    x = pair.validate(x0, max_iter)
+    pt = ref_pt(pair)
+    proj1, proj2 = ref_psd_clip, lambda x: pt(ref_psd_clip(pt(x)))
+    u = np.stack((x, np.zeros_like(x), np.zeros_like(x)))
+    states: list[np.ndarray] = []       # Anderson memory: states U ...
+    images: list[np.ndarray] = []       # ... and their images T(U)
+    fallback = None                     # (T(u), ‖T(u) − u‖) of the state u extrapolated from
+    for it in range(1, max_iter + 1):
+        x, p, q = u
+        xp = x + p
+        y = proj1(xp)
+        yq = y + q
+        x = proj2(yq)
+        tu = np.stack((x, xp - y, yq - x))
+        step = ref_frobenius(tu - u)
+        if fallback is not None:
+            plain, plain_step = fallback
+            fallback = None
+            if step > plain_step:
+                states.clear()
+                images.clear()
+                u = plain
+                continue
+        point = x
+        res = ref_frobenius(x - y)
+        if res <= tol:
+            return dykstra.DykstraResult(point=point, residual=res, iterations=it,
+                                         converged=True)
+        states.append(u)
+        images.append(tu)
+        if len(images) < 2:
+            u = tu
+            continue
+        del states[:-_REF_MEMORY - 1], images[:-_REF_MEMORY - 1]
+        fallback = (tu, step)
+        u = ref_anderson_dg(states, images)
+    return dykstra.DykstraResult(point=point, residual=res, iterations=max_iter,
+                                 converged=False)
+
+
+def ref_anderson_dg(states, images):
     g = np.array(images).reshape(len(images), -1)
     f = (g - np.array(states).reshape(g.shape)).view(float)
     df = f[1:] - f[:-1]
@@ -262,6 +326,16 @@ def assert_same_intersection(x0, pair, **kw):
         (ref.residual, ref.iterations, ref.converged)
     assert np.array_equal(got.point, ref.point)
     return got
+
+
+def sampler_solves():
+    """The 180 (x0, pair) of the S_k sampler benchmark, k in 1..3, m in {2, 3}."""
+    for i in range(60):
+        m = 2 if i % 2 else 2 + (i // 2) % 2
+        k = 1 + i % 3
+        pair = dykstra.PPTPair(TensorLayout((k, m)), 1)
+        for t in range(3):
+            yield linalg.sample_hermitian(k * m, 5000 + 3 * i + t), pair
 
 
 def local_conjugates(c, n, count, seed):
@@ -435,13 +509,8 @@ class TestAcceleratedIntersection:
     def test_sampler_solves_converge(self):
         """The 180 solves of the S_k sampler benchmark, k in 1..3 and m in {2, 3}:
         all converge, bit-identical to the reference loop."""
-        for i in range(60):
-            m = 2 if i % 2 else 2 + (i // 2) % 2
-            k = 1 + i % 3
-            pair = dykstra.PPTPair(TensorLayout((k, m)), 1)
-            for t in range(3):
-                x0 = linalg.sample_hermitian(k * m, 5000 + 3 * i + t)
-                assert assert_same_intersection(x0, pair, tol=1e-11).converged
+        for x0, pair in sampler_solves():
+            assert assert_same_intersection(x0, pair, tol=1e-11).converged
 
 
 class TestBitIdentical:
@@ -534,9 +603,51 @@ class TestAgainstResymmetrizedLoop:
             assert self.assert_same_course(c, pair).converged
 
 
+class TestAgainstResymmetrizedIntersection:
+    """project_intersection against the loop it replaced, which took x0 as
+    given, symmetrized every clip's argument and formed the Anderson state
+    as G[-1] − ΔG·γ.  On Hermitian inputs the two differ by rounding only, so
+    every solve keeps its stop and iteration count, and the points agree
+    within 1e-10·max(1, ‖x0‖)."""
+
+    @staticmethod
+    def assert_same_course(x0, pair, **kw):
+        got = dykstra.project_intersection(x0, pair, **kw)
+        ref = ref_project_intersection_resym(x0, pair, **kw)
+        assert (got.converged, got.iterations) == (ref.converged, ref.iterations)
+        slack = 1e-10 * max(1.0, linalg.frobenius(x0))
+        assert linalg.frobenius(got.point - ref.point) <= slack
+        return got
+
+    def test_sampler_solves(self):
+        for x0, pair in sampler_solves():
+            assert self.assert_same_course(x0, pair, tol=1e-11).converged
+
+    @pytest.mark.parametrize("dims", LAYOUTS)
+    @pytest.mark.parametrize("factor", [1, 2])
+    @pytest.mark.parametrize("sample", [linalg.sample_hermitian, linalg.sample_psd])
+    def test_nearest_point_inputs(self, dims, factor, sample):
+        pair = dykstra.PPTPair(TensorLayout(dims), factor)
+        for seed in range(3):
+            x0 = sample(pair.layout.side, seed)
+            assert self.assert_same_course(x0, pair, tol=1e-11).converged
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_gue_inputs(self, dims, factor):
+        """The inputs of TestBitIdentical::test_gue_inputs, converged and at
+        its caps below rounding, where rejections reset the memory."""
+        pair = dykstra.PPTPair(TensorLayout(dims), factor)
+        for seed in range(2):
+            x = linalg.sample_hermitian(pair.layout.side, 40 + seed)
+            assert self.assert_same_course(x, pair, tol=1e-11).converged
+            for cap in (10, 12, 20, 30, 60):
+                self.assert_same_course(x, pair, tol=1e-300, max_iter=cap)
+
+
 class TestHermitianBoundary:
-    """The split makes its input Hermitian once, at entry, and its clip reads
-    only the lower triangle of its argument, as eigh does."""
+    """Both solvers make their input Hermitian once, at entry, and their
+    clips read only the lower triangle of their argument, as eigh does."""
 
     @pytest.mark.parametrize("dims", LAYOUTS)
     def test_eig_clipper_reads_the_lower_triangle(self, dims, rng):
@@ -575,6 +686,41 @@ class TestHermitianBoundary:
         assert np.array_equal(got.part2, want.part2)
         assert (got.witness is None) == (want.witness is None)
         assert got.witness is None or np.array_equal(got.witness, want.witness)
+
+    @pytest.mark.parametrize("dims", LAYOUTS)
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_intersection_reads_the_hermitian_part(self, dims, factor, rng):
+        """A non-Hermitian x0 is projected as its Hermitian part, bit for bit.
+        (The loop that symmetrized every clip is no reference here: it
+        projects x0 as given, and its iteration counts differ on such inputs,
+        by as many as 14 on 60 of them.)"""
+        pair = dykstra.PPTPair(TensorLayout(dims), factor)
+        for _ in range(3):
+            x0 = random_matrix(rng, pair.layout.side)
+            assert_same_intersection_result(x0, linalg.herm_part(x0), pair, tol=1e-11)
+
+    @pytest.mark.parametrize("dims, make", [
+        ((3, 3), choi_map_choi),
+        ((3, 3), lambda: linalg.sample_hermitian(9, 7)),
+        ((2, 3), lambda: block_positive_choi(3, 101, 1e-3)),
+    ])
+    def test_intersection_drops_anti_hermitian_noise(self, dims, make, rng):
+        """x0 + ε·A, A anti-Hermitian and ε = 1e-14·‖x0‖, has x0's Hermitian
+        part to the last bit, so its projection is x0's."""
+        pair = dykstra.PPTPair(TensorLayout(dims), 2)
+        x0 = make()
+        x = random_matrix(rng, len(x0))
+        noisy = x0 + 1e-14 * linalg.frobenius(x0) * (x - x.conj().T) / 2
+        assert not np.array_equal(noisy, x0)
+        assert_same_intersection_result(noisy, x0, pair, tol=1e-11)
+
+
+def assert_same_intersection_result(x0, x1, pair, **kw):
+    got, want = (dykstra.project_intersection(x0, pair, **kw),
+                 dykstra.project_intersection(x1, pair, **kw))
+    assert (got.residual, got.iterations, got.converged) == \
+        (want.residual, want.iterations, want.converged)
+    assert np.array_equal(got.point, want.point)
 
 
 def candidate_witness(gap, pair):
@@ -626,16 +772,16 @@ class TestWitnessBound:
 
 
 class CallCounter:
-    """Counts of linalg.frobenius, np.linalg.eigh and np.linalg.eigvalsh calls,
-    and per witness check whether it passed the trace bound and how many
-    eigvalsh calls it made."""
+    """Counts of linalg.frobenius, linalg.herm_part, np.linalg.eigh and
+    np.linalg.eigvalsh calls, and per witness check whether it passed the
+    trace bound and how many eigvalsh calls it made."""
 
     def __init__(self, monkeypatch):
-        self.calls = dict.fromkeys(("frobenius", "eigh", "eigvalsh"), 0)
+        self.calls = dict.fromkeys(("frobenius", "herm_part", "eigh", "eigvalsh"), 0)
         self.checks = []                    # (passed the bound, eigvalsh calls)
         self.paused = False
-        for module, name in ((linalg, "frobenius"), (np.linalg, "eigh"),
-                             (np.linalg, "eigvalsh")):
+        for module, name in ((linalg, "frobenius"), (linalg, "herm_part"),
+                             (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
             monkeypatch.setattr(module, name, self._counted(getattr(module, name), name))
         monkeypatch.setattr(dykstra, "_witness", self._checked(dykstra._witness))
 
@@ -698,7 +844,8 @@ class TestCallsPerSolve:
             calls = CallCounter(monkeypatch)
             res = dykstra.project_intersection(x0, pair, tol=1e-300, max_iter=max_iter)
             assert res.iterations == max_iter
-            assert calls.calls == {"frobenius": 0, "eigh": 2 * max_iter, "eigvalsh": 0}
+            assert calls.calls == {"frobenius": 0, "herm_part": 1, "eigh": 2 * max_iter,
+                                   "eigvalsh": 0}
             monkeypatch.undo()
 
     @pytest.mark.parametrize("dims", LAYOUTS)
