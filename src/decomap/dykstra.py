@@ -15,7 +15,11 @@ K2 = {a : a^Γ ⪰ 0}, with Γ the partial transpose of one tensor factor.
 
 The pair also answers the pointwise question, λmin of x and of x^Γ
 (``PPTPair.min_eigs``), for the CP / co-CP test, the intersection probe and
-the S_k sampler's re-check.
+the S_k sampler's re-check, and it makes a point of K1 ∩ K2 without a solve
+(``PPTPair.lift``): a PSD w plus the least multiple of I that puts w^Γ in
+the PSD cone, since I^Γ = I.  The split's dual witness and the S_k
+sampler's points are built that way; only ``cones.sample_cone`` still asks
+for the nearest point.
 
 Inputs are validated once, when a pair is built and when a solve starts;
 each solver also takes its input's Hermitian part there, once, and its
@@ -76,6 +80,16 @@ class PPTPair:
         """
         w = np.linalg.eigvalsh(linalg.herm_part(np.stack((x, self.pt(x)))))
         return float(w[0, 0]), float(w[1, 0])
+
+    def lift(self, w: np.ndarray) -> np.ndarray:
+        """w + μI, in place and returned, with μ = max(0, −λmin(w^Γ)).
+
+        μ is the least multiple of I that puts w^Γ in the PSD cone (I^Γ = I),
+        so a PSD w becomes a point of K1 ∩ K2 on the boundary of K2, or stays
+        as it is, bit for bit, when w^Γ is already PSD.  One ``eigvalsh``.
+        """
+        w += max(0.0, -linalg.min_eig(self.pt(w))) * np.eye(len(w))
+        return w
 
 
 @dataclass
@@ -319,7 +333,7 @@ def split_sum(
         if res <= bound:
             return SplitResult(a, b, res, it, "converged")
         if it % _WITNESS_EVERY == 0:
-            witness = _witness(gap, c, c_trace, c_norm, pt)
+            witness = _witness(gap, c, c_trace, c_norm, pair)
             if witness is not None:
                 return SplitResult(a, b, res, it, "certified", witness)
         np.add(g, gap, out=h)
@@ -331,13 +345,14 @@ def split_sum(
 
 
 def _witness(gap: np.ndarray, c: np.ndarray, c_trace: float, c_norm: float,
-             pt) -> np.ndarray | None:
+             pair: PPTPair) -> np.ndarray | None:
     """Unit W with W ⪰ 0, W^Γ ⪰ 0 and Tr(W c) < 0, proving c ∉ K1 + K2, or None.
 
-    W = P + sI with P the PSD part of −gap and s ≥ 0 the multiple of I
-    (I^Γ = I) that makes W^Γ PSD: a decomposable entanglement witness.  It
-    certifies when Tr(W c) < −κ‖W‖‖c‖, κ = ``DEFAULT.certificate``.  c_trace
-    is Re Tr c and c_norm is ‖c‖, both read once per solve.
+    W = P + sI with P the PSD part of −gap and s ≥ 0 the least multiple of I
+    that makes W^Γ PSD (``PPTPair.lift``): a decomposable entanglement
+    witness.  It certifies when Tr(W c) < −κ‖W‖‖c‖, κ =
+    ``DEFAULT.certificate``.  c_trace is Re Tr c and c_norm is ‖c‖, both
+    read once per solve.
 
     Before the second eigensolve (for s), a bound rules most checks out.
     s ≤ ‖P^Γ‖_F = ‖P‖_F, since Γ permutes entries, and ‖W‖ ≥ ‖P‖, since
@@ -354,7 +369,7 @@ def _witness(gap: np.ndarray, c: np.ndarray, c_trace: float, c_norm: float,
     lower = np.vdot(w, c).real + min(0.0, c_trace) * p_norm
     if lower >= -0.5 * DEFAULT.certificate * p_norm * c_norm:
         return None
-    w += max(0.0, -linalg.min_eig(pt(w))) * np.eye(len(w))
+    pair.lift(w)
     w_norm = norm()
     if np.vdot(w, c).real < -DEFAULT.certificate * w_norm * c_norm:
         return w / w_norm

@@ -317,15 +317,14 @@ class SkResult:
     worst_output_eig: float
 
 
-# sk_sampler projects its samples to this residual, three decades inside
-# DEFAULT.cone, so a projected point passes its re-check of the set
-_SK_TOL = 1e-11
-
-
 def sk_sampler(phi: MapObject, k: int, trials: int, seed: int = 0) -> SkResult:
     """Sample [a_ij] with [a_ij] and [a_ji] PSD; test λmin([phi(a_ij)]) against
     −DEFAULT.cone·‖[phi(a_ij)]‖, a scale-free floor.
 
+    Trial t draws a Hermitian h of M_k(M_m) (``sample_hermitian`` at seed
+    seed + t) and tests the point P + μI: P is h's PSD part and μ the least
+    multiple of I that makes the block transpose PSD (``PPTPair.lift``), so
+    a point costs one clip and one ``eigvalsh``, with no iterative solve.
     A violation is reported only for a point of the set: λmin of [a_ij] and
     of [a_ji] at least −DEFAULT.cone·‖[a_ij]‖.  ``worst_output_eig`` is taken
     over the trials that are not set aside (inf if every trial is).
@@ -337,13 +336,13 @@ def sk_sampler(phi: MapObject, k: int, trials: int, seed: int = 0) -> SkResult:
     worst = np.inf
     for t in range(trials):
         h = linalg.sample_hermitian(k * m, seed + t)
-        res = dykstra.project_intersection(h, pair, tol=_SK_TOL)
-        c = linalg.herm_part(res.point)
+        # the clip is Hermitian only up to rounding; the point is made exactly so
+        c = pair.lift(linalg.herm_part(linalg._psd_clip(h)))
         out = amplify(phi, k, c)
         w = linalg.min_eig(out)
         violated = w < -DEFAULT.cone * linalg.frobenius(out)
         if violated and min(pair.min_eigs(c)) < -DEFAULT.cone * linalg.frobenius(c):
-            continue            # the projection fell short: not a sample of the set
+            continue            # the point fell short: not a sample of the set
         worst = min(worst, w)
         if violated:
             return SkResult(k=k, violation_found=True, witness=c, trials=t + 1,

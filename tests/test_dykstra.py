@@ -329,7 +329,9 @@ def assert_same_intersection(x0, pair, **kw):
 
 
 def sampler_solves():
-    """The 180 (x0, pair) of the S_k sampler benchmark, k in 1..3, m in {2, 3}."""
+    """The 180 (x0, pair) that the S_k sampler benchmark solved, k in 1..3,
+    m in {2, 3}, when the sampler's points were nearest points of the
+    intersection; they stay as a family of project_intersection inputs."""
     for i in range(60):
         m = 2 if i % 2 else 2 + (i // 2) % 2
         k = 1 + i % 3
@@ -765,7 +767,7 @@ class TestWitnessBound:
             for _ in range(4):      # Tr(W c_t) = target·‖c_t‖ for c_t = c + tW
                 t = (target * ref_frobenius(c + t * w) - np.vdot(w, c).real) / w_norm**2
             c = c + t * w
-        got = dykstra._witness(gap, c, np.trace(c).real, linalg.frobenius(c), pair.pt)
+        got = dykstra._witness(gap, c, np.trace(c).real, linalg.frobenius(c), pair)
         ref = ref_witness(gap, c, ref_pt(pair))
         assert (got is None) == (ref is None)
         assert got is None or np.array_equal(got, ref)
@@ -793,9 +795,9 @@ class CallCounter:
         return counted
 
     def _checked(self, witness):
-        def checked(gap, c, c_trace, c_norm, pt):
+        def checked(gap, c, c_trace, c_norm, pair):
             before = self.calls["eigvalsh"]
-            out = witness(gap, c, c_trace, c_norm, pt)
+            out = witness(gap, c, c_trace, c_norm, pair)
             made = self.calls["eigvalsh"] - before
             self.paused = True
             p = ref_psd_clip(-gap)
@@ -906,6 +908,35 @@ def test_min_eigs_match_min_eig(dims, factor):
         want = (linalg.min_eig(h), linalg.min_eig(linalg.partial_transpose(h, layout, factor)))
         assert [type(w) for w in got] == [float, float]
         assert [w.hex() for w in got] == [w.hex() for w in want]
+
+
+@pytest.mark.parametrize("dims", LAYOUTS)
+@pytest.mark.parametrize("factor", [1, 2])
+class TestLift:
+    """PPTPair.lift adds the least multiple of I that puts w^Γ in the PSD
+    cone, in place."""
+
+    def test_ppt_input_keeps_its_bits(self, dims, factor):
+        # a product of two positive definite factors: w^Γ is positive definite, μ = 0
+        pair = dykstra.PPTPair(TensorLayout(dims), factor)
+        w = linalg.herm_part(np.kron(*(linalg.sample_psd(d, 20 + d) for d in dims)))
+        before = w.copy()
+        assert linalg.min_eig(pair.pt(w)) > 0
+        assert pair.lift(w) is w
+        assert w.tobytes() == before.tobytes()
+
+    def test_lifts_onto_the_boundary(self, dims, factor):
+        pair = dykstra.PPTPair(TensorLayout(dims), factor)
+        for seed in range(8):
+            p = linalg.herm_part(linalg._psd_clip(linalg.sample_hermitian(pair.layout.side, seed)))
+            mu = -linalg.min_eig(linalg.partial_transpose(p, pair.layout, factor))
+            assert mu > 0
+            w = pair.lift(p.copy())
+            assert np.array_equal(w, p + mu * np.eye(len(p)))
+            floor = 1e-12 * np.linalg.norm(w)
+            assert np.linalg.eigvalsh(w)[0] >= mu - floor
+            assert abs(np.linalg.eigvalsh(
+                linalg.partial_transpose(w, pair.layout, factor))[0]) <= floor
 
 
 class TestValidation:

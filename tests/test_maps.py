@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -391,14 +393,58 @@ class TestSkSampler:
             maps.sk_sampler(maps.identity_map(2), 1, trials=trials)
 
     def test_infeasible_point_is_no_violation(self, monkeypatch):
-        def unprojected(x, pair, tol, max_iter=linalg.DEFAULT.max_iter):
-            # a projection that returns its indefinite input, outside both cones
-            return dykstra.DykstraResult(point=x, residual=1.0, iterations=max_iter,
-                                         converged=False)
+        """Without the lift, each point is the PSD part P of its draw, whose
+        block transpose is not PSD: the transposition maps P to an output
+        with P^Γ's spectrum, a violation on every trial, which only the
+        sampler's re-check of the set keeps from being reported."""
+        phi, layout = maps.transposition_map(2), TensorLayout((2, 2))
+        for t in range(5):
+            p = linalg._psd_clip(linalg.sample_hermitian(4, t))
+            assert np.linalg.eigvalsh(linalg.partial_transpose(p, layout, 1))[0] < -1e-3
+            assert np.linalg.eigvalsh(maps.amplify(phi, 2, p))[0] < -1e-3
 
-        monkeypatch.setattr(dykstra, "project_intersection", unprojected)
-        res = maps.sk_sampler(maps.identity_map(2), 2, trials=5, seed=0)
+        monkeypatch.setattr(dykstra.PPTPair, "lift", lambda pair, w: w)
+        res = maps.sk_sampler(phi, 2, trials=5, seed=0)
         assert not res.violation_found and res.witness is None and res.trials == 5
+        assert res.worst_output_eig == np.inf
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 3), m=st.integers(2, 3), seed=st.integers(0, 2**16))
+    def test_points_lie_on_the_boundary_of_the_set(self, k, m, seed):
+        """Every point is in the set, both λmin at least −1e-12·‖c‖, and on its
+        boundary: μ is the least multiple of I, so one λmin is at most
+        1e-12·‖c‖.  The exception is a draw inside the set (h ≻ 0 and
+        h^Γ ≻ 0, seen at k = 1 only); its point may be interior."""
+        trials = 3
+        layout = TensorLayout((k, m))
+        points = []
+        amplify = maps.amplify
+
+        def spy(phi, level, c):
+            points.append(c.copy())
+            return amplify(phi, level, c)
+
+        with mock.patch.object(maps, "amplify", spy):
+            res = maps.sk_sampler(maps.identity_map(m), k, trials=trials, seed=seed)
+        assert not res.violation_found and len(points) == trials
+        for t, c in enumerate(points):
+            assert np.array_equal(c, c.conj().T)
+            floor = 1e-12 * np.linalg.norm(c)
+            low = min(np.linalg.eigvalsh(c)[0],
+                      np.linalg.eigvalsh(linalg.partial_transpose(c, layout, 1))[0])
+            assert low >= -floor
+            h = linalg.sample_hermitian(k * m, seed + t)
+            inside = (np.linalg.eigvalsh(h)[0] > 0
+                      and np.linalg.eigvalsh(linalg.partial_transpose(h, layout, 1))[0] > 0)
+            assert low <= floor or inside
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_reduction_map_violates_on_the_first_trial(self, seed):
+        """a -> Tr(a) I - 2a on M_2 fails S_2, and the first point shows it."""
+        phi = maps.map_from_action(lambda a: np.trace(a) * np.eye(2) - 2 * a, 2, 2)
+        res = maps.sk_sampler(phi, 2, trials=1, seed=seed)
+        assert res.violation_found and res.trials == 1
+        assert np.linalg.eigvalsh(maps.amplify(phi, 2, res.witness))[0] < 0
 
     @settings(max_examples=30, deadline=None)
     @given(k=st.integers(-12, 12), seed=st.integers(0, 2**16), level=st.integers(1, 2))
