@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from decomap import cones, linalg, modular
+from decomap import cones, dykstra, linalg, modular
 from decomap.errors import HullNotSupportedHere, InvalidOption, LayoutMismatch, UnsupportedKind
 from decomap.linalg import TensorLayout
 
@@ -93,6 +93,28 @@ class TestMembership:
         r = md_tensor22.rho_power(-0.25) @ xi @ md_tensor22.rho_power(-0.25)
         pt = linalg.partial_transpose(r, layout, 2)
         assert linalg.min_eig(pt) >= -1e-10
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_intersection_draws_stop_within_two_steps(dims, monkeypatch):
+    """Every intersection draw is a PSD Wishart matrix, and its nearest-point
+    solve converges by its second Dykstra step: project_intersection needs
+    no acceleration for the draws the package makes."""
+    solves = []
+    solve = dykstra.project_intersection
+
+    def spy(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(dykstra, "project_intersection", spy)
+    md = modular.tensor_modular(modular.build_modular(linalg.sample_density(dims[0], 3)),
+                                modular.build_modular(linalg.sample_density(dims[1], 4)))
+    spec = cones.ConeSpec(cones.INTERSECTION, layout=TensorLayout(dims))
+    for seed in range(50):
+        cones.sample_cone(md, spec, seed)
+    assert len(solves) == 50
+    assert all(res.converged and res.iterations <= 2 for res in solves)
 
 
 class TestUMapping:

@@ -1,5 +1,3 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,27 +48,6 @@ def reference_split_sum(c, pair, tol=linalg.DEFAULT.cone, max_iter=linalg.DEFAUL
     return False
 
 
-def reference_intersection(x0, pair, tol=1e-13, max_iter=20000):
-    """Plain Dykstra on (x, p, q), no acceleration and no stagnation stop: the
-    nearest-point reference for project_intersection, which it follows in
-    taking x0's Hermitian part once, at entry, and clipping the lower
-    triangle.  Returns (point, steps)."""
-    proj1, proj2 = ref_projections(pair, ref_eig_clip)
-    x = linalg.herm_part(np.asarray(x0, dtype=complex))
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    for it in range(1, max_iter + 1):
-        xp = x + p
-        y = proj1(xp)
-        p = xp - y
-        yq = y + q
-        x = proj2(yq)
-        q = yq - x
-        if linalg.frobenius(x - y) <= tol:
-            break
-    return x, it
-
-
 def choi_map_choi():
     """Choi matrix of Choi's positive, non-decomposable map on M_3."""
     def act(a):
@@ -97,17 +74,15 @@ def assert_valid_split(res, c, pair):
 # Γ as reshape → swapaxes → reshape, the norm through np.linalg.norm.  Both
 # take their input's Hermitian part once, at entry, and clip with
 # ref_eig_clip, which reads the lower triangle and symmetrizes nothing.  The
-# intersection loop extrapolates with the weights α of _anderson; the split
-# loop is the g/h recurrence of split_sum.  Each is written with the same
-# operations as its buffered loop, on fresh arrays, and the buffered loops
-# must return exactly what these return, bit for bit, with the same counts
-# and stop reasons.  The *_resym loops are the ones these replaced, which
-# symmetrized every clip's argument; they are course references, held to
-# the same stops and counts with points within 1e-10·max(1, ‖x0‖).
+# intersection loop is plain Dykstra on (x, p, q); the split loop is the g/h
+# recurrence of split_sum.  Each is written with the same operations as its
+# buffered loop, on fresh arrays, and the buffered loops must return exactly
+# what these return, bit for bit, with the same counts and stop reasons.
+# ref_split_sum_resym is the split loop that ref_split_sum replaced, which
+# symmetrized every clip's argument; it is a course reference, held to the
+# same stops and counts with parts within 1e-10·max(1, ‖c‖).
 
 _REF_WITNESS_EVERY = 8
-_REF_MEMORY = 5
-_REF_RIDGE = 1e-14
 
 
 def ref_frobenius(x):
@@ -143,110 +118,21 @@ def ref_project_intersection(x0, pair, tol=linalg.DEFAULT.cone,
     x = pair.validate(x0, max_iter)
     x = (x + x.conj().T) / 2
     proj1, proj2 = ref_projections(pair, ref_eig_clip)
-    u = np.stack((x, np.zeros_like(x), np.zeros_like(x)))
-    states: list[np.ndarray] = []       # Anderson memory: states U ...
-    images: list[np.ndarray] = []       # ... and their images T(U)
-    fallback = None                     # (T(u), ‖T(u) − u‖) of the state u extrapolated from
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
     for it in range(1, max_iter + 1):
-        x, p, q = u
         xp = x + p
         y = proj1(xp)
+        p = xp - y
         yq = y + q
         x = proj2(yq)
-        tu = np.stack((x, xp - y, yq - x))
-        step = ref_frobenius(tu - u)
-        if fallback is not None:
-            plain, plain_step = fallback
-            fallback = None
-            if step > plain_step:
-                states.clear()
-                images.clear()
-                u = plain
-                continue
-        point = x
+        q = yq - x
         res = ref_frobenius(x - y)
         if res <= tol:
-            return dykstra.DykstraResult(point=point, residual=res, iterations=it,
+            return dykstra.DykstraResult(point=x, residual=res, iterations=it,
                                          converged=True)
-        states.append(u)
-        images.append(tu)
-        if len(images) < 2:
-            u = tu
-            continue
-        del states[:-_REF_MEMORY - 1], images[:-_REF_MEMORY - 1]
-        fallback = (tu, step)
-        u = ref_anderson(states, images)
-    return dykstra.DykstraResult(point=point, residual=res, iterations=max_iter,
+    return dykstra.DykstraResult(point=x, residual=res, iterations=max_iter,
                                  converged=False)
-
-
-def ref_anderson(states, images):
-    g = np.array(images).reshape(len(images), -1)
-    f = (g - np.array(states).reshape(g.shape)).view(float)
-    df = f[1:] - f[:-1]
-    gram = df @ df.T
-    # the floor keeps the system regular when all residuals are equal (γ = 0)
-    gram += (_REF_RIDGE * np.trace(gram) + np.finfo(float).tiny) * np.eye(len(gram))
-    gamma = np.linalg.solve(gram, df @ f[-1])
-    # α = [γ₀, γ₁ − γ₀, …, 1 − γ₋₁], the weights of G[-1] − ΔG·γ on the rows of G
-    alpha = np.append(gamma, 1.0) - np.insert(gamma, 0, 0.0)
-    return (alpha @ g.view(float)).view(complex).reshape(images[-1].shape)
-
-
-def ref_project_intersection_resym(x0, pair, tol=linalg.DEFAULT.cone,
-                                   max_iter=linalg.DEFAULT.max_iter):
-    """The intersection loop as it was before the Hermitian boundary: x0
-    taken as given, every clip's argument symmetrized, and the Anderson
-    state formed as G[-1] − ΔG·γ."""
-    x = pair.validate(x0, max_iter)
-    pt = ref_pt(pair)
-    proj1, proj2 = ref_psd_clip, lambda x: pt(ref_psd_clip(pt(x)))
-    u = np.stack((x, np.zeros_like(x), np.zeros_like(x)))
-    states: list[np.ndarray] = []       # Anderson memory: states U ...
-    images: list[np.ndarray] = []       # ... and their images T(U)
-    fallback = None                     # (T(u), ‖T(u) − u‖) of the state u extrapolated from
-    for it in range(1, max_iter + 1):
-        x, p, q = u
-        xp = x + p
-        y = proj1(xp)
-        yq = y + q
-        x = proj2(yq)
-        tu = np.stack((x, xp - y, yq - x))
-        step = ref_frobenius(tu - u)
-        if fallback is not None:
-            plain, plain_step = fallback
-            fallback = None
-            if step > plain_step:
-                states.clear()
-                images.clear()
-                u = plain
-                continue
-        point = x
-        res = ref_frobenius(x - y)
-        if res <= tol:
-            return dykstra.DykstraResult(point=point, residual=res, iterations=it,
-                                         converged=True)
-        states.append(u)
-        images.append(tu)
-        if len(images) < 2:
-            u = tu
-            continue
-        del states[:-_REF_MEMORY - 1], images[:-_REF_MEMORY - 1]
-        fallback = (tu, step)
-        u = ref_anderson_dg(states, images)
-    return dykstra.DykstraResult(point=point, residual=res, iterations=max_iter,
-                                 converged=False)
-
-
-def ref_anderson_dg(states, images):
-    g = np.array(images).reshape(len(images), -1)
-    f = (g - np.array(states).reshape(g.shape)).view(float)
-    df = f[1:] - f[:-1]
-    gram = df @ df.T
-    # the floor keeps the system regular when all residuals are equal (γ = 0)
-    gram += (_REF_RIDGE * np.trace(gram) + np.finfo(float).tiny) * np.eye(len(gram))
-    gamma = np.linalg.solve(gram, df @ f[-1])
-    return (g[-1] - gamma @ (g[1:] - g[:-1])).reshape(images[-1].shape)
 
 
 def ref_split_sum(c, pair, tol=linalg.DEFAULT.cone, max_iter=linalg.DEFAULT.max_iter):
@@ -326,18 +212,6 @@ def assert_same_intersection(x0, pair, **kw):
         (ref.residual, ref.iterations, ref.converged)
     assert np.array_equal(got.point, ref.point)
     return got
-
-
-def sampler_solves():
-    """The 180 (x0, pair) that the S_k sampler benchmark solved, k in 1..3,
-    m in {2, 3}, when the sampler's points were nearest points of the
-    intersection; they stay as a family of project_intersection inputs."""
-    for i in range(60):
-        m = 2 if i % 2 else 2 + (i // 2) % 2
-        k = 1 + i % 3
-        pair = dykstra.PPTPair(TensorLayout((k, m)), 1)
-        for t in range(3):
-            yield linalg.sample_hermitian(k * m, 5000 + 3 * i + t), pair
 
 
 def local_conjugates(c, n, count, seed):
@@ -452,7 +326,9 @@ def assert_in_k2(x, pair):
 
 
 class TestAcceleratedIntersection:
-    """Anderson-accelerated Dykstra against the plain loop it accelerates."""
+    """The nearest point of the intersection, its stops and its capped points.
+    The name is the Anderson-accelerated solver's; it stays so that the test
+    ids do not change."""
 
     @pytest.mark.parametrize("dims", LAYOUTS)
     @pytest.mark.parametrize("factor", [1, 2])
@@ -462,7 +338,7 @@ class TestAcceleratedIntersection:
         for seed in range(3):
             x0 = sample(pair.layout.side, seed)
             got = dykstra.project_intersection(x0, pair, tol=1e-11)
-            ref, _ = reference_intersection(x0, pair)
+            ref = ref_project_intersection(x0, pair, tol=1e-13, max_iter=20000).point
             assert got.converged
             assert linalg.frobenius(got.point - ref) <= 1e-9 * max(1.0, linalg.frobenius(x0))
             assert_in_k2(got.point, pair)
@@ -486,9 +362,9 @@ class TestAcceleratedIntersection:
         assert linalg.min_eig(pair.pt(x0)) < -0.1
         assert linalg.min_eig(ref_projections(pair)[1](x0)) >= -EIG_SLACK
         got = dykstra.project_intersection(x0, pair)
-        ref, steps = reference_intersection(x0, pair, tol=linalg.DEFAULT.cone)
-        assert got.converged and got.iterations == steps == 2
-        assert np.array_equal(got.point, ref)
+        ref = ref_project_intersection(x0, pair)
+        assert got.converged and got.iterations == ref.iterations == 2
+        assert np.array_equal(got.point, ref.point)
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
     def test_capped_point_lies_in_k2(self, max_iter):
@@ -500,19 +376,13 @@ class TestAcceleratedIntersection:
 
     def test_unreachable_tol_runs_to_the_cap(self):
         # the residual levels off at rounding, far above tol: the solve stops
-        # only at max_iter, with the last accepted iterate
+        # only at max_iter, with the last iterate
         pair = dykstra.PPTPair(TensorLayout((3, 3)), 2)
         got = dykstra.project_intersection(linalg.sample_hermitian(9, 0), pair,
                                            tol=1e-300, max_iter=500)
         assert not got.converged and got.iterations == 500
         assert 0.0 < got.residual <= 1e-11
         assert_in_k2(got.point, pair)
-
-    def test_sampler_solves_converge(self):
-        """The 180 solves of the S_k sampler benchmark, k in 1..3 and m in {2, 3}:
-        all converge, bit-identical to the reference loop."""
-        for x0, pair in sampler_solves():
-            assert assert_same_intersection(x0, pair, tol=1e-11).converged
 
 
 class TestBitIdentical:
@@ -538,9 +408,7 @@ class TestBitIdentical:
             x = linalg.sample_hermitian(pair.layout.side, 40 + seed)
             assert_same_split(x, pair)
             assert_same_intersection(x, pair, tol=1e-11)
-            # far below rounding: the Anderson memory fills, shifts and is
-            # reset, and several of these caps fall on a rejected step
-            # right after a shift, which must return the last accepted point
+            # far below rounding: every one of these solves runs to its cap
             for cap in (10, 12, 20, 30, 60):
                 assert_same_intersection(x, pair, tol=1e-300, max_iter=cap)
 
@@ -605,48 +473,6 @@ class TestAgainstResymmetrizedLoop:
             assert self.assert_same_course(c, pair).converged
 
 
-class TestAgainstResymmetrizedIntersection:
-    """project_intersection against the loop it replaced, which took x0 as
-    given, symmetrized every clip's argument and formed the Anderson state
-    as G[-1] − ΔG·γ.  On Hermitian inputs the two differ by rounding only, so
-    every solve keeps its stop and iteration count, and the points agree
-    within 1e-10·max(1, ‖x0‖)."""
-
-    @staticmethod
-    def assert_same_course(x0, pair, **kw):
-        got = dykstra.project_intersection(x0, pair, **kw)
-        ref = ref_project_intersection_resym(x0, pair, **kw)
-        assert (got.converged, got.iterations) == (ref.converged, ref.iterations)
-        slack = 1e-10 * max(1.0, linalg.frobenius(x0))
-        assert linalg.frobenius(got.point - ref.point) <= slack
-        return got
-
-    def test_sampler_solves(self):
-        for x0, pair in sampler_solves():
-            assert self.assert_same_course(x0, pair, tol=1e-11).converged
-
-    @pytest.mark.parametrize("dims", LAYOUTS)
-    @pytest.mark.parametrize("factor", [1, 2])
-    @pytest.mark.parametrize("sample", [linalg.sample_hermitian, linalg.sample_psd])
-    def test_nearest_point_inputs(self, dims, factor, sample):
-        pair = dykstra.PPTPair(TensorLayout(dims), factor)
-        for seed in range(3):
-            x0 = sample(pair.layout.side, seed)
-            assert self.assert_same_course(x0, pair, tol=1e-11).converged
-
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
-    @pytest.mark.parametrize("factor", [1, 2])
-    def test_gue_inputs(self, dims, factor):
-        """The inputs of TestBitIdentical::test_gue_inputs, converged and at
-        its caps below rounding, where rejections reset the memory."""
-        pair = dykstra.PPTPair(TensorLayout(dims), factor)
-        for seed in range(2):
-            x = linalg.sample_hermitian(pair.layout.side, 40 + seed)
-            assert self.assert_same_course(x, pair, tol=1e-11).converged
-            for cap in (10, 12, 20, 30, 60):
-                self.assert_same_course(x, pair, tol=1e-300, max_iter=cap)
-
-
 class TestHermitianBoundary:
     """Both solvers make their input Hermitian once, at entry, and their
     clips read only the lower triangle of their argument, as eigh does."""
@@ -692,10 +518,7 @@ class TestHermitianBoundary:
     @pytest.mark.parametrize("dims", LAYOUTS)
     @pytest.mark.parametrize("factor", [1, 2])
     def test_intersection_reads_the_hermitian_part(self, dims, factor, rng):
-        """A non-Hermitian x0 is projected as its Hermitian part, bit for bit.
-        (The loop that symmetrized every clip is no reference here: it
-        projects x0 as given, and its iteration counts differ on such inputs,
-        by as many as 14 on 60 of them.)"""
+        """A non-Hermitian x0 is projected as its Hermitian part, bit for bit."""
         pair = dykstra.PPTPair(TensorLayout(dims), factor)
         for _ in range(3):
             x0 = random_matrix(rng, pair.layout.side)
@@ -849,37 +672,6 @@ class TestCallsPerSolve:
             assert calls.calls == {"frobenius": 0, "herm_part": 1, "eigh": 2 * max_iter,
                                    "eigvalsh": 0}
             monkeypatch.undo()
-
-    @pytest.mark.parametrize("dims", LAYOUTS)
-    def test_anderson_workspaces(self, dims, monkeypatch):
-        """An Anderson workspace is built when a solve first keeps that many
-        rows: none for a solve that converges at its first step, and each
-        memory length at most once however often rejections reset it."""
-        builds, runs = Counter(), Counter()
-        anderson = dykstra._anderson
-
-        def counted(images, residuals, out):
-            rows = len(images)
-            builds[rows] += 1
-            extrapolate = anderson(images, residuals, out)
-
-            def run():
-                runs[rows] += 1
-                extrapolate()
-            return run
-
-        monkeypatch.setattr(dykstra, "_anderson", counted)
-        pair = dykstra.PPTPair(TensorLayout(dims), 2)
-        res = dykstra.project_intersection(np.eye(pair.layout.side), pair, max_iter=60)
-        assert (res.iterations, res.converged, builds) == (1, True, Counter())
-        x0 = linalg.sample_hermitian(pair.layout.side, 0)
-        res = dykstra.project_intersection(x0, pair, tol=1e-300, max_iter=60)
-        assert res.iterations == 60
-        assert set(builds) <= set(range(2, dykstra._MEMORY + 2))
-        assert max(builds.values()) == 1
-        # the memory grows 2, 3, ... once; a length below the full one runs
-        # again only after a rejection has cleared the memory
-        assert runs[2] > 1
 
 
 @pytest.mark.parametrize("dims", LAYOUTS)
