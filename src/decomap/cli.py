@@ -243,7 +243,8 @@ def _cmd_cone_member(args, phi):
 def _cmd_hull_member(args, phi):
     layout = TensorLayout(_parse_dims(args.dims))
     md = _modular_data(args.rho, args.rho_b, layout)
-    res = cones.hull_membership(md, parse_matrix_file(args.xi), layout, tol=args.tol,
+    res = cones.cone_membership(md, cones.ConeSpec(cones.HULL, layout=layout),
+                                parse_matrix_file(args.xi), tol=args.tol,
                                 max_iter=args.max_iter)
     return res, res.inside
 
@@ -342,7 +343,7 @@ def _cmd_stormer_verify(args, phi):
     face, eta = _stormer_inputs(args)
     data = stormer.build_local_decomposition(phi, eta, face=face, seed=args.seed,
                                              tol=args.tol)
-    rep = stormer.verify_locdec(phi, eta, args.samples, seed=args.seed, data=data)
+    rep = stormer.verify_locdec(phi, data, args.samples, seed=args.seed)
     return rep, rep.max_residual <= args.tol
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import dykstra, linalg
 from .errors import (
-    HullNotSupportedHere,
     InvalidOption,
     LayoutMismatch,
     NotInCone,
@@ -125,10 +124,43 @@ def _verdict(md: ModularData, xi: np.ndarray, tol: float, beta: float = 0.25,
                                                beta, layout))
 
 
-def cone_membership(md: ModularData, spec: ConeSpec, xi, tol: float = DEFAULT.cone) -> MembershipResult:
-    """Closed-form membership test for every cone kind except the hull."""
-    if spec.kind == HULL:
-        raise HullNotSupportedHere("use hull_membership for the convex hull")
+def _hull_verdict(md: ModularData, xi: np.ndarray, tol: float, layout: TensorLayout,
+                  max_iter: int) -> MembershipResult:
+    """Membership of xi in co(P_n u P_n^tau): split the reduction c = a + b."""
+    c = _reduction_eig(md, xi)
+    dev, bound = linalg.hermitian_deviation(c, tol)
+    if dev > bound:
+        return MembershipResult(inside=False, residual=dev)
+    scale = 2.0 ** np.frexp(linalg.frobenius(c))[1]
+    split = dykstra.split_sum(c / scale, dykstra.PPTPair(layout, 2), tol=tol,
+                              max_iter=max_iter)
+    witness = None if split.witness is None else _pull_back(md, split.witness)
+    return MembershipResult(inside=split.converged, residual=split.residual * scale,
+                            witness=witness, stop_reason=split.stop_reason,
+                            iterations=split.iterations)
+
+
+def cone_membership(md: ModularData, spec: ConeSpec, xi, tol: float = DEFAULT.cone,
+                    max_iter: int = DEFAULT.max_iter) -> MembershipResult:
+    """Membership test for every cone kind.
+
+    All kinds but the hull are decided in closed form, from the lowest
+    eigenvalue of the reduction (partially transposed for the transposed
+    tensor cone, both for the intersection).  The hull co(P_n u P_n^tau) is
+    decided by split feasibility, c = a + b with a PSD and b^{t2} PSD for
+    the reduction c, in at most ``max_iter`` iterations.  The split runs on
+    c/s, s the power of two that brings ‖c‖ into [1/2, 1) (an exact
+    scaling), so the verdict does not change when xi is scaled; the residual
+    ‖c − a − b‖ is reported at c's scale.  An outside hull verdict carries a
+    witness exactly when it is proved: the split's dual witness W of c,
+    pulled back so that it pairs negatively with xi and non-negatively with
+    every member of the hull.  The split's stop reason and iteration count
+    come along, so a capped solve, which reads outside without a proof, can
+    be told from a refuted one.  No member of the hull has a non-Hermitian
+    reduction, so one whose deviation exceeds tol·‖c‖ reads outside, as for
+    the other kinds: the residual is the deviation, with no witness and no
+    split.
+    """
     xi = np.asarray(xi, dtype=complex)
     n = md.dim
     if xi.shape != (n, n):
@@ -141,6 +173,8 @@ def cone_membership(md: ModularData, spec: ConeSpec, xi, tol: float = DEFAULT.co
         return _verdict(md, xi, tol)
     if spec.kind == TRANSPOSED_TENSOR:
         return _verdict(md, xi, tol, layout=spec.layout)
+    if spec.kind == HULL:
+        return _hull_verdict(md, xi, tol, spec.layout, max_iter)
     # intersection: both reductions PSD
     plain = _verdict(md, xi, tol)
     transposed = _verdict(md, xi, tol, layout=spec.layout)
@@ -190,47 +224,6 @@ def sample_cone(md: ModularData, spec: ConeSpec, seed) -> np.ndarray:
                                          tol=_SAMPLE_TOL).point
     beta = spec.beta if spec.kind == VBETA else 0.25
     return md.from_eigenbasis(md.weigh(a, beta, 0.5 - beta))
-
-
-def hull_membership(
-    md: ModularData,
-    xi,
-    layout: TensorLayout,
-    tol: float = DEFAULT.cone,
-    max_iter: int = DEFAULT.max_iter,
-) -> MembershipResult:
-    """Membership in co(P_n u P_n^tau) via split feasibility.
-
-    Decides whether the reduction c admits c = a + b with a PSD and
-    b^{t2} PSD.  The split runs on c/s, s the power of two that brings ‖c‖
-    into [1/2, 1) (an exact scaling), so the verdict does not change when
-    xi is scaled; the residual ‖c − a − b‖ is reported at c's scale.
-    An outside verdict carries a witness exactly when it is proved: the
-    split's dual witness W of c, pulled back so that it pairs negatively
-    with xi and non-negatively with every member of the hull.  The split's
-    stop reason and iteration count come along, so a capped solve, which
-    reads outside without a proof, can be told from a refuted one.
-
-    No member of the hull has a non-Hermitian reduction, so one whose
-    deviation exceeds tol·‖c‖ reads outside, as in :func:`cone_membership`:
-    the residual is the deviation, with no witness and no split.
-    """
-    spec = ConeSpec(HULL, layout=layout)
-    _check_tensor(md, spec)
-    xi = np.asarray(xi, dtype=complex)
-    if xi.shape != (md.dim, md.dim):
-        raise LayoutMismatch(f"expected {md.dim}x{md.dim}, got {xi.shape}")
-    c = _reduction_eig(md, xi)
-    dev, bound = linalg.hermitian_deviation(c, tol)
-    if dev > bound:
-        return MembershipResult(inside=False, residual=dev)
-    scale = 2.0 ** np.frexp(linalg.frobenius(c))[1]
-    split = dykstra.split_sum(c / scale, dykstra.PPTPair(layout, 2), tol=tol,
-                              max_iter=max_iter)
-    witness = None if split.witness is None else _pull_back(md, split.witness)
-    return MembershipResult(inside=split.converged, residual=split.residual * scale,
-                            witness=witness, stop_reason=split.stop_reason,
-                            iterations=split.iterations)
 
 
 @dataclass

@@ -41,10 +41,6 @@ class UnsupportedKind(DecomapError):
     """Cone kind not supported by this operation."""
 
 
-class HullNotSupportedHere(DecomapError):
-    """Hull membership must go through hull_membership."""
-
-
 class BadChoi(DecomapError):
     """Explicit Choi matrix is malformed."""
 

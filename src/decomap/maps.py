@@ -5,9 +5,9 @@ convention C = sum_ij E_ij (x) phi(E_ij) (first factor the input algebra);
 partial transposes for co-positivity always act on factor 2.  On top of
 that representation sit the CP/co-CP tests, the Schmidt-rank-constrained
 see-saw for k-positivity (all restarts as one batched pass), the
-block-matrix sampler for the S_k condition, the Dykstra decomposition
-solver, detailed-balance adjoints, GNS transfer operators and the cone
-criteria for (weak) k-decomposability.
+block-matrix sampler for the S_k condition, the Douglas–Rachford
+decomposition split, detailed-balance adjoints, GNS transfer operators
+and the cone criteria for (weak) k-decomposability.
 """
 
 from __future__ import annotations
@@ -522,23 +522,21 @@ def cone_criterion_check(phi: MapObject, md_m: ModularData, k: int, trials: int,
     for level in range(1, k + 1):
         mdt = tensor_modular(md_m, build_modular(np.eye(level) / level))
         layout = TensorLayout((m, level))
-        spec_p = cones.ConeSpec(cones.NATURAL_TENSOR, layout=layout)
-        spec_pt = cones.ConeSpec(cones.TRANSPOSED_TENSOR, layout=layout)
+        specs = [cones.ConeSpec(kind, layout=layout)     # in the order of CRITERIA
+                 for kind in (cones.NATURAL_TENSOR, cones.TRANSPOSED_TENSOR, cones.HULL)]
         if level >= m:
             omega = np.eye(m, level).reshape(-1, 1)
             quarter = mdt.rho_power(0.25)
             probes = [quarter @ (omega @ omega.T) @ quarter]
         else:
-            probes = [cones.sample_cone(mdt, spec_p, seed + 4099 * level + t)
+            probes = [cones.sample_cone(mdt, specs[0], seed + 4099 * level + t)
                       for t in range(trials)]
         worst = dict.fromkeys(CRITERIA, 0.0)
         for xi in probes:
             xi4 = xi.reshape(m, level, m, level)
             image = np.einsum("abcd,cpdq->apbq", td4, xi4).reshape(m * level, m * level)
-            results = zip(CRITERIA, (cones.cone_membership(mdt, spec_p, image, tol),
-                                     cones.cone_membership(mdt, spec_pt, image, tol),
-                                     cones.hull_membership(mdt, image, layout, tol)))
-            for name, res in results:
+            for name, spec in zip(CRITERIA, specs):
+                res = cones.cone_membership(mdt, spec, image, tol)
                 worst[name] = max(worst[name], res.residual)
                 if not res.inside:
                     failures.setdefault(

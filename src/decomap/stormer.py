@@ -341,13 +341,11 @@ class LocdecReport:
     face_case: bool
 
 
-def verify_locdec(phi: MapObject, eta, samples: int, seed: int = 0,
-                  data: StormerData | None = None) -> LocdecReport:
-    """Max residual of phi(a) eta = V rho(a) V* eta over random a."""
+def verify_locdec(phi: MapObject, data: StormerData, samples: int,
+                  seed: int = 0) -> LocdecReport:
+    """Max residual of phi(a) eta = V rho(a) V* eta over random a, eta = data.eta."""
     if samples < 1:
         raise InvalidOption(f"samples must be at least 1, got {samples}")
-    if data is None:
-        data = build_local_decomposition(phi, eta, seed=seed)
     eta_v = data.eta
     v = data.v_eta
     v_star_eta = v.conj().T @ eta_v

@@ -83,6 +83,47 @@ def assert_separates(witness, xi, members):
         assert np.vdot(witness, eta).real >= -1e-12 * linalg.frobenius(eta)
 
 
+def choi_map_choi():
+    """Choi matrix of Choi's positive, non-decomposable map on M_3."""
+    def act(a):
+        d = [a[0, 0] + a[1, 1], a[1, 1] + a[2, 2], a[2, 2] + a[0, 0]]
+        return np.diag(d).astype(complex) - (a - np.diag(np.diag(a)))
+    return maps.map_from_action(act, 3, 3).choi
+
+
+def local_conjugates(c, n, count, seed):
+    """(Zᵀ ⊗ W) c (Zᵀ ⊗ W)* for Haar-random Z, W on C^n."""
+    out = []
+    for i in range(count):
+        z, w = (linalg.sample_unitary(n, seed + 2 * i + j) for j in range(2))
+        local = np.kron(z.T, w)
+        out.append(local @ c @ local.conj().T)
+    return out
+
+
+def generalized_choi(a, b, c):
+    """The generalized Choi map Φ[a, b, c] on M_3:
+    X ↦ diag(a x11 + b x22 + c x33, c x11 + a x22 + b x33, b x11 + c x22 + a x33) − X.
+    Φ[2, 1, 0] is Choi's map."""
+    def act(x):
+        d = np.diag(x)
+        return np.diag([a * d[0] + b * d[1] + c * d[2], c * d[0] + a * d[1] + b * d[2],
+                        b * d[0] + c * d[1] + a * d[2]]) - x
+    return maps.map_from_action(act, 3, 3, label=f"choi[{a},{b},{c}]")
+
+
+def generalized_choi_positive(a, b, c):
+    """Closed form for b, c >= 0: Φ[a, b, c] is positive iff a >= 1,
+    a + b + c >= 3 and (1 <= a <= 2 implies bc >= (2 - a)^2)."""
+    return a >= 1 and a + b + c >= 3 and (not 1 <= a <= 2 or b * c >= (2 - a) ** 2)
+
+
+def generalized_choi_decomposable(a, b, c):
+    """Closed form for a positive Φ[a, b, c]: decomposable iff
+    (a <= 3 implies bc >= (3 - a)^2 / 4)."""
+    return a > 3 or b * c >= (3 - a) ** 2 / 4
+
+
 def decomposable_test_set():
     """The 100 maps of criterion 6: 50 explicit mixes + 50 face-family maps."""
     out = []

@@ -227,7 +227,8 @@ def test_criterion_09_local_decomposition_suite(report):
                                 maps.compose_transpose(maps.adjoint_map(v)))
         eta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         eta /= np.linalg.norm(eta)
-        rep = stormer.verify_locdec(phi, eta, 10, seed=7300 + trial)
+        data = stormer.build_local_decomposition(phi, eta, seed=7300 + trial)
+        rep = stormer.verify_locdec(phi, data, 10, seed=7300 + trial)
         worst = max(worst, rep.max_residual)
     locdec_ok = worst <= 1e-9
 

@@ -161,6 +161,30 @@ class TestCommands:
         assert hull["result"] == cone["result"] == {"inside": False,
                                                     "residual": cone["result"]["residual"]}
 
+    @pytest.mark.parametrize("xi", ["swap", "minus_one", "upper", "sample"])
+    def test_cone_member_answers_hull(self, tmp_path, xi):
+        """cone-member with the hull kind gives hull-member's report: the
+        same verdict, residual, witness, stop reason and iterations."""
+        from decomap import cones, linalg, modular
+        from decomap.linalg import TensorLayout
+        rho_b = linalg.sample_density(2, 7)
+        md = modular.tensor_modular(modular.build_modular(np.diag([0.9, 0.1])),
+                                    modular.build_modular(rho_b))
+        layout = TensorLayout((2, 2))
+        sample = sum(0.5 * cones.sample_cone(md, cones.ConeSpec(kind, layout=layout), seed)
+                     for kind, seed in ((cones.NATURAL_TENSOR, 1), (cones.TRANSPOSED_TENSOR, 2)))
+        xi = {"swap": np.eye(4)[[0, 2, 1, 3]], "minus_one": -np.eye(4),
+              "upper": np.triu(np.ones((4, 4))), "sample": 1e8 * sample}[xi]
+        rho_args = ["--rho", write_json(tmp_path / "ra.json", matrix_json(np.diag([0.9, 0.1]))),
+                    "--rho-b", write_json(tmp_path / "rb.json", matrix_json(rho_b)),
+                    "--xi", write_json(tmp_path / "xi.json", matrix_json(xi))]
+        hull, hull_code = cli.run(["hull-member", *rho_args, "--dims", "2,2"])
+        cone, cone_code = cli.run(["cone-member", *rho_args,
+                                   "--cone", '{"kind": "hull", "dims": [2, 2]}'])
+        assert hull_code == cone_code != 2
+        assert hull["verdict"] == cone["verdict"]
+        assert hull["result"] == cone["result"]
+
     def test_probe(self):
         report, code = cli.run(["probe", "--dims", "2,3", "--trials", "5",
                                 "--seed", "1"])

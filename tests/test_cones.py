@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decomap import cones, dykstra, linalg, modular
-from decomap.errors import HullNotSupportedHere, InvalidOption, LayoutMismatch, UnsupportedKind
+from decomap.errors import InvalidOption, LayoutMismatch, UnsupportedKind
 from decomap.linalg import TensorLayout
 
 from conftest import SIGMA_X, assert_separates, random_matrix
@@ -21,6 +21,10 @@ def hull_sample(md, layout, seed, weight=0.5):
     a = cones.sample_cone(md, cones.ConeSpec(cones.NATURAL_TENSOR, layout=layout), seed)
     b = cones.sample_cone(md, cones.ConeSpec(cones.TRANSPOSED_TENSOR, layout=layout), seed + 1)
     return weight * a + (1.0 - weight) * b
+
+
+def hull_member(md, xi, layout):
+    return cones.cone_membership(md, cones.ConeSpec(cones.HULL, layout=layout), xi)
 
 
 def swap(n=2):
@@ -40,10 +44,16 @@ class TestSpecValidation:
         with pytest.raises(LayoutMismatch):
             cones.ConeSpec(cones.HULL)
 
-    def test_hull_needs_dedicated_test(self, md_tensor22):
+    def test_hull_kind_answers(self, md_tensor22):
+        """cone_membership decides the hull like every other kind, and
+        max_iter caps its split."""
         spec = cones.ConeSpec(cones.HULL, layout=TensorLayout((2, 2)))
-        with pytest.raises(HullNotSupportedHere):
-            cones.cone_membership(md_tensor22, spec, np.eye(4))
+        res = cones.cone_membership(md_tensor22, spec, np.eye(4))
+        assert res.inside and res.stop_reason == "converged"
+        res = cones.cone_membership(md_tensor22, spec, swap(), max_iter=1)
+        assert not res.inside and (res.stop_reason, res.iterations) == ("capped", 1)
+        with pytest.raises(LayoutMismatch):
+            cones.cone_membership(md_tensor22, spec, np.eye(3))
 
 
 class TestMembership:
@@ -138,16 +148,16 @@ class TestUMapping:
 class TestHull:
     def test_psd_member_trivially(self, md_tensor22):
         c = np.eye(4) / 2
-        res = cones.hull_membership(md_tensor22, c, TensorLayout((2, 2)))
+        res = hull_member(md_tensor22, c, TensorLayout((2, 2)))
         assert res.inside
 
     def test_swap_inside_via_transposed_part(self, md_tensor22):
         # SWAP has PSD partial transpose, so the split a = 0, b = SWAP works
-        res = cones.hull_membership(md_tensor22, swap(), TensorLayout((2, 2)))
+        res = hull_member(md_tensor22, swap(), TensorLayout((2, 2)))
         assert res.inside
 
     def test_negative_identity_outside(self, md_tensor22):
-        res = cones.hull_membership(md_tensor22, -np.eye(4), TensorLayout((2, 2)))
+        res = hull_member(md_tensor22, -np.eye(4), TensorLayout((2, 2)))
         assert not res.inside
         assert res.residual >= 1.0
         assert res.witness is not None
@@ -156,7 +166,7 @@ class TestHull:
         layout = TensorLayout((2, 2))
         for s in range(5):
             xi = hull_sample(md_tensor22, layout, 100 + 2 * s, weight=0.3)
-            assert cones.hull_membership(md_tensor22, xi, layout).inside
+            assert hull_member(md_tensor22, xi, layout).inside
 
     def test_non_hermitian_reads_outside(self, md_tensor22, rng):
         """No hull member has a non-Hermitian reduction: the hull reads one
@@ -166,7 +176,7 @@ class TestHull:
         spec = cones.ConeSpec(cones.NATURAL_TENSOR, layout=layout)
         for _ in range(3):
             xi = random_matrix(rng, 4)
-            hull = cones.hull_membership(md_tensor22, xi, layout)
+            hull = hull_member(md_tensor22, xi, layout)
             natural = cones.cone_membership(md_tensor22, spec, xi)
             assert not hull.inside and not natural.inside
             assert hull.residual == natural.residual > 0.1
@@ -222,7 +232,7 @@ class TestWitnesses:
         certified = 0
         for seed in range(40):
             xi = self.outside(md, seed)
-            res = cones.hull_membership(md, xi, self.LAYOUT)
+            res = hull_member(md, xi, self.LAYOUT)
             if res.witness is not None:
                 certified += 1
                 assert_separates(res.witness, xi, members)
@@ -259,15 +269,15 @@ class TestScaleInvariance:
     def test_scaled_hull_verdicts(self, k, seed):
         member = hull_sample(self.MD, self.LAYOUT, seed)
         for xi, inside in ((member, True), (-member, False)):
-            res = cones.hull_membership(self.MD, 10.0**k * xi, self.LAYOUT)
+            res = hull_member(self.MD, 10.0**k * xi, self.LAYOUT)
             assert res.inside == inside
             assert (res.witness is None) == inside
 
     def test_hull_residual_at_input_scale(self):
         # an outside verdict's residual is the gap ‖c − a − b‖ of xi's own reduction
         member = hull_sample(self.MD, self.LAYOUT, 3)
-        small = cones.hull_membership(self.MD, -member, self.LAYOUT)
-        large = cones.hull_membership(self.MD, -1e6 * member, self.LAYOUT)
+        small = hull_member(self.MD, -member, self.LAYOUT)
+        large = hull_member(self.MD, -1e6 * member, self.LAYOUT)
         assert large.residual == pytest.approx(1e6 * small.residual, rel=1e-9)
 
 

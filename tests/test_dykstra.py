@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decomap import dykstra, linalg, maps
+from decomap import dykstra, linalg
 from decomap.errors import InvalidOption, LayoutMismatch, NonFinite
 from decomap.linalg import TensorLayout
 
-from conftest import (EIG_SLACK, assert_split, assert_witness, decomposable_test_set,
-                      product_minimum, random_matrix)
+from conftest import (EIG_SLACK, assert_split, assert_witness, choi_map_choi,
+                      decomposable_test_set, local_conjugates, product_minimum, random_matrix)
 
 LAYOUTS = [(2, 2), (2, 3), (3, 3)]      # sides 4, 6 and 9
 
@@ -46,14 +46,6 @@ def reference_split_sum(c, pair, tol=linalg.DEFAULT.cone, max_iter=linalg.DEFAUL
         if stagnated(history):
             break
     return False
-
-
-def choi_map_choi():
-    """Choi matrix of Choi's positive, non-decomposable map on M_3."""
-    def act(a):
-        d = [a[0, 0] + a[1, 1], a[1, 1] + a[2, 2], a[2, 2] + a[0, 0]]
-        return np.diag(d).astype(complex) - (a - np.diag(np.diag(a)))
-    return maps.map_from_action(act, 3, 3).choi
 
 
 def assert_valid_split(res, c, pair):
@@ -212,16 +204,6 @@ def assert_same_intersection(x0, pair, **kw):
         (ref.residual, ref.iterations, ref.converged)
     assert np.array_equal(got.point, ref.point)
     return got
-
-
-def local_conjugates(c, n, count, seed):
-    """(Zᵀ ⊗ W) c (Zᵀ ⊗ W)* for Haar-random Z, W on C^n."""
-    out = []
-    for i in range(count):
-        z, w = (linalg.sample_unitary(n, seed + 2 * i + j) for j in range(2))
-        local = np.kron(z.T, w)
-        out.append(local @ c @ local.conj().T)
-    return out
 
 
 class TestStackedSplit:

@@ -400,7 +400,7 @@ class TestVerifyOracle:
     def test_matches_sample_loop(self, case, samples, seed):
         phi, face = face_cases()[case]
         data = stormer.build_local_decomposition(phi, face.eta, face=face)
-        rep = stormer.verify_locdec(phi, face.eta, samples, seed=seed, data=data)
+        rep = stormer.verify_locdec(phi, data, samples, seed=seed)
         assert rep.samples == samples
         assert abs(rep.max_residual - locdec_oracle(phi, data, samples, seed)) <= 1e-12
 
@@ -409,17 +409,19 @@ class TestVerifyOracle:
         eta = np.array([0.6, 0.8j])
         data = stormer.build_local_decomposition(phi, eta)
         assert not data.face_case
-        rep = stormer.verify_locdec(phi, eta, 30, seed=2, data=data)
+        rep = stormer.verify_locdec(phi, data, 30, seed=2)
         assert abs(rep.max_residual - locdec_oracle(phi, data, 30, 2)) <= 1e-12
 
 
 class TestVerify:
     def test_ad_sigma_x(self):
-        rep = stormer.verify_locdec(ad_sigma_x(), E1, 100, seed=0)
+        data = stormer.build_local_decomposition(ad_sigma_x(), E1, seed=0)
+        rep = stormer.verify_locdec(ad_sigma_x(), data, 100, seed=0)
         assert rep.max_residual <= 1e-10
 
     def test_identity(self):
-        rep = stormer.verify_locdec(maps.identity_map(2), E1, 50, seed=1)
+        data = stormer.build_local_decomposition(maps.identity_map(2), E1, seed=1)
+        rep = stormer.verify_locdec(maps.identity_map(2), data, 50, seed=1)
         assert rep.max_residual <= 1e-10
 
     def test_face_maps_with_random_eta(self):
@@ -428,13 +430,15 @@ class TestVerify:
             phi = stormer.sample_face_map(FACE_E1, 2, seed=seed)
             eta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             eta /= np.linalg.norm(eta)
-            rep = stormer.verify_locdec(phi, eta, 20, seed=seed)
+            data = stormer.build_local_decomposition(phi, eta, seed=seed)
+            rep = stormer.verify_locdec(phi, data, 20, seed=seed)
             assert rep.max_residual <= 1e-9
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_no_samples_rejected(self, samples):
+        data = stormer.build_local_decomposition(ad_sigma_x(), E1)
         with pytest.raises(InvalidOption):
-            stormer.verify_locdec(ad_sigma_x(), E1, samples, seed=0)
+            stormer.verify_locdec(ad_sigma_x(), data, samples, seed=0)
 
 
 class TestProp41:
