@@ -9,9 +9,12 @@ matrix w[i, j] = omega_eta(E_ij) (density matrix w^T), and all of it comes
 from one eigh w = u diag(lam) u*: the Gram forms I (x) w / 2, w^T (x) I / 2
 have eigenvalue lam_k / 2 on outer(e_i, u_k), outer(conj(u_k), e_j), which
 span L and R at the null vectors of w and, scaled, are an orthonormal basis
-of K_eta at the others.  There rho_eta(a) = (I_r (x) a) (+) (I_r (x) a)^T, a
-representation plus an anti-representation, stored as the (2, 2, K, K)
-array of rho_eta(E_ij): rho_eta of a stack of matrices is one contraction.
+of K_eta at the others.  One assembly takes that basis, or the face case's
+below, as pairs k_s = (r0[s], r1[s]) and reads rho_eta(E_pq), the Gram
+residual and the coordinates of the pairs (E_ij, E_ij) from w by the same
+contractions.  In the generic basis rho_eta(a) is (I_r (x) a) (+)
+(I_r (x) a)^T, a representation plus an anti-representation; any rho_eta
+is stored as the (2, 2, K, K) array of rho_eta(E_ij).
 
 When phi lies in a maximal face (phi(|xi><xi|) eta = 0) the ideals are
 known exactly, K_eta is four dimensional with an explicit orthonormal
@@ -221,22 +224,51 @@ def build_local_decomposition(
     return _build_generic(phi, eta, w, lam, u, left_basis, right_basis)
 
 
-def _images_of_units(phi, eta):
-    """The 2 x 4 array of phi(E_ij) eta, column (i, j)."""
+def _assemble(phi, eta, w, r0, r1, left_basis, right_basis, v_eta=None,
+              eta_basis=None, alpha=None, beta=None):
+    """StormerData for the basis k_s = (r0[s], r1[s]) of K_eta, read from w.
+
+    omega_eta(x) = sum_ij x_ij w[i, j], so the averaged inner product
+    <(a1, a2), (b1, b2)> = (omega(a1* b1) + omega(b2 a2*)) / 2, rho_eta(E_pq)
+    and the coordinates <k_s, (E_ij, E_ij)> = (conj(r0[s]) w + w conj(r1[s]))
+    [i, j] / 2 are contractions against w, in any basis of pairs.  V_eta maps
+    those coordinates to phi(E_ij) eta: it is given in the face case (with
+    eta_basis, alpha and beta) and solved for by pinv otherwise.
+    """
+    k_dim = len(r0)
+    # rho_units[p, q, s, t] = <k_s, (E_pq r0[t], r1[t] E_pq)>
+    rho_units = 0.5 * (np.einsum("spi,ij,tqj->pqst", r0.conj(), w, r0)
+                       + np.einsum("tip,ij,sjq->pqst", r1, w, r1.conj()))
+    # rho_eta(1) is the Gram matrix of the basis
+    ortho = np.max(np.abs(rho_units[0, 0] + rho_units[1, 1] - np.eye(k_dim)))
+    # column (i, j): the pair (E_ij, E_ij) in K_eta coordinates, and phi(E_ij) eta
+    d_mat = 0.5 * (r0.conj() @ w + w @ r1.conj()).reshape(k_dim, 4)
     units = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)
-    return (apply_map(phi, units) @ eta).reshape(4, 2).T
+    phi_mat = (apply_map(phi, units) @ eta).reshape(4, 2).T
+    face_case = v_eta is not None
+    if not face_case:
+        v_eta = phi_mat @ np.linalg.pinv(d_mat, rcond=_RCOND)
+        eta_basis = complete_basis(eta)
+    return StormerData(
+        left_ideal_basis=left_basis,
+        right_ideal_basis=right_basis,
+        k_dim=k_dim,
+        rho_units=rho_units,
+        v_eta=v_eta,
+        eta=eta,
+        eta_basis=eta_basis,
+        face_case=face_case,
+        alpha=alpha,
+        beta=beta,
+        v_eta_face_matrix=eta_basis.conj().T @ v_eta if face_case else None,
+        basis_orthonormality_residual=float(ortho),
+        v_lsq_residual=float(np.linalg.norm(v_eta @ d_mat - phi_mat)),
+        v_norm=float(np.linalg.norm(v_eta, 2)),
+    )
 
 
 def _build_face_case(phi, eta, xi, w, left_basis, right_basis):
-    """The face case, with every inner product on K_eta read from w.
-
-    omega_eta is linear, omega_eta(x) = sum_ij x_ij w[i, j], so the averaged
-    inner product <(a1, a2), (b1, b2)> = (omega(a1* b1) + omega(b2 a2*)) / 2
-    and rho_eta(E_pq) in the basis k1..k4 are contractions against w.  So
-    are the coordinates <k_s, (E_ij, E_ij)> = (conj(r0[s]) w + w conj(r1[s]))
-    [i, j] / 2, against which V_eta is checked: V_eta maps them to
-    phi(E_ij) eta.
-    """
+    """The face case: the explicit basis k1..k4 along xi, and V_eta k4 = 0."""
     e = _units_along(xi)
     eb = complete_basis(eta)
     eta1, eta2 = eb.T
@@ -250,86 +282,24 @@ def _build_face_case(phi, eta, xi, w, left_basis, right_basis):
     beta = np.sqrt(2) * (eta2.conj() @ apply_map(phi, e[1, 0]) @ eta1)
 
     s2 = np.sqrt(2)
-    # the basis k1..k4 of K_eta as pairs (r0[s], r1[s])
     r0 = np.array([s2 * e[0, 1], s2 * e[1, 0], e[1, 1], e[1, 1]])
     r1 = np.array([s2 * e[0, 1], s2 * e[1, 0], e[1, 1], -e[1, 1]])
-    # rho_units[p, q, s, t] = <k_s, (E_pq r0[t], r1[t] E_pq)>
-    rho_units = 0.5 * (np.einsum("spi,ij,tqj->pqst", r0.conj(), w, r0)
-                       + np.einsum("tip,ij,sjq->pqst", r1, w, r1.conj()))
-    # rho_eta(1) is the Gram matrix of k1..k4
-    ortho = np.max(np.abs(rho_units[0, 0] + rho_units[1, 1] - np.eye(4)))
-
     v_eta = np.zeros((2, 4), dtype=complex)           # V_eta k4 = 0
     v_eta[:, :3] = (apply_map(phi, r0[:3]) @ eta).T
-    v_face = eb.conj().T @ v_eta
-    # column (i, j): the pair (E_ij, E_ij) in k1..k4 coordinates
-    d_mat = 0.5 * (r0.conj() @ w + w @ r1.conj()).reshape(4, 4)
-    lsq = float(np.linalg.norm(v_eta @ d_mat - _images_of_units(phi, eta)))
-
-    return StormerData(
-        left_ideal_basis=left_basis,
-        right_ideal_basis=right_basis,
-        k_dim=4,
-        rho_units=rho_units,
-        v_eta=v_eta,
-        eta=eta,
-        eta_basis=eb,
-        face_case=True,
-        alpha=complex(alpha),
-        beta=complex(beta),
-        v_eta_face_matrix=v_face,
-        basis_orthonormality_residual=float(ortho),
-        v_lsq_residual=lsq,
-        v_norm=float(np.linalg.norm(v_eta, 2)),
-    )
+    return _assemble(phi, eta, w, r0, r1, left_basis, right_basis, v_eta=v_eta,
+                     eta_basis=eb, alpha=complex(alpha), beta=complex(beta))
 
 
 def _build_generic(phi, eta, w, lam, u, left_basis, right_basis):
-    """K_eta on the r Gram eigenmatrices of each side whose lam_k / 2 exceeds
-    ``DEFAULT.kernel``, left ones (a, 0) first.  Scaled by 1 / sqrt(lam_k / 2)
-    they are orthonormal; E_pq multiplies the left ones as I_r (x) E_pq and
-    the right ones, from the right, as I_r (x) E_qp.  Their orthonormality
-    is measured, not assumed: the Gram matrix of each side under
-    I (x) w / 2 and w^T (x) I / 2, read from w as in the face case."""
-    m = 2
+    """K_eta on the Gram eigenmatrices of each side whose lam_k / 2 exceeds
+    ``DEFAULT.kernel``, scaled by 1 / sqrt(lam_k / 2) to be orthonormal: left
+    ones as (a, 0) first, then right ones as (0, b).  In this basis rho_eta(a)
+    comes out as (I_r (x) a) (+) (I_r (x) a)^T."""
     keep = lam / 2 > DEFAULT.kernel
-    r = int(keep.sum())
-    k_dim = 2 * m * r
-    units = np.eye(m * m, dtype=complex).reshape(m, m, m, m)
-    rep = np.kron(np.eye(r), units)                                 # I_r (x) E_pq
-    rho_units = np.zeros((m, m, k_dim, k_dim), dtype=complex)
-    rho_units[..., :m * r, :m * r] = rep
-    rho_units[..., m * r:, m * r:] = rep.mT
-
-    half = lam[keep] / 2
-    left, right = _eigenmatrices(u[:, keep] / np.sqrt(half))
-    eye = np.eye(m * r)
-    ortho = max(np.max(np.abs(0.5 * np.einsum("spi,ij,tpj->st", left.conj(), w, left) - eye)),
-                np.max(np.abs(0.5 * np.einsum("tip,ij,sjp->st", right, w, right.conj()) - eye)))
-
-    # column (i, j): the pair (E_ij, E_ij) in K_eta coordinates, and phi(E_ij) eta
-    scaled = u[:, keep] * np.sqrt(half)
-    d_mat = np.concatenate(_eigenmatrices(scaled)).conj().reshape(k_dim, m * m)  # K x 4
-    phi_mat = _images_of_units(phi, eta)
-    v_eta = phi_mat @ np.linalg.pinv(d_mat, rcond=_RCOND)
-    lsq = float(np.linalg.norm(v_eta @ d_mat - phi_mat))
-
-    return StormerData(
-        left_ideal_basis=left_basis,
-        right_ideal_basis=right_basis,
-        k_dim=k_dim,
-        rho_units=rho_units,
-        v_eta=v_eta,
-        eta=eta,
-        eta_basis=complete_basis(eta),
-        face_case=False,
-        alpha=None,
-        beta=None,
-        v_eta_face_matrix=None,
-        basis_orthonormality_residual=float(ortho),
-        v_lsq_residual=lsq,
-        v_norm=float(np.linalg.norm(v_eta, 2)),
-    )
+    left, right = _eigenmatrices(u[:, keep] / np.sqrt(lam[keep] / 2))
+    zero = np.zeros_like(left)
+    return _assemble(phi, eta, w, np.concatenate([left, zero]),
+                     np.concatenate([zero, right]), left_basis, right_basis)
 
 
 @dataclass

@@ -134,6 +134,38 @@ class TestBuild:
         assert data.k_dim == 8
         assert data.v_lsq_residual <= 1e-10
 
+    @pytest.mark.parametrize("case", ["mixed", 1e-2, 1e-3, 1e-4, 1e-5])
+    def test_generic_rho_is_rep_plus_antirep(self, case):
+        """In the generic basis rho_eta(a) = (I_r (x) a) (+) (I_r (x) a)^T.
+        The mixed map is 0.4 ad(sx) + 0.6 ad(v) o t, v a real rotation, at
+        eta = (0.6, 0.8i); the others are the sigma_x example at eta = e1 +
+        delta (0, 1 + 0.5i), near its face, where lam_min(w) = delta^2 / 4.
+        At delta = 1e-5 that falls below the kernel cutoff: w reads rank one
+        and K_eta four dimensional, and V_eta misses phi by about delta / 2."""
+        if case == "mixed":
+            v = np.array([[0.6, 0.8], [-0.8, 0.6]])
+            phi = maps.mix_maps(0.4, ad_sigma_x(),
+                                maps.compose_transpose(maps.adjoint_map(v)))
+            eta = np.array([0.6, 0.8j])
+        else:
+            phi = stormer.symmetric_face_example()[0]
+            eta = np.array([1.0, case * (1 + 0.5j)])
+            eta /= np.linalg.norm(eta)
+        data = stormer.build_local_decomposition(phi, eta)
+        assert not data.face_case
+        r = data.k_dim // 4
+        for p in range(2):
+            for q in range(2):
+                rep = np.kron(np.eye(r), linalg._unit(2, p, q))
+                want = np.zeros((4 * r, 4 * r), dtype=complex)
+                want[:2 * r, :2 * r], want[2 * r:, 2 * r:] = rep, rep.T
+                assert np.max(np.abs(data.rho_units[p, q] - want)) <= 1e-12
+        if case == 1e-5:
+            assert data.k_dim == 4
+        else:
+            assert data.k_dim == 8
+            assert data.v_lsq_residual <= 1e-12
+
     def test_rejects_non_unital(self):
         phi = maps.map_from_action(lambda a: 0.5 * a, 2, 2)
         with pytest.raises(NotUnital):
