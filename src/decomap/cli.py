@@ -145,8 +145,11 @@ def parse_face_file(path: str) -> stormer.FaceSpec:
                             eta=_vector_from_obj(obj["eta"], path))
 
 
-def parse_cone_spec(text: str) -> cones.ConeSpec:
-    """Cone mini-language: {"kind": ..., "beta": ..., "dims": [m, n]}."""
+def parse_cone_spec(text: str) -> tuple[cones.ConeSpec, TensorLayout | None]:
+    """Cone mini-language: {"kind": ..., "beta": ..., "dims": [m, n]}.
+
+    Returns the spec and the layout of the state, None without ``dims``.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -163,7 +166,7 @@ def parse_cone_spec(text: str) -> cones.ConeSpec:
     beta = obj.get("beta")
     if beta is not None and not _is_number(beta):
         raise ParseError(f"cone beta must be a number, got {beta!r}")
-    return cones.ConeSpec(kind=kind, beta=beta, layout=layout)
+    return cones.ConeSpec(kind=kind, beta=beta), layout
 
 
 # -- report plumbing ----------------------------------------------------------
@@ -234,8 +237,8 @@ def _cmd_modular_check(args, phi):
 
 
 def _cmd_cone_member(args, phi):
-    spec = parse_cone_spec(args.cone)
-    md = _modular_data(args.rho, args.rho_b, spec.layout)
+    spec, layout = parse_cone_spec(args.cone)
+    md = _modular_data(args.rho, args.rho_b, layout)
     res = cones.cone_membership(md, spec, parse_matrix_file(args.xi), tol=args.tol)
     return res, res.inside
 
@@ -243,7 +246,7 @@ def _cmd_cone_member(args, phi):
 def _cmd_hull_member(args, phi):
     layout = TensorLayout(_parse_dims(args.dims))
     md = _modular_data(args.rho, args.rho_b, layout)
-    res = cones.cone_membership(md, cones.ConeSpec(cones.HULL, layout=layout),
+    res = cones.cone_membership(md, cones.ConeSpec(cones.HULL),
                                 parse_matrix_file(args.xi), tol=args.tol,
                                 max_iter=args.max_iter)
     return res, res.inside

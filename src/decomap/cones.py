@@ -1,11 +1,15 @@
 """Membership tests and samplers for the modular cone family.
 
 The cones V_beta, the natural cone P = V_{1/4}, the tensor cones P_n and
-P_n^tau, their convex hull and intersection are all decided on the
-rho^{-1/4}-conjugated reduction, which turns every membership question
-into a PSD (or PSD-after-partial-transpose) test.  All reductions are
-evaluated in the rho-eigenbasis, where the partial transpose of the
-second tensor factor realizes I (x) U exactly.
+P_n^tau, their convex hull and intersection are all decided on one
+reduction r = rho^{-beta} xi rho^{beta - 1/2} (beta = 1/4 but for V_beta),
+taken once per question in the rho-eigenbasis, where the partial transpose
+of the second tensor factor realizes I (x) U exactly.  Its Hermitian
+deviation is gated once against tol·‖r‖; then each closed-form kind is a
+PSD test by one ``eigh`` (of r and r^Γ stacked for the intersection), and
+the hull a split.  The tensor kinds read their two-factor layout from the
+state.  The intersection probe reports the worst membership residual of
+its samples.
 """
 
 from __future__ import annotations
@@ -45,13 +49,13 @@ _SAMPLE_TOL = 1e-12
 class ConeSpec:
     """Which cone membership is tested against.
 
-    Tensor kinds require a 2-factor layout; the transposition unitary U
-    always acts on the second factor.
+    ``beta`` is V_beta's exponent and is given for that kind only.  The
+    tensor kinds take their layout from the state, which must have two
+    factors; the transposition unitary U always acts on the second one.
     """
 
     kind: str
     beta: float | None = None
-    layout: TensorLayout | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -59,9 +63,8 @@ class ConeSpec:
         if self.kind == VBETA:
             if self.beta is None or not 0.0 <= self.beta <= 0.5:
                 raise UnsupportedKind(f"beta must be in [0, 1/2], got {self.beta}")
-        if self.kind in _TENSOR_KINDS:
-            if self.layout is None or len(self.layout.dims) != 2:
-                raise LayoutMismatch(f"{self.kind} requires a 2-factor layout")
+        elif self.beta is not None:
+            raise UnsupportedKind(f"{self.kind} takes no beta, got {self.beta}")
 
 
 @dataclass
@@ -73,11 +76,13 @@ class MembershipResult:
     iterations: int | None = None       # ... and its iteration count
 
 
-def _check_tensor(md: ModularData, spec: ConeSpec) -> None:
-    if md.layout.dims != spec.layout.dims:
-        raise LayoutMismatch(
-            f"modular data has layout {md.layout.dims}, cone expects {spec.layout.dims}"
-        )
+def _layout(md: ModularData, kind: str) -> TensorLayout | None:
+    """The state's layout for a tensor kind, None for the others."""
+    if kind not in _TENSOR_KINDS:
+        return None
+    if len(md.layout.dims) != 2:
+        raise LayoutMismatch(f"{kind} requires a 2-factor layout, got {md.layout.dims}")
+    return md.layout
 
 
 def _reduction_eig(md: ModularData, xi: np.ndarray, beta: float = 0.25):
@@ -100,37 +105,30 @@ def _pull_back(md: ModularData, w: np.ndarray, beta: float = 0.25,
     return v / linalg.frobenius(v)
 
 
-def _verdict(md: ModularData, xi: np.ndarray, tol: float, beta: float = 0.25,
-             layout: TensorLayout | None = None) -> MembershipResult:
-    """Decide PSD-ness of the reduction r of xi (partially transposed when
-    ``layout`` is given), with symmetrization and a witness that pairs
-    negatively with xi and non-negatively with every member.
+def _psd_verdict(md: ModularData, r: np.ndarray, bound: float, beta: float,
+                 views: tuple[TensorLayout | None, ...]) -> MembershipResult:
+    """PSD-ness of each view of r: r itself for None, r^Γ for a layout.
 
-    The Hermitian deviation and the lowest eigenvalue of r are held against
-    tol·‖r‖, so the verdict does not change when xi is scaled; the residual
-    is the absolute deviation or deficit.
+    One batched ``eigh`` of the stacked Hermitian views.  The lowest
+    eigenvalue over them, the first view's on a tie, is held against
+    ``bound``; an outside verdict's witness is its eigenvector, pulled back.
     """
-    r = _reduction_eig(md, xi, beta)
-    if layout is not None:
-        r = linalg.partial_transpose(r, layout, 2)
-    dev, bound = linalg.hermitian_deviation(r, tol)
-    if dev > bound:
-        return MembershipResult(inside=False, residual=dev, witness=None)
-    w, v = np.linalg.eigh(linalg.herm_part(r))
-    if w[0] >= -bound:
-        return MembershipResult(inside=True, residual=max(0.0, -float(w[0])))
-    return MembershipResult(inside=False, residual=-float(w[0]),
-                            witness=_pull_back(md, np.outer(v[:, 0], v[:, 0].conj()),
-                                               beta, layout))
+    h = linalg.herm_part(r)
+    w, v = np.linalg.eigh(np.stack([h if layout is None
+                                    else linalg.partial_transpose(h, layout, 2)
+                                    for layout in views]))
+    low = int(np.argmin(w[:, 0]))
+    lam = float(w[low, 0])
+    if lam >= -bound:
+        return MembershipResult(inside=True, residual=max(0.0, -lam))
+    u = v[low, :, 0]
+    return MembershipResult(inside=False, residual=-lam,
+                            witness=_pull_back(md, np.outer(u, u.conj()), beta, views[low]))
 
 
-def _hull_verdict(md: ModularData, xi: np.ndarray, tol: float, layout: TensorLayout,
+def _hull_verdict(md: ModularData, c: np.ndarray, tol: float, layout: TensorLayout,
                   max_iter: int) -> MembershipResult:
-    """Membership of xi in co(P_n u P_n^tau): split the reduction c = a + b."""
-    c = _reduction_eig(md, xi)
-    dev, bound = linalg.hermitian_deviation(c, tol)
-    if dev > bound:
-        return MembershipResult(inside=False, residual=dev)
+    """Membership in co(P_n u P_n^tau) of the xi whose reduction is c: split c = a + b."""
     scale = 2.0 ** np.frexp(linalg.frobenius(c))[1]
     split = dykstra.split_sum(c / scale, dykstra.PPTPair(layout, 2), tol=tol,
                               max_iter=max_iter)
@@ -144,43 +142,34 @@ def cone_membership(md: ModularData, spec: ConeSpec, xi, tol: float = DEFAULT.co
                     max_iter: int = DEFAULT.max_iter) -> MembershipResult:
     """Membership test for every cone kind.
 
-    All kinds but the hull are decided in closed form, from the lowest
-    eigenvalue of the reduction (partially transposed for the transposed
-    tensor cone, both for the intersection).  The hull co(P_n u P_n^tau) is
-    decided by split feasibility, c = a + b with a PSD and b^{t2} PSD for
-    the reduction c, in at most ``max_iter`` iterations.  The split runs on
-    c/s, s the power of two that brings ‖c‖ into [1/2, 1) (an exact
-    scaling), so the verdict does not change when xi is scaled; the residual
-    ‖c − a − b‖ is reported at c's scale.  An outside hull verdict carries a
-    witness exactly when it is proved: the split's dual witness W of c,
-    pulled back so that it pairs negatively with xi and non-negatively with
-    every member of the hull.  The split's stop reason and iteration count
-    come along, so a capped solve, which reads outside without a proof, can
-    be told from a refuted one.  No member of the hull has a non-Hermitian
-    reduction, so one whose deviation exceeds tol·‖c‖ reads outside, as for
-    the other kinds: the residual is the deviation, with no witness and no
-    split.
+    xi's reduction r is taken once and its Hermitian deviation is gated
+    once, against tol·‖r‖: no member has a non-Hermitian reduction, so a
+    larger deviation reads outside, with the deviation as residual and no
+    witness.  The tensor kinds read their layout from ``md``.  Every kind
+    but the hull is decided by one ``eigh``, of r, of r^Γ for the
+    transposed tensor cone, or of both stacked for the intersection: the
+    lowest eigenvalue is held against tol·‖r‖, so scaling xi changes no
+    verdict, and an outside verdict's witness, from the view that reads
+    lowest, pairs negatively with xi and non-negatively with every member.
+    The hull splits r = a + b, a and b^Γ PSD, in at most ``max_iter``
+    iterations, on r scaled exactly by a power of two into norm [1/2, 1).
+    Its residual ‖r − a − b‖ is at r's scale, its witness is the split's
+    dual witness when the split proves xi outside, and its stop reason and
+    iteration count tell a capped solve from a refuted one.
     """
     xi = np.asarray(xi, dtype=complex)
-    n = md.dim
-    if xi.shape != (n, n):
-        raise LayoutMismatch(f"expected {n}x{n}, got {xi.shape}")
-    if spec.kind == VBETA:
-        return _verdict(md, xi, tol, spec.beta)
-    if spec.kind != NATURAL:
-        _check_tensor(md, spec)
-    if spec.kind in (NATURAL, NATURAL_TENSOR):
-        return _verdict(md, xi, tol)
-    if spec.kind == TRANSPOSED_TENSOR:
-        return _verdict(md, xi, tol, layout=spec.layout)
+    if xi.shape != (md.dim, md.dim):
+        raise LayoutMismatch(f"expected {md.dim}x{md.dim}, got {xi.shape}")
+    layout = _layout(md, spec.kind)
+    beta = spec.beta if spec.kind == VBETA else 0.25
+    r = _reduction_eig(md, xi, beta)
+    dev, bound = linalg.hermitian_deviation(r, tol)
+    if dev > bound:
+        return MembershipResult(inside=False, residual=dev)
     if spec.kind == HULL:
-        return _hull_verdict(md, xi, tol, spec.layout, max_iter)
-    # intersection: both reductions PSD
-    plain = _verdict(md, xi, tol)
-    transposed = _verdict(md, xi, tol, layout=spec.layout)
-    worse = max(plain, transposed, key=lambda m: m.residual)
-    return MembershipResult(inside=plain.inside and transposed.inside,
-                            residual=worse.residual, witness=worse.witness)
+        return _hull_verdict(md, r, tol, layout, max_iter)
+    views = {TRANSPOSED_TENSOR: (layout,), INTERSECTION: (None, layout)}.get(spec.kind, (None,))
+    return _psd_verdict(md, r, bound, beta, views)
 
 
 def state_of_cone_vector(md: ModularData, xi) -> np.ndarray:
@@ -212,15 +201,14 @@ def sample_cone(md: ModularData, spec: ConeSpec, seed) -> np.ndarray:
         raise UnsupportedKind(
             "hull samples are convex combinations of natural and transposed samples"
         )
-    if spec.kind in _TENSOR_KINDS:
-        _check_tensor(md, spec)
+    layout = _layout(md, spec.kind)
     n = md.dim
     g = linalg.sample_ginibre(n, n, seed)
     a = md.to_eigenbasis(g @ g.conj().T)
     if spec.kind == TRANSPOSED_TENSOR:
-        a = linalg.partial_transpose(a, spec.layout, 2)
+        a = linalg.partial_transpose(a, layout, 2)
     elif spec.kind == INTERSECTION:
-        a = dykstra.project_intersection(a, dykstra.PPTPair(spec.layout, 2),
+        a = dykstra.project_intersection(a, dykstra.PPTPair(layout, 2),
                                          tol=_SAMPLE_TOL).point
     beta = spec.beta if spec.kind == VBETA else 0.25
     return md.from_eigenbasis(md.weigh(a, beta, 0.5 - beta))
@@ -252,7 +240,8 @@ def probe_finite_dim_equality(
     Every sample xi of P_n n P_n^tau is reduced to a = rho^{-1/4} xi
     rho^{-1/4}; the probe certifies that both a and its second-factor
     partial transpose are PSD, i.e. that the two descriptions of the
-    intersection coincide at desk scale.
+    intersection coincide at desk scale.  It reports the worst
+    ``cone_membership`` residual of its samples.
     """
     if trials < 1:
         raise InvalidOption(f"trials must be at least 1, got {trials}")
@@ -260,15 +249,9 @@ def probe_finite_dim_equality(
         build_modular(linalg.sample_density(m, rho_seed, ridge=1e-2)),
         build_modular(linalg.sample_density(n, rho_seed + 1, ridge=1e-2)),
     )
-    layout = TensorLayout((m, n))
-    spec = ConeSpec(INTERSECTION, layout=layout)
-    pair = dykstra.PPTPair(layout, 2)
-    max_res = 0.0
-    for t in range(trials):
-        xi = sample_cone(md, spec, rho_seed + 1000 + t)
-        a = _reduction_eig(md, xi)
-        w, w_pt = pair.min_eigs(a)
-        max_res = max(max_res, -w, linalg.hermitian_deviation(a)[0], -w_pt)
+    spec = ConeSpec(INTERSECTION)
+    max_res = max(cone_membership(md, spec, sample_cone(md, spec, rho_seed + 1000 + t)).residual
+                  for t in range(trials))
     return ProbeReport(dims=(m, n), trials=trials, max_residual=max_res, note=_PROBE_NOTE)
 
 

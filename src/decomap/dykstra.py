@@ -10,8 +10,8 @@ K2 = {a : a^Γ ⪰ 0}, with Γ the partial transpose of one tensor factor.
   that proves c ∉ K1 + K2, or ``capped`` at ``max_iter``.
 
 The pair also answers the pointwise question, λmin of x and of x^Γ
-(``PPTPair.min_eigs``), for the CP / co-CP test, the intersection probe and
-the S_k sampler's re-check, and it makes a point of K1 ∩ K2 without a solve
+(``PPTPair.min_eigs``), for the CP / co-CP test and the S_k sampler's
+re-check, and it makes a point of K1 ∩ K2 without a solve
 (``PPTPair.lift``): a PSD w plus the least multiple of I that puts w^Γ in
 the PSD cone, since I^Γ = I.  The split's dual witness and the S_k
 sampler's points are built that way; only ``cones.sample_cone`` asks for

@@ -466,6 +466,8 @@ def transfer_operator(phi: MapObject, md: ModularData, tol: float = DEFAULT.cone
 
 
 CRITERIA = ("p", "pt", "hull")      # images in P_n, in P_n^tau, in their hull
+_CRITERION_SPECS = tuple(cones.ConeSpec(kind)   # in the order of CRITERIA
+                         for kind in (cones.NATURAL_TENSOR, cones.TRANSPOSED_TENSOR, cones.HULL))
 
 
 @dataclass
@@ -521,21 +523,18 @@ def cone_criterion_check(phi: MapObject, md_m: ModularData, k: int, trials: int,
     failures: dict[str, CriterionFailure] = {}
     for level in range(1, k + 1):
         mdt = tensor_modular(md_m, build_modular(np.eye(level) / level))
-        layout = TensorLayout((m, level))
-        specs = [cones.ConeSpec(kind, layout=layout)     # in the order of CRITERIA
-                 for kind in (cones.NATURAL_TENSOR, cones.TRANSPOSED_TENSOR, cones.HULL)]
         if level >= m:
             omega = np.eye(m, level).reshape(-1, 1)
             quarter = mdt.rho_power(0.25)
             probes = [quarter @ (omega @ omega.T) @ quarter]
         else:
-            probes = [cones.sample_cone(mdt, specs[0], seed + 4099 * level + t)
+            probes = [cones.sample_cone(mdt, _CRITERION_SPECS[0], seed + 4099 * level + t)
                       for t in range(trials)]
         worst = dict.fromkeys(CRITERIA, 0.0)
         for xi in probes:
             xi4 = xi.reshape(m, level, m, level)
             image = np.einsum("abcd,cpdq->apbq", td4, xi4).reshape(m * level, m * level)
-            for name, spec in zip(CRITERIA, specs):
+            for name, spec in zip(CRITERIA, _CRITERION_SPECS):
                 res = cones.cone_membership(mdt, spec, image, tol)
                 worst[name] = max(worst[name], res.residual)
                 if not res.inside:

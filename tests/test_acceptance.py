@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from decomap import cli, cones, linalg, maps, modular, stormer
-from decomap.linalg import TensorLayout
 
 from conftest import (SIGMA_X, criterion_worst, decomposable_test_set, matrix_json,
                       write_json)
@@ -91,8 +90,7 @@ def test_criterion_04_commutant_generators(report):
     md_a = modular.build_modular(linalg.sample_density(2, 900))
     md_b = modular.build_modular(linalg.sample_density(2, 901))
     md = modular.tensor_modular(md_a, md_b)
-    layout = TensorLayout((2, 2))
-    spec = cones.ConeSpec(cones.TRANSPOSED_TENSOR, layout=layout)
+    spec = cones.ConeSpec(cones.TRANSPOSED_TENSOR)
     worst_mem = 0.0
     members = 0
     for trial in range(100):

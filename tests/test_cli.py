@@ -166,12 +166,10 @@ class TestCommands:
         """cone-member with the hull kind gives hull-member's report: the
         same verdict, residual, witness, stop reason and iterations."""
         from decomap import cones, linalg, modular
-        from decomap.linalg import TensorLayout
         rho_b = linalg.sample_density(2, 7)
         md = modular.tensor_modular(modular.build_modular(np.diag([0.9, 0.1])),
                                     modular.build_modular(rho_b))
-        layout = TensorLayout((2, 2))
-        sample = sum(0.5 * cones.sample_cone(md, cones.ConeSpec(kind, layout=layout), seed)
+        sample = sum(0.5 * cones.sample_cone(md, cones.ConeSpec(kind), seed)
                      for kind, seed in ((cones.NATURAL_TENSOR, 1), (cones.TRANSPOSED_TENSOR, 2)))
         xi = {"swap": np.eye(4)[[0, 2, 1, 3]], "minus_one": -np.eye(4),
               "upper": np.triu(np.ones((4, 4))), "sample": 1e8 * sample}[xi]
@@ -344,6 +342,22 @@ class TestContract:
         report, code = cli.run(argv)
         assert code == 2 and report["verdict"] == "error"
         assert report["error"]["type"] == error
+        json.loads(cli.render_report(report), parse_constant=pytest.fail)
+
+    @pytest.mark.parametrize("cone, error, prefix", [
+        ('{"kind": "transposed_tensor"}', "LayoutMismatch",
+         "transposed_tensor requires a 2-factor layout"),
+        ('{"kind": "natural", "beta": 0.3}', "UnsupportedKind", "natural takes no beta"),
+    ], ids=["tensor-kind-without-dims", "beta-on-natural"])
+    def test_cone_spec_error(self, tmp_path, cone, error, prefix):
+        """A tensor kind without dims has a one-factor state, and only V_beta
+        reads beta: both exit 2 with a typed error, not a verdict."""
+        rho_file = write_json(tmp_path / "r.json", matrix_json(np.eye(2) / 2))
+        report, code = cli.run(["cone-member", "--rho", rho_file, "--xi", rho_file,
+                                "--cone", cone])
+        assert code == 2 and report["verdict"] == "error"
+        assert report["error"]["type"] == error
+        assert report["error"]["message"].startswith(prefix)
         json.loads(cli.render_report(report), parse_constant=pytest.fail)
 
     def test_non_finite_tol_echoed_as_text(self, transpose_map_file):

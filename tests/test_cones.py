@@ -16,15 +16,15 @@ def md_tensor22():
         modular.build_modular(np.eye(2) / 2), modular.build_modular(np.eye(2) / 2))
 
 
-def hull_sample(md, layout, seed, weight=0.5):
+def hull_sample(md, seed, weight=0.5):
     """Convex combination of a natural and a transposed tensor sample."""
-    a = cones.sample_cone(md, cones.ConeSpec(cones.NATURAL_TENSOR, layout=layout), seed)
-    b = cones.sample_cone(md, cones.ConeSpec(cones.TRANSPOSED_TENSOR, layout=layout), seed + 1)
+    a = cones.sample_cone(md, cones.ConeSpec(cones.NATURAL_TENSOR), seed)
+    b = cones.sample_cone(md, cones.ConeSpec(cones.TRANSPOSED_TENSOR), seed + 1)
     return weight * a + (1.0 - weight) * b
 
 
-def hull_member(md, xi, layout):
-    return cones.cone_membership(md, cones.ConeSpec(cones.HULL, layout=layout), xi)
+def hull_member(md, xi):
+    return cones.cone_membership(md, cones.ConeSpec(cones.HULL), xi)
 
 
 def swap(n=2):
@@ -40,14 +40,34 @@ class TestSpecValidation:
         with pytest.raises(UnsupportedKind):
             cones.ConeSpec(cones.VBETA, beta=0.75)
 
-    def test_tensor_needs_layout(self):
-        with pytest.raises(LayoutMismatch):
-            cones.ConeSpec(cones.HULL)
+    @pytest.mark.parametrize("kind", [cones.NATURAL, cones.NATURAL_TENSOR,
+                                      cones.TRANSPOSED_TENSOR, cones.HULL,
+                                      cones.INTERSECTION])
+    def test_beta_only_for_vbeta(self, kind):
+        """Only V_beta reads beta: a beta on any other kind is an error, not
+        a silent answer at beta = 1/4."""
+        with pytest.raises(UnsupportedKind):
+            cones.ConeSpec(kind, beta=0.3)
+        with pytest.raises(UnsupportedKind):
+            cones.ConeSpec(kind, beta=0.25)
+
+    def test_tensor_kinds_need_two_factor_state(self, md_tracial2):
+        """The tensor kinds read their layout from the state, which must have
+        two factors; the hull has no sampler at all."""
+        for kind in (cones.NATURAL_TENSOR, cones.TRANSPOSED_TENSOR, cones.HULL,
+                     cones.INTERSECTION):
+            with pytest.raises(LayoutMismatch, match=f"^{kind} requires a 2-factor layout"):
+                cones.cone_membership(md_tracial2, cones.ConeSpec(kind), np.eye(2))
+        for kind in (cones.NATURAL_TENSOR, cones.TRANSPOSED_TENSOR, cones.INTERSECTION):
+            with pytest.raises(LayoutMismatch, match=f"^{kind} requires a 2-factor layout"):
+                cones.sample_cone(md_tracial2, cones.ConeSpec(kind), 0)
+        with pytest.raises(UnsupportedKind):
+            cones.sample_cone(md_tracial2, cones.ConeSpec(cones.HULL), 0)
 
     def test_hull_kind_answers(self, md_tensor22):
         """cone_membership decides the hull like every other kind, and
         max_iter caps its split."""
-        spec = cones.ConeSpec(cones.HULL, layout=TensorLayout((2, 2)))
+        spec = cones.ConeSpec(cones.HULL)
         res = cones.cone_membership(md_tensor22, spec, np.eye(4))
         assert res.inside and res.stop_reason == "converged"
         res = cones.cone_membership(md_tensor22, spec, swap(), max_iter=1)
@@ -81,12 +101,11 @@ class TestMembership:
             xi = cones.sample_cone(md, spec, 5)
             assert cones.cone_membership(md, spec, xi, tol=1e-9).inside
         # every other kind, on a non-tracial tensor state
-        layout = TensorLayout((2, 3))
         md = modular.tensor_modular(modular.build_modular(linalg.sample_density(2, 3)),
                                     modular.build_modular(linalg.sample_density(3, 4)))
         for kind in (cones.NATURAL, cones.NATURAL_TENSOR, cones.TRANSPOSED_TENSOR,
                      cones.INTERSECTION):
-            spec = cones.ConeSpec(kind, layout=layout)
+            spec = cones.ConeSpec(kind)
             for seed in range(3):
                 xi = cones.sample_cone(md, spec, 5 + seed)
                 assert cones.cone_membership(md, spec, xi, tol=1e-9).inside, (kind, seed)
@@ -98,7 +117,7 @@ class TestMembership:
 
     def test_transposed_sample_reduction(self, md_tensor22):
         layout = TensorLayout((2, 2))
-        spec = cones.ConeSpec(cones.TRANSPOSED_TENSOR, layout=layout)
+        spec = cones.ConeSpec(cones.TRANSPOSED_TENSOR)
         xi = cones.sample_cone(md_tensor22, spec, 3)
         r = md_tensor22.rho_power(-0.25) @ xi @ md_tensor22.rho_power(-0.25)
         pt = linalg.partial_transpose(r, layout, 2)
@@ -120,11 +139,40 @@ def test_intersection_draws_stop_within_two_steps(dims, monkeypatch):
     monkeypatch.setattr(dykstra, "project_intersection", spy)
     md = modular.tensor_modular(modular.build_modular(linalg.sample_density(dims[0], 3)),
                                 modular.build_modular(linalg.sample_density(dims[1], 4)))
-    spec = cones.ConeSpec(cones.INTERSECTION, layout=TensorLayout(dims))
+    spec = cones.ConeSpec(cones.INTERSECTION)
     for seed in range(50):
         cones.sample_cone(md, spec, seed)
     assert len(solves) == 50
     assert all(res.converged and res.iterations <= 2 for res in solves)
+
+
+class TestIntersection:
+    """The intersection is decided by one batched eigh of the reduction and
+    its partial transpose: it answers as the two tensor kinds asked apart."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]), seed=st.integers(0, 2**16),
+           kind=st.sampled_from([cones.NATURAL_TENSOR, cones.TRANSPOSED_TENSOR,
+                                 cones.INTERSECTION, None]),
+           sign=st.sampled_from([1.0, -1.0]))
+    def test_agrees_with_both_tensor_kinds(self, dims, seed, kind, sign):
+        md = modular.tensor_modular(
+            modular.build_modular(linalg.sample_density(dims[0], seed)),
+            modular.build_modular(linalg.sample_density(dims[1], seed + 1)))
+        # a member of a tensor cone or its negative, or an indefinite Hermitian xi
+        xi = sign * (linalg.sample_hermitian(md.dim, seed) if kind is None
+                     else cones.sample_cone(md, cones.ConeSpec(kind), seed))
+        res = cones.cone_membership(md, cones.ConeSpec(cones.INTERSECTION), xi)
+        plain, transposed = (cones.cone_membership(md, cones.ConeSpec(k), xi)
+                             for k in (cones.NATURAL_TENSOR, cones.TRANSPOSED_TENSOR))
+        assert res.inside == (plain.inside and transposed.inside)
+        assert res.residual == max(plain.residual, transposed.residual)
+        # the view that reads lower, the natural one on a tie
+        lower = transposed if transposed.residual > plain.residual else plain
+        if lower.witness is None:
+            assert res.witness is None
+        else:
+            assert res.witness.tobytes() == lower.witness.tobytes()
 
 
 class TestUMapping:
@@ -148,35 +196,33 @@ class TestUMapping:
 class TestHull:
     def test_psd_member_trivially(self, md_tensor22):
         c = np.eye(4) / 2
-        res = hull_member(md_tensor22, c, TensorLayout((2, 2)))
+        res = hull_member(md_tensor22, c)
         assert res.inside
 
     def test_swap_inside_via_transposed_part(self, md_tensor22):
         # SWAP has PSD partial transpose, so the split a = 0, b = SWAP works
-        res = hull_member(md_tensor22, swap(), TensorLayout((2, 2)))
+        res = hull_member(md_tensor22, swap())
         assert res.inside
 
     def test_negative_identity_outside(self, md_tensor22):
-        res = hull_member(md_tensor22, -np.eye(4), TensorLayout((2, 2)))
+        res = hull_member(md_tensor22, -np.eye(4))
         assert not res.inside
         assert res.residual >= 1.0
         assert res.witness is not None
 
     def test_hull_samples_inside(self, md_tensor22):
-        layout = TensorLayout((2, 2))
         for s in range(5):
-            xi = hull_sample(md_tensor22, layout, 100 + 2 * s, weight=0.3)
-            assert hull_member(md_tensor22, xi, layout).inside
+            xi = hull_sample(md_tensor22, 100 + 2 * s, weight=0.3)
+            assert hull_member(md_tensor22, xi).inside
 
     def test_non_hermitian_reads_outside(self, md_tensor22, rng):
         """No hull member has a non-Hermitian reduction: the hull reads one
         outside, as natural_tensor does, with the same residual (the
         deviation) and no witness or split."""
-        layout = TensorLayout((2, 2))
-        spec = cones.ConeSpec(cones.NATURAL_TENSOR, layout=layout)
+        spec = cones.ConeSpec(cones.NATURAL_TENSOR)
         for _ in range(3):
             xi = random_matrix(rng, 4)
-            hull = hull_member(md_tensor22, xi, layout)
+            hull = hull_member(md_tensor22, xi)
             natural = cones.cone_membership(md_tensor22, spec, xi)
             assert not hull.inside and not natural.inside
             assert hull.residual == natural.residual > 0.1
@@ -188,8 +234,6 @@ class TestWitnesses:
     """An outside verdict's witness V separates xi from the cone:
     Re<V, xi> < 0, and Re<V, eta> >= 0 for every member eta."""
 
-    LAYOUT = TensorLayout((2, 2))
-
     @pytest.fixture
     def md(self):
         # a steep spectrum: the reduction's coordinates differ most from xi's
@@ -199,7 +243,7 @@ class TestWitnesses:
     def outside(self, md, seed):
         """A natural-cone member minus a random rank-one term."""
         rng = np.random.default_rng(seed)
-        member = cones.sample_cone(md, cones.ConeSpec(cones.NATURAL_TENSOR, layout=self.LAYOUT),
+        member = cones.sample_cone(md, cones.ConeSpec(cones.NATURAL_TENSOR),
                                    seed)
         g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         return member - 0.1 * linalg.frobenius(member) * np.outer(g, g.conj()) / np.vdot(g, g).real
@@ -207,7 +251,7 @@ class TestWitnesses:
     @pytest.mark.parametrize("kind", [cones.NATURAL, cones.NATURAL_TENSOR,
                                       cones.TRANSPOSED_TENSOR, cones.INTERSECTION])
     def test_cone_witnesses(self, md, kind):
-        spec = cones.ConeSpec(kind, layout=self.LAYOUT)
+        spec = cones.ConeSpec(kind)
         members = [cones.sample_cone(md, spec, 500 + s) for s in range(5)]
         for seed in range(40):
             xi = self.outside(md, seed)
@@ -226,13 +270,13 @@ class TestWitnesses:
             assert_separates(res.witness, xi, members)
 
     def test_hull_witnesses(self, md):
-        members = [cones.sample_cone(md, cones.ConeSpec(kind, layout=self.LAYOUT), 500 + s)
+        members = [cones.sample_cone(md, cones.ConeSpec(kind), 500 + s)
                    for kind in (cones.NATURAL_TENSOR, cones.TRANSPOSED_TENSOR)
                    for s in range(5)]
         certified = 0
         for seed in range(40):
             xi = self.outside(md, seed)
-            res = hull_member(md, xi, self.LAYOUT)
+            res = hull_member(md, xi)
             if res.witness is not None:
                 certified += 1
                 assert_separates(res.witness, xi, members)
@@ -243,13 +287,12 @@ class TestScaleInvariance:
     """Cones are invariant under positive scaling, and so are the verdicts:
     a member times 10^k stays inside and a non-member stays outside."""
 
-    LAYOUT = TensorLayout((2, 2))
     MD = modular.tensor_modular(modular.build_modular(np.diag([0.9, 0.1])),
                                 modular.build_modular(linalg.sample_density(2, 6)))
     SPECS = [cones.ConeSpec(cones.VBETA, beta=0.1), cones.ConeSpec(cones.NATURAL),
-             cones.ConeSpec(cones.NATURAL_TENSOR, layout=LAYOUT),
-             cones.ConeSpec(cones.TRANSPOSED_TENSOR, layout=LAYOUT),
-             cones.ConeSpec(cones.INTERSECTION, layout=LAYOUT)]
+             cones.ConeSpec(cones.NATURAL_TENSOR),
+             cones.ConeSpec(cones.TRANSPOSED_TENSOR),
+             cones.ConeSpec(cones.INTERSECTION)]
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.integers(0, 4), k=st.integers(-9, 9), seed=st.integers(0, 2**16))
@@ -267,17 +310,17 @@ class TestScaleInvariance:
     @given(k=st.integers(-9, 9), seed=st.integers(0, 2**16))
     @example(k=8, seed=3)               # a hull member x 1e8
     def test_scaled_hull_verdicts(self, k, seed):
-        member = hull_sample(self.MD, self.LAYOUT, seed)
+        member = hull_sample(self.MD, seed)
         for xi, inside in ((member, True), (-member, False)):
-            res = hull_member(self.MD, 10.0**k * xi, self.LAYOUT)
+            res = hull_member(self.MD, 10.0**k * xi)
             assert res.inside == inside
             assert (res.witness is None) == inside
 
     def test_hull_residual_at_input_scale(self):
         # an outside verdict's residual is the gap ‖c − a − b‖ of xi's own reduction
-        member = hull_sample(self.MD, self.LAYOUT, 3)
-        small = hull_member(self.MD, -member, self.LAYOUT)
-        large = hull_member(self.MD, -1e6 * member, self.LAYOUT)
+        member = hull_sample(self.MD, 3)
+        small = hull_member(self.MD, -member)
+        large = hull_member(self.MD, -1e6 * member)
         assert large.residual == pytest.approx(1e6 * small.residual, rel=1e-9)
 
 
@@ -295,13 +338,13 @@ class TestGenerators:
                   rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
                  for _ in range(2)]
         gen = cones.transposed_tensor_generator(md_a, md_b, terms)
-        spec = cones.ConeSpec(cones.TRANSPOSED_TENSOR, layout=TensorLayout((2, 2)))
+        spec = cones.ConeSpec(cones.TRANSPOSED_TENSOR)
         assert cones.cone_membership(md, spec, gen, tol=1e-7).inside
 
     def test_reverse_fit(self, factors):
         md_a, md_b = factors
         md = modular.tensor_modular(md_a, md_b)
-        spec = cones.ConeSpec(cones.TRANSPOSED_TENSOR, layout=TensorLayout((2, 2)))
+        spec = cones.ConeSpec(cones.TRANSPOSED_TENSOR)
         for s in range(5):
             xi = cones.sample_cone(md, spec, 41 + s)
             dist, recon = cones.fit_transposed_generator(md_a, md_b, xi)

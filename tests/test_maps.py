@@ -855,8 +855,7 @@ class TestConeCriteria:
         omega = np.eye(3).reshape(-1)
         quarter = mdt.rho_power(0.25)
         image = criterion_image(rep, quarter @ np.outer(omega, omega) @ quarter, 3, 3)
-        layout = TensorLayout((3, 3))
-        members = [cones.sample_cone(mdt, cones.ConeSpec(kind, layout=layout), 900 + s)
+        members = [cones.sample_cone(mdt, cones.ConeSpec(kind), 900 + s)
                    for kind in (cones.NATURAL_TENSOR, cones.TRANSPOSED_TENSOR)
                    for s in range(5)]
         assert_separates(failure.witness, image, members)
@@ -881,7 +880,7 @@ class TestConeCriteria:
         rep = maps.cone_criterion_check(phi, md, k=2, trials=2, seed=i)
         assert rep.holds("hull")
         mdt = tensor_level(md, 2)
-        hull = cones.ConeSpec(cones.HULL, layout=TensorLayout((2, 2)))
+        hull = cones.ConeSpec(cones.HULL)
         rng = np.random.default_rng(i)
         for _ in range(5):
             v = random_matrix(rng, 4, 1)
