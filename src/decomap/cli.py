@@ -204,15 +204,19 @@ def _modular_data(rho_path: str, rho_b_path: str | None,
 
     For two-factor cones the --rho file is the first-factor density; the
     second factor defaults to the tracial state of the layout dimension
-    and can be overridden with --rho-b.
+    and can be overridden with --rho-b, which must match it.
     """
     rho = parse_matrix_file(rho_path)
     if layout is None:
+        if rho_b_path:
+            raise ParseError("--rho-b needs a two-factor layout (dims)")
         return modular.build_modular(rho)
     m, n = layout.dims
     if rho.shape != (m, m):
         raise ParseError(f"--rho must be {m}x{m} for dims {layout.dims}")
     rho_b = parse_matrix_file(rho_b_path) if rho_b_path else np.eye(n) / n
+    if rho_b.shape != (n, n):
+        raise ParseError(f"--rho-b must be {n}x{n} for dims {layout.dims}")
     return modular.tensor_modular(modular.build_modular(rho),
                                   modular.build_modular(rho_b))
 

@@ -502,9 +502,10 @@ def cone_criterion_check(phi: MapObject, md_m: ModularData, k: int, trials: int,
     At n >= m every vector of C^m (x) C^n is (I (x) X) Omega, Omega =
     sum_{i<m} e_i (x) e_i, and the cones and T* (x) id commute with congruence
     by I (x) X: the image of the extreme ray rho^{1/4} Omega Omega* rho^{1/4}
-    decides level n.  Below m, ``trials`` members drawn from the seeds
-    seed + 4099 n + t are tested.  Requires the detailed-balance adjoint to
-    exist as a positive unital map; the M_n factor carries the tracial state.
+    decides level n; it lies in C^m (x) C^m, so levels above m repeat level
+    m (Omega = vec(I_m)) without a solve.  Below m, ``trials`` members from
+    seeds seed + 4099 n + t are tested.  Requires a positive unital
+    detailed-balance adjoint; the M_n factor carries the tracial state.
     """
     if k < 1:
         raise DimensionMismatch(f"k must be at least 1, got {k}")
@@ -521,10 +522,10 @@ def cone_criterion_check(phi: MapObject, md_m: ModularData, k: int, trials: int,
     td4 = transfer.matrix.conj().T.reshape(m, m, m, m)
     levels: dict[int, dict[str, float]] = {}
     failures: dict[str, CriterionFailure] = {}
-    for level in range(1, k + 1):
+    for level in range(1, min(k, m) + 1):
         mdt = tensor_modular(md_m, build_modular(np.eye(level) / level))
-        if level >= m:
-            omega = np.eye(m, level).reshape(-1, 1)
+        if level == m:
+            omega = np.eye(m).reshape(-1, 1)
             quarter = mdt.rho_power(0.25)
             probes = [quarter @ (omega @ omega.T) @ quarter]
         else:
@@ -541,4 +542,5 @@ def cone_criterion_check(phi: MapObject, md_m: ModularData, k: int, trials: int,
                     failures.setdefault(
                         name, CriterionFailure(level, res.witness, res.stop_reason))
         levels[level] = worst
+    levels.update({level: dict(levels[m]) for level in range(m + 1, k + 1)})
     return CriterionReport(levels=levels, failures=failures, transfer=transfer)

@@ -4,21 +4,24 @@ Given a positive unital phi: M_2 -> M_2 and a unit vector eta, the state
 omega_eta(a) = <eta, phi(a) eta> induces a left ideal L, a right ideal R,
 the quotient Hilbert space K_eta = M_2/L + M_2/R with its averaged inner
 product, a unital Jordan morphism rho_eta and an operator V_eta with
-phi(a) eta = V_eta rho_eta(a) V_eta* eta.  The state is held as the 2 x 2
-matrix w[i, j] = omega_eta(E_ij) (density matrix w^T), and all of it comes
-from one eigh w = u diag(lam) u*: the Gram forms I (x) w / 2, w^T (x) I / 2
-have eigenvalue lam_k / 2 on outer(e_i, u_k), outer(conj(u_k), e_j), which
-span L and R at the null vectors of w and, scaled, are an orthonormal basis
-of K_eta at the others.  One assembly takes that basis, or the face case's
-below, as pairs k_s = (r0[s], r1[s]) and reads rho_eta(E_pq), the Gram
-residual and the coordinates of the pairs (E_ij, E_ij) from w by the same
-contractions.  In the generic basis rho_eta(a) is (I_r (x) a) (+)
-(I_r (x) a)^T, a representation plus an anti-representation; any rho_eta
-is stored as the (2, 2, K, K) array of rho_eta(E_ij).
+phi(a) eta = V_eta rho_eta(a) V_eta* eta.  phi is applied once, to the
+stack of matrix units, and all the construction takes from phi is read
+from Phi[i, j] = phi(E_ij) eta.  The state is held as the 2 x 2 matrix
+w[i, j] = omega_eta(E_ij) = <eta, Phi[i, j]> (density matrix w^T), and
+all of it comes from one eigh w = u diag(lam) u*: the Gram forms
+I (x) w / 2, w^T (x) I / 2 have eigenvalue lam_k / 2 on outer(e_i, u_k),
+outer(conj(u_k), e_j), which span L and R at the null vectors of w and,
+scaled, are an orthonormal basis of K_eta at the others.  One assembly
+takes that basis, or the face case's below, as pairs k_s = (r0[s], r1[s])
+and reads rho_eta(E_pq), the Gram residual and the coordinates of the
+pairs (E_ij, E_ij) from w by the same contractions.  In the generic basis
+rho_eta(a) is (I_r (x) a) (+) (I_r (x) a)^T, a representation plus an
+anti-representation; any rho_eta is stored as the (2, 2, K, K) array of
+rho_eta(E_ij).
 
 When phi lies in a maximal face (phi(|xi><xi|) eta = 0) the ideals are
 known exactly, K_eta is four dimensional with an explicit orthonormal
-basis, and the V_eta matrix collapses to a two-by-four array whose entries
+basis, and V_eta, read from Phi, is a two-by-four array whose entries
 decide whether the local identity upgrades to the global equality
 phi(a) = V_eta rho_eta(a) V_eta* (the trace-condition iff).
 """
@@ -158,11 +161,6 @@ class StormerData:
         return np.einsum("...ij,ijkl->...kl", a, self.rho_units)
 
 
-def _omega(phi: MapObject, eta: np.ndarray, a: np.ndarray):
-    """omega_eta(a) = <eta, phi(a) eta>, of a or of each matrix of a stack."""
-    return eta.conj() @ apply_map(phi, a) @ eta
-
-
 def _units_along(xi: np.ndarray) -> np.ndarray:
     """Matrix units of the basis x_1 = xi, x_2 as one stack: e[i, j] = x_i x_j*."""
     xb = complete_basis(xi)
@@ -197,12 +195,15 @@ def build_local_decomposition(
     the face candidate comes from a kernel read at ``DEFAULT.kernel``, so
     the construction resolves no finer.
     """
-    m, n = phi.dim_in, phi.dim_out
-    if (m, n) != (2, 2):
+    if (phi.dim_in, phi.dim_out) != (2, 2):
         raise DimensionMismatch("the construction is implemented for M_2 -> M_2")
     eta = _unit_vector(eta)
+    xi = face.xi if face is not None else None
+    if eta.shape != (2,) or (xi is not None and xi.shape != (2,)):
+        raise ShapeMismatch("eta and xi must be vectors of C^2")
     tol = max(tol, DEFAULT.cone)
-    unital_res = np.linalg.norm(apply_map(phi, np.eye(m)) - np.eye(n))
+    images = apply_map(phi, np.eye(4, dtype=complex).reshape(2, 2, 2, 2))
+    unital_res = np.linalg.norm(images[0, 0] + images[1, 1] - np.eye(2))
     if unital_res > tol:
         raise NotUnital(f"phi(I) deviates from I by {unital_res:.3e}")
     search = k_positivity_search(phi, k=1, restarts=8, seed=seed)
@@ -210,21 +211,20 @@ def build_local_decomposition(
         raise NotPositiveEvidence(
             f"positivity violated on a product vector, value {search.value:.3e}")
 
-    # w[i, j] = omega_eta(E_ij), over the stack of matrix units
-    w = _omega(phi, eta, np.eye(m * m, dtype=complex).reshape(m, m, m, m))
+    big_phi = images @ eta                          # big_phi[i, j] = phi(E_ij) eta
+    w = big_phi @ eta.conj()                        # w[i, j] = omega_eta(E_ij)
     lam, u = np.linalg.eigh(linalg.herm_part(w))
     left_basis, right_basis = map(list, _eigenmatrices(u[:, lam / 2 < DEFAULT.kernel]))
 
-    xi = face.xi if face is not None else None
     if face is None and lam[0] < DEFAULT.kernel:
         xi = u[:, 0].conj()             # w^T u_0* = lam_0 u_0*
     if xi is not None and np.linalg.norm(
-            apply_map(phi, np.outer(xi, xi.conj())) @ eta) <= tol:
-        return _build_face_case(phi, eta, xi, w, left_basis, right_basis)
-    return _build_generic(phi, eta, w, lam, u, left_basis, right_basis)
+            np.einsum("i,j,ijp->p", xi, xi.conj(), big_phi)) <= tol:
+        return _build_face_case(big_phi, eta, xi, w, left_basis, right_basis)
+    return _build_generic(big_phi, eta, w, lam, u, left_basis, right_basis)
 
 
-def _assemble(phi, eta, w, r0, r1, left_basis, right_basis, v_eta=None,
+def _assemble(big_phi, eta, w, r0, r1, left_basis, right_basis, v_eta=None,
               eta_basis=None, alpha=None, beta=None):
     """StormerData for the basis k_s = (r0[s], r1[s]) of K_eta, read from w.
 
@@ -232,8 +232,8 @@ def _assemble(phi, eta, w, r0, r1, left_basis, right_basis, v_eta=None,
     <(a1, a2), (b1, b2)> = (omega(a1* b1) + omega(b2 a2*)) / 2, rho_eta(E_pq)
     and the coordinates <k_s, (E_ij, E_ij)> = (conj(r0[s]) w + w conj(r1[s]))
     [i, j] / 2 are contractions against w, in any basis of pairs.  V_eta maps
-    those coordinates to phi(E_ij) eta: it is given in the face case (with
-    eta_basis, alpha and beta) and solved for by pinv otherwise.
+    those coordinates to big_phi[i, j] = phi(E_ij) eta: it is given in the
+    face case (with eta_basis, alpha and beta), solved for by pinv otherwise.
     """
     k_dim = len(r0)
     # rho_units[p, q, s, t] = <k_s, (E_pq r0[t], r1[t] E_pq)>
@@ -243,8 +243,7 @@ def _assemble(phi, eta, w, r0, r1, left_basis, right_basis, v_eta=None,
     ortho = np.max(np.abs(rho_units[0, 0] + rho_units[1, 1] - np.eye(k_dim)))
     # column (i, j): the pair (E_ij, E_ij) in K_eta coordinates, and phi(E_ij) eta
     d_mat = 0.5 * (r0.conj() @ w + w @ r1.conj()).reshape(k_dim, 4)
-    units = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)
-    phi_mat = (apply_map(phi, units) @ eta).reshape(4, 2).T
+    phi_mat = big_phi.reshape(4, 2).T
     face_case = v_eta is not None
     if not face_case:
         v_eta = phi_mat @ np.linalg.pinv(d_mat, rcond=_RCOND)
@@ -267,30 +266,29 @@ def _assemble(phi, eta, w, r0, r1, left_basis, right_basis, v_eta=None,
     )
 
 
-def _build_face_case(phi, eta, xi, w, left_basis, right_basis):
-    """The face case: the explicit basis k1..k4 along xi, and V_eta k4 = 0."""
+def _build_face_case(big_phi, eta, xi, w, left_basis, right_basis):
+    """The face case: the explicit basis k1..k4 along xi, V_eta k_s =
+    phi(r0[s]) eta for s < 3 and V_eta k4 = 0; alpha and beta are <eta2,
+    V_eta k1> = sqrt(2) <eta2, phi(e_12) eta> and the same with e_21."""
     e = _units_along(xi)
-    eb = complete_basis(eta)
-    eta1, eta2 = eb.T
-    phi_e01 = apply_map(phi, e[0, 1])
-    # pin the free phase of eta2 so alpha is real nonnegative when possible
-    alpha0 = np.sqrt(2) * (eta2.conj() @ phi_e01 @ eta1)
-    if abs(alpha0) > _PHASE_FLOOR:
-        eta2 = eta2 * (alpha0 / abs(alpha0))
-        eb = np.column_stack([eta1, eta2])
-    alpha = np.sqrt(2) * (eta2.conj() @ phi_e01 @ eta1)
-    beta = np.sqrt(2) * (eta2.conj() @ apply_map(phi, e[1, 0]) @ eta1)
-
     s2 = np.sqrt(2)
     r0 = np.array([s2 * e[0, 1], s2 * e[1, 0], e[1, 1], e[1, 1]])
     r1 = np.array([s2 * e[0, 1], s2 * e[1, 0], e[1, 1], -e[1, 1]])
     v_eta = np.zeros((2, 4), dtype=complex)           # V_eta k4 = 0
-    v_eta[:, :3] = (apply_map(phi, r0[:3]) @ eta).T
-    return _assemble(phi, eta, w, r0, r1, left_basis, right_basis, v_eta=v_eta,
+    v_eta[:, :3] = np.einsum("sij,ijp->ps", r0[:3], big_phi)
+    eb = complete_basis(eta)
+    eta1, eta2 = eb.T
+    # pin the free phase of eta2 so alpha is real nonnegative when possible
+    alpha0 = eta2.conj() @ v_eta[:, 0]
+    if abs(alpha0) > _PHASE_FLOOR:
+        eta2 = eta2 * (alpha0 / abs(alpha0))
+        eb = np.column_stack([eta1, eta2])
+    alpha, beta = eta2.conj() @ v_eta[:, :2]
+    return _assemble(big_phi, eta, w, r0, r1, left_basis, right_basis, v_eta=v_eta,
                      eta_basis=eb, alpha=complex(alpha), beta=complex(beta))
 
 
-def _build_generic(phi, eta, w, lam, u, left_basis, right_basis):
+def _build_generic(big_phi, eta, w, lam, u, left_basis, right_basis):
     """K_eta on the Gram eigenmatrices of each side whose lam_k / 2 exceeds
     ``DEFAULT.kernel``, scaled by 1 / sqrt(lam_k / 2) to be orthonormal: left
     ones as (a, 0) first, then right ones as (0, b).  In this basis rho_eta(a)
@@ -298,7 +296,7 @@ def _build_generic(phi, eta, w, lam, u, left_basis, right_basis):
     keep = lam / 2 > DEFAULT.kernel
     left, right = _eigenmatrices(u[:, keep] / np.sqrt(lam[keep] / 2))
     zero = np.zeros_like(left)
-    return _assemble(phi, eta, w, np.concatenate([left, zero]),
+    return _assemble(big_phi, eta, w, np.concatenate([left, zero]),
                      np.concatenate([zero, right]), left_basis, right_basis)
 
 

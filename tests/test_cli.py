@@ -328,15 +328,32 @@ class TestContract:
                   "matrices": {"v": matrix_json(2 * np.eye(2))}}}, "BadChoi"),
         (["decompose", "--map", "map"], {"map": {"key": "identity:0"}}, "BadChoi"),
         (["decompose", "--map", "map"], {"map": {"key": "transpose:-1"}}, "BadChoi"),
+        (["stormer-build", "--map", "id", "--eta", "eta3"], {}, "ShapeMismatch"),
+        (["stormer-verify", "--map", "id", "--eta", "eta3"], {}, "ShapeMismatch"),
+        (["stormer-build", "--map", "id", "--face", "face"],
+         {"face": {"xi": [[1, 0], [0, 0]], "eta": [[1, 0], [0, 0], [0, 0]]}}, "ShapeMismatch"),
+        (["stormer-verify", "--map", "id", "--face", "face"],
+         {"face": {"xi": [[1, 0], [0, 0]], "eta": [[1, 0], [0, 0], [0, 0]]}}, "ShapeMismatch"),
+        (["hull-member", "--rho", "rho", "--rho-b", "rho3", "--xi", "xi6", "--dims", "2,2"],
+         {}, "ParseError"),
+        (["cone-member", "--rho", "rho", "--rho-b", "rho3", "--xi", "xi6",
+          "--cone", '{"kind": "natural_tensor", "dims": [2, 2]}'], {}, "ParseError"),
+        (["cone-member", "--rho", "rho", "--rho-b", "rho3", "--xi", "xi",
+          "--cone", '{"kind": "natural"}'], {}, "ParseError"),
     ], ids=["key-number", "matrices-number", "beta-string", "beta-bool", "cone-dims-bool",
             "rows-bool", "entry-bool", "dims-string-and-bool", "dim-float", "label-nan",
             "mix-weight-nan", "mix-overflow", "identity-0",
-            "transpose-negative"])
+            "transpose-negative", "stormer-build-eta-3", "stormer-verify-eta-3",
+            "stormer-build-face-eta-3", "stormer-verify-face-eta-3", "hull-rho-b-3x3",
+            "cone-rho-b-3x3", "rho-b-one-factor"])
     def test_malformed_json_is_error_report(self, tmp_path, argv, inputs, error):
-        """JSON of the wrong type exits 2 with a typed, strict-JSON error report,
-        never a traceback; a bool is not a number and dims are JSON integers."""
+        """JSON of the wrong type or size exits 2 with a typed, strict-JSON error
+        report, never a traceback: a bool is not a number, dims are JSON
+        integers, Stormer's vectors are in C^2, and a --rho-b must fit the
+        second factor of dims (a one-factor state reads none)."""
         inputs = {"rho": matrix_json(np.eye(2) / 2), "xi": matrix_json(np.eye(2) / 2),
-                  **inputs}
+                  "rho3": matrix_json(np.eye(3) / 3), "xi6": matrix_json(np.eye(6)),
+                  "id": {"key": "identity:2"}, "eta3": [[1, 0], [0, 0], [0, 0]], **inputs}
         argv = [write_json(tmp_path / f"{a}.json", inputs[a]) if a in inputs else a
                 for a in argv]
         report, code = cli.run(argv)

@@ -553,6 +553,15 @@ class TestDecompose:
                      TensorLayout((2, n)))
 
 
+def failures_equal(rep, other):
+    """The same criteria fail, at the same level, with the same stop reason
+    and witness."""
+    return rep.failures.keys() == other.failures.keys() and all(
+        (f.level, f.stop_reason) == (g.level, g.stop_reason)
+        and np.array_equal(f.witness, g.witness)
+        for f, g in ((rep.failures[c], other.failures[c]) for c in rep.failures))
+
+
 def generalized_choi_family():
     """(r, a, b, c) for a in {1, 1.5, 2, 2.5}, b/c = 1.69 and
     bc = (3 - a)^2 / 4 · (1 + r): r > 0 decomposable, r < 0 not."""
@@ -632,6 +641,18 @@ class TestGeneralizedChoiEquivalences:
         assert max(max(rep.levels[level].values()) for level in (1, 2)) <= 1e-12
         if not decomposable:
             assert rep.failures["hull"].stop_reason == "certified"
+
+    @pytest.mark.parametrize("r,a,b,c", _asserted_family(), ids=_FAMILY_IDS)
+    def test_levels_above_m_repeat_level_m(self, r, a, b, c):
+        """Level m = 3 decides every level above it: k = 5 reports levels 4
+        and 5 equal to level 3, and the same failures as k = 3."""
+        phi = generalized_choi(a, b, c)
+        normalized = maps.make_map(phi.choi / (a + b + c - 1), 3, 3)
+        md = modular.build_modular(np.eye(3) / 3)
+        at_m, above = (maps.cone_criterion_check(normalized, md, k=k, trials=2, seed=0)
+                       for k in (3, 5))
+        assert above.levels[4] == above.levels[5] == above.levels[3] == at_m.levels[3]
+        assert failures_equal(above, at_m)
 
     @pytest.mark.parametrize("r,a,b,c", _asserted_family(), ids=_FAMILY_IDS)
     def test_local_conjugates(self, r, a, b, c):
@@ -896,9 +917,12 @@ class TestConeCriteria:
                             or split_sum(c, pair, **kw))
         md = modular.build_modular(np.diag([0.7, 0.3]))
         rep = maps.cone_criterion_check(maps.identity_map(2), md, k=4, trials=3, seed=0)
-        assert calls == [1, 1, 1, 2, 3, 4]
+        assert calls == [1, 1, 1, 2]                # levels above m = 2 make no solve
+        assert rep.levels[3] == rep.levels[4] == rep.levels[2]
         assert rep.holds("p") and rep.holds("hull")
         assert rep.failures["pt"].level == 2        # (Omega Omega*)^Gamma is the swap
+        at_m = maps.cone_criterion_check(maps.identity_map(2), md, k=2, trials=3, seed=0)
+        assert failures_equal(rep, at_m)
 
     def test_requires_detailed_balance(self):
         md = modular.build_modular(np.diag([0.8, 0.2]))

@@ -3,7 +3,8 @@ import pytest
 
 from decomap import linalg, maps, stormer
 from decomap.linalg import DEFAULT
-from decomap.errors import InvalidOption, NotInFace, NotPositiveEvidence, NotUnital
+from decomap.errors import (InvalidOption, NotInFace, NotPositiveEvidence, NotUnital,
+                            ShapeMismatch)
 
 from conftest import SIGMA_X
 
@@ -171,12 +172,28 @@ class TestBuild:
         with pytest.raises(NotUnital):
             stormer.build_local_decomposition(phi, E1)
 
+    @pytest.mark.parametrize("eta,xi", [([1.0, 0.0, 0.0], None),
+                                        ([1.0, 0.0, 0.0], [1.0, 0.0]),
+                                        ([1.0, 0.0], [1.0, 0.0, 0.0]),
+                                        ([1.0], None)],
+                             ids=["eta-3", "eta-3-xi-2", "xi-3", "eta-1"])
+    def test_rejects_vectors_not_in_c2(self, eta, xi):
+        face = None if xi is None else stormer.FaceSpec(xi=xi, eta=eta)
+        with pytest.raises(ShapeMismatch):
+            stormer.build_local_decomposition(maps.identity_map(2), eta, face=face)
+
     def test_rejects_non_positive(self):
         # unital but not positive: phi(e11) = diag(1.5, -0.5)
         phi = maps.map_from_action(
             lambda a: 2.0 * a - np.trace(a) / 2 * np.eye(2), 2, 2)
         with pytest.raises(NotPositiveEvidence):
             stormer.build_local_decomposition(phi, E1)
+
+
+def omega(phi, eta, a):
+    """omega_eta(a) = <eta, phi(a) eta>, of a or of each matrix of a stack,
+    evaluated through maps.apply_map, independently of the construction."""
+    return eta.conj() @ maps.apply_map(phi, a) @ eta
 
 
 def reference_gram_blocks(phi, eta):
@@ -188,8 +205,8 @@ def reference_gram_blocks(phi, eta):
     for a, (i, j) in enumerate(units):
         for b, (p, q) in enumerate(units):
             ua, ub = linalg._unit(m, i, j), linalg._unit(m, p, q)
-            gl[a, b] = 0.5 * stormer._omega(phi, eta, ua.conj().T @ ub)
-            gr[a, b] = 0.5 * stormer._omega(phi, eta, ub @ ua.conj().T)
+            gl[a, b] = 0.5 * omega(phi, eta, ua.conj().T @ ub)
+            gr[a, b] = 0.5 * omega(phi, eta, ub @ ua.conj().T)
     return gl, gr
 
 
@@ -203,7 +220,7 @@ def oracle_gram(phi, eta):
 def spectral_basis(phi, eta):
     """K_eta's basis from the spectrum of w, as the rows of a K x 8 array of
     pairs (a1, a2): Gram eigenmatrices over sqrt(lam_k / 2), left ones first."""
-    w = stormer._omega(phi, eta, np.eye(4, dtype=complex).reshape(2, 2, 2, 2))
+    w = omega(phi, eta, np.eye(4, dtype=complex).reshape(2, 2, 2, 2))
     return basis_of_spectrum(*np.linalg.eigh(linalg.herm_part(w)))
 
 
@@ -299,8 +316,8 @@ def face_pairs(phi, eta, xi):
             (e[1, 1], e[1, 1]), (e[1, 1], -e[1, 1])]
 
     def inner(pa, pb):
-        return 0.5 * stormer._omega(phi, eta, pa[0].conj().T @ pb[0]) \
-            + 0.5 * stormer._omega(phi, eta, pb[1] @ pa[1].conj().T)
+        return 0.5 * omega(phi, eta, pa[0].conj().T @ pb[0]) \
+            + 0.5 * omega(phi, eta, pb[1] @ pa[1].conj().T)
     return reps, inner
 
 
@@ -354,9 +371,11 @@ class TestMeasuredResiduals:
         """max|G - I| over the kept basis, here read off the spectrum of
         w + delta·H, under the Gram forms filled from omega_eta."""
         phi, eta = mixed_map(), np.array([0.6, 0.8j])
-        w = stormer._omega(phi, eta, np.eye(4, dtype=complex).reshape(2, 2, 2, 2))
+        units = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)
+        w = omega(phi, eta, units)
         lam, u = np.linalg.eigh(linalg.herm_part(w) + delta * linalg.sample_hermitian(2, 5))
-        data = stormer._build_generic(phi, eta, w, lam, u, [], [])
+        big_phi = maps.apply_map(phi, units) @ eta
+        data = stormer._build_generic(big_phi, eta, w, lam, u, [], [])
         basis = basis_of_spectrum(lam, u)
         oracle = np.max(np.abs(basis.conj() @ oracle_gram(phi, eta) @ basis.T
                                - np.eye(len(basis))))
@@ -395,7 +414,8 @@ class TestFaceFromOmega:
         ortho = np.max(np.abs(gram - np.eye(4)))
         assert abs(data.basis_orthonormality_residual - ortho) <= 1e-12
 
-    def test_face_build_evaluates_phi_a_few_times(self, monkeypatch):
+    @staticmethod
+    def count_evaluations(monkeypatch):
         calls = [0]
         inner = stormer.apply_map
 
@@ -404,10 +424,26 @@ class TestFaceFromOmega:
             return inner(phi, a)
 
         monkeypatch.setattr(stormer, "apply_map", counted)
+        return calls
+
+    def test_face_build_evaluates_phi_a_few_times(self, monkeypatch):
+        """One build applies phi once, to the stack of matrix units, on the
+        face path (face given or detected) and on the generic path."""
         phi, face = stormer.symmetric_face_example()
-        data = stormer.build_local_decomposition(phi, face.eta, face=face)
-        assert data.face_case
-        assert calls[0] <= 12
+        calls = self.count_evaluations(monkeypatch)
+        for eta, given, face_case in ((face.eta, face, True), (face.eta, None, True),
+                                      (np.array([0.6, 0.8j]), None, False)):
+            calls[0] = 0
+            data = stormer.build_local_decomposition(phi, eta, face=given)
+            assert data.face_case == face_case
+            assert calls[0] == 1
+
+    def test_prop41_evaluates_phi_four_times(self, monkeypatch):
+        """Two in face_membership, one build, one for phi(e)."""
+        phi, face = stormer.symmetric_face_example()
+        calls = self.count_evaluations(monkeypatch)
+        stormer.check_prop41(phi, face)
+        assert calls[0] == 4
 
     @pytest.mark.parametrize("case", ["face", "generic"])
     def test_rho_of_stack(self, case, rng):
