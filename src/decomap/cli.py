@@ -316,21 +316,23 @@ def _cmd_transfer_check(args, phi):
     return payload, report.holds("hull")
 
 
-def _stormer_inputs(args):
-    face = parse_face_file(args.face) if args.face else None
-    if args.eta:
-        eta = _vector_from_obj(_load_json(args.eta), args.eta)
-    elif face is not None:
+def _stormer_build(args, phi) -> stormer.StormerData:
+    """The local decomposition at the eta of --face, or of --eta without one."""
+    if args.face and args.eta:
+        raise ParseError("--face fixes eta: give --face or --eta, not both")
+    if args.face:
+        face = parse_face_file(args.face)
         eta = face.eta
+    elif args.eta:
+        face, eta = None, _vector_from_obj(_load_json(args.eta), args.eta)
     else:
         raise ParseError("need --eta or --face to fix the vector")
-    return face, eta
+    return stormer.build_local_decomposition(phi, eta, face=face, seed=args.seed,
+                                             tol=args.tol)
 
 
 def _cmd_stormer_build(args, phi):
-    face, eta = _stormer_inputs(args)
-    data = stormer.build_local_decomposition(phi, eta, face=face, seed=args.seed,
-                                             tol=args.tol)
+    data = _stormer_build(args, phi)
     payload = {
         "k_dim": data.k_dim,
         "face_case": data.face_case,
@@ -347,9 +349,7 @@ def _cmd_stormer_build(args, phi):
 
 
 def _cmd_stormer_verify(args, phi):
-    face, eta = _stormer_inputs(args)
-    data = stormer.build_local_decomposition(phi, eta, face=face, seed=args.seed,
-                                             tol=args.tol)
+    data = _stormer_build(args, phi)
     rep = stormer.verify_locdec(phi, data, args.samples, seed=args.seed)
     return rep, rep.max_residual <= args.tol
 

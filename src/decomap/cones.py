@@ -142,10 +142,11 @@ def cone_membership(md: ModularData, spec: ConeSpec, xi, tol: float = DEFAULT.co
                     max_iter: int = DEFAULT.max_iter) -> MembershipResult:
     """Membership test for every cone kind.
 
-    xi's reduction r is taken once and its Hermitian deviation is gated
-    once, against tol·‖r‖: no member has a non-Hermitian reduction, so a
-    larger deviation reads outside, with the deviation as residual and no
-    witness.  The tensor kinds read their layout from ``md``.  Every kind
+    xi is checked once, at entry: a NaN or Inf entry raises NonFinite for
+    every kind.  Its reduction r is taken once and its Hermitian deviation
+    is gated once, against tol·‖r‖: no member has a non-Hermitian
+    reduction, so a larger deviation reads outside, with the deviation as
+    residual and no witness.  The tensor kinds read their layout from ``md``.  Every kind
     but the hull is decided by one ``eigh``, of r, of r^Γ for the
     transposed tensor cone, or of both stacked for the intersection: the
     lowest eigenvalue is held against tol·‖r‖, so scaling xi changes no
@@ -157,7 +158,7 @@ def cone_membership(md: ModularData, spec: ConeSpec, xi, tol: float = DEFAULT.co
     dual witness when the split proves xi outside, and its stop reason and
     iteration count tell a capped solve from a refuted one.
     """
-    xi = np.asarray(xi, dtype=complex)
+    xi = linalg._as_matrix(xi)
     if xi.shape != (md.dim, md.dim):
         raise LayoutMismatch(f"expected {md.dim}x{md.dim}, got {xi.shape}")
     layout = _layout(md, spec.kind)

@@ -23,7 +23,9 @@ When phi lies in a maximal face (phi(|xi><xi|) eta = 0) the ideals are
 known exactly, K_eta is four dimensional with an explicit orthonormal
 basis, and V_eta, read from Phi, is a two-by-four array whose entries
 decide whether the local identity upgrades to the global equality
-phi(a) = V_eta rho_eta(a) V_eta* (the trace-condition iff).
+phi(a) = V_eta rho_eta(a) V_eta* (the trace-condition iff).  Face
+membership is decided only by the build, from Phi, and check_prop41 is
+one build plus one evaluation of phi on the matrix units along xi.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ _RCOND = 1e-10              # pinv cutoff for V_eta, relative to d_mat's top sin
 def _unit_vector(v) -> np.ndarray:
     v = np.asarray(v, dtype=complex).reshape(-1)
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > _UNIT_TOL:
+    if not abs(norm - 1.0) <= _UNIT_TOL:     # NaN fails too
         raise ShapeMismatch(f"vector must be normalized, |v| = {norm}")
     return v
 
@@ -83,16 +85,6 @@ class FaceSpec:
     def __post_init__(self):
         object.__setattr__(self, "xi", _unit_vector(self.xi))
         object.__setattr__(self, "eta", _unit_vector(self.eta))
-
-
-def face_membership(phi: MapObject, face: FaceSpec, tol: float = DEFAULT.cone) -> bool:
-    """phi is in F_{xi,eta} iff it is unital and phi(|xi><xi|) eta = 0."""
-    m, n = phi.dim_in, phi.dim_out
-    if face.xi.shape[0] != m or face.eta.shape[0] != n:
-        raise ShapeMismatch("face vectors do not match the map dimensions")
-    unital = np.linalg.norm(apply_map(phi, np.eye(m)) - np.eye(n))
-    killed = np.linalg.norm(apply_map(phi, np.outer(face.xi, face.xi.conj())) @ face.eta)
-    return unital <= tol and killed <= tol
 
 
 def sample_face_map(face: FaceSpec, terms: int, seed: int) -> MapObject:
@@ -348,13 +340,17 @@ class Prop41Report:
 def check_prop41(phi: MapObject, face: FaceSpec, tol: float = DEFAULT.cone) -> Prop41Report:
     """Check the iff between the trace conditions and the global equality.
 
+    One build decides the face: a map it does not put on the face path
+    raises NotInFace (NotUnital and NotPositiveEvidence come from the build
+    first).  phi(e), e the matrix units along xi, is the one evaluation of
+    phi beside the build's, independent of it, for the global equality.
     The iff verdict uses a tenfold hysteresis band: an inconsistency is
     flagged only when one side fails by more than 10*tol while the other
     holds within tol.
     """
-    if not face_membership(phi, face, tol=tol):
-        raise NotInFace("map does not satisfy the face conditions")
     data = build_local_decomposition(phi, face.eta, face=face, tol=tol)
+    if not data.face_case:
+        raise NotInFace("map does not satisfy the face conditions")
     e = _units_along(face.xi)
     phi_e = apply_map(phi, e)
     eta1, eta2 = data.eta_basis.T

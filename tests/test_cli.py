@@ -334,6 +334,9 @@ class TestContract:
          {"face": {"xi": [[1, 0], [0, 0]], "eta": [[1, 0], [0, 0], [0, 0]]}}, "ShapeMismatch"),
         (["stormer-verify", "--map", "id", "--face", "face"],
          {"face": {"xi": [[1, 0], [0, 0]], "eta": [[1, 0], [0, 0], [0, 0]]}}, "ShapeMismatch"),
+        (["stormer-build", "--map", "id", "--face", "face", "--eta", "eta2"],
+         {"face": {"xi": [[1, 0], [0, 0]], "eta": [[1, 0], [0, 0]]},
+          "eta2": [[0, 0], [1, 0]]}, "ParseError"),
         (["hull-member", "--rho", "rho", "--rho-b", "rho3", "--xi", "xi6", "--dims", "2,2"],
          {}, "ParseError"),
         (["cone-member", "--rho", "rho", "--rho-b", "rho3", "--xi", "xi6",
@@ -344,13 +347,15 @@ class TestContract:
             "rows-bool", "entry-bool", "dims-string-and-bool", "dim-float", "label-nan",
             "mix-weight-nan", "mix-overflow", "identity-0",
             "transpose-negative", "stormer-build-eta-3", "stormer-verify-eta-3",
-            "stormer-build-face-eta-3", "stormer-verify-face-eta-3", "hull-rho-b-3x3",
+            "stormer-build-face-eta-3", "stormer-verify-face-eta-3",
+            "stormer-build-face-and-eta", "hull-rho-b-3x3",
             "cone-rho-b-3x3", "rho-b-one-factor"])
     def test_malformed_json_is_error_report(self, tmp_path, argv, inputs, error):
         """JSON of the wrong type or size exits 2 with a typed, strict-JSON error
         report, never a traceback: a bool is not a number, dims are JSON
-        integers, Stormer's vectors are in C^2, and a --rho-b must fit the
-        second factor of dims (a one-factor state reads none)."""
+        integers, Stormer's vectors are in C^2, a --face fixes eta so an --eta
+        beside it would drop the face's, and a --rho-b must fit the second
+        factor of dims (a one-factor state reads none)."""
         inputs = {"rho": matrix_json(np.eye(2) / 2), "xi": matrix_json(np.eye(2) / 2),
                   "rho3": matrix_json(np.eye(3) / 3), "xi6": matrix_json(np.eye(6)),
                   "id": {"key": "identity:2"}, "eta3": [[1, 0], [0, 0], [0, 0]], **inputs}

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decomap import cones, dykstra, linalg, modular
-from decomap.errors import InvalidOption, LayoutMismatch, UnsupportedKind
+from decomap.errors import InvalidOption, LayoutMismatch, NonFinite, UnsupportedKind
 from decomap.linalg import TensorLayout
 
 from conftest import SIGMA_X, assert_separates, random_matrix
@@ -114,6 +114,25 @@ class TestMembership:
         res = cones.cone_membership(
             md_skew, cones.ConeSpec(cones.NATURAL), md_skew.rho_power(0.5))
         assert res.inside
+
+    @pytest.mark.parametrize("kind", [cones.VBETA, cones.NATURAL, cones.NATURAL_TENSOR,
+                                      cones.TRANSPOSED_TENSOR, cones.HULL,
+                                      cones.INTERSECTION])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_xi_is_an_error(self, md_tensor22, kind, bad):
+        """A NaN or Inf entry of xi raises NonFinite at entry for every kind,
+        not a verdict with residual nan or an error from deep in numpy."""
+        xi = np.eye(4, dtype=complex)
+        xi[1, 2] = bad
+        spec = cones.ConeSpec(kind, beta=0.25 if kind == cones.VBETA else None)
+        with pytest.raises(NonFinite):
+            cones.cone_membership(md_tensor22, spec, xi)
+
+    def test_state_of_non_finite_vector_is_an_error(self, md_tracial2):
+        """A NaN passes the norm check (it compares false) and is caught by
+        cone_membership's entry check, not read as outside the cone."""
+        with pytest.raises(NonFinite):
+            cones.state_of_cone_vector(md_tracial2, np.array([[np.nan, 0], [0, 0]]))
 
     def test_transposed_sample_reduction(self, md_tensor22):
         layout = TensorLayout((2, 2))

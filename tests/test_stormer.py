@@ -33,26 +33,47 @@ def diagonal_flip():
         lambda a: np.diag([a[1, 1], a[0, 0]]).astype(complex), 2, 2, label="diag-flip")
 
 
+def in_face(phi, face, tol=DEFAULT.cone):
+    """The face conditions, evaluated through maps.apply_map independently of
+    the construction: phi is unital and phi(xi xi*) eta = 0."""
+    unital = np.linalg.norm(maps.apply_map(phi, np.eye(2)) - np.eye(2))
+    killed = np.linalg.norm(maps.apply_map(phi, np.outer(face.xi, face.xi.conj())) @ face.eta)
+    return unital <= tol and killed <= tol
+
+
+def build_takes_face_path(phi, face):
+    return stormer.build_local_decomposition(phi, face.eta, face=face).face_case
+
+
 class TestFaceMembership:
+    """The build's face test against the oracle: the build takes the face
+    path exactly on the maps the oracle puts in the face."""
+
     def test_ad_sigma_x_in_face(self):
-        assert stormer.face_membership(ad_sigma_x(), FACE_E1)
+        assert in_face(ad_sigma_x(), FACE_E1)
+        assert build_takes_face_path(ad_sigma_x(), FACE_E1)
 
     def test_identity_not_in_face(self):
-        assert not stormer.face_membership(maps.identity_map(2), FACE_E1)
+        assert not in_face(maps.identity_map(2), FACE_E1)
+        assert not build_takes_face_path(maps.identity_map(2), FACE_E1)
 
     def test_non_unital_not_in_face(self):
         phi = maps.map_from_action(lambda a: 2.0 * SIGMA_X @ a @ SIGMA_X, 2, 2)
-        assert not stormer.face_membership(phi, FACE_E1)
+        assert not in_face(phi, FACE_E1)
+        with pytest.raises(NotUnital):
+            build_takes_face_path(phi, FACE_E1)
 
 
 class TestFaceSampler:
     def test_sample_in_face(self):
         phi = stormer.sample_face_map(FACE_E1, 1, seed=0)
-        assert stormer.face_membership(phi, FACE_E1)
+        assert in_face(phi, FACE_E1)
+        assert build_takes_face_path(phi, FACE_E1)
 
     def test_symmetric_example_members(self):
         phi, face = stormer.symmetric_face_example()
-        assert stormer.face_membership(phi, face)
+        assert in_face(phi, face)
+        assert build_takes_face_path(phi, face)
         e12 = np.array([[0, 1], [0, 0]], dtype=complex)
         assert np.allclose(maps.apply_map(phi, e12),
                            (SIGMA_X @ e12 @ SIGMA_X + SIGMA_X @ e12.T @ SIGMA_X) / 2)
@@ -71,7 +92,8 @@ class TestFaceSampler:
             face = stormer.FaceSpec(xi=xi / np.linalg.norm(xi),
                                     eta=eta / np.linalg.norm(eta))
             phi = stormer.sample_face_map(face, 2, seed=seed)
-            assert stormer.face_membership(phi, face)
+            assert in_face(phi, face)
+            assert build_takes_face_path(phi, face)
 
 
 class TestBuild:
@@ -175,11 +197,16 @@ class TestBuild:
     @pytest.mark.parametrize("eta,xi", [([1.0, 0.0, 0.0], None),
                                         ([1.0, 0.0, 0.0], [1.0, 0.0]),
                                         ([1.0, 0.0], [1.0, 0.0, 0.0]),
-                                        ([1.0], None)],
-                             ids=["eta-3", "eta-3-xi-2", "xi-3", "eta-1"])
+                                        ([1.0], None),
+                                        ([np.nan, 0.0], None),
+                                        ([1.0, 0.0], [np.nan, 0.0])],
+                             ids=["eta-3", "eta-3-xi-2", "xi-3", "eta-1", "eta-nan",
+                                  "xi-nan"])
     def test_rejects_vectors_not_in_c2(self, eta, xi):
-        face = None if xi is None else stormer.FaceSpec(xi=xi, eta=eta)
+        """A vector of length other than 2, or with a NaN entry (whose norm
+        compares false with everything), is a ShapeMismatch."""
         with pytest.raises(ShapeMismatch):
+            face = None if xi is None else stormer.FaceSpec(xi=xi, eta=eta)
             stormer.build_local_decomposition(maps.identity_map(2), eta, face=face)
 
     def test_rejects_non_positive(self):
@@ -438,12 +465,12 @@ class TestFaceFromOmega:
             assert data.face_case == face_case
             assert calls[0] == 1
 
-    def test_prop41_evaluates_phi_four_times(self, monkeypatch):
-        """Two in face_membership, one build, one for phi(e)."""
+    def test_prop41_evaluates_phi_twice(self, monkeypatch):
+        """One build, which also decides the face, and one for phi(e)."""
         phi, face = stormer.symmetric_face_example()
         calls = self.count_evaluations(monkeypatch)
         stormer.check_prop41(phi, face)
-        assert calls[0] == 4
+        assert calls[0] == 2
 
     @pytest.mark.parametrize("case", ["face", "generic"])
     def test_rho_of_stack(self, case, rng):
@@ -542,3 +569,18 @@ class TestProp41:
     def test_rejects_map_outside_face(self):
         with pytest.raises(NotInFace):
             stormer.check_prop41(maps.identity_map(2), FACE_E1)
+
+    @pytest.mark.parametrize("action,error", [
+        (lambda a: 2.0 * a, NotUnital),
+        (lambda a: 0.5 * a + 0.5 * SIGMA_X @ a @ SIGMA_X, NotInFace),
+        (lambda a: 1.5 * a - 0.5 * a.T, NotPositiveEvidence),
+        (lambda a: 1.5 * SIGMA_X @ a @ SIGMA_X - 0.5 * SIGMA_X @ a.T @ SIGMA_X,
+         NotPositiveEvidence),
+        (lambda a: 2.0 * SIGMA_X @ a @ SIGMA_X, NotUnital),
+    ], ids=["2id", "half-id-half-ad-sx", "not-positive-outside-face",
+            "not-positive-in-face", "2ad-sx"])
+    def test_error_table(self, action, error):
+        """The build's checks come first: unital, then positive, then the
+        face, so a map that fails one of the first two says which."""
+        with pytest.raises(error):
+            stormer.check_prop41(maps.map_from_action(action, 2, 2), FACE_E1)
