@@ -194,7 +194,6 @@ def split_sum(
     c_trace = np.trace(c).real
     bound = tol * min(1.0, c_norm)
     s, y, hh = np.empty((3, 2) + c.shape, dtype=complex)
-    z0, z1 = s                  # the start's z, built where the first s goes
     a, y1 = y
     h, h_pt = hh
     g, b, gap = np.empty((3,) + c.shape, dtype=complex)
@@ -204,20 +203,9 @@ def split_sum(
     s[0] = c
     pt(c, out=s[1])
     clip()                      # y = [c₊, P], P = (c^Γ)₊
-    pt(y1, out=b)
-    np.subtract(c, b, out=z0)
-    np.add(a, z0, out=z0)       # c₊ + (c − P^Γ)
-    np.subtract(c, a, out=gap)
-    pt(gap, out=z1)
-    np.add(z1, y1, out=z1)      # (c − c₊)^Γ + P
-    np.divide(s, two, out=s)
-    pt(z1, out=h)               # z[1]^Γ
-    np.subtract(c, z0, out=g)
-    np.subtract(g, h, out=g)
-    np.divide(g, two, out=g)
-    np.multiply(g, two, out=h)
-    pt(h, out=h_pt)
-    np.add(s, hh, out=s)        # s = z + 2[g, g^Γ]
+    z = np.stack((a + (c - pt(y1)), pt(c - a) + y1)) / 2
+    g[...] = (c - z[0] - pt(z[1])) / 2
+    s[...] = z + 2 * np.stack((g, pt(g)))
     for it in range(1, max_iter + 1):
         clip()
         pt(y1, out=b)

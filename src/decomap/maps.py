@@ -35,8 +35,9 @@ from .modular import ModularData, build_modular, tensor_modular
 class MapObject:
     """Linear map M_m -> M_n as a Choi matrix with dimension metadata.
 
-    The Choi matrix must be (m n) x (m n), finite and Hermitian up to
-    ``DEFAULT.herm_rel``, or ``BadChoi`` is raised; its Hermitian part is kept.
+    m and n must be positive integers and the Choi matrix (m n) x (m n),
+    finite and Hermitian up to ``DEFAULT.herm_rel``, or ``BadChoi`` is
+    raised; its Hermitian part is kept.
     """
 
     dim_in: int
@@ -45,6 +46,10 @@ class MapObject:
     label: str = ""
 
     def __post_init__(self):
+        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0
+                   for d in (self.dim_in, self.dim_out)):
+            raise BadChoi(f"dimensions must be positive integers, got "
+                          f"{self.dim_in!r} and {self.dim_out!r}")
         choi = np.asarray(self.choi, dtype=complex)
         side = self.dim_in * self.dim_out
         if choi.shape != (side, side):

@@ -29,7 +29,7 @@ from .errors import (
     NotHermitian,
     ShapeMismatch,
 )
-from .linalg import DEFAULT, TensorLayout, frobenius
+from .linalg import DEFAULT, TensorLayout
 
 _TRACE_TOL = 1e-10          # |Tr ρ − 1| accepted: a density given to ten digits
 
@@ -127,41 +127,25 @@ def tensor_modular(md_a: ModularData, md_b: ModularData) -> ModularData:
     )
 
 
-def _draws(rng: np.random.Generator, n: int, samples: int):
-    """The samples of :func:`check_identities`, drawn one after another.
-
-    A sample is three unit complex Ginibre matrices a, ξ, ψ (real and
-    imaginary parts in that order), a Δ exponent t uniform in [−1, 1) and
-    one complex Ginibre g.  The normals of a, ξ, ψ come from one draw and
-    those of g from a second; the generator fills an array one value after
-    another, so this reads the stream as a draw per part does.  Returns
-    the stacks a, ξ, ψ, t and g.
-    """
-    units = np.empty((3, samples, n, n), dtype=complex)     # a, ξ, ψ
-    t = np.empty(samples)
-    g = np.empty((samples, n, n), dtype=complex)
-    for s in range(samples):
-        z = rng.standard_normal((6, n, n))
-        for unit, m in zip(units[:, s], z[0::2] + 1j * z[1::2]):
-            np.divide(m, frobenius(m), out=unit)
-        t[s] = rng.uniform(-1.0, 1.0)
-        z = rng.standard_normal((2, n, n))
-        g[s] = z[0] + 1j * z[1]
-    return (*units, t, g)
-
-
 def check_identities(md: ModularData, samples: int, seed) -> dict[str, float]:
     """Max residuals of the modular identities over random samples.
 
     Each entry is named after the identity it checks; all vanish
     analytically, so the values measure floating-point conditioning only.
-    The samples (:func:`_draws`) are drawn one after another from one
-    generator and then checked together: every identity is one pass over
-    the sample stack.
+    A sample is three unit complex Ginibre matrices a, ξ, ψ, one complex
+    Ginibre g and a Δ exponent t uniform in [−1, 1).  The generator of
+    ``seed`` makes two draws: the normals of a, ξ, ψ and g as one
+    (2, 4, samples, n, n) array of real and imaginary parts, then the t of
+    every sample.  Every identity is one pass over the sample stack.
     """
     if samples < 1:
         raise InvalidOption(f"samples must be at least 1, got {samples}")
-    a, xi, psi, t, g = _draws(np.random.default_rng(seed), md.dim, samples)
+    rng = np.random.default_rng(seed)
+    re, im = rng.standard_normal((2, 4, samples, md.dim, md.dim))
+    z = re + 1j * im
+    z[:3] /= np.linalg.norm(z[:3], axis=(-2, -1), keepdims=True)
+    a, xi, psi, g = z
+    t = rng.uniform(-1.0, 1.0, samples)
 
     def worst(x):
         return float(np.max(np.linalg.norm(x, axis=(-2, -1))))

@@ -303,18 +303,21 @@ class LocdecReport:
 
 def verify_locdec(phi: MapObject, data: StormerData, samples: int,
                   seed: int = 0) -> LocdecReport:
-    """Max residual of phi(a) eta = V rho(a) V* eta over random a, eta = data.eta."""
+    """Max residual of phi(a) eta = V rho(a) V* eta over random a, eta = data.eta.
+
+    Each a is a unit complex Ginibre matrix: one (samples, 2, 2, 2) normal
+    draw of ``default_rng(seed)`` holds its real, then its imaginary part.
+    """
     if samples < 1:
         raise InvalidOption(f"samples must be at least 1, got {samples}")
     eta_v = data.eta
     v = data.v_eta
     v_star_eta = v.conj().T @ eta_v
-    rng = np.random.default_rng(seed)
-    draws = []
-    for _ in range(samples):
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        draws.append(a / np.linalg.norm(a))
-    a = np.array(draws)
+    z = np.random.default_rng(seed).standard_normal((samples, 2, 2, 2))
+    re, im = z[:, 0], z[:, 1]
+    # sqrt(re·re + im·im) per matrix, the sums np.linalg.norm makes on one matrix
+    norm = np.sqrt(np.einsum("sij,sij->s", re, re) + np.einsum("sij,sij->s", im, im))
+    a = (re + 1j * im) / norm[:, None, None]
     lhs = apply_map(phi, a) @ eta_v
     rhs = (data.rho_of(a) @ v_star_eta) @ v.T
     worst = float(np.max(np.linalg.norm(lhs - rhs, axis=-1)))

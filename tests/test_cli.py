@@ -239,13 +239,28 @@ class TestContract:
         assert code == 2 and report["verdict"] == "error"
         assert report["error"]["type"] == "ParseError"
 
-    def test_determinism(self, transpose_map_file):
-        out = []
-        for _ in range(2):
-            report, _ = cli.run(["map-analyze", "--map", transpose_map_file,
-                                 "--tests", "cp,ccp,kpos=2", "--seed", "3"])
-            out.append(strip_wall_time(cli.render_report(report)))
-        assert out[0] == out[1]
+    def test_determinism(self, tmp_path, transpose_map_file, rho_skew_file, sym_map_file,
+                         face_file):
+        """Every subcommand that draws: two runs give the same report bytes
+        apart from wall_time."""
+        rho_tracial = write_json(tmp_path / "tracial.json", matrix_json(np.eye(2) / 2))
+        requests = [
+            ["map-analyze", "--map", transpose_map_file, "--tests", "cp,ccp,kpos=2",
+             "--seed", "3"],
+            ["modular-check", "--rho", rho_skew_file, "--samples", "50", "--seed", "3"],
+            ["stormer-verify", "--map", sym_map_file, "--face", face_file,
+             "--samples", "100", "--seed", "3"],
+            ["probe", "--dims", "2,3", "--trials", "5", "--seed", "3"],
+            ["transfer-check", "--map", sym_map_file, "--rho", rho_tracial,
+             "--k", "2", "--trials", "3", "--seed", "3"],
+        ]
+        for argv in requests:
+            out = []
+            for _ in range(2):
+                report, _ = cli.run(argv)
+                assert report["verdict"] != "error", argv
+                out.append(strip_wall_time(cli.render_report(report)))
+            assert out[0] == out[1], argv[0]
 
     def test_report_metadata(self, rho_skew_file):
         report, _ = cli.run(["modular-check", "--rho", rho_skew_file, "--seed", "4"])

@@ -70,9 +70,6 @@ def assert_valid_split(res, c, pair):
 # recurrence of split_sum.  Each is written with the same operations as its
 # buffered loop, on fresh arrays, and the buffered loops must return exactly
 # what these return, bit for bit, with the same counts and stop reasons.
-# ref_split_sum_resym is the split loop that ref_split_sum replaced, which
-# symmetrized every clip's argument; it is a course reference, held to the
-# same stops and counts with parts within 1e-10·max(1, ‖c‖).
 
 _REF_WITNESS_EVERY = 8
 
@@ -150,31 +147,6 @@ def ref_split_sum(c, pair, tol=linalg.DEFAULT.cone, max_iter=linalg.DEFAULT.max_
         h = g + gap
         g = g + gap / 2
         s = y + np.stack((h, pt(h)))
-    return dykstra.SplitResult(a, b, res, max_iter, "capped")
-
-
-def ref_split_sum_resym(c, pair, tol=linalg.DEFAULT.cone, max_iter=linalg.DEFAULT.max_iter):
-    """The split loop as it was before the g/h recurrence: z carried, every
-    clip's argument symmetrized, c taken as given."""
-    c = pair.validate(c, max_iter)
-    pt = ref_pt(pair)
-    bound = tol * min(1.0, ref_frobenius(c))
-    y = ref_psd_clip(np.stack((c, pt(c))))     # [c₊, (c^Γ)₊]
-    z = np.stack((y[0] + (c - pt(y[1])), pt(c - y[0]) + y[1])) / 2
-    for it in range(1, max_iter + 1):
-        g = (c - z[0] - pt(z[1])) / 2
-        step = np.stack((g, pt(g)))
-        y = ref_psd_clip(z + 2 * step)
-        a, b = y[0], pt(y[1])
-        gap = c - a - b
-        res = ref_frobenius(gap)
-        if res <= bound:
-            return dykstra.SplitResult(a, b, res, it, "converged")
-        if it % _REF_WITNESS_EVERY == 0:
-            witness = ref_witness(gap, c, pt)
-            if witness is not None:
-                return dykstra.SplitResult(a, b, res, it, "certified", witness)
-        z = y - step
     return dykstra.SplitResult(a, b, res, max_iter, "capped")
 
 
@@ -307,10 +279,8 @@ def assert_in_k2(x, pair):
     assert linalg.min_eig(pair.pt(x)) >= -slack
 
 
-class TestAcceleratedIntersection:
-    """The nearest point of the intersection, its stops and its capped points.
-    The name is the Anderson-accelerated solver's; it stays so that the test
-    ids do not change."""
+class TestProjectIntersection:
+    """The nearest point of the intersection, its stops and its capped points."""
 
     @pytest.mark.parametrize("dims", LAYOUTS)
     @pytest.mark.parametrize("factor", [1, 2])
@@ -367,6 +337,14 @@ class TestAcceleratedIntersection:
         assert_in_k2(got.point, pair)
 
 
+def block_positive_choi(n, seed, margin):
+    """H − (μ − margin)·I on C^2 ⊗ C^n, μ = H's product minimum: block-positive,
+    so decomposable for n ≤ 3 (Størmer–Woronowicz), at distance about
+    ``margin`` from the boundary of the block-positive cone."""
+    h = linalg.sample_hermitian(2 * n, seed)
+    return h - (product_minimum(h, n) - margin) * np.eye(2 * n)
+
+
 class TestBitIdentical:
     """The buffered loops against the reference loops: the same floating-point
     operations in the same order, so equal arrays, not close ones."""
@@ -394,65 +372,19 @@ class TestBitIdentical:
             for cap in (10, 12, 20, 30, 60):
                 assert_same_intersection(x, pair, tol=1e-300, max_iter=cap)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("margin", [1e-1, 1e-3])
+    def test_block_positive_maps(self, n, margin):
+        pair = dykstra.PPTPair(TensorLayout((2, n)), 2)
+        for seed in range(100, 104):
+            assert assert_same_split(block_positive_choi(n, seed, margin), pair).converged
+
     @pytest.mark.parametrize("max_iter", [1, 7, 8, 9])
     def test_capped_on_the_witness_cadence(self, max_iter):
         pair = dykstra.PPTPair(TensorLayout((3, 3)), 2)
         for c in (choi_map_choi(), linalg.sample_hermitian(9, 3)):
             assert_same_split(c, pair, max_iter=max_iter)
             assert_same_intersection(c, pair, max_iter=max_iter)
-
-
-def block_positive_choi(n, seed, margin):
-    """H − (μ − margin)·I on C^2 ⊗ C^n, μ = H's product minimum: block-positive,
-    so decomposable for n ≤ 3 (Størmer–Woronowicz), at distance about
-    ``margin`` from the boundary of the block-positive cone."""
-    h = linalg.sample_hermitian(2 * n, seed)
-    return h - (product_minimum(h, n) - margin) * np.eye(2 * n)
-
-
-class TestAgainstResymmetrizedLoop:
-    """split_sum against the loop it replaced, which carried z and symmetrized
-    every clip's argument.  The two differ by rounding only, so every input
-    keeps its stop reason and iteration count, and the parts agree within
-    1e-10·max(1, ‖c‖)."""
-
-    @staticmethod
-    def assert_same_course(c, pair):
-        got, ref = dykstra.split_sum(c, pair), ref_split_sum_resym(c, pair)
-        assert (got.stop_reason, got.iterations) == (ref.stop_reason, ref.iterations)
-        slack = 1e-10 * max(1.0, linalg.frobenius(c))
-        assert linalg.frobenius(got.part1 - ref.part1) <= slack
-        assert linalg.frobenius(got.part2 - ref.part2) <= slack
-        return got
-
-    def test_criterion_6_maps(self):
-        for phi in decomposable_test_set():
-            c = linalg.require_hermitian(phi.choi)
-            assert self.assert_same_course(c, dykstra.PPTPair(phi.layout, 2)).converged
-
-    def test_choi_map_conjugates(self):
-        """Local conjugates are Hermitian only up to rounding: the old loop
-        split them as given, split_sum splits their Hermitian part."""
-        pair = dykstra.PPTPair(TensorLayout((3, 3)), 2)
-        stops = {self.assert_same_course(c, pair).stop_reason
-                 for c in local_conjugates(choi_map_choi(), 3, 12, 900)}
-        assert stops == {"certified"}
-
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
-    @pytest.mark.parametrize("factor", [1, 2])
-    def test_gue_inputs(self, dims, factor):
-        pair = dykstra.PPTPair(TensorLayout(dims), factor)
-        for seed in range(2):
-            self.assert_same_course(linalg.sample_hermitian(pair.layout.side, 40 + seed),
-                                    pair)
-
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("margin", [1e-1, 1e-3])
-    def test_block_positive_maps(self, n, margin):
-        pair = dykstra.PPTPair(TensorLayout((2, n)), 2)
-        for seed in range(100, 104):
-            c = block_positive_choi(n, seed, margin)
-            assert self.assert_same_course(c, pair).converged
 
 
 class TestHermitianBoundary:

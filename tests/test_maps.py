@@ -93,6 +93,15 @@ class TestRepresentation:
         with pytest.raises(BadChoi):
             maps.mix_maps(np.nan, maps.identity_map(2), maps.transposition_map(2))
 
+    @pytest.mark.parametrize("choi,dim_in,dim_out", [
+        (np.eye(5), 2.5, 2),            # side 5.0 == 5: the shape check alone passes it
+        (np.zeros((0, 0)), 0, 3),       # an empty Choi matrix of side 0
+        (np.eye(2), True, 2),           # a bool is not a dimension
+    ])
+    def test_map_object_checks_its_dims(self, choi, dim_in, dim_out):
+        with pytest.raises(BadChoi, match="positive integers"):
+            maps.make_map(choi, dim_in, dim_out)
+
     def test_registry_keys(self, tmp_path):
         assert maps.map_from_key("identity:3").dim_in == 3
         assert np.allclose(maps.map_from_key("transpose:2").choi, swap())

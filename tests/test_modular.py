@@ -9,6 +9,7 @@ from decomap.errors import (
     NotInCone,
     ShapeMismatch,
 )
+from decomap.linalg import TensorLayout
 
 from conftest import random_matrix
 
@@ -80,22 +81,22 @@ class TestIdentities:
 
 
 def identities_oracle(md, samples, seed):
-    """The identity residuals sample by sample, each on 2-D matrices."""
+    """The identity residuals sample by sample, each on 2-D matrices, from
+    the draws of check_identities: one normal array holding the real and
+    imaginary parts of a, ξ, ψ and g, then one uniform t per sample."""
     n = md.dim
     rng = np.random.default_rng(seed)
     frob = linalg.frobenius
-
-    def rand():
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return m / frob(m)
-
+    re, im = rng.standard_normal((2, 4, samples, n, n))
+    ts = rng.uniform(-1.0, 1.0, samples)
     res = {}
 
     def record(name, value):
         res[name] = max(res.get(name, 0.0), float(value))
 
-    for _ in range(samples):
-        a, xi, psi = rand(), rand(), rand()
+    for s in range(samples):
+        a, xi, psi, g = re[:, s] + 1j * im[:, s]
+        a, xi, psi = a / frob(a), xi / frob(xi), psi / frob(psi)
         record("u_squared", frob(md.u(md.u(xi)) - xi))
         record("u_selfadjoint", abs(np.vdot(md.u(xi), psi) - np.vdot(xi, md.u(psi))))
         jm = xi.conj().T
@@ -103,14 +104,13 @@ def identities_oracle(md, samples, seed):
         record("commute_j_jm", frob(md.j(jm) - md.j(xi).conj().T))
         record("commute_j_u", frob(md.j(md.u(xi)) - md.u(md.j(xi))))
         record("commute_jm_u", frob(md.u(xi).conj().T - md.u(jm)))
-        t = float(rng.uniform(-1.0, 1.0))
+        t = float(ts[s])
         record("j_delta_commute", frob(md.j(md.delta(xi, t)) - md.delta(md.j(xi), t)))
         record("tau_polar", frob(md.tau(xi) - md.u(md.delta(xi, 0.5))))
         record("u_delta_u", frob(md.u(md.delta(md.u(xi), 1.0)) - md.delta(xi, -1.0)))
         at = md.u(a)
         record("transpose_via_j", frob(at @ xi - md.j(a.conj().T @ md.j(xi))))
         record("commutant_map", frob(md.u(a @ md.u(xi)) - xi @ at))
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         pos = g @ g.conj().T
         pos /= frob(pos)
         image = md.tau(pos @ md.rho_power(0.5))
@@ -192,38 +192,20 @@ class TestIdentitiesOracle:
         for name in want:
             assert abs(got[name] - want[name]) <= 1e-12, name
 
-
-def reference_draws(rng, n, samples):
-    """The samples of check_identities drawn one matrix per call: six normal
-    (n, n) draws for a, ξ, ψ, a uniform t, two for g, sample after sample."""
-    def rand():
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return m / linalg.frobenius(m)
-
-    draws = []
-    for _ in range(samples):
-        a, xi, psi = rand(), rand(), rand()
-        t = float(rng.uniform(-1.0, 1.0))
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        draws.append((a, xi, psi, t, g))
-    return tuple(np.array(column) for column in zip(*draws))
-
-
-class TestDraws:
-    """Two normal draws per sample read the generator's stream as eight do:
-    the same samples, so the same residuals, bit for bit."""
-
-    @pytest.mark.parametrize("n", range(1, 6))
-    @pytest.mark.parametrize("samples", [1, 7, 50])
-    def test_matches_one_matrix_per_call(self, n, samples, monkeypatch):
-        md = modular.build_modular(linalg.sample_density(n, 40 + n))
-        seed = 100 * n + samples
-        got = modular._draws(np.random.default_rng(seed), n, samples)
-        want = reference_draws(np.random.default_rng(seed), n, samples)
-        assert all(np.array_equal(x, y) for x, y in zip(got, want, strict=True))
-        res = modular.check_identities(md, samples, seed)
-        monkeypatch.setattr(modular, "_draws", reference_draws)
-        assert res == modular.check_identities(md, samples, seed)
+    @pytest.mark.parametrize("samples,seed", [(1, 0), (7, 3), (50, 11)])
+    def test_same_samples(self, samples, seed):
+        """A non-unitary "eigenbasis" breaks six identities by amounts of
+        order one that depend on the samples, far above rounding: agreeing
+        on them shows that the oracle reads the samples check_identities
+        draws."""
+        md = modular.ModularData(np.array([0.7, 0.3]),
+                                 np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex),
+                                 TensorLayout((2,)))
+        got = modular.check_identities(md, samples, seed)
+        want = identities_oracle(md, samples, seed)
+        assert sum(value > 0.5 for value in want.values()) == 6
+        for name in want:
+            assert abs(got[name] - want[name]) <= 1e-12 * max(1.0, want[name]), name
 
 
 class TestTensor:
