@@ -26,7 +26,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedKind,
 )
-from .linalg import DEFAULT, TensorLayout, _unit
+from .linalg import DEFAULT, TensorLayout
 from .modular import ModularData, build_modular, tensor_modular
 
 # cone kinds
@@ -143,7 +143,8 @@ def cone_membership(md: ModularData, spec: ConeSpec, xi, tol: float = DEFAULT.co
     """Membership test for every cone kind.
 
     xi is checked once, at entry: a NaN or Inf entry raises NonFinite for
-    every kind.  Its reduction r is taken once and its Hermitian deviation
+    every kind, as a tol that is not finite and positive raises
+    InvalidOption.  Its reduction r is taken once and its Hermitian deviation
     is gated once, against tol·‖r‖: no member has a non-Hermitian
     reduction, so a larger deviation reads outside, with the deviation as
     residual and no witness.  The tensor kinds read their layout from ``md``.  Every kind
@@ -158,6 +159,7 @@ def cone_membership(md: ModularData, spec: ConeSpec, xi, tol: float = DEFAULT.co
     dual witness when the split proves xi outside, and its stop reason and
     iteration count tell a capped solve from a refuted one.
     """
+    linalg._check_tol(tol)
     xi = linalg._as_matrix(xi)
     if xi.shape != (md.dim, md.dim):
         raise LayoutMismatch(f"expected {md.dim}x{md.dim}, got {xi.shape}")
@@ -258,6 +260,19 @@ def probe_finite_dim_equality(
 
 # -- commutant-form generators of the transposed cone ------------------------
 
+def _generator(md: ModularData, x: np.ndarray) -> np.ndarray:
+    """The generator sum_kl (a_k ⊗ b̄_l) Ω (a_l* ⊗ b_kᵀ), Ω = Λ^½, of terms
+    (a_k, b_k) in eigenbasis coordinates, mapped back from the eigenbasis.
+
+    It reads the terms only through x[i, j, p, q] = sum_k a_k[i, j] b_k[p, q],
+    so it is one contraction of x, Λ^½ and x̄; md is the tensor state.
+    """
+    m, n = x.shape[0], x.shape[2]
+    root = np.sqrt(md.eigenvalues).reshape(m, n)
+    gen = np.einsum("iaqb,ab,japb->ipjq", x, root, x.conj())
+    return md.from_eigenbasis(gen.reshape(m * n, m * n))
+
+
 def transposed_tensor_generator(md_a: ModularData, md_b: ModularData,
                                 terms: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Generator of the transposed cone built from commutant images.
@@ -267,23 +282,19 @@ def transposed_tensor_generator(md_a: ModularData, md_b: ModularData,
     vectors generate P^tau instead of P.  Conjugates and transposes are
     taken in the second factor's eigenbasis.
     """
-    md = tensor_modular(md_a, md_b)
-    terms_e = [(md_a.to_eigenbasis(a), md_b.to_eigenbasis(b)) for a, b in terms]
-    gen = np.zeros((md.dim, md.dim), dtype=complex)
-    for a_k, b_k in terms_e:
-        for a_l, b_l in terms_e:
-            # (a_k ⊗ b̄_l) Ω (a_l* ⊗ b_kᵀ), Ω = Λ^½ in the tensor eigenbasis
-            gen += md.weigh(np.kron(a_k, b_l.conj()), 0, 0.5) @ np.kron(a_l.conj().T, b_k.T)
-    return md.from_eigenbasis(gen)
+    x = np.zeros((md_a.dim, md_a.dim, md_b.dim, md_b.dim), dtype=complex)
+    for a, b in terms:
+        x += np.multiply.outer(md_a.to_eigenbasis(a), md_b.to_eigenbasis(b))
+    return _generator(tensor_modular(md_a, md_b), x)
 
 
 def fit_transposed_generator(md_a: ModularData, md_b: ModularData, xi) -> tuple[float, np.ndarray]:
     """Reproduce a transposed-cone vector inside the generator family.
 
-    Solves for the generating operator in least-squares (PSD square root)
-    form, expands it in matrix-unit product terms, re-evaluates the
-    generator formula and returns the Frobenius distance to xi together
-    with the reconstruction.
+    Solves for the generating operator w in least-squares (PSD square root)
+    form, re-evaluates the generator formula on it (its matrix-unit terms
+    (E_ij, w[i, :, j, :]) give x = w with its middle factors swapped) and
+    returns the Frobenius distance to xi together with the reconstruction.
     """
     m, n = md_a.dim, md_b.dim
     md = tensor_modular(md_a, md_b)
@@ -294,11 +305,5 @@ def fit_transposed_generator(md_a: ModularData, md_b: ModularData, xi) -> tuple[
     w_c, v_c = np.linalg.eigh(linalg.herm_part(c))
     sqrt_c = (v_c * np.sqrt(np.maximum(w_c, 0.0))) @ v_c.conj().T
     w = md.weigh(sqrt_c, 0.25, -0.25)
-    blocks = w.reshape(m, n, m, n)
-    terms = []
-    for i in range(m):
-        for j in range(m):
-            terms.append((md_a.from_eigenbasis(_unit(m, i, j)),
-                          md_b.from_eigenbasis(blocks[i, :, j, :])))
-    recon = transposed_tensor_generator(md_a, md_b, terms)
+    recon = _generator(md, w.reshape(m, n, m, n).transpose(0, 2, 1, 3))
     return float(np.linalg.norm(recon - xi)), recon

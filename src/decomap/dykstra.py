@@ -48,11 +48,13 @@ class PPTPair:
     def __post_init__(self):
         object.__setattr__(self, "_index", linalg._pt_index(self.layout, self.factor))
 
-    def validate(self, x, max_iter: int) -> np.ndarray:
+    def validate(self, x, tol: float, max_iter: int) -> np.ndarray:
         """x as a finite complex matrix of the pair's side, or a typed error.
 
-        Also rejects an iteration cap below one, which leaves no iterate.
+        Also rejects a tol that is not finite and positive, and an iteration
+        cap below one, which leaves no iterate.
         """
+        linalg._check_tol(tol)
         if max_iter < 1:
             raise InvalidOption(f"max_iter must be at least 1, got {max_iter}")
         x = linalg._as_matrix(x)
@@ -128,7 +130,7 @@ def project_intersection(
     PSD inputs, as ``cones.sample_cone`` draws them, stop within two steps;
     indefinite ones take about 220 on average at tol 1e-11, some thousands.
     """
-    x = linalg.herm_part(pair.validate(x0, max_iter))
+    x = linalg.herm_part(pair.validate(x0, tol, max_iter))
     p, q, xp, y, yq, t, d = np.zeros((7,) + x.shape, dtype=complex)
     clip_y = linalg._eig_clipper(xp, y)     # y = P1(xp)
     clip_d = linalg._eig_clipper(t, d)      # d = clip(yq^Γ), so P2(yq) = d^Γ
@@ -188,7 +190,7 @@ def split_sum(
     those of every iteration and a certificate is checked on its own, so the
     start moves iteration counts, never what a stop reason proves.
     """
-    c = linalg.herm_part(pair.validate(c, max_iter))
+    c = linalg.herm_part(pair.validate(c, tol, max_iter))
     pt = pair.pt
     c_norm = linalg.frobenius(c)
     c_trace = np.trace(c).real

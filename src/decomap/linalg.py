@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    InvalidOption,
     LayoutMismatch,
     NonFinite,
     NotHermitian,
@@ -39,6 +40,13 @@ class Tolerances:
 
 
 DEFAULT = Tolerances()
+
+
+def _check_tol(tol: float) -> None:
+    """Reject a tolerance that is not finite and positive: a verdict holds a
+    residual against it, and NaN compares false with every residual."""
+    if not 0.0 < tol < math.inf:
+        raise InvalidOption(f"tol must be finite and positive, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -98,13 +106,6 @@ def _norm_reader(x: np.ndarray):
 def herm_part(x: np.ndarray) -> np.ndarray:
     """(x + x*)/2 of a matrix, or of each matrix of a stack."""
     return (x + x.conj().mT) / 2
-
-
-def _unit(n: int, i: int, j: int) -> np.ndarray:
-    """Matrix unit E_ij of M_n."""
-    e = np.zeros((n, n), dtype=complex)
-    e[i, j] = 1.0
-    return e
 
 
 def hermitian_deviation(x: np.ndarray, rel: float = DEFAULT.herm_rel) -> tuple[float, float]:

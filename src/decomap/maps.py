@@ -120,52 +120,62 @@ def mix_maps(lam: float, phi: MapObject, psi: MapObject, label: str = "") -> Map
                      label=label or f"mix:{lam}:{phi.label}:{psi.label}")
 
 
-def compose_transpose(phi: MapObject, label: str = "") -> MapObject:
+def compose_transpose(phi: MapObject) -> MapObject:
     """phi o t, i.e. a -> phi(a^t); Choi picks up a factor-1 transpose."""
     pt1 = linalg.partial_transpose(phi.choi, phi.layout, 1)
-    return MapObject(phi.dim_in, phi.dim_out, pt1,
-                     label=label or f"compose-t:{phi.label}")
+    return MapObject(phi.dim_in, phi.dim_out, pt1, label=f"compose-t:{phi.label}")
 
 
 def map_from_key(key: str, loader=None) -> MapObject:
     """Resolve a registry key like ``identity:2`` or ``mix:0.5:k1:k2``.
 
-    ``loader`` maps the name in an ``adu:<name>`` key to a matrix.
+    The key's ``:``-separated tokens are read once, left to right; each form
+    takes a fixed set of operands: ``identity:n``, ``transpose:n``,
+    ``adu:<name>`` (one token), ``compose-t:<key>`` and
+    ``mix:<λ>:<key>:<key>``.  The key must end where its map ends.  Labels
+    are built from the operands, so a key's label is its text up to the
+    spelling of integers.  ``loader`` maps the name in an ``adu`` key to a
+    matrix.
     """
-    def number(kind, text: str, s: str):
+    tokens = iter(key.split(":"))
+
+    def take() -> str:
+        token = next(tokens, None)
+        if token is None:
+            raise UnknownKind(f"registry key {key!r} ends inside a map")
+        return token
+
+    def number(kind, text: str):
         try:
             return kind(text)
         except ValueError:
-            raise UnknownKind(f"bad number {text!r} in registry key {s!r}") from None
+            raise UnknownKind(f"bad number {text!r} in registry key {key!r}") from None
 
-    def parse(s: str) -> MapObject:
-        if s.startswith("identity:"):
-            return identity_map(number(int, s.split(":", 1)[1], s))
-        if s.startswith("transpose:"):
-            return transposition_map(number(int, s.split(":", 1)[1], s))
-        if s.startswith("adu:"):
-            name = s.split(":", 1)[1]
+    def parse() -> MapObject:
+        form = take()
+        if form == "identity":
+            return identity_map(number(int, take()))
+        if form == "transpose":
+            return transposition_map(number(int, take()))
+        if form == "adu":
             if loader is None:
                 raise UnknownKind("adu keys need a matrix loader")
-            return adjoint_map(np.asarray(loader(name), dtype=complex), label=s)
-        if s.startswith("compose-t:"):
-            return compose_transpose(parse(s.split(":", 1)[1]), label=s)
-        if s.startswith("mix:"):
-            lam_str, _, rest = s.split(":", 1)[1].partition(":")
-            lam = number(float, lam_str, s)
-            # try every split of the remainder into two parseable keys
-            idx = rest.find(":")
-            while idx != -1:
-                try:
-                    left = parse(rest[:idx])
-                    right = parse(rest[idx + 1:])
-                    return mix_maps(lam, left, right, label=s)
-                except (UnknownKind, DimensionMismatch):
-                    idx = rest.find(":", idx + 1)
-            raise UnknownKind(f"cannot split mix key {s!r}")
-        raise UnknownKind(f"unknown registry key {s!r}")
+            name = take()
+            return adjoint_map(np.asarray(loader(name), dtype=complex), label=f"adu:{name}")
+        if form == "compose-t":
+            return compose_transpose(parse())
+        if form == "mix":
+            text = take()
+            lam = number(float, text)
+            left = parse()
+            right = parse()
+            return mix_maps(lam, left, right, label=f"mix:{text}:{left.label}:{right.label}")
+        raise UnknownKind(f"unknown registry key {key!r}")
 
-    return parse(key)
+    phi = parse()
+    if next(tokens, None) is not None:
+        raise UnknownKind(f"registry key {key!r} goes on after its map ends")
+    return phi
 
 
 def apply_map(phi: MapObject, a) -> np.ndarray:
@@ -210,7 +220,9 @@ class GlobalPositivity:
 
 def global_positivity_test(phi: MapObject, tol: float = DEFAULT.eig) -> GlobalPositivity:
     """CP iff the Choi matrix C is PSD; co-CP iff its factor-2 partial transpose
-    is; each lowest eigenvalue is held against −tol·‖C‖."""
+    is; each lowest eigenvalue is held against −tol·‖C‖, tol finite and
+    positive."""
+    linalg._check_tol(tol)
     floor = -tol * linalg.frobenius(phi.choi)
     w, w_pt = dykstra.PPTPair(phi.layout, 2).min_eigs(phi.choi)
     return GlobalPositivity(
@@ -293,13 +305,14 @@ def k_positivity_search(phi: MapObject, k: int, restarts: int = 32, seed: int = 
     ``default_rng(seed + r)``; all restarts run as one batched see-saw.
     A value below −tol·‖C‖, C the Choi matrix, is verified by direct
     evaluation and certifies that phi is not k-positive; otherwise no
-    violation was found.
+    violation was found.  tol must be finite and positive.
     """
     m, n = phi.dim_in, phi.dim_out
     if not 1 <= k <= min(m, n):
         raise DimensionMismatch(f"k must be in 1..{min(m, n)}, got {k}")
     if restarts < 1:
         raise InvalidOption(f"restarts must be at least 1, got {restarts}")
+    linalg._check_tol(tol)
     starts = [linalg.sample_ginibre(n, k, np.random.default_rng(seed + r).integers(2**63))
               for r in range(restarts)]
     y, _ = np.linalg.qr(np.array(starts))

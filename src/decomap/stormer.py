@@ -90,10 +90,13 @@ class FaceSpec:
 def sample_face_map(face: FaceSpec, terms: int, seed: int) -> MapObject:
     """Random positive unital member of the face.
 
-    Convex combination of conjugations a -> U a U* with U xi orthogonal to
-    eta, and co-conjugations a -> V a^t V* with V conj(xi) orthogonal to
-    eta; both constraints make the face condition exact by construction.
+    Convex combination of ``terms`` conjugations a -> U a U* with U xi
+    orthogonal to eta, and as many co-conjugations a -> V a^t V* with
+    V conj(xi) orthogonal to eta; both constraints make the face condition
+    exact by construction.  ``terms`` must be at least 1.
     """
+    if terms < 1:
+        raise InvalidOption(f"terms must be at least 1, got {terms}")
     if face.xi.shape[0] != 2 or face.eta.shape[0] != 2:
         raise DimensionMismatch("face sampling is implemented for m = n = 2")
     rng = np.random.default_rng(seed)
@@ -183,10 +186,11 @@ def build_local_decomposition(
     of the density matrix w^T when lam_0 is below ``DEFAULT.kernel``.  In a
     maximal face (detected that way or supplied explicitly) the explicit
     four-element basis is emitted; otherwise K_eta has the basis of the
-    other Gram eigenmatrices.  tol is raised to at least ``DEFAULT.cone``:
-    the face candidate comes from a kernel read at ``DEFAULT.kernel``, so
-    the construction resolves no finer.
+    other Gram eigenmatrices.  tol must be finite and positive; it is raised
+    to at least ``DEFAULT.cone``: the face candidate comes from a kernel
+    read at ``DEFAULT.kernel``, so the construction resolves no finer.
     """
+    linalg._check_tol(tol)
     if (phi.dim_in, phi.dim_out) != (2, 2):
         raise DimensionMismatch("the construction is implemented for M_2 -> M_2")
     eta = _unit_vector(eta)

@@ -27,6 +27,13 @@ def random_matrix(rng, n, m=None):
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 
 
+def unit(n, i, j):
+    """Matrix unit E_ij of M_n."""
+    e = np.zeros((n, n), dtype=complex)
+    e[i, j] = 1.0
+    return e
+
+
 def matrix_json(m):
     m = np.atleast_2d(np.asarray(m, dtype=complex))
     return {

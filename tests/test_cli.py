@@ -358,13 +358,16 @@ class TestContract:
           "--cone", '{"kind": "natural_tensor", "dims": [2, 2]}'], {}, "ParseError"),
         (["cone-member", "--rho", "rho", "--rho-b", "rho3", "--xi", "xi",
           "--cone", '{"kind": "natural"}'], {}, "ParseError"),
+        (["decompose", "--map", "map"],
+         {"map": {"key": "mix:0.5:adu:u:identity:3", "matrices": {"u": matrix_json(np.eye(2))}}},
+         "DimensionMismatch"),
     ], ids=["key-number", "matrices-number", "beta-string", "beta-bool", "cone-dims-bool",
             "rows-bool", "entry-bool", "dims-string-and-bool", "dim-float", "label-nan",
             "mix-weight-nan", "mix-overflow", "identity-0",
             "transpose-negative", "stormer-build-eta-3", "stormer-verify-eta-3",
             "stormer-build-face-eta-3", "stormer-verify-face-eta-3",
             "stormer-build-face-and-eta", "hull-rho-b-3x3",
-            "cone-rho-b-3x3", "rho-b-one-factor"])
+            "cone-rho-b-3x3", "rho-b-one-factor", "mix-dims-differ"])
     def test_malformed_json_is_error_report(self, tmp_path, argv, inputs, error):
         """JSON of the wrong type or size exits 2 with a typed, strict-JSON error
         report, never a traceback: a bool is not a number, dims are JSON

@@ -104,7 +104,7 @@ def ref_projections(pair, clip=ref_psd_clip):
 
 def ref_project_intersection(x0, pair, tol=linalg.DEFAULT.cone,
                              max_iter=linalg.DEFAULT.max_iter):
-    x = pair.validate(x0, max_iter)
+    x = pair.validate(x0, tol, max_iter)
     x = (x + x.conj().T) / 2
     proj1, proj2 = ref_projections(pair, ref_eig_clip)
     p = np.zeros_like(x)
@@ -125,7 +125,7 @@ def ref_project_intersection(x0, pair, tol=linalg.DEFAULT.cone,
 
 
 def ref_split_sum(c, pair, tol=linalg.DEFAULT.cone, max_iter=linalg.DEFAULT.max_iter):
-    c = pair.validate(c, max_iter)
+    c = pair.validate(c, tol, max_iter)
     c = (c + c.conj().T) / 2
     pt = ref_pt(pair)
     bound = tol * min(1.0, ref_frobenius(c))

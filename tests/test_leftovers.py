@@ -15,9 +15,11 @@ import decomap
 SOURCES = sorted(Path(decomap.__file__).parent.glob("*.py"))
 
 # public samplers and examples with no caller inside the package; sk_sampler
-# is the S_k sampler that acceptance criterion 7 and the benchmark call
+# is the S_k sampler that acceptance criterion 7 and the benchmark call, and
+# the two generator functions are criterion 4's
 ENTRY_POINTS = {"sample_face_map", "symmetric_face_example", "state_of_cone_vector",
-                "fit_transposed_generator", "sample_unitary", "sk_sampler"}
+                "transposed_tensor_generator", "fit_transposed_generator",
+                "sample_unitary", "sk_sampler"}
 
 
 def _unreferenced(paths):

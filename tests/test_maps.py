@@ -6,14 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decomap import cones, dykstra, linalg, maps, modular
-from decomap.errors import BadChoi, InvalidOption, NoDetailedBalance, UnknownKind
+from decomap.errors import (BadChoi, DimensionMismatch, InvalidOption, NoDetailedBalance,
+                            UnknownKind)
 from decomap.linalg import TensorLayout
 
 from conftest import (SIGMA_X, assert_separates, assert_split, assert_witness,
                       choi_map_choi, criterion_worst, decomposable_test_set,
                       generalized_choi, generalized_choi_decomposable,
                       generalized_choi_positive, local_conjugates, product_minimum,
-                      random_matrix)
+                      random_matrix, unit)
 
 
 def swap(n=2):
@@ -115,11 +116,55 @@ class TestRepresentation:
         with pytest.raises(UnknownKind):
             maps.map_from_key("nonsense:1")
 
+    @pytest.mark.parametrize("depth", [0, 1, 8])
+    def test_nested_mix_read_in_one_pass(self, depth, monkeypatch):
+        """A left-nested mix of depth d builds each of its d + 1 leaves once."""
+        built = []
+        identity_map = maps.identity_map
+        monkeypatch.setattr(maps, "identity_map", lambda n: built.append(n) or identity_map(n))
+        key = "identity:2"
+        for _ in range(depth):
+            key = f"mix:0.5:{key}:identity:2"
+        phi = maps.map_from_key(key)
+        assert built == [2] * (depth + 1)
+        assert phi.label == key
+        assert np.array_equal(phi.choi, identity_map(2).choi)
+
+    def test_mismatched_mix_is_a_dimension_mismatch(self):
+        """Operands of different dimensions raise the mix's own error, and the
+        loader sees only complete adu names."""
+        names = []
+        loader = lambda name: names.append(name) or SIGMA_X
+        with pytest.raises(DimensionMismatch):
+            maps.map_from_key("mix:0.5:adu:u:identity:3", loader=loader)
+        assert names == ["u"]
+
+    @pytest.mark.parametrize("key", [
+        "identity:2:3",                                 # a token after the map
+        "mix:0.5:identity:2:identity:2:transpose:2",    # a third mix operand
+        "adu:u:v",                                      # a name with a colon
+        "mix:0.5:identity:2",                           # a missing operand
+        "compose-t",
+        "mix:0.5:identity:2:nonsense:2",
+    ])
+    def test_malformed_keys_are_unknown_kind(self, key):
+        with pytest.raises(UnknownKind):
+            maps.map_from_key(key, loader=lambda name: SIGMA_X)
+
+    @pytest.mark.parametrize("key, label", [
+        ("mix:0.25:adu:u:compose-t:adu:v", "mix:0.25:adu:u:compose-t:adu:v"),
+        ("mix:.5:identity:02:transpose:+2", "mix:.5:identity:2:transpose:2"),
+        ("compose-t:mix:1e-1:transpose:2:identity:2", "compose-t:mix:1e-1:transpose:2:identity:2"),
+    ])
+    def test_labels_built_from_operands(self, key, label):
+        """λ keeps its spelling; an integer gets its canonical one at any depth."""
+        assert maps.map_from_key(key, loader=lambda name: SIGMA_X).label == label
+
 
 def kron_sum_choi(action, m, n):
     """The Kronecker sum Σ_ij E_ij ⊗ φ(E_ij) through make_map: the reference
     that map_from_action's placement must equal bit for bit."""
-    units = [linalg._unit(m, i, j) for i in range(m) for j in range(m)]
+    units = [unit(m, i, j) for i in range(m) for j in range(m)]
     choi = sum(np.kron(e, np.asarray(action(e), dtype=complex)) for e in units)
     return maps.make_map(choi, m, n).choi
 
@@ -478,30 +523,20 @@ class TestSkSampler:
         assert not maps.sk_sampler(ident, level, trials=5, seed=seed).violation_found
 
     def test_m3_map_has_sk_witness(self):
-        """Targeted search exhibits the S_3 failure random sampling misses."""
-        phi = choi_m3_map()
+        """The split's certificate exhibits the S_3 failure random sampling
+        misses, for Choi's map and four local-unitary conjugates.  W ⪰ 0,
+        W^{t2} ⪰ 0 with Tr(W C) < 0; X = swap(Wᵀ), swap exchanging the
+        tensor factors, is PSD with X^{t1} = swap((W^{t2})ᵀ) PSD, and
+        <Ω|(id_3 ⊗ φ)(X)|Ω> = Tr(W C) < 0 for Ω = Σ_i e_i ⊗ e_i."""
         pair = dykstra.PPTPair(TensorLayout((3, 3)), 1)
-
-        def proj_double_psd(c):
-            return linalg.herm_part(dykstra.project_intersection(
-                c, pair, tol=1e-12, max_iter=2000).point)
-
-        choi4 = phi.choi.reshape(3, 3, 3, 3)
-        rng = np.random.default_rng(1)
-        g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        c = proj_double_psd(g @ g.conj().T)
-        c /= np.trace(c).real
-        for _ in range(150):
-            out = maps.amplify(phi, 3, c)
-            _, vecs = np.linalg.eigh(linalg.herm_part(out))
-            vv = np.outer(vecs[:, 0], vecs[:, 0].conj())
-            grad = np.einsum("irjs,prqs->ipjq", vv.reshape(3, 3, 3, 3),
-                             choi4.conj()).reshape(9, 9)
-            c = proj_double_psd(c - 0.15 * grad)
-            c /= np.trace(c).real
-        assert linalg.min_eig(c) >= -1e-10
-        assert linalg.min_eig(pair.pt(c)) >= -1e-8
-        assert linalg.min_eig(maps.amplify(phi, 3, c)) < -0.01
+        for choi in [choi_map_choi()] + local_conjugates(choi_map_choi(), 3, 4, 7):
+            phi = maps.make_map(choi, 3, 3)
+            res = maps.decompose(phi)
+            assert res.stop_reason == "certified"
+            x = res.witness.T.reshape(3, 3, 3, 3).transpose(1, 0, 3, 2).reshape(9, 9)
+            assert linalg.min_eig(x) >= -1e-10
+            assert linalg.min_eig(pair.pt(x)) >= -1e-8
+            assert linalg.min_eig(maps.amplify(phi, 3, x)) < -0.01
 
 
 class TestDecompose:

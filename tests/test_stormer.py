@@ -6,7 +6,7 @@ from decomap.linalg import DEFAULT
 from decomap.errors import (InvalidOption, NotInFace, NotPositiveEvidence, NotUnital,
                             ShapeMismatch)
 
-from conftest import SIGMA_X
+from conftest import SIGMA_X, unit
 
 E1 = np.array([1.0, 0.0])
 FACE_E1 = stormer.FaceSpec(xi=E1, eta=E1)
@@ -69,6 +69,12 @@ class TestFaceSampler:
         phi = stormer.sample_face_map(FACE_E1, 1, seed=0)
         assert in_face(phi, FACE_E1)
         assert build_takes_face_path(phi, FACE_E1)
+
+    @pytest.mark.parametrize("terms", [0, -1])
+    def test_no_terms_rejected(self, terms):
+        """No term leaves the zero map, which is not unital."""
+        with pytest.raises(InvalidOption):
+            stormer.sample_face_map(FACE_E1, terms, seed=0)
 
     def test_symmetric_example_members(self):
         phi, face = stormer.symmetric_face_example()
@@ -179,7 +185,7 @@ class TestBuild:
         r = data.k_dim // 4
         for p in range(2):
             for q in range(2):
-                rep = np.kron(np.eye(r), linalg._unit(2, p, q))
+                rep = np.kron(np.eye(r), unit(2, p, q))
                 want = np.zeros((4 * r, 4 * r), dtype=complex)
                 want[:2 * r, :2 * r], want[2 * r:, 2 * r:] = rep, rep.T
                 assert np.max(np.abs(data.rho_units[p, q] - want)) <= 1e-12
@@ -231,7 +237,7 @@ def reference_gram_blocks(phi, eta):
     gr = np.zeros((m * m, m * m), dtype=complex)
     for a, (i, j) in enumerate(units):
         for b, (p, q) in enumerate(units):
-            ua, ub = linalg._unit(m, i, j), linalg._unit(m, p, q)
+            ua, ub = unit(m, i, j), unit(m, p, q)
             gl[a, b] = 0.5 * omega(phi, eta, ua.conj().T @ ub)
             gr[a, b] = 0.5 * omega(phi, eta, ub @ ua.conj().T)
     return gl, gr
@@ -298,7 +304,7 @@ class TestGramBlocks:
         basis = spectral_basis(phi, eta).T                          # 8 x K
         for p in range(2):
             for q in range(2):
-                e = linalg._unit(2, p, q)
+                e = unit(2, p, q)
                 act = np.zeros((8, 8), dtype=complex)
                 act[:4, :4], act[4:, 4:] = np.kron(e, np.eye(2)), np.kron(np.eye(2), e.T)
                 rho = basis.conj().T @ gram @ act @ basis
@@ -356,7 +362,7 @@ def reference_face_forms(phi, eta, xi):
     rho = np.zeros((2, 2, 4, 4), dtype=complex)
     for p in range(2):
         for q in range(2):
-            u = linalg._unit(2, p, q)
+            u = unit(2, p, q)
             for t, (r1, r2) in enumerate(reps):
                 rho[p, q, :, t] = [inner(ra, (u @ r1, r2 @ u)) for ra in reps]
     return gram, rho
@@ -422,7 +428,7 @@ class TestMeasuredResiduals:
             phi, face.eta, face=stormer.FaceSpec(xi=xi, eta=face.eta), tol=1e-3)
         assert data.face_case
         reps, inner = face_pairs(phi, face.eta, xi)
-        units = [linalg._unit(2, i, j) for i in range(2) for j in range(2)]
+        units = [unit(2, i, j) for i in range(2) for j in range(2)]
         coords = np.array([[inner(k, (e, e)) for e in units] for k in reps])
         images = np.array([maps.apply_map(phi, e) @ face.eta for e in units]).T
         oracle = np.linalg.norm(data.v_eta @ coords - images)

@@ -2,14 +2,20 @@
 
 Every small threshold is a ``Tolerances`` field or a named private module
 constant, and the Hermitian deviation ‖x − x*‖ is computed in one function.
+The entry points that hold a residual against a ``tol`` reject one that is
+not finite and positive.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import decomap
+from decomap import cones, dykstra, maps, modular, stormer
+from decomap.errors import InvalidOption
+from decomap.linalg import TensorLayout
 
 SOURCES = sorted(Path(decomap.__file__).parent.glob("*.py"))
 SMALL = 0.1         # a nonzero float literal below this reads as a threshold
@@ -95,3 +101,28 @@ def test_guard_sees_a_bare_literal(tmp_path):
 def test_one_hermitian_deviation():
     sites = [site for path in SOURCES for site in _deviation_sites(path)]
     assert [name for name, _ in sites] == ["linalg.py:hermitian_deviation"]
+
+
+_PAIR = dykstra.PPTPair(TensorLayout((2, 2)), 2)
+_TRACIAL = modular.tensor_modular(*[modular.build_modular(np.eye(2) / 2)] * 2)
+_TOL_ENTRY_POINTS = {
+    "split_sum": lambda tol: dykstra.split_sum(np.eye(4), _PAIR, tol=tol),
+    "project_intersection": lambda tol: dykstra.project_intersection(np.eye(4), _PAIR, tol=tol),
+    "cone_membership": lambda tol: cones.cone_membership(
+        _TRACIAL, cones.ConeSpec(cones.NATURAL_TENSOR), np.eye(4) / 2, tol=tol),
+    "global_positivity_test": lambda tol: maps.global_positivity_test(
+        maps.identity_map(2), tol=tol),
+    "k_positivity_search": lambda tol: maps.k_positivity_search(
+        maps.transposition_map(2), 2, tol=tol),
+    "build_local_decomposition": lambda tol: stormer.build_local_decomposition(
+        maps.identity_map(2), [1.0, 0.0], tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", list(_TOL_ENTRY_POINTS))
+def test_tol_not_finite_and_positive_rejected(entry, tol):
+    """A NaN tol compares false with every residual and a tol of zero or
+    below admits nothing: each would answer wrong, so each is an error."""
+    with pytest.raises(InvalidOption):
+        _TOL_ENTRY_POINTS[entry](tol)
