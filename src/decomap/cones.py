@@ -143,9 +143,9 @@ def cone_membership(md: ModularData, spec: ConeSpec, xi, tol: float = DEFAULT.co
     """Membership test for every cone kind.
 
     xi is checked once, at entry: a NaN or Inf entry raises NonFinite for
-    every kind, as a tol that is not finite and positive raises
-    InvalidOption.  Its reduction r is taken once and its Hermitian deviation
-    is gated once, against tol·‖r‖: no member has a non-Hermitian
+    every kind, as a tol that is not finite and positive or a max_iter
+    below one raises InvalidOption.  Its reduction r is taken once and its
+    Hermitian deviation is gated once, against tol·‖r‖: no member has a non-Hermitian
     reduction, so a larger deviation reads outside, with the deviation as
     residual and no witness.  The tensor kinds read their layout from ``md``.  Every kind
     but the hull is decided by one ``eigh``, of r, of r^Γ for the
@@ -160,6 +160,7 @@ def cone_membership(md: ModularData, spec: ConeSpec, xi, tol: float = DEFAULT.co
     iteration count tell a capped solve from a refuted one.
     """
     linalg._check_tol(tol)
+    dykstra._check_max_iter(max_iter)
     xi = linalg._as_matrix(xi)
     if xi.shape != (md.dim, md.dim):
         raise LayoutMismatch(f"expected {md.dim}x{md.dim}, got {xi.shape}")

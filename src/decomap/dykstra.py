@@ -7,7 +7,12 @@ K2 = {a : a^Γ ⪰ 0}, with Γ the partial transpose of one tensor factor.
   It stops converged or capped at ``max_iter``.
 * ``split_sum``: c = a + b with a ∈ K1, b ∈ K2, which needs *a* split, not
   the nearest one.  It stops ``converged``, ``certified`` by a dual witness
-  that proves c ∉ K1 + K2, or ``capped`` at ``max_iter``.
+  that proves c ∉ K1 + K2, or ``capped`` at ``max_iter``.  It runs
+  Douglas–Rachford in two phases: on the product space [a, b^Γ] up to the
+  first witness check, which gets past the plateaus that two-set DR meets
+  from the start, then two-set DR on a ∈ K1 ∩ (c − K2), which needs about
+  40% of the product-space iterations; c or c^Γ, whichever has the
+  smaller negative part, is the one solved, so both take the same course.
 
 The pair also answers the pointwise question, λmin of x and of x^Γ
 (``PPTPair.min_eigs``), for the CP / co-CP test and the S_k sampler's
@@ -38,6 +43,12 @@ from .linalg import DEFAULT, TensorLayout
 _WITNESS_EVERY = 8      # split iterations between dual-witness checks
 
 
+def _check_max_iter(max_iter: int) -> None:
+    """Reject an iteration cap below one, which leaves no iterate."""
+    if max_iter < 1:
+        raise InvalidOption(f"max_iter must be at least 1, got {max_iter}")
+
+
 @dataclass(frozen=True)
 class PPTPair:
     """The cones {a ⪰ 0} and {a : a^Γ ⪰ 0}, Γ transposing factor ``factor``."""
@@ -55,8 +66,7 @@ class PPTPair:
         cap below one, which leaves no iterate.
         """
         linalg._check_tol(tol)
-        if max_iter < 1:
-            raise InvalidOption(f"max_iter must be at least 1, got {max_iter}")
+        _check_max_iter(max_iter)
         x = linalg._as_matrix(x)
         self.layout.check(x)
         return x
@@ -156,29 +166,54 @@ def split_sum(
     tol: float = DEFAULT.cone,
     max_iter: int = DEFAULT.max_iter,
 ) -> SplitResult:
-    """Decide c = a + b with a ∈ K1, b ∈ K2 by Douglas–Rachford.
+    """Decide c = a + b with a ∈ K1, b ∈ K2 by Douglas–Rachford, in two phases.
 
-    On the stack z = [a, b^Γ] both cones are the PSD cone, so an iteration
-    x = P_affine(z), y = clip(2x − z), z' = z + y − x makes one batched clip,
-    and the parts (y's slots) lie in their cones at every stop.  Infeasible
-    iterates diverge along a certificate direction (Banjac et al., JOTA
-    2019), which :func:`_witness` reads off the gap.
+    Both phases stop the same way: converged once ‖gap‖ ≤ tol·min(1, ‖c‖),
+    gap = c − a − b, certified when :func:`_witness` reads a dual witness off
+    the gap every ``_WITNESS_EVERY`` iterations (infeasible DR iterates
+    diverge along a certificate direction: Banjac et al., JOTA 2019; Bauschke
+    & Moursi, Math. Program. 2017), or capped after ``max_iter``.  The parts
+    lie in their cones at every stop.
 
+    **Phase 1, iterations 1 to ``_WITNESS_EVERY``: product-space DR.**  On
+    the stack z = [a, b^Γ] both cones are the PSD cone, so an iteration
+    x = P_affine(z), y = clip(2x − z), z' = z + y − x makes one batched clip.
     The loop carries the affine step g, not z.  With P_affine(z) =
     z + [g, g^Γ], g = (c − z₀ − z₁^Γ)/2, the update is z' = y − [g, g^Γ],
-    so z'₀ + z'₁^Γ = a + b − 2g and the next step is g' = g + gap/2, gap =
-    c − a − b.  The next clip's argument 2x' − z' = z' + 2[g', g'^Γ] is
-    s' = y + [h, h^Γ] with h = 2g' − g = g + gap.  Per iteration that is
-    h = g + gap, gap /= 2, g += gap, h^Γ and s = y + [h, h^Γ], on buffers
-    made once per solve; Γ permutes entries, so it commutes with them.
+    so z'₀ + z'₁^Γ = a + b − 2g and the next step is g' = g + gap/2.  The
+    next clip's argument 2x' − z' = z' + 2[g', g'^Γ] is s' = y + [h, h^Γ]
+    with h = 2g' − g = g + gap.  Per iteration that is h = g + gap,
+    gap /= 2, g += gap, h^Γ and s = y + [h, h^Γ]; Γ permutes entries, so it
+    commutes with them.
+
+    **Phase 2, from iteration ``_WITNESS_EVERY`` + 1: two-set DR on a.**
+    The split is a point a of K1 ∩ (c − K2), and DR on that pair runs on one
+    matrix zz, from the a-slot of P_affine(z), s₀ − g: a = clip(zz),
+    b = (clip((c − 2a + zz)^Γ))^Γ, gap = c − a − b, zz += gap.  That is two
+    single-matrix ``eigh`` per iteration, against one of the doubled stack,
+    and far fewer iterations where the split is feasible (local linear rate:
+    Bauschke, Bello Cruz, Nghia, Phan & Wang, J. Approx. Theory 2014).  On
+    the 100 criterion-6 maps the two phases take 1798 iterations in all and at
+    most 46 on one map, against 4917 and 304 for product-space DR throughout.
+    Two-set DR from the start plateaus on rank-1 + rank-1^Γ M_2 mixes (6 →
+    649 iterations on one); the product-space phase gets past them, and a
+    switch anywhere from 6 to 12 iterations keeps the maximum at 50 or below,
+    while a switch at 4 lets it reach 300.
+
+    **Orientation.**  The start's batched clip of [c, c^Γ] gives both
+    negative parts.  When ‖c₋‖ > ‖(c^Γ)₋‖ the solve runs on c^Γ, whose
+    split (a', b') gives c's as (b'^Γ, a'^Γ), with the witness W^Γ and the
+    residual recomputed from the returned parts.  Two-set DR treats its two
+    sets unlike each other, and this rule makes c and c^Γ (φ and t∘φ) take
+    the same course, bit for bit, at no extra ``eigh``.
 
     c is made Hermitian once, at entry; every later Hermitian matrix of the
-    loop is one only up to rounding, and the clip reads just the lower
-    triangle of s (``linalg._eig_clipper``), as ``eigh`` does.  An iterate
-    is thereby clipped as the Hermitian matrix its lower triangle defines,
-    which differs from the Hermitian part of s by rounding; the stop rules
-    and the witness read the parts and the gap as computed, so what a stop
-    reason proves does not rest on that choice.
+    loop is one only up to rounding, and the clips read just the lower
+    triangle of their argument (``linalg._eig_clipper``), as ``eigh`` does.
+    An iterate is thereby clipped as the Hermitian matrix its lower triangle
+    defines, which differs from its Hermitian part by rounding; the stop
+    rules and the witness read the parts and the gap as computed, so what a
+    stop reason proves does not rest on that choice.
 
     The start is the mean of the two extreme splits, one with all of c's PSD
     part in a and one with all of c^Γ's PSD part in b^Γ:
@@ -190,42 +225,85 @@ def split_sum(
     those of every iteration and a certificate is checked on its own, so the
     start moves iteration counts, never what a stop reason proves.
     """
-    c = linalg.herm_part(pair.validate(c, tol, max_iter))
+    c_in = linalg.herm_part(pair.validate(c, tol, max_iter))
     pt = pair.pt
-    c_norm = linalg.frobenius(c)
-    c_trace = np.trace(c).real
-    bound = tol * min(1.0, c_norm)
-    s, y, hh = np.empty((3, 2) + c.shape, dtype=complex)
+    s, y, hh = np.empty((3, 2) + c_in.shape, dtype=complex)
     a, y1 = y
     h, h_pt = hh
-    g, b, gap = np.empty((3,) + c.shape, dtype=complex)
+    g, b, gap = np.empty((3,) + c_in.shape, dtype=complex)
     clip = linalg._eig_clipper(s, y)
     gap_norm = linalg._norm_reader(gap)
     two = linalg._TWO
-    s[0] = c
-    pt(c, out=s[1])
+    s[0] = c_in
+    pt(c_in, out=s[1])
     clip()                      # y = [c₊, P], P = (c^Γ)₊
+    np.subtract(y, s, out=hh)   # [c₋, (c^Γ)₋]
+    flip = linalg._norm_reader(h)() > linalg._norm_reader(h_pt)()
+    c = c_in
+    if flip:
+        c = pt(c_in)
+        y[...] = y[::-1].copy()
+    c_norm = linalg.frobenius(c)
+    c_trace = np.trace(c).real
+    bound = tol * min(1.0, c_norm)
+
+    def stop(res, it, reason, witness=None):
+        if not flip:
+            return SplitResult(a, b, res, it, reason, witness)
+        part1, part2 = pt(b), pt(a)
+        np.subtract(c_in, part1, out=gap)
+        np.subtract(gap, part2, out=gap)
+        return SplitResult(part1, part2, gap_norm(), it, reason,
+                           None if witness is None else pt(witness))
+
+    def checked(it):
+        """The stop that iteration it's parts and gap reach, or None; at
+        ``max_iter`` it is ``capped``, so every solve returns from a loop."""
+        res = gap_norm()
+        if res <= bound:
+            return stop(res, it, "converged")
+        if it % _WITNESS_EVERY == 0:
+            witness = _witness(gap, c, c_trace, c_norm, pair)
+            if witness is not None:
+                return stop(res, it, "certified", witness)
+        if it == max_iter:
+            return stop(res, it, "capped")
+        return None
+
     z = np.stack((a + (c - pt(y1)), pt(c - a) + y1)) / 2
     g[...] = (c - z[0] - pt(z[1])) / 2
     s[...] = z + 2 * np.stack((g, pt(g)))
-    for it in range(1, max_iter + 1):
+    for it in range(1, min(max_iter, _WITNESS_EVERY) + 1):
         clip()
         pt(y1, out=b)
         np.subtract(c, a, out=gap)
         np.subtract(gap, b, out=gap)
-        res = gap_norm()
-        if res <= bound:
-            return SplitResult(a, b, res, it, "converged")
-        if it % _WITNESS_EVERY == 0:
-            witness = _witness(gap, c, c_trace, c_norm, pair)
-            if witness is not None:
-                return SplitResult(a, b, res, it, "certified", witness)
+        done = checked(it)
+        if done is not None:
+            return done
         np.add(g, gap, out=h)
         np.divide(gap, two, out=gap)
         np.add(g, gap, out=g)
         pt(h, out=h_pt)
         np.add(y, hh, out=s)
-    return SplitResult(a, b, res, max_iter, "capped")
+    zz = s[0]
+    np.subtract(zz, g, out=zz)
+    clip_a = linalg._eig_clipper(zz, a)         # a = clip(zz)
+    clip_b = linalg._eig_clipper(h_pt, y1)      # y1 = clip(h^Γ), so b = y1^Γ
+    for it in range(_WITNESS_EVERY + 1, max_iter + 1):
+        clip_a()
+        np.multiply(a, two, out=h)
+        np.subtract(c, h, out=h)
+        np.add(h, zz, out=h)                    # h = c − 2a + zz
+        pt(h, out=h_pt)
+        clip_b()
+        pt(y1, out=b)
+        np.subtract(c, a, out=gap)
+        np.subtract(gap, b, out=gap)
+        done = checked(it)
+        if done is not None:
+            return done
+        np.add(zz, gap, out=zz)
 
 
 def _witness(gap: np.ndarray, c: np.ndarray, c_trace: float, c_norm: float,

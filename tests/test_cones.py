@@ -75,6 +75,17 @@ class TestSpecValidation:
         with pytest.raises(LayoutMismatch):
             cones.cone_membership(md_tensor22, spec, np.eye(3))
 
+    @pytest.mark.parametrize("kind", [cones.VBETA, cones.NATURAL, cones.NATURAL_TENSOR,
+                                      cones.TRANSPOSED_TENSOR, cones.HULL,
+                                      cones.INTERSECTION])
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, md_tensor22, kind, max_iter):
+        """Every kind checks max_iter at entry, not only the hull, whose
+        split is the one reader of it."""
+        spec = cones.ConeSpec(kind, beta=0.25 if kind == cones.VBETA else None)
+        with pytest.raises(InvalidOption, match="max_iter"):
+            cones.cone_membership(md_tensor22, spec, np.eye(4), max_iter=max_iter)
+
 
 class TestMembership:
     def test_psd_in_natural_tracial(self, md_tracial2):

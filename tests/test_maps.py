@@ -617,10 +617,10 @@ def generalized_choi_family():
     return out
 
 
-# The split caps today at r = +1e-3 (a = 2.5) and on the whole r = +1e-6
-# tier, reading outside a decomposable map, so these stay in the family with
-# their truth but are not asserted until the split reaches them.
-_CAPPED_TIERS = (1e-3, 1e-6)
+# The split caps on the whole r = +1e-6 tier, reading outside a decomposable
+# map, so that tier stays in the family with its truth but is not asserted
+# until the split reaches it.
+_CAPPED_TIERS = (1e-6,)
 
 
 def _asserted_family():
