@@ -7,9 +7,10 @@ K2 = {a : a^Γ ⪰ 0}, with Γ the partial transpose of one tensor factor.
   It stops converged or capped at ``max_iter``.
 * ``split_sum``: c = a + b with a ∈ K1, b ∈ K2, which needs *a* split, not
   the nearest one.  It stops ``converged``, ``certified`` by a dual witness
-  that proves c ∉ K1 + K2, or ``capped`` at ``max_iter``.  It runs
-  Douglas–Rachford in two phases: on the product space [a, b^Γ] up to the
-  first witness check, which gets past the plateaus that two-set DR meets
+  that proves c ∉ K1 + K2, or ``capped`` at ``max_iter``.  Its witness
+  checks run at iteration 1 and at every 8th.  It runs Douglas–Rachford in
+  two phases: on the product space [a, b^Γ] for 8 iterations, up to the
+  second witness check, which gets past the plateaus that two-set DR meets
   from the start, then two-set DR on a ∈ K1 ∩ (c − K2), which needs about
   40% of the product-space iterations; c or c^Γ, whichever has the
   smaller negative part, is the one solved, so both take the same course.
@@ -40,7 +41,7 @@ from . import linalg
 from .errors import InvalidOption
 from .linalg import DEFAULT, TensorLayout
 
-_WITNESS_EVERY = 8      # split iterations between dual-witness checks
+_WITNESS_EVERY = 8      # split iterations between witness checks, after the one at 1
 
 
 def _check_max_iter(max_iter: int) -> None:
@@ -170,14 +171,20 @@ def split_sum(
 
     Both phases stop the same way: converged once ‖gap‖ ≤ tol·min(1, ‖c‖),
     gap = c − a − b, certified when :func:`_witness` reads a dual witness off
-    the gap every ``_WITNESS_EVERY`` iterations (infeasible DR iterates
-    diverge along a certificate direction: Banjac et al., JOTA 2019; Bauschke
-    & Moursi, Math. Program. 2017), or capped after ``max_iter``.  The parts
-    lie in their cones at every stop.
+    the gap at iteration 1 or at a multiple of ``_WITNESS_EVERY`` (infeasible
+    DR iterates diverge along a certificate direction: Banjac et al., JOTA
+    2019; Bauschke & Moursi, Math. Program. 2017), or capped after
+    ``max_iter``.  The parts lie in their cones at every stop.  A check only
+    reads the gap, so a solve it does not stop takes the same course as
+    without it.  The first iteration's gap already certifies Choi's map, its
+    local conjugates and GUE inputs.  A certified solve's residual is that of
+    the iteration whose gap gave the witness: it shows the solve did not
+    converge, and is not a distance to the cone.
 
-    **Phase 1, iterations 1 to ``_WITNESS_EVERY``: product-space DR.**  On
-    the stack z = [a, b^Γ] both cones are the PSD cone, so an iteration
-    x = P_affine(z), y = clip(2x − z), z' = z + y − x makes one batched clip.
+    **Phase 1, iterations 1 to ``_WITNESS_EVERY``: product-space DR,** up to
+    the second witness check.  On the stack z = [a, b^Γ] both cones are the
+    PSD cone, so an iteration x = P_affine(z), y = clip(2x − z),
+    z' = z + y − x makes one batched clip.
     The loop carries the affine step g, not z.  With P_affine(z) =
     z + [g, g^Γ], g = (c − z₀ − z₁^Γ)/2, the update is z' = y − [g, g^Γ],
     so z'₀ + z'₁^Γ = a + b − 2g and the next step is g' = g + gap/2.  The
@@ -262,7 +269,7 @@ def split_sum(
         res = gap_norm()
         if res <= bound:
             return stop(res, it, "converged")
-        if it % _WITNESS_EVERY == 0:
+        if it == 1 or it % _WITNESS_EVERY == 0:
             witness = _witness(gap, c, c_trace, c_norm, pair)
             if witness is not None:
                 return stop(res, it, "certified", witness)

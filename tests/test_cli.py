@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from decomap import cli, maps
+from decomap import cli, linalg, maps
 from decomap.errors import ParseError
+from decomap.linalg import TensorLayout
 
-from conftest import SIGMA_X, matrix_json, random_matrix, write_json
+from conftest import EIG_SLACK, SIGMA_X, matrix_json, random_matrix, write_json
 
 
 @pytest.fixture
@@ -206,7 +207,13 @@ class TestCommands:
     @pytest.mark.parametrize("k, code", [(2, 0), (3, 1)])
     def test_transfer_check_halved_choi_map(self, tmp_path, k, code):
         """Choi's map halved on M_3 with the tracial state: level 3 = m
-        proves it outside the hull, and the report carries the witness."""
+        proves it outside the hull, and the report carries the witness.
+
+        A certified level's hull residual is ‖c − a − b‖ at the iteration
+        whose gap gave the witness, here the first: it shows that the split
+        did not converge, far above 100·tol, and is not a distance to the
+        cone.  The witness, not the residual, is the proof: unit, PSD and
+        PSD after its factor-2 partial transpose."""
         choi = np.zeros((9, 9))
         for i in range(3):
             choi[4 * i, 4 * i] += 0.5
@@ -225,9 +232,13 @@ class TestCommands:
         if k == 3:
             assert result["hull_failure"]["level"] == 3
             assert result["hull_failure"]["stop_reason"] == "certified"
-            assert result["levels"]["3"]["hull"] == pytest.approx(0.17, abs=0.01)
+            residual = result["levels"]["3"]["hull"]
+            assert residual == pytest.approx(0.36, abs=0.01)
+            assert residual > 100 * linalg.DEFAULT.cone
             witness = cli.parse_matrix(result["hull_failure"]["witness"])
             assert np.linalg.norm(witness) == pytest.approx(1.0)
+            for view in (witness, linalg.partial_transpose(witness, TensorLayout((3, 3)), 2)):
+                assert np.linalg.eigvalsh((view + view.conj().T) / 2)[0] >= -EIG_SLACK
         else:
             assert "hull_failure" not in result
 

@@ -8,7 +8,8 @@ from decomap.errors import InvalidOption, LayoutMismatch, NonFinite
 from decomap.linalg import TensorLayout
 
 from conftest import (EIG_SLACK, assert_split, assert_witness, choi_map_choi,
-                      decomposable_test_set, local_conjugates, product_minimum, random_matrix)
+                      decomposable_test_set, generalized_choi, local_conjugates,
+                      product_minimum, random_matrix)
 
 LAYOUTS = [(2, 2), (2, 3), (3, 3)]      # sides 4, 6 and 9
 
@@ -48,6 +49,14 @@ def reference_split_sum(c, pair, tol=linalg.DEFAULT.cone, max_iter=linalg.DEFAUL
     return False
 
 
+def late_certified():
+    """Choi matrix of Φ[2, 1.3s, s/1.3] with bc = (1 − 1e-3)/4, just past the
+    decomposable boundary bc = (3 − a)²/4: not decomposable, and the split
+    certifies it only at iteration 32, where Choi's map certifies at 1."""
+    s = np.sqrt((1 - 1e-3) / 4)
+    return generalized_choi(2.0, 1.3 * s, s / 1.3).choi
+
+
 def assert_valid_split(res, c, pair):
     """Invariants of every stop: parts in their cones, the residual recomputed
     from them, and the stop reason backed by its evidence."""
@@ -67,8 +76,9 @@ def assert_valid_split(res, c, pair):
 # take their input's Hermitian part once, at entry, and clip with
 # ref_eig_clip, which reads the lower triangle and symmetrizes nothing.  The
 # intersection loop is plain Dykstra on (x, p, q); the split loop is
-# split_sum's two phases, the g/h recurrence up to the first witness check and
-# then two-set DR on zz, in the orientation its start picks.  Each is written
+# split_sum's two phases, the g/h recurrence for iterations 1 to 8 and then
+# two-set DR on zz, in the orientation its start picks, with a witness check
+# at iteration 1 and at every 8th.  Each is written
 # with the same operations as its buffered loop, on fresh arrays, and the
 # buffered loops must return exactly what these return, bit for bit, with the
 # same counts and stop reasons.
@@ -150,7 +160,7 @@ def ref_split_sum(c, pair, tol=linalg.DEFAULT.cone, max_iter=linalg.DEFAULT.max_
         res = ref_frobenius(gap)
         if res <= bound:
             return stop(a, b, res, it, "converged")
-        if it % _REF_WITNESS_EVERY == 0:
+        if it == 1 or it % _REF_WITNESS_EVERY == 0:
             witness = ref_witness(gap, c, pt)
             if witness is not None:
                 return stop(a, b, res, it, "certified", witness)
@@ -193,13 +203,18 @@ def ref_witness(gap, c, pt):
     return None
 
 
-def assert_same_split(c, pair, **kw):
-    got, ref = dykstra.split_sum(c, pair, **kw), ref_split_sum(c, pair, **kw)
+def assert_same_course(got, want):
+    """Two split results equal bit for bit, witness included."""
     assert (got.residual, got.iterations, got.stop_reason) == \
-        (ref.residual, ref.iterations, ref.stop_reason)
-    assert np.array_equal(got.part1, ref.part1) and np.array_equal(got.part2, ref.part2)
-    assert (got.witness is None) == (ref.witness is None)
-    assert got.witness is None or np.array_equal(got.witness, ref.witness)
+        (want.residual, want.iterations, want.stop_reason)
+    assert np.array_equal(got.part1, want.part1) and np.array_equal(got.part2, want.part2)
+    assert (got.witness is None) == (want.witness is None)
+    assert got.witness is None or np.array_equal(got.witness, want.witness)
+
+
+def assert_same_split(c, pair, **kw):
+    got = dykstra.split_sum(c, pair, **kw)
+    assert_same_course(got, ref_split_sum(c, pair, **kw))
     return got
 
 
@@ -243,11 +258,13 @@ class TestStackedSplit:
         assert_valid_split(got, c, pair)
 
     def test_capped_without_witness(self):
+        """A cap before the solve converges or certifies: a criterion-6 M_3 mix
+        (converged at 37) and a map that certifies at 32."""
         pair = dykstra.PPTPair(TensorLayout((3, 3)), 2)
-        c = choi_map_choi()
-        got = dykstra.split_sum(c, pair, max_iter=5)
-        assert (got.stop_reason, got.iterations) == ("capped", 5)
-        assert_valid_split(got, c, pair)
+        for c in (linalg.require_hermitian(decomposable_test_set()[1].choi), late_certified()):
+            got = dykstra.split_sum(c, pair, max_iter=5)
+            assert (got.stop_reason, got.iterations) == ("capped", 5)
+            assert_valid_split(got, c, pair)
 
     @pytest.mark.parametrize("dims", LAYOUTS)
     def test_psd_clip_on_a_stack(self, dims, rng):
@@ -292,11 +309,12 @@ class TestStart:
 
     @pytest.mark.parametrize("dims", LAYOUTS)
     def test_gue_certified(self, dims):
+        """The first iteration's gap already gives a witness."""
         pair = dykstra.PPTPair(TensorLayout(dims), 2)
         for seed in range(200, 204):
             c = linalg.sample_hermitian(pair.layout.side, seed)
             got = dykstra.split_sum(c, pair)
-            assert got.stop_reason == "certified"
+            assert (got.stop_reason, got.iterations) == ("certified", 1)
             assert_valid_split(got, c, pair)
 
     def test_criterion_6_budget(self):
@@ -390,10 +408,13 @@ class TestBitIdentical:
             assert_same_split(c, dykstra.PPTPair(phi.layout, 2), tol=1e-6)
 
     def test_choi_map_conjugates(self):
+        """Each conjugate certifies at iteration 1, with a witness that holds
+        from scratch."""
         pair = dykstra.PPTPair(TensorLayout((3, 3)), 2)
-        stops = {assert_same_split(c, pair).stop_reason
-                 for c in local_conjugates(choi_map_choi(), 3, 12, 900)}
-        assert stops == {"certified"}
+        for c in local_conjugates(choi_map_choi(), 3, 12, 900):
+            got = assert_same_split(c, pair)
+            assert (got.stop_reason, got.iterations) == ("certified", 1)
+            assert_witness(got.witness, c, pair.layout)
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
     @pytest.mark.parametrize("factor", [1, 2])
@@ -434,10 +455,46 @@ class TestBitIdentical:
 
     @pytest.mark.parametrize("max_iter", [1, 7, 8, 9, 16, 17])
     def test_capped_on_the_witness_cadence(self, max_iter):
+        """Caps on and beside the checks at 1, 8 and 16: Choi's map and a GUE
+        input certify at 1, the late map caps at each of them."""
         pair = dykstra.PPTPair(TensorLayout((3, 3)), 2)
         for c in (choi_map_choi(), linalg.sample_hermitian(9, 3)):
-            assert_same_split(c, pair, max_iter=max_iter)
+            assert assert_same_split(c, pair, max_iter=max_iter).iterations == 1
             assert_same_intersection(c, pair, max_iter=max_iter)
+        got = assert_same_split(late_certified(), pair, max_iter=max_iter)
+        assert (got.stop_reason, got.iterations) == ("capped", max_iter)
+
+
+class TestWitnessChecksReadOnly:
+    """A witness check reads the gap, c and c's norm and trace, and writes
+    none of them: with every check made to find nothing, a solve takes the
+    same course, bit for bit, so a check changes only where a solve stops."""
+
+    def test_converging_solves(self, monkeypatch):
+        inputs = [(linalg.require_hermitian(phi.choi), dykstra.PPTPair(phi.layout, 2))
+                  for phi in decomposable_test_set()]
+        inputs += [(block_positive_choi(n, seed, margin), dykstra.PPTPair(TensorLayout((2, n)), 2))
+                   for n in (2, 3) for margin in (1e-1, 1e-3) for seed in range(100, 104)]
+        real = [dykstra.split_sum(c, pair) for c, pair in inputs]
+        assert all(res.converged for res in real)
+        monkeypatch.setattr(dykstra, "_witness", lambda *args: None)
+        for (c, pair), want in zip(inputs, real):
+            assert_same_course(dykstra.split_sum(c, pair), want)
+
+    def test_certified_solves_run_to_the_same_parts(self, monkeypatch):
+        """Capped where the real solve certified, a solve whose checks find
+        nothing returns the real one's parts and residual."""
+        pair = dykstra.PPTPair(TensorLayout((3, 3)), 2)
+        inputs = [late_certified(), choi_map_choi(), linalg.sample_hermitian(9, 3)]
+        real = [dykstra.split_sum(c, pair) for c in inputs]
+        assert [res.stop_reason for res in real] == ["certified"] * 3
+        monkeypatch.setattr(dykstra, "_witness", lambda *args: None)
+        for c, want in zip(inputs, real):
+            got = dykstra.split_sum(c, pair, max_iter=want.iterations)
+            assert got.stop_reason == "capped" and got.witness is None
+            assert (got.residual, got.iterations) == (want.residual, want.iterations)
+            assert np.array_equal(got.part1, want.part1)
+            assert np.array_equal(got.part2, want.part2)
 
 
 class TestHermitianBoundary:
@@ -604,14 +661,16 @@ class TestCallsPerSolve:
     """Per-iteration work stays off the traced public functions: a solve calls
     linalg.frobenius a fixed number of times however long it runs, the split
     one eigh for its start, one per phase-1 iteration, two per phase-2
-    iteration and one per witness check, and eigvalsh only on the witness
+    iteration and one per witness check (at iteration 1, unless the solve
+    converged there, and at every 8th), and eigvalsh only on the witness
     checks that pass the trace bound."""
 
     @pytest.mark.parametrize("make, max_iters", [
-        (choi_map_choi, (1, 8, 5000)),                          # certified at 16
-        (lambda: linalg.sample_hermitian(9, 3), (1, 5000)),     # certified at 8
+        (choi_map_choi, (1, 8, 5000)),                          # certified at 1
+        (lambda: linalg.sample_hermitian(9, 3), (1, 5000)),     # certified at 1
         (lambda: linalg.sample_psd(9, 1) + 0.1 * linalg.sample_hermitian(9, 2),
          (5, 50, 400)),                                         # capped, checks skipped
+        (late_certified, (1, 8, 9, 5000)),                      # certified at 32
     ])
     def test_split(self, make, max_iters, monkeypatch):
         pair = dykstra.PPTPair(TensorLayout((3, 3)), 2)
@@ -620,7 +679,7 @@ class TestCallsPerSolve:
         for max_iter in max_iters:
             calls = CallCounter(monkeypatch)
             res = dykstra.split_sum(c, pair, tol=1e-300, max_iter=max_iter)
-            checks = res.iterations // 8
+            checks = 1 + res.iterations // 8       # tol 1e-300: none converges at 1
             phase2 = max(0, res.iterations - 8)
             assert len(calls.checks) == checks
             # the start, one per phase-1 iteration, two per phase-2 iteration
