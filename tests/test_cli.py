@@ -1,13 +1,43 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import decomap
 from decomap import cli, linalg, maps
 from decomap.errors import ParseError
 from decomap.linalg import TensorLayout
 
-from conftest import EIG_SLACK, SIGMA_X, matrix_json, random_matrix, write_json
+from conftest import (EIG_SLACK, SIGMA_X, choi_map_choi, matrix_json, random_matrix,
+                      write_json)
+
+CI_WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "ci.yml"
+
+# named inputs of the request tables below: a name in argv becomes a JSON file
+FILES = {
+    "id_x": {"key": "identity:x"},
+    "t3": {"key": "transpose:3"},
+    "rho": matrix_json(np.eye(2) / 2),
+    # Choi's map a -> diag(a00 + a11, a11 + a22, a22 + a00) - (a - diag(a)) on M_3
+    "choi": {"dim_in": 3, "dim_out": 3, "choi": matrix_json(choi_map_choi())},
+    # conjugation by a 3x2 matrix: a CP map M_2 -> M_3
+    "adu32": {"key": "adu:v",
+              "matrices": {"v": matrix_json([[1, 1j], [0.5, 2 - 1j], [0, -1]])}},
+    # the transposition of M_2 as an explicit Choi matrix (the swap) x 1e-10
+    "swap_small": {"dim_in": 2, "dim_out": 2,
+                   "choi": matrix_json(1e-10 * np.eye(4)[[0, 2, 1, 3]])},
+    # 0.4 ad(sx) + 0.6 ad(v) o t, v a real rotation: at eta = (0.6, 0.8i) it
+    # lies in no face
+    "generic": {"key": "mix:0.4:adu:u:compose-t:adu:v",
+                "matrices": {"u": matrix_json(SIGMA_X),
+                             "v": matrix_json([[0.6, 0.8], [-0.8, 0.6]])}},
+    "eta": [[0.6, 0], [0, 0.8]],
+}
 
 
 @pytest.fixture
@@ -36,6 +66,20 @@ def face_file(tmp_path):
 
 def strip_wall_time(text):
     return "\n".join(l for l in text.splitlines() if '"wall_time"' not in l)
+
+
+def with_files(tmp_path, argv, inputs):
+    """argv with each name in ``inputs`` replaced by a JSON file of its value."""
+    return [write_json(tmp_path / f"{a}.json", inputs[a]) if a in inputs else a
+            for a in argv]
+
+
+def key_paths(obj, prefix=""):
+    """Every key path of a nested dict, dot-joined."""
+    for key, value in obj.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from key_paths(value, f"{prefix}{key}.")
 
 
 class TestParsing:
@@ -105,6 +149,7 @@ class TestCommands:
         report, code = cli.run(["stormer-build", "--map", sym_map_file,
                                 "--face", face_file])
         assert code == 0 and report["result"]["k_dim"] == 4
+        assert report["result"]["face_case"] is True
 
     def test_cone_member(self, tmp_path, rho_skew_file):
         from decomap import modular
@@ -162,10 +207,13 @@ class TestCommands:
         assert hull["result"] == cone["result"] == {"inside": False,
                                                     "residual": cone["result"]["residual"]}
 
-    @pytest.mark.parametrize("xi", ["swap", "minus_one", "upper", "sample"])
-    def test_cone_member_answers_hull(self, tmp_path, xi):
+    @pytest.mark.parametrize("xi, code", [("swap", 0), ("minus_one", 1), ("upper", 1),
+                                          ("sample", 0)],
+                             ids=["swap", "minus_one", "upper", "sample"])
+    def test_cone_member_answers_hull(self, tmp_path, xi, code):
         """cone-member with the hull kind gives hull-member's report: the
-        same verdict, residual, witness, stop reason and iterations."""
+        same verdict, residual, witness, stop reason and iterations.  A hull
+        member scaled by 1e8 is inside; -I and a non-Hermitian xi are not."""
         from decomap import cones, linalg, modular
         rho_b = linalg.sample_density(2, 7)
         md = modular.tensor_modular(modular.build_modular(np.diag([0.9, 0.1])),
@@ -180,7 +228,7 @@ class TestCommands:
         hull, hull_code = cli.run(["hull-member", *rho_args, "--dims", "2,2"])
         cone, cone_code = cli.run(["cone-member", *rho_args,
                                    "--cone", '{"kind": "hull", "dims": [2, 2]}'])
-        assert hull_code == cone_code != 2
+        assert hull_code == cone_code == code
         assert hull["verdict"] == cone["verdict"]
         assert hull["result"] == cone["result"]
 
@@ -188,6 +236,30 @@ class TestCommands:
         report, code = cli.run(["probe", "--dims", "2,3", "--trials", "5",
                                 "--seed", "1"])
         assert code == 0 and report["result"]["max_residual"] <= 1e-8
+
+    @pytest.mark.parametrize("argv, code, holds", [
+        (["decompose", "--map", "choi"], 1, lambda r: r["stop_reason"] == "certified"),
+        (["map-analyze", "--map", "adu32", "--tests", "cp"], 0, lambda r: r["cp"] is True),
+        (["map-analyze", "--map", "swap_small", "--tests", "cp"], 1,
+         lambda r: r["cp"] is False),
+        (["stormer-build", "--map", "generic", "--eta", "eta"], 0,
+         lambda r: r["face_case"] is False and r["k_dim"] == 8),
+        (["stormer-verify", "--map", "generic", "--eta", "eta", "--samples", "100"], 0,
+         lambda r: r["max_residual"] <= 1e-10),
+        (["probe", "--dims", "3,3", "--trials", "20", "--seed", "0"], 0,
+         lambda r: r["max_residual"] <= 1e-8),
+    ], ids=["choi-certified", "adu-3x2-cp", "swap-1e-10-not-cp", "stormer-build-generic",
+            "stormer-verify-generic", "probe-3x3"])
+    def test_answer(self, tmp_path, argv, code, holds):
+        """Choi's map is proved not decomposable; a CP map M_2 -> M_3 is CP,
+        and the transposition times 1e-10 is not (verdicts are scale-free);
+        Stormer's construction takes its generic path (K_eta of dimension 8)
+        for a map in no face, and phi(a) eta = V rho(a) V* eta holds; probe's
+        intersection samples at dims 3,3 are exhibited in the double-PSD form."""
+        report, got = cli.run(with_files(tmp_path, argv, FILES))
+        assert got == code
+        result = json.loads(cli.render_report(report), parse_constant=pytest.fail)["result"]
+        assert holds(result), result
 
     def test_transfer_check_identity(self, tmp_path, monkeypatch):
         rho_file = write_json(tmp_path / "r.json", matrix_json(np.eye(2) / 2))
@@ -204,32 +276,26 @@ class TestCommands:
         assert report["result"]["criteria"]["p"] is True
         assert report["result"]["criteria"]["hull"] is True
 
-    @pytest.mark.parametrize("k, code", [(2, 0), (3, 1)])
+    @pytest.mark.parametrize("k, code", [(2, 0), (3, 1), (5, 1)])
     def test_transfer_check_halved_choi_map(self, tmp_path, k, code):
         """Choi's map halved on M_3 with the tracial state: level 3 = m
         proves it outside the hull, and the report carries the witness.
+        Level 3 decides every level above it: levels 4 and 5 repeat it.
 
         A certified level's hull residual is ‖c − a − b‖ at the iteration
         whose gap gave the witness, here the first: it shows that the split
         did not converge, far above 100·tol, and is not a distance to the
         cone.  The witness, not the residual, is the proof: unit, PSD and
         PSD after its factor-2 partial transpose."""
-        choi = np.zeros((9, 9))
-        for i in range(3):
-            choi[4 * i, 4 * i] += 0.5
-            choi[3 * i + (i - 1) % 3, 3 * i + (i - 1) % 3] += 0.5
-            for j in range(3):
-                if j != i:
-                    choi[4 * i, 4 * j] -= 0.5
-        map_file = write_json(tmp_path / "m.json",
-                              {"dim_in": 3, "dim_out": 3, "choi": matrix_json(choi)})
+        map_file = write_json(tmp_path / "m.json", {
+            "dim_in": 3, "dim_out": 3, "choi": matrix_json(0.5 * choi_map_choi())})
         rho_file = write_json(tmp_path / "r.json", matrix_json(np.eye(3) / 3))
         report, got = cli.run(["transfer-check", "--map", map_file, "--rho", rho_file,
                                "--k", str(k), "--trials", "10", "--seed", "0"])
         assert got == code
         result = report["result"]
         assert result["criteria"]["hull"] is (k == 2)
-        if k == 3:
+        if k > 2:
             assert result["hull_failure"]["level"] == 3
             assert result["hull_failure"]["stop_reason"] == "certified"
             residual = result["levels"]["3"]["hull"]
@@ -239,6 +305,8 @@ class TestCommands:
             assert np.linalg.norm(witness) == pytest.approx(1.0)
             for view in (witness, linalg.partial_transpose(witness, TensorLayout((3, 3)), 2)):
                 assert np.linalg.eigvalsh((view + view.conj().T) / 2)[0] >= -EIG_SLACK
+            assert all(result["levels"][str(level)] == result["levels"]["3"]
+                       for level in range(4, k + 1))
         else:
             assert "hull_failure" not in result
 
@@ -318,9 +386,7 @@ class TestContract:
             "xi": matrix_json(np.eye(4)),
             "xi2": matrix_json(np.eye(2) / np.sqrt(2)),
         }
-        argv = [write_json(tmp_path / f"{a}.json", inputs[a]) if a in inputs else a
-                for a in argv]
-        report, code = cli.run(argv)
+        report, code = cli.run(with_files(tmp_path, argv, inputs))
         assert code == 2 and report["verdict"] == "error"
 
     @pytest.mark.parametrize("argv, inputs, error", [
@@ -372,25 +438,26 @@ class TestContract:
         (["decompose", "--map", "map"],
          {"map": {"key": "mix:0.5:adu:u:identity:3", "matrices": {"u": matrix_json(np.eye(2))}}},
          "DimensionMismatch"),
+        (["prop41", "--map", "id", "--face", "face"],
+         {"face": {"xi": [[1, 0], [0, 0]], "eta": [[1, 0], [0, 0]]}}, "NotInFace"),
     ], ids=["key-number", "matrices-number", "beta-string", "beta-bool", "cone-dims-bool",
             "rows-bool", "entry-bool", "dims-string-and-bool", "dim-float", "label-nan",
             "mix-weight-nan", "mix-overflow", "identity-0",
             "transpose-negative", "stormer-build-eta-3", "stormer-verify-eta-3",
             "stormer-build-face-eta-3", "stormer-verify-face-eta-3",
             "stormer-build-face-and-eta", "hull-rho-b-3x3",
-            "cone-rho-b-3x3", "rho-b-one-factor", "mix-dims-differ"])
+            "cone-rho-b-3x3", "rho-b-one-factor", "mix-dims-differ", "prop41-not-in-face"])
     def test_malformed_json_is_error_report(self, tmp_path, argv, inputs, error):
         """JSON of the wrong type or size exits 2 with a typed, strict-JSON error
         report, never a traceback: a bool is not a number, dims are JSON
         integers, Stormer's vectors are in C^2, a --face fixes eta so an --eta
-        beside it would drop the face's, and a --rho-b must fit the second
-        factor of dims (a one-factor state reads none)."""
+        beside it would drop the face's, a --rho-b must fit the second
+        factor of dims (a one-factor state reads none), and the identity,
+        unital and positive, is outside the face of (e1, e1)."""
         inputs = {"rho": matrix_json(np.eye(2) / 2), "xi": matrix_json(np.eye(2) / 2),
                   "rho3": matrix_json(np.eye(3) / 3), "xi6": matrix_json(np.eye(6)),
                   "id": {"key": "identity:2"}, "eta3": [[1, 0], [0, 0], [0, 0]], **inputs}
-        argv = [write_json(tmp_path / f"{a}.json", inputs[a]) if a in inputs else a
-                for a in argv]
-        report, code = cli.run(argv)
+        report, code = cli.run(with_files(tmp_path, argv, inputs))
         assert code == 2 and report["verdict"] == "error"
         assert report["error"]["type"] == error
         json.loads(cli.render_report(report), parse_constant=pytest.fail)
@@ -485,12 +552,6 @@ class TestContract:
                        "tr_residuals.e12", "tr_residuals.e21", "tr_residuals.e22"],
         }
 
-        def key_paths(obj, prefix=""):
-            for key, value in obj.items():
-                yield prefix + key
-                if isinstance(value, dict):
-                    yield from key_paths(value, f"{prefix}{key}.")
-
         assert sorted(r[0] for r in requests) == sorted(cli._HANDLERS)
         for argv in requests:
             report, _ = cli.run(argv)
@@ -524,15 +585,70 @@ class TestContract:
                               "v_lsq_residual", "v_norm"],
         }
 
-        def key_paths(obj, prefix=""):
-            for key, value in obj.items():
-                yield prefix + key
-                if isinstance(value, dict):
-                    yield from key_paths(value, f"{prefix}{key}.")
-
         for argv in requests:
             report, code = cli.run(argv)
             assert code == 0, argv[0]
             result = json.loads(cli.render_report(report))["result"]
             assert sorted(key_paths(result)) == expected[argv[0]], argv[0]
         assert result["face_case"] is False
+
+
+def run_fresh(argv):
+    """``python -m decomap.cli`` in a new interpreter that imports this package."""
+    path = [str(Path(decomap.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, "-m", "decomap.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestFreshInterpreter:
+    """What only a new process shows: the exit status, stdout holding one
+    strict-JSON report (or nothing, beside an argparse usage), and report
+    bytes that do not depend on the process."""
+
+    @pytest.mark.parametrize("argv, code, verdict", [
+        (["modular-check", "--rho", "rho", "--samples", "50", "--seed", "0"], 0, "satisfied"),
+        (["map-analyze", "--map", "t3", "--tests", "kpos=2"], 1, "violated"),
+        (["decompose", "--map", "id_x"], 2, "error"),
+        (["probe", "--dims", "2,2", "--seed", "x"], 2, None),
+    ], ids=["exit-0", "exit-1", "exit-2", "usage-exit-2"])
+    def test_exit_status_and_stdout(self, tmp_path, argv, code, verdict):
+        """The modular identities hold on the tracial state; the transposition
+        of M_3 is not 2-positive (with kpos alone, exit 1 is a violation
+        found); a bad registry key is an error report; a seed that is not an
+        integer is an argparse usage."""
+        proc = run_fresh(with_files(tmp_path, argv, FILES))
+        assert proc.returncode == code
+        if verdict is None:
+            assert proc.stdout == "" and "usage:" in proc.stderr
+        else:
+            report = json.loads(proc.stdout, parse_constant=pytest.fail)
+            assert report["verdict"] == verdict and proc.stderr == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["modular-check", "--rho", "rho", "--samples", "50", "--seed", "0"],
+        ["stormer-verify", "--map", "generic", "--eta", "eta", "--samples", "100"],
+    ], ids=["modular-check", "stormer-verify"])
+    def test_same_report_in_two_interpreters(self, tmp_path, argv):
+        argv = with_files(tmp_path, argv, FILES)
+        one, two = run_fresh(argv), run_fresh(argv)
+        assert one.returncode == two.returncode == 0
+        assert strip_wall_time(one.stdout) == strip_wall_time(two.stdout)
+
+
+def cli_requests(text):
+    """The lines of a workflow that run a decomap subcommand themselves."""
+    subcommands = "|".join(map(re.escape, cli._HANDLERS))
+    command = re.compile(rf"decomap\.cli\b|\bdecomap\s+({subcommands})\b")
+    return [line.strip() for line in text.splitlines() if command.search(line)]
+
+
+def test_ci_makes_no_cli_request():
+    """The CLI contract has one home, the request tables of this suite: a CI
+    step that runs decomap itself would be a second one that no local run
+    checks."""
+    assert cli_requests(CI_WORKFLOW.read_text(encoding="utf-8")) == []
+    sample = ("PYTHONPATH=src python -m decomap.cli probe --dims 2,2\n"
+              "  decomap decompose --map m.json\n"
+              "python3 bench/run.py --workload decompose --seed 0\n")
+    assert cli_requests(sample) == sample.splitlines()[:1] + ["decomap decompose --map m.json"]

@@ -116,7 +116,7 @@ class TestRepresentation:
         with pytest.raises(UnknownKind):
             maps.map_from_key("nonsense:1")
 
-    @pytest.mark.parametrize("depth", [0, 1, 8])
+    @pytest.mark.parametrize("depth", [0, 1, 8, 16])
     def test_nested_mix_read_in_one_pass(self, depth, monkeypatch):
         """A left-nested mix of depth d builds each of its d + 1 leaves once."""
         built = []
