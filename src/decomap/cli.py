@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -194,8 +195,92 @@ def _jsonable(value):
     return value
 
 
+_encode_str = json.encoder.encode_basestring_ascii     # json's ensure_ascii escapes
+
+
 def render_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2)
+    """The bytes of ``json.dumps(report, sort_keys=True, indent=2)``.
+
+    ``indent`` turns json's C encoder off, so the report is walked here once
+    into one list of parts instead.  A report the walk cannot finish (a
+    cycle, or nesting past the recursion limit) goes to json whole, which
+    renders it or raises its own error.
+    """
+    parts: list[str] = []
+    try:
+        _emit(report, parts, "\n")
+    except RecursionError:
+        return _dumps(report, "\n")
+    return "".join(parts)
+
+
+def _dumps(value, nl: str) -> str:
+    """json's own text of a value the walk does not take, indented to ``nl``."""
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", nl)
+
+
+def _emit(value, parts: list[str], nl: str) -> None:
+    """Append the text of ``value``; ``nl`` starts each of its lines.
+
+    Only the exact types json writes natively are walked (so ``type(x) is``,
+    not ``isinstance``); a subclass, a non-str key or any other type goes to
+    json itself and renders, or fails, as it would there.
+    """
+    kind = type(value)
+    if kind is str:
+        parts.append(_encode_str(value))
+    elif kind is float:
+        parts.append(float.__repr__(value) if math.isfinite(value)
+                     else "NaN" if value != value
+                     else "Infinity" if value > 0 else "-Infinity")
+    elif kind is dict and {*map(type, value)} <= {str}:
+        if not value:
+            parts.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            parts.append(sep + _encode_str(key) + ": ")
+            _emit(value[key], parts, inner)
+            sep = "," + inner
+        parts.append(nl + "}")
+    elif kind is list:
+        if not value:
+            parts.append("[]")
+        elif not _emit_pairs(value, parts, nl):
+            inner = nl + "  "
+            sep = "[" + inner
+            for item in value:
+                parts.append(sep)
+                _emit(item, parts, inner)
+                sep = "," + inner
+            parts.append(nl + "]")
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    else:
+        parts.append(_dumps(value, nl))
+
+
+def _emit_pairs(value: list, parts: list[str], nl: str) -> bool:
+    """Matrix entries, a list of finite [re, im] float pairs, in C-level
+    passes with no Python call per number; False, with nothing appended, for
+    any other list (finite huge numbers whose sum overflows included)."""
+    if {*map(type, value)} != {list} or {*map(len, value)} != {2}:
+        return False
+    flat = [*itertools.chain.from_iterable(value)]
+    if {*map(type, flat)} != {float} or not math.isfinite(sum(flat)):
+        return False
+    item, number = nl + "  ", nl + "    "
+    pair = f"[{number}%s,{number}%s{item}]"
+    body = ("," + item).join([pair] * len(value)) % tuple(map(float.__repr__, flat))
+    parts.append("[" + item + body + nl + "]")
+    return True
 
 
 def _modular_data(rho_path: str, rho_b_path: str | None,

@@ -1,4 +1,6 @@
+import enum
 import json
+import math
 import os
 import re
 import subprocess
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import decomap
 from decomap import cli, linalg, maps
@@ -64,6 +68,13 @@ def face_file(tmp_path):
                       {"xi": [[1, 0], [0, 0]], "eta": [[1, 0], [0, 0]]})
 
 
+def rendered(report):
+    """The report's text, checked to be the bytes json.dumps gives it."""
+    text = cli.render_report(report)
+    assert text == json.dumps(report, sort_keys=True, indent=2)
+    return text
+
+
 def strip_wall_time(text):
     return "\n".join(l for l in text.splitlines() if '"wall_time"' not in l)
 
@@ -114,6 +125,89 @@ class TestParsing:
         path = write_json(tmp_path / "bad.json", {"nope": 1})
         with pytest.raises(ParseError):
             cli.parse_map_file(path)
+
+
+# report-like trees for render_report's byte contract
+KEYS = st.text() | st.integers(0, 20).map(str) | st.sampled_from(
+    ["10", "2", "", "\u00e9", "\u65e5\u672c", "\x00", "\n\t\x1f", '"\\/', "\u2028", "\ud800"])
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, 1e22, math.nan, math.inf,
+                                        -math.inf])
+INTS = st.integers() | st.sampled_from([2**63, 2**64 + 1, -2**63 - 1])
+SPOILERS = {"int": INTS, "bool": st.booleans(), "nan": st.just(math.nan),
+            "inf": st.sampled_from([math.inf, -math.inf])}
+
+
+@st.composite
+def pair_lists(draw):
+    """Matrix entries (finite [re, im] float pairs), or such a list with one
+    member that must leave the fast path: a stray int, bool, NaN or infinity,
+    or a member of three numbers."""
+    pairs = draw(st.lists(st.lists(FINITE, min_size=2, max_size=2), min_size=1, max_size=5))
+    spoil = draw(st.sampled_from([None, "triple", *SPOILERS]))
+    i, j = draw(st.integers(0, len(pairs) - 1)), draw(st.integers(0, 1))
+    if spoil == "triple":
+        pairs[i].append(draw(FINITE))
+    elif spoil is not None:
+        pairs[i][j] = draw(SPOILERS[spoil])
+    return pairs
+
+
+LEAVES = st.none() | st.booleans() | INTS | FLOATS | KEYS | pair_lists()
+TREES = st.dictionaries(KEYS, st.recursive(
+    LEAVES, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=4),
+    max_leaves=16))
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+def self_containing():
+    loop: dict = {"a": [1.0]}
+    loop["a"].append(loop)
+    return {"result": loop}
+
+
+class TestRender:
+    """render_report writes the bytes of json.dumps(report, sort_keys=True,
+    indent=2): sorted keys, two-space indents, ASCII escapes, NaN and
+    Infinity as json spells them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tree=TREES)
+    @example(tree={"entries": [[1, 2.0]]})
+    @example(tree={"2": 0, "10": {"b": [], "a": {}}})
+    @example(tree={"x": math.nan, "y": -math.inf, "entries": [[math.nan, 0.0], [0.0, 1.0]]})
+    @example(tree={"entries": [[0.5, -0.0], [1e16, 5e-324, 1e22]]})
+    def test_same_bytes_as_json(self, tree):
+        assert cli.render_report(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("report", [
+        {"a": np.float64(0.1), "b": [Colour.RED, np.float64(-0.0)]},
+        {"a": {"b": (1, {"d": [2.5, [0.5, 1.5]], "c": None})}},
+        {"a": {1: "one", 2.5: [True], 0: {}}, "b": {False: 0, True: 1}, "c": {None: 2}},
+        {"a": {"name": type("Name", (str,), {})("\u00e9")}},
+    ], ids=["number-subclasses", "tuple", "non-str-keys", "str-subclass"])
+    def test_other_values_as_json_writes_them(self, report):
+        """A number or str subclass (whose repr is not json's), a tuple and a
+        non-str key leave the walk for json itself, which writes them as it
+        always has."""
+        assert cli.render_report(report) == json.dumps(report, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("report", [
+        {"a": [1.0, object()]},
+        {"a": {"b": np.int64(3)}},
+        {"a": {"b": 1, 2: 0}},
+        self_containing(),
+    ], ids=["object", "numpy-int", "mixed-keys", "cycle"])
+    def test_rejected_as_json_rejects_it(self, report):
+        """A report json.dumps rejects raises json's error: an unknown type,
+        keys that do not sort, and a cycle (past the recursion limit)."""
+        with pytest.raises((TypeError, ValueError)) as want:
+            json.dumps(report, sort_keys=True, indent=2)
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            cli.render_report(report)
 
 
 class TestCommands:
@@ -258,7 +352,7 @@ class TestCommands:
         intersection samples at dims 3,3 are exhibited in the double-PSD form."""
         report, got = cli.run(with_files(tmp_path, argv, FILES))
         assert got == code
-        result = json.loads(cli.render_report(report), parse_constant=pytest.fail)["result"]
+        result = json.loads(rendered(report), parse_constant=pytest.fail)["result"]
         assert holds(result), result
 
     def test_transfer_check_identity(self, tmp_path, monkeypatch):
@@ -338,7 +432,7 @@ class TestContract:
             for _ in range(2):
                 report, _ = cli.run(argv)
                 assert report["verdict"] != "error", argv
-                out.append(strip_wall_time(cli.render_report(report)))
+                out.append(strip_wall_time(rendered(report)))
             assert out[0] == out[1], argv[0]
 
     def test_report_metadata(self, rho_skew_file):
@@ -388,6 +482,7 @@ class TestContract:
         }
         report, code = cli.run(with_files(tmp_path, argv, inputs))
         assert code == 2 and report["verdict"] == "error"
+        json.loads(rendered(report), parse_constant=pytest.fail)
 
     @pytest.mark.parametrize("argv, inputs, error", [
         (["decompose", "--map", "map"], {"map": {"key": 5}}, "ParseError"),
@@ -460,7 +555,7 @@ class TestContract:
         report, code = cli.run(with_files(tmp_path, argv, inputs))
         assert code == 2 and report["verdict"] == "error"
         assert report["error"]["type"] == error
-        json.loads(cli.render_report(report), parse_constant=pytest.fail)
+        json.loads(rendered(report), parse_constant=pytest.fail)
 
     @pytest.mark.parametrize("cone, error, prefix", [
         ('{"kind": "transposed_tensor"}', "LayoutMismatch",
@@ -476,12 +571,12 @@ class TestContract:
         assert code == 2 and report["verdict"] == "error"
         assert report["error"]["type"] == error
         assert report["error"]["message"].startswith(prefix)
-        json.loads(cli.render_report(report), parse_constant=pytest.fail)
+        json.loads(rendered(report), parse_constant=pytest.fail)
 
     def test_non_finite_tol_echoed_as_text(self, transpose_map_file):
         report, code = cli.run(["decompose", "--map", transpose_map_file, "--tol", "nan"])
         assert code == 2 and report["request"]["tol"] == "nan"
-        json.loads(cli.render_report(report), parse_constant=pytest.fail)
+        json.loads(rendered(report), parse_constant=pytest.fail)
 
     @pytest.mark.parametrize("argv", [
         ["no-such-command"],
@@ -555,7 +650,7 @@ class TestContract:
         assert sorted(r[0] for r in requests) == sorted(cli._HANDLERS)
         for argv in requests:
             report, _ = cli.run(argv)
-            result = json.loads(cli.render_report(report))["result"]
+            result = json.loads(rendered(report))["result"]
             assert sorted(key_paths(result)) == expected[argv[0]], argv[0]
 
     def test_report_shapes_without_optional_fields(self, tmp_path, rho_skew_file):
@@ -588,7 +683,7 @@ class TestContract:
         for argv in requests:
             report, code = cli.run(argv)
             assert code == 0, argv[0]
-            result = json.loads(cli.render_report(report))["result"]
+            result = json.loads(rendered(report))["result"]
             assert sorted(key_paths(result)) == expected[argv[0]], argv[0]
         assert result["face_case"] is False
 
@@ -616,7 +711,8 @@ class TestFreshInterpreter:
         """The modular identities hold on the tracial state; the transposition
         of M_3 is not 2-positive (with kpos alone, exit 1 is a violation
         found); a bad registry key is an error report; a seed that is not an
-        integer is an argparse usage."""
+        integer is an argparse usage.  A report's stdout is its sorted-key,
+        two-space-indented JSON and one newline."""
         proc = run_fresh(with_files(tmp_path, argv, FILES))
         assert proc.returncode == code
         if verdict is None:
@@ -624,6 +720,7 @@ class TestFreshInterpreter:
         else:
             report = json.loads(proc.stdout, parse_constant=pytest.fail)
             assert report["verdict"] == verdict and proc.stderr == ""
+            assert proc.stdout == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
     @pytest.mark.parametrize("argv", [
         ["modular-check", "--rho", "rho", "--samples", "50", "--seed", "0"],
