@@ -20,7 +20,6 @@ import numpy as np
 
 from . import dykstra, linalg
 from .errors import (
-    InvalidOption,
     LayoutMismatch,
     NotInCone,
     ShapeMismatch,
@@ -247,8 +246,7 @@ def probe_finite_dim_equality(
     intersection coincide at desk scale.  It reports the worst
     ``cone_membership`` residual of its samples.
     """
-    if trials < 1:
-        raise InvalidOption(f"trials must be at least 1, got {trials}")
+    linalg._check_trials(trials)
     md = tensor_modular(
         build_modular(linalg.sample_density(m, rho_seed, ridge=1e-2)),
         build_modular(linalg.sample_density(n, rho_seed + 1, ridge=1e-2)),

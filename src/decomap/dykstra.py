@@ -19,9 +19,10 @@ The pair also answers the pointwise question, λmin of x and of x^Γ
 (``PPTPair.min_eigs``), for the CP / co-CP test and the S_k sampler's
 re-check, and it makes a point of K1 ∩ K2 without a solve
 (``PPTPair.lift``): a PSD w plus the least multiple of I that puts w^Γ in
-the PSD cone, since I^Γ = I.  The split's dual witness and the S_k
-sampler's points are built that way; only ``cones.sample_cone`` asks for
-the nearest point.
+the PSD cone, since I^Γ = I.  A lift takes a matrix or a stack of them,
+with one batched ``eigvalsh``.  The split's dual witness (one matrix) and
+the S_k sampler's points (all of a call's trials as one stack) are built
+that way; only ``cones.sample_cone`` asks for the nearest point.
 
 Inputs are validated once, when a pair is built and when a solve starts;
 each solver also takes its input's Hermitian part there, once, and its
@@ -92,9 +93,16 @@ class PPTPair:
 
         μ is the least multiple of I that puts w^Γ in the PSD cone (I^Γ = I),
         so a PSD w becomes a point of K1 ∩ K2 on the boundary of K2, or stays
-        as it is, bit for bit, when w^Γ is already PSD.  One ``eigvalsh``.
+        as it is when w^Γ is already PSD (adding μI = 0 writes a −0 entry as
+        +0).  w may be a matrix or a stack (..., side, side), each matrix
+        lifted by its own μ; one (batched) ``eigvalsh``, which solves each
+        matrix of a stack on its own, so a slice of a stacked lift is the
+        lift of that matrix alone, bit for bit.
         """
-        w += max(0.0, -linalg.min_eig(self.pt(w))) * np.eye(len(w))
+        w_pt = w.reshape(w.shape[:-2] + (-1,)).take(self._index, axis=-1)
+        # zero first: np.maximum keeps it on a tie, so −0 reads as +0, as max(0.0, ·) does
+        mu = np.maximum(linalg._ZERO, -linalg.min_eig(w_pt))
+        w += np.multiply.outer(mu, np.eye(w.shape[-1]))
         return w
 
 

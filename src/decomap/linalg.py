@@ -49,6 +49,16 @@ def _check_tol(tol: float) -> None:
         raise InvalidOption(f"tol must be finite and positive, got {tol}")
 
 
+def _check_trials(trials) -> None:
+    """Reject a trial count that is not an integer of at least one: with no
+    trial a sampler reports its negative verdict untested, and a float or a
+    bool would reach ``range`` or the report as it came."""
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
+        raise InvalidOption(f"trials must be an integer, got {trials!r}")
+    if trials < 1:
+        raise InvalidOption(f"trials must be at least 1, got {trials}")
+
+
 @dataclass(frozen=True)
 class TensorLayout:
     """Ordered factor dimensions of a tensor-product matrix side."""
@@ -163,9 +173,11 @@ _TWO = np.array(2.0 + 0.0j)
 _ZERO = np.array(0.0)
 
 
-def min_eig(h: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part."""
-    return float(np.linalg.eigvalsh(herm_part(h))[0])
+def min_eig(h: np.ndarray):
+    """Smallest eigenvalue of the Hermitian part of a matrix, as a float, or
+    of each matrix of a stack, as an array: one (batched) ``eigvalsh``."""
+    w = np.linalg.eigvalsh(herm_part(h))[..., 0]
+    return float(w) if w.ndim == 0 else w
 
 
 @functools.cache

@@ -5,7 +5,8 @@ convention C = sum_ij E_ij (x) phi(E_ij) (first factor the input algebra);
 partial transposes for co-positivity always act on factor 2.  On top of
 that representation sit the CP/co-CP tests, the Schmidt-rank-constrained
 see-saw for k-positivity (all restarts as one batched pass), the
-block-matrix sampler for the S_k condition, the Douglas–Rachford
+block-matrix sampler for the S_k condition (all trials as one stack, three
+batched eigensolves a call), the Douglas–Rachford
 decomposition split, detailed-balance adjoints, GNS transfer operators
 and the cone criteria for (weak) k-decomposability.
 """
@@ -192,14 +193,18 @@ def apply_map(phi: MapObject, a) -> np.ndarray:
 
 
 def amplify(phi: MapObject, k: int, c) -> np.ndarray:
-    """id_k (x) phi applied to a block matrix in M_k(M_m)."""
+    """id_k (x) phi applied to a block matrix in M_k(M_m).
+
+    ``c`` may be a stack (..., k m, k m); id_k (x) phi acts on each matrix.
+    """
     c = np.asarray(c, dtype=complex)
     m, n = phi.dim_in, phi.dim_out
-    if c.shape != (k * m, k * m):
-        raise ShapeMismatch(f"expected {k * m}x{k * m}, got {c.shape}")
-    c4 = c.reshape(k, m, k, m)
+    if c.shape[-2:] != (k * m, k * m):
+        raise ShapeMismatch(f"expected (..., {k * m}, {k * m}), got {c.shape}")
+    c4 = c.reshape(c.shape[:-2] + (k, m, k, m))
     choi4 = phi.choi.reshape(m, n, m, n)
-    return np.einsum("ipjq,prqs->irjs", c4, choi4).reshape(k * n, k * n)
+    out = np.einsum("...ipjq,prqs->...irjs", c4, choi4)
+    return out.reshape(c.shape[:-2] + (k * n, k * n))
 
 
 def superoperator(phi: MapObject) -> np.ndarray:
@@ -324,6 +329,13 @@ def k_positivity_search(phi: MapObject, k: int, restarts: int = 32, seed: int = 
                              values=values, sweeps=sweeps)
 
 
+def _check_level(k) -> None:
+    """Reject a level k that is not an integer of at least 1: the block
+    matrices live in M_k(M_m)."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise DimensionMismatch(f"k must be an integer of at least 1, got {k!r}")
+
+
 @dataclass
 class SkResult:
     """Outcome of the block-matrix sampler for the S_k condition."""
@@ -341,29 +353,35 @@ def sk_sampler(phi: MapObject, k: int, trials: int, seed: int = 0) -> SkResult:
 
     Trial t draws a Hermitian h of M_k(M_m) (``sample_hermitian`` at seed
     seed + t) and tests the point P + μI: P is h's PSD part and μ the least
-    multiple of I that makes the block transpose PSD (``PPTPair.lift``), so
-    a point costs one clip and one ``eigvalsh``, with no iterative solve.
-    A violation is reported only for a point of the set: λmin of [a_ij] and
-    of [a_ji] at least −DEFAULT.cone·‖[a_ij]‖.  ``worst_output_eig`` is taken
-    over the trials that are not set aside (inf if every trial is).
+    multiple of I that makes the block transpose PSD (``PPTPair.lift``); no
+    iterative solve is made.  The trials run as one stack, so a call makes
+    three batched eigensolves over them (the clip, the lift and the outputs'
+    ``eigvalsh``); LAPACK solves each matrix of a stack on its own, so trial
+    t's point and values are those it would get alone, set by seed + t.  The
+    trials are then read in order.  A violation is reported only for a point
+    of the set: λmin of [a_ij] and of [a_ji] at least −DEFAULT.cone·‖[a_ij]‖.
+    The first one ends the read, ``trials`` counting the trials read;
+    ``worst_output_eig`` is taken over the trials read that are not set
+    aside (inf if every one is).  k must be an integer of at least 1
+    (``DimensionMismatch``), and so must trials (``InvalidOption``).
     """
-    if trials < 1:
-        raise InvalidOption(f"trials must be at least 1, got {trials}")
+    _check_level(k)
+    linalg._check_trials(trials)
     m = phi.dim_in
     pair = dykstra.PPTPair(TensorLayout((k, m)), 1)    # block transpose [a_ji]
+    draws = np.array([linalg.sample_hermitian(k * m, seed + t) for t in range(trials)])
+    # the clip is Hermitian only up to rounding; the points are made exactly so
+    points = pair.lift(linalg.herm_part(linalg._psd_clip(draws)))
+    outs = amplify(phi, k, points)
+    lows = linalg.min_eig(outs).tolist()
     worst = np.inf
-    for t in range(trials):
-        h = linalg.sample_hermitian(k * m, seed + t)
-        # the clip is Hermitian only up to rounding; the point is made exactly so
-        c = pair.lift(linalg.herm_part(linalg._psd_clip(h)))
-        out = amplify(phi, k, c)
-        w = linalg.min_eig(out)
+    for t, (c, out, w) in enumerate(zip(points, outs, lows)):
         violated = w < -DEFAULT.cone * linalg.frobenius(out)
         if violated and min(pair.min_eigs(c)) < -DEFAULT.cone * linalg.frobenius(c):
             continue            # the point fell short: not a sample of the set
         worst = min(worst, w)
         if violated:
-            return SkResult(k=k, violation_found=True, witness=c, trials=t + 1,
+            return SkResult(k=k, violation_found=True, witness=c.copy(), trials=t + 1,
                             worst_output_eig=w)
     return SkResult(k=k, violation_found=False, witness=None, trials=trials,
                     worst_output_eig=worst)
@@ -525,10 +543,8 @@ def cone_criterion_check(phi: MapObject, md_m: ModularData, k: int, trials: int,
     seeds seed + 4099 n + t are tested.  Requires a positive unital
     detailed-balance adjoint; the M_n factor carries the tracial state.
     """
-    if k < 1:
-        raise DimensionMismatch(f"k must be at least 1, got {k}")
-    if trials < 1:
-        raise InvalidOption(f"trials must be at least 1, got {trials}")
+    _check_level(k)
+    linalg._check_trials(trials)
     m = phi.dim_in
     transfer = transfer_operator(phi, md_m, tol=tol, seed=seed)
     if not transfer.db.holds:

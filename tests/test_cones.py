@@ -397,6 +397,11 @@ class TestProbe:
             with pytest.raises(InvalidOption):
                 cones.probe_finite_dim_equality(2, 2, 53, trials)
 
+    @pytest.mark.parametrize("trials", [2.5, True, "20", None])
+    def test_non_integer_trials_rejected(self, trials):
+        with pytest.raises(InvalidOption, match="trials must be an integer"):
+            cones.probe_finite_dim_equality(2, 2, 53, trials)
+
     def test_note_mentions_scope(self):
         rep = cones.probe_finite_dim_equality(2, 2, 54, 1)
         assert "open" in rep.note

@@ -760,6 +760,68 @@ class TestLift:
                 linalg.partial_transpose(w, pair.layout, factor))[0]) <= floor
 
 
+def reference_lift(pair, w):
+    """PPTPair.lift of one matrix as a single-matrix formula: one ``min_eig``
+    and w + μ·I, μ a Python float."""
+    return w + max(0.0, -linalg.min_eig(pair.pt(w))) * np.eye(len(w))
+
+
+def signed_zero_input(pair, seed):
+    """The Hermitian PSD part of a draw with a real and an imaginary −0.0 in
+    an off-diagonal pair of entries, which a lift by +μ·I writes as +0.0."""
+    w = linalg.herm_part(linalg._psd_clip(linalg.sample_hermitian(pair.layout.side, seed)))
+    w[0, 1] = w[1, 0] = complex(-0.0, -0.0)
+    return w
+
+
+@pytest.mark.parametrize("dims", LAYOUTS)
+@pytest.mark.parametrize("factor", [1, 2])
+class TestStackedLift:
+    """A lift takes a stack; each slice is the single-matrix lift bit for bit,
+    and the single-matrix lift is the formula it always was, down to the
+    sign of each zero, so the split's witness and every count stay put."""
+
+    def inputs(self, pair):
+        ppt = linalg.herm_part(np.kron(*(linalg.sample_psd(d, 20 + d)
+                                         for d in pair.layout.dims)))
+        w = [linalg.herm_part(linalg._psd_clip(linalg.sample_hermitian(pair.layout.side, s)))
+             for s in range(4)]
+        return np.array(w + [ppt, signed_zero_input(pair, 5)])
+
+    def test_single_matrix_is_the_reference_formula(self, dims, factor):
+        pair = dykstra.PPTPair(TensorLayout(dims), factor)
+        for w in self.inputs(pair):
+            want = reference_lift(pair, w)
+            got = pair.lift(w.copy())
+            assert got.tobytes() == want.tobytes()
+            for part in ("real", "imag"):
+                assert np.array_equal(np.signbit(getattr(got, part)),
+                                      np.signbit(getattr(want, part)))
+
+    def test_signed_zeros_are_written_as_the_formula_writes_them(self, dims, factor):
+        pair = dykstra.PPTPair(TensorLayout(dims), factor)
+        w = signed_zero_input(pair, 5)
+        assert np.signbit(w[0, 1].real) and np.signbit(w[0, 1].imag)
+        got = pair.lift(w.copy())
+        assert not np.signbit(got[0, 1].real) and not np.signbit(got[0, 1].imag)
+
+    @pytest.mark.parametrize("shape", [(6,), (1,), (2, 3)])
+    def test_slices_of_a_stack_are_single_lifts(self, dims, factor, shape):
+        pair = dykstra.PPTPair(TensorLayout(dims), factor)
+        side = pair.layout.side
+        stack = self.inputs(pair)[:np.prod(shape)].reshape(shape + (side, side))
+        singles = [pair.lift(w.copy()) for w in stack.reshape(-1, side, side)]
+        got = pair.lift(stack.copy())
+        assert got.shape == stack.shape
+        for g, want in zip(got.reshape(-1, side, side), singles):
+            assert g.tobytes() == want.tobytes()
+
+    def test_stack_is_lifted_in_place(self, dims, factor):
+        pair = dykstra.PPTPair(TensorLayout(dims), factor)
+        stack = self.inputs(pair)
+        assert pair.lift(stack) is stack
+
+
 class TestValidation:
     def test_factor_out_of_range(self):
         with pytest.raises(LayoutMismatch):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from decomap import cones, dykstra, linalg, maps, modular
 from decomap.errors import (BadChoi, DimensionMismatch, InvalidOption, NoDetailedBalance,
-                            UnknownKind)
+                            ShapeMismatch, UnknownKind)
 from decomap.linalg import TensorLayout
 
 from conftest import (SIGMA_X, assert_separates, assert_split, assert_witness,
@@ -426,6 +426,88 @@ class TestBatchedSeesaw:
         assert np.all((res.sweeps >= 1) & (res.sweeps <= 60))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+class TestStackedAmplify:
+    """id_k (x) phi takes a stack; each slice is the single-matrix call bit
+    for bit."""
+
+    def blocks(self, k, m, count):
+        return np.array([linalg.sample_hermitian(k * m, 300 + s) for s in range(count)])
+
+    @pytest.mark.parametrize("shape", [(5,), (1,), (2, 3)])
+    def test_slices_are_single_calls(self, k, m, n, shape):
+        phi = maps.make_map(linalg.sample_hermitian(m * n, 7), m, n)
+        side = k * m
+        stack = self.blocks(k, m, int(np.prod(shape))).reshape(shape + (side, side))
+        got = maps.amplify(phi, k, stack)
+        assert got.shape == shape + (k * n, k * n)
+        for g, c in zip(got.reshape(-1, k * n, k * n), stack.reshape(-1, side, side)):
+            assert g.tobytes() == maps.amplify(phi, k, c).tobytes()
+
+    def test_single_matrix_is_the_block_contraction(self, k, m, n):
+        # block (i, j) of the output is phi of block (i, j) of the input
+        phi = maps.make_map(linalg.sample_hermitian(m * n, 8), m, n)
+        c = self.blocks(k, m, 1)[0]
+        out = maps.amplify(phi, k, c).reshape(k, n, k, n)
+        blocks = c.reshape(k, m, k, m)
+        for i in range(k):
+            for j in range(k):
+                assert np.allclose(out[i, :, j], maps.apply_map(phi, blocks[i, :, j]),
+                                   atol=1e-12)
+
+    def test_wrong_block_side_rejected(self, k, m, n):
+        phi = maps.make_map(linalg.sample_hermitian(m * n, 9), m, n)
+        with pytest.raises(ShapeMismatch):
+            maps.amplify(phi, k, np.zeros((3, k * m + 1, k * m + 1)))
+        with pytest.raises(ShapeMismatch):
+            maps.amplify(phi, k, np.zeros(k * m))
+
+
+def reduction_map(m):
+    """a -> Tr(a) I - 2a on M_m: not positive (a rank-one projection goes to
+    I - 2P, with eigenvalue -1), so it fails S_k at every k."""
+    return maps.map_from_action(lambda a: np.trace(a) * np.eye(m) - 2 * a, m, m,
+                                label=f"reduction:{m}")
+
+
+def sk_oracle(phi, k, trials, seed):
+    """The sampler trial by trial, from the single-matrix functions only:
+    (violation_found, trials, worst_output_eig, witness)."""
+    m = phi.dim_in
+    pair = dykstra.PPTPair(TensorLayout((k, m)), 1)
+    floor = -linalg.DEFAULT.cone
+    worst = np.inf
+    for t in range(trials):
+        h = linalg.sample_hermitian(k * m, seed + t)
+        c = pair.lift(linalg.herm_part(linalg._psd_clip(h)))
+        out = maps.amplify(phi, k, c)
+        w = linalg.min_eig(out)
+        violated = w < floor * linalg.frobenius(out)
+        if violated and min(linalg.min_eig(c),
+                            linalg.min_eig(pair.pt(c))) < floor * linalg.frobenius(c):
+            continue
+        worst = min(worst, w)
+        if violated:
+            return True, t + 1, worst, c
+    return False, trials, worst, None
+
+
+def sampled_points(phi, k, trials, seed):
+    """The sampler's points, read from its one stacked ``amplify`` call."""
+    stacks = []
+    amplify = maps.amplify
+
+    def spy(phi, level, c):
+        stacks.append(c.copy())
+        return amplify(phi, level, c)
+
+    with mock.patch.object(maps, "amplify", spy):
+        res = maps.sk_sampler(phi, k, trials=trials, seed=seed)
+    assert len(stacks) == 1 and stacks[0].shape == (trials, k * phi.dim_in, k * phi.dim_in)
+    return res, stacks[0]
+
+
 class TestSkSampler:
     def test_identity_never_violates(self):
         res = maps.sk_sampler(maps.identity_map(2), 2, trials=20, seed=0)
@@ -448,6 +530,54 @@ class TestSkSampler:
         # with no trial the sampler would report "no violation" untested
         with pytest.raises(InvalidOption):
             maps.sk_sampler(maps.identity_map(2), 1, trials=trials)
+
+    @pytest.mark.parametrize("trials", [2.5, 3.0, True, False, "3", None])
+    def test_non_integer_trials_rejected(self, trials):
+        # a float reached range() as a bare TypeError; True ran one trial
+        # and reported trials: True
+        with pytest.raises(InvalidOption, match="trials must be an integer"):
+            maps.sk_sampler(maps.identity_map(2), 1, trials=trials)
+
+    def test_numpy_integer_trials_accepted(self):
+        assert maps.sk_sampler(maps.identity_map(2), 1, trials=np.int64(2)).trials == 2
+
+    @pytest.mark.parametrize("k", [0, -1, -3, 1.5, 2.0, True, None])
+    def test_bad_level_rejected(self, k):
+        # k = 0 raised LayoutMismatch with a message about the layout
+        with pytest.raises(DimensionMismatch, match="k must be an integer of at least 1"):
+            maps.sk_sampler(maps.identity_map(2), k, trials=3)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("trials", range(1, 8))
+    def test_matches_single_trial_oracle(self, k, m, trials):
+        """Bit for bit the sampler run trial by trial, on a map with no
+        violation, one that shows it at once and (m = 3) Choi's map."""
+        phis = [maps.identity_map(m), reduction_map(m)]
+        if m == 3:
+            phis.append(maps.make_map(choi_map_choi(), 3, 3))
+        for phi in phis:
+            for seed in (0, 17 * trials + k):
+                res = maps.sk_sampler(phi, k, trials=trials, seed=seed)
+                found, used, worst, witness = sk_oracle(phi, k, trials, seed)
+                assert (res.violation_found, res.trials) == (found, used)
+                assert repr(res.worst_output_eig) == repr(worst)
+                if witness is None:
+                    assert res.witness is None
+                else:
+                    assert np.array_equal(res.witness, witness)
+                    assert res.witness.tobytes() == witness.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_trials_are_independent(self, k):
+        """Trial t's point depends on seed + t alone: it is the first point of
+        a call at seed + t, whatever the trial count."""
+        phi = maps.identity_map(2)
+        _, points = sampled_points(phi, k, 6, 40)
+        for t in range(6):
+            for trials in (1, 6 - t):
+                _, alone = sampled_points(phi, k, trials, 40 + t)
+                assert alone[0].tobytes() == points[t].tobytes()
 
     def test_infeasible_point_is_no_violation(self, monkeypatch):
         """Without the lift, each point is the PSD part P of its draw, whose
@@ -474,15 +604,7 @@ class TestSkSampler:
         h^Γ ≻ 0, seen at k = 1 only); its point may be interior."""
         trials = 3
         layout = TensorLayout((k, m))
-        points = []
-        amplify = maps.amplify
-
-        def spy(phi, level, c):
-            points.append(c.copy())
-            return amplify(phi, level, c)
-
-        with mock.patch.object(maps, "amplify", spy):
-            res = maps.sk_sampler(maps.identity_map(m), k, trials=trials, seed=seed)
+        res, points = sampled_points(maps.identity_map(m), k, trials, seed)
         assert not res.violation_found and len(points) == trials
         for t, c in enumerate(points):
             assert np.array_equal(c, c.conj().T)
@@ -980,3 +1102,16 @@ class TestConeCriteria:
         md = modular.build_modular(np.eye(2) / 2)
         with pytest.raises(InvalidOption):
             maps.cone_criterion_check(maps.identity_map(2), md, k=1, trials=trials, seed=0)
+
+    @pytest.mark.parametrize("trials", [2.5, True, "2", None])
+    def test_non_integer_trials_rejected(self, trials):
+        # below level m the trials reach range(); at k = 1 < m = 2 they did
+        md = modular.build_modular(np.eye(2) / 2)
+        with pytest.raises(InvalidOption, match="trials must be an integer"):
+            maps.cone_criterion_check(maps.identity_map(2), md, k=1, trials=trials, seed=0)
+
+    @pytest.mark.parametrize("k", [0, -1, 1.5, True])
+    def test_bad_level_rejected(self, k):
+        md = modular.build_modular(np.eye(2) / 2)
+        with pytest.raises(DimensionMismatch, match="k must be an integer of at least 1"):
+            maps.cone_criterion_check(maps.identity_map(2), md, k=k, trials=2, seed=0)
