@@ -246,7 +246,7 @@ def probe_finite_dim_equality(
     intersection coincide at desk scale.  It reports the worst
     ``cone_membership`` residual of its samples.
     """
-    linalg._check_trials(trials)
+    linalg._check_count("trials", trials)
     md = tensor_modular(
         build_modular(linalg.sample_density(m, rho_seed, ridge=1e-2)),
         build_modular(linalg.sample_density(n, rho_seed + 1, ridge=1e-2)),

@@ -49,14 +49,15 @@ def _check_tol(tol: float) -> None:
         raise InvalidOption(f"tol must be finite and positive, got {tol}")
 
 
-def _check_trials(trials) -> None:
-    """Reject a trial count that is not an integer of at least one: with no
-    trial a sampler reports its negative verdict untested, and a float or a
-    bool would reach ``range`` or the report as it came."""
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
-        raise InvalidOption(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise InvalidOption(f"trials must be at least 1, got {trials}")
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Reject a count (trials, restarts) or a seed that is not an integer of
+    at least ``least``: with no trial or restart a search reports its
+    negative verdict untested, and a float or a bool would reach ``range``,
+    the generator or the report as it came."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidOption(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidOption(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ A map phi: M_m -> M_n is stored through its Choi matrix with the fixed
 convention C = sum_ij E_ij (x) phi(E_ij) (first factor the input algebra);
 partial transposes for co-positivity always act on factor 2.  On top of
 that representation sit the CP/co-CP tests, the Schmidt-rank-constrained
-see-saw for k-positivity (all restarts as one batched pass), the
+see-saw for k-positivity (all restarts as one batched pass, their starts
+drawn restart-major from one generator per search, with no QR at k = 1), the
 block-matrix sampler for the S_k condition (all trials as one stack, three
 batched eigensolves a call), the Douglas–Rachford
 decomposition split, detailed-balance adjoints, GNS transfer operators
@@ -264,9 +265,11 @@ _STALL = 1e-12              # a sweep that lowers the value less than this is th
 def _seesaw(choi4: np.ndarray, k: int, y: np.ndarray):
     """See-saw minimization of <v|C|v> over v = sum_r x_r (x) y_r, all restarts at once.
 
-    ``y`` is the stack (R, n, k) of the restarts' starting isometries.  Each sweep
+    ``y`` is the stack (R, n, k) of the restarts' starts, isometries when
+    k > 1 (at k = 1 any nonzero vector will do).  Each sweep
     fixes y and takes the lowest eigenvector of the compressed Choi matrix
-    for x (orthonormalized by QR), then fixes x and does the same for y.
+    for x (orthonormalized by QR when k > 1; at k = 1 it is a unit vector
+    already), then fixes x and does the same for y.
     A restart whose sweep lowers its value by less than ``_STALL`` is frozen
     after that sweep; the others run on, up to ``_SWEEPS`` sweeps.  Returns
     the unit Schmidt vectors (R, m n), their values <v|C|v> and the sweep
@@ -282,7 +285,9 @@ def _seesaw(choi4: np.ndarray, k: int, y: np.ndarray):
     for _ in range(_SWEEPS):
         a = np.einsum("Rpr,ipjq,Rqs->Rrisj", y.conj(), choi4, y).reshape(-1, k * m, k * m)
         _, vecs = np.linalg.eigh(linalg.herm_part(a))
-        x, _ = np.linalg.qr(vecs[..., 0].reshape(-1, k, m).mT)
+        x = vecs[..., 0].reshape(-1, k, m).mT
+        if k > 1:
+            x, _ = np.linalg.qr(x)
         b = np.einsum("Rir,ipjq,Rjs->Rrpsq", x.conj(), choi4, x).reshape(-1, k * n, k * n)
         w, vecs = np.linalg.eigh(linalg.herm_part(b))
         xs[live] = x
@@ -306,21 +311,31 @@ def k_positivity_search(phi: MapObject, k: int, restarts: int = 32, seed: int = 
                         tol: float = DEFAULT.eig) -> KPositivityResult:
     """Multi-restart see-saw minimizing <v|C|v> over Schmidt rank <= k unit v.
 
-    Restart r starts from the QR of a Ginibre matrix drawn by
-    ``default_rng(seed + r)``; all restarts run as one batched see-saw.
-    A value below −tol·‖C‖, C the Choi matrix, is verified by direct
-    evaluation and certifies that phi is not k-positive; otherwise no
-    violation was found.  tol must be finite and positive.
+    One generator, ``default_rng(seed)``, draws every restart's start,
+    restart-major: ``standard_normal((restarts, 2, n, k))``, real and
+    imaginary parts on axis 1, so restart r's start is a complex Ginibre
+    n x k matrix set by (seed, r) alone, the same at any restart count
+    above r.  It is orthonormalized by QR when k > 1; at k = 1 it is used
+    as drawn, since the see-saw's first x, the lowest eigenvector of
+    (y* (x) I) C (y (x) I), depends on neither y's norm nor its phase.
+    All restarts run as one batched see-saw.  A value below −tol·‖C‖, C
+    the Choi matrix, is verified by direct evaluation and certifies that
+    phi is not k-positive; otherwise no violation was found.  k must be an
+    integer in 1..min(m, n) (``DimensionMismatch``); restarts an integer
+    of at least 1, seed one of at least 0 and tol finite and positive
+    (``InvalidOption``).
     """
     m, n = phi.dim_in, phi.dim_out
-    if not 1 <= k <= min(m, n):
+    _check_level(k)
+    if k > min(m, n):
         raise DimensionMismatch(f"k must be in 1..{min(m, n)}, got {k}")
-    if restarts < 1:
-        raise InvalidOption(f"restarts must be at least 1, got {restarts}")
+    linalg._check_count("restarts", restarts)
+    linalg._check_count("seed", seed, least=0)
     linalg._check_tol(tol)
-    starts = [linalg.sample_ginibre(n, k, np.random.default_rng(seed + r).integers(2**63))
-              for r in range(restarts)]
-    y, _ = np.linalg.qr(np.array(starts))
+    g = np.random.default_rng(seed).standard_normal((restarts, 2, n, k))
+    y = g[:, 0] + 1j * g[:, 1]
+    if k > 1:
+        y, _ = np.linalg.qr(y)
     vecs, values, sweeps = _seesaw(phi.choi.reshape(m, n, m, n), k, y)
     best = int(np.argmin(values))
     found = values[best] < -tol * linalg.frobenius(phi.choi)
@@ -366,7 +381,7 @@ def sk_sampler(phi: MapObject, k: int, trials: int, seed: int = 0) -> SkResult:
     (``DimensionMismatch``), and so must trials (``InvalidOption``).
     """
     _check_level(k)
-    linalg._check_trials(trials)
+    linalg._check_count("trials", trials)
     m = phi.dim_in
     pair = dykstra.PPTPair(TensorLayout((k, m)), 1)    # block transpose [a_ji]
     draws = np.array([linalg.sample_hermitian(k * m, seed + t) for t in range(trials)])
@@ -544,7 +559,7 @@ def cone_criterion_check(phi: MapObject, md_m: ModularData, k: int, trials: int,
     detailed-balance adjoint; the M_n factor carries the tracial state.
     """
     _check_level(k)
-    linalg._check_trials(trials)
+    linalg._check_count("trials", trials)
     m = phi.dim_in
     transfer = transfer_operator(phi, md_m, tol=tol, seed=seed)
     if not transfer.db.holds:

@@ -331,15 +331,57 @@ class TestKPositivity:
         with pytest.raises(InvalidOption):
             maps.k_positivity_search(maps.identity_map(2), 1, restarts=0)
 
+    BAD_ARGUMENTS = [
+        ("k", 1.5, DimensionMismatch, "k must be an integer"),
+        ("k", 1.0, DimensionMismatch, "k must be an integer"),
+        ("k", True, DimensionMismatch, "k must be an integer"),
+        ("k", 0, DimensionMismatch, "k must be an integer of at least 1"),
+        ("k", 3, DimensionMismatch, r"k must be in 1\.\.2"),
+        ("restarts", 2.5, InvalidOption, "restarts must be an integer"),
+        ("restarts", True, InvalidOption, "restarts must be an integer"),
+        ("restarts", -1, InvalidOption, "restarts must be at least 1"),
+        ("seed", -1, InvalidOption, "seed must be at least 0"),
+        ("seed", 1.5, InvalidOption, "seed must be an integer"),
+        ("seed", True, InvalidOption, "seed must be an integer"),
+        ("seed", None, InvalidOption, "seed must be an integer"),
+    ]
 
-def seesaw_once(choi4, m, n, k, rng):
-    """One restart of the see-saw as a loop of its own: (value, vector, sweeps)."""
-    y, _ = np.linalg.qr(linalg.sample_ginibre(n, k, rng.integers(2**63)))
+    @pytest.mark.parametrize("name,value,error,match", BAD_ARGUMENTS,
+                             ids=[f"{name}={value!r}" for name, value, *_ in BAD_ARGUMENTS])
+    def test_bad_arguments_rejected(self, name, value, error, match):
+        args = {"k": 1, "restarts": 2, "seed": 0, name: value}
+        with pytest.raises(error, match=match):
+            maps.k_positivity_search(maps.transposition_map(2), **args)
+
+    def test_numpy_integer_arguments_accepted(self):
+        phi = maps.transposition_map(3)
+        res = maps.k_positivity_search(phi, np.int64(2), restarts=np.int32(3), seed=np.uint8(4))
+        ref = maps.k_positivity_search(phi, 2, restarts=3, seed=4)
+        assert np.array_equal(res.values, ref.values)
+        assert np.array_equal(res.sweeps, ref.sweeps)
+
+
+def seesaw_starts(n, k, restarts, seed):
+    """The restarts' starts, drawn in turn from one generator: real part, then
+    imaginary part, restart after restart."""
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+            for _ in range(restarts)]
+
+
+def seesaw_once(choi4, m, n, k, start, qr=False):
+    """One restart of the see-saw as a loop of its own: (value, vector, sweeps).
+    x and the start are orthonormalized by QR when k > 1, or always with
+    ``qr``."""
+    qr = qr or k > 1
+    y = np.linalg.qr(start)[0] if qr else start
     value = np.inf
     for sweep in range(1, 61):
         a = np.einsum("pr,ipjq,qs->risj", y.conj(), choi4, y).reshape(k * m, k * m)
         _, vecs = np.linalg.eigh((a + a.conj().T) / 2)
-        x, _ = np.linalg.qr(vecs[:, 0].reshape(k, m).T)
+        x = vecs[:, 0].reshape(k, m).T
+        if qr:
+            x, _ = np.linalg.qr(x)
         b = np.einsum("ir,ipjq,js->rpsq", x.conj(), choi4, x).reshape(k * n, k * n)
         w2, vecs2 = np.linalg.eigh((b + b.conj().T) / 2)
         y = vecs2[:, 0].reshape(k, n).T
@@ -353,11 +395,11 @@ def seesaw_once(choi4, m, n, k, rng):
     return float(np.real(v.conj() @ choi4.reshape(m * n, m * n) @ v)), v, sweep
 
 
-def seesaw_oracle(phi, k, restarts, seed):
+def seesaw_oracle(phi, k, restarts, seed, qr=False):
     """Restart after restart, the first minimum kept: (best index, values, sweeps)."""
     m, n = phi.dim_in, phi.dim_out
-    runs = [seesaw_once(phi.choi.reshape(m, n, m, n), m, n, k,
-                        np.random.default_rng(seed + r)) for r in range(restarts)]
+    runs = [seesaw_once(phi.choi.reshape(m, n, m, n), m, n, k, start, qr)
+            for start in seesaw_starts(n, k, restarts, seed)]
     values = np.array([run[0] for run in runs])
     best = 0
     for r in range(restarts):
@@ -396,12 +438,23 @@ class TestBatchedSeesaw:
 
     @pytest.mark.parametrize("phi,k,restarts,seed", CASES)
     def test_restarts_are_independent(self, phi, k, restarts, seed):
-        """Each restart's value and sweep count are those of a run of that restart alone."""
+        """Restart r's value and sweep count are the same, bit for bit, in a
+        search of r + 1 restarts and in one of the full count."""
         res = maps.k_positivity_search(phi, k, restarts=restarts, seed=seed)
         for r in range(restarts):
-            alone = maps.k_positivity_search(phi, k, restarts=1, seed=seed + r)
-            assert alone.values[0] == res.values[r]
-            assert alone.sweeps[0] == res.sweeps[r]
+            head = maps.k_positivity_search(phi, k, restarts=r + 1, seed=seed)
+            assert np.array_equal(head.values, res.values[:r + 1])
+            assert np.array_equal(head.sweeps, res.sweeps[:r + 1])
+
+    @pytest.mark.parametrize("phi,k,restarts,seed", [c for c in CASES if c[1] == 1])
+    def test_dropped_qr_is_a_no_op(self, phi, k, restarts, seed):
+        """At k = 1 a see-saw that still orthonormalizes x (and the start) by
+        QR reaches the same values and verdict."""
+        res = maps.k_positivity_search(phi, k, restarts=restarts, seed=seed)
+        best, values, _, _ = seesaw_oracle(phi, k, restarts, seed, qr=True)
+        slack = 1e-12 * max(1.0, np.linalg.norm(phi.choi))
+        assert np.max(np.abs(res.values - values)) <= slack
+        assert res.violation_found == (values[best] < -1e-9)
 
     def test_stalled_restarts_freeze_while_others_run(self):
         res = maps.k_positivity_search(STALL_MIX, 1, restarts=8, seed=0)
@@ -414,7 +467,7 @@ class TestBatchedSeesaw:
         phi = random_choi_map(2, 4)
         res = maps.k_positivity_search(phi, 1, restarts=1, seed=5)
         value, vector, sweeps = seesaw_once(phi.choi.reshape(2, 2, 2, 2), 2, 2, 1,
-                                            np.random.default_rng(5))
+                                            seesaw_starts(2, 1, 1, 5)[0])
         assert res.values.shape == (1,) and res.sweeps.tolist() == [sweeps]
         assert res.value == res.values[0] == pytest.approx(value, abs=1e-12)
         assert res.violation_found == (value < -1e-9)
