@@ -143,7 +143,7 @@ def cone_membership(md: ModularData, spec: ConeSpec, xi, tol: float = DEFAULT.co
 
     xi is checked once, at entry: a NaN or Inf entry raises NonFinite for
     every kind, as a tol that is not finite and positive or a max_iter
-    below one raises InvalidOption.  Its reduction r is taken once and its
+    not an integer ≥ 1 raises InvalidOption.  Its reduction r is taken once and its
     Hermitian deviation is gated once, against tol·‖r‖: no member has a non-Hermitian
     reduction, so a larger deviation reads outside, with the deviation as
     residual and no witness.  The tensor kinds read their layout from ``md``.  Every kind
@@ -159,7 +159,7 @@ def cone_membership(md: ModularData, spec: ConeSpec, xi, tol: float = DEFAULT.co
     iteration count tell a capped solve from a refuted one.
     """
     linalg._check_tol(tol)
-    dykstra._check_max_iter(max_iter)
+    linalg._check_count("max_iter", max_iter)
     xi = linalg._as_matrix(xi)
     if xi.shape != (md.dim, md.dim):
         raise LayoutMismatch(f"expected {md.dim}x{md.dim}, got {xi.shape}")
@@ -198,8 +198,10 @@ def sample_cone(md: ModularData, spec: ConeSpec, seed) -> np.ndarray:
     Every kind is rho^beta G G* rho^{1/2 - beta} in eigenbasis coordinates,
     beta = 1/4 but for V_beta, after G G* is made a member of the reduced
     cone: partially transposed for the transposed tensor cone, projected
-    onto {a >= 0, a^{t2} >= 0} for the intersection.
+    onto {a >= 0, a^{t2} >= 0} for the intersection.  InvalidOption unless
+    seed ≥ 0 is an integer.
     """
+    linalg._check_count("seed", seed, least=0)
     if spec.kind == HULL:
         raise UnsupportedKind(
             "hull samples are convex combinations of natural and transposed samples"
@@ -232,20 +234,17 @@ _PROBE_NOTE = (
 )
 
 
-def probe_finite_dim_equality(
-    m: int,
-    n: int,
-    rho_seed,
-    trials: int,
-) -> ProbeReport:
+def probe_finite_dim_equality(m: int, n: int, rho_seed, trials: int) -> ProbeReport:
     """Exhibit intersection samples in the double-PSD generator form.
 
     Every sample xi of P_n n P_n^tau is reduced to a = rho^{-1/4} xi
     rho^{-1/4}; the probe certifies that both a and its second-factor
     partial transpose are PSD, i.e. that the two descriptions of the
     intersection coincide at desk scale.  It reports the worst
-    ``cone_membership`` residual of its samples.
+    ``cone_membership`` residual of its samples.  InvalidOption unless
+    rho_seed ≥ 0 and trials ≥ 1 are integers.
     """
+    linalg._check_count("rho_seed", rho_seed, least=0)
     linalg._check_count("trials", trials)
     md = tensor_modular(
         build_modular(linalg.sample_density(m, rho_seed, ridge=1e-2)),

@@ -39,16 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InvalidOption
 from .linalg import DEFAULT, TensorLayout
 
 _WITNESS_EVERY = 8      # split iterations between witness checks, after the one at 1
-
-
-def _check_max_iter(max_iter: int) -> None:
-    """Reject an iteration cap below one, which leaves no iterate."""
-    if max_iter < 1:
-        raise InvalidOption(f"max_iter must be at least 1, got {max_iter}")
 
 
 @dataclass(frozen=True)
@@ -65,10 +58,10 @@ class PPTPair:
         """x as a finite complex matrix of the pair's side, or a typed error.
 
         Also rejects a tol that is not finite and positive, and an iteration
-        cap below one, which leaves no iterate.
+        cap that is not an integer of at least one (``InvalidOption``).
         """
         linalg._check_tol(tol)
-        _check_max_iter(max_iter)
+        linalg._check_count("max_iter", max_iter)
         x = linalg._as_matrix(x)
         self.layout.check(x)
         return x

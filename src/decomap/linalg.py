@@ -50,10 +50,10 @@ def _check_tol(tol: float) -> None:
 
 
 def _check_count(name: str, value, least: int = 1) -> None:
-    """Reject a count (trials, restarts) or a seed that is not an integer of
-    at least ``least``: with no trial or restart a search reports its
-    negative verdict untested, and a float or a bool would reach ``range``,
-    the generator or the report as it came."""
+    """The one check of a count (samples, trials, restarts, terms), a cap
+    (max_iter) or a seed (``least=0``): InvalidOption unless an integer of at
+    least ``least``.  A zero count leaves a verdict untested or no iterate; a
+    float or a bool would reach ``range``, the generator or a report as is."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidOption(f"{name} must be an integer, got {value!r}")
     if value < least:

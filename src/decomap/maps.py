@@ -22,7 +22,6 @@ from . import cones, dykstra, linalg
 from .errors import (
     BadChoi,
     DimensionMismatch,
-    InvalidOption,
     NoDetailedBalance,
     NonFinite,
     NotHermitian,
@@ -48,10 +47,7 @@ class MapObject:
     label: str = ""
 
     def __post_init__(self):
-        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0
-                   for d in (self.dim_in, self.dim_out)):
-            raise BadChoi(f"dimensions must be positive integers, got "
-                          f"{self.dim_in!r} and {self.dim_out!r}")
+        _check_dims(self.dim_in, self.dim_out)
         choi = np.asarray(self.choi, dtype=complex)
         side = self.dim_in * self.dim_out
         if choi.shape != (side, side):
@@ -64,6 +60,14 @@ class MapObject:
     @property
     def layout(self) -> TensorLayout:
         return TensorLayout((self.dim_in, self.dim_out))
+
+
+def _check_dims(dim_in, dim_out) -> None:
+    """Reject map dimensions that are not positive integers (``BadChoi``)."""
+    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0
+               for d in (dim_in, dim_out)):
+        raise BadChoi(f"dimensions must be positive integers (at least 1), got {dim_in!r} "
+                      f"and {dim_out!r}")
 
 
 def make_map(choi, dim_in: int, dim_out: int, label: str = "") -> MapObject:
@@ -80,8 +84,7 @@ def map_from_action(action, dim_in: int, dim_out: int, label: str = "") -> MapOb
     as +0, as the Kronecker sum sum_ij E_ij (x) phi(E_ij) does, so C is
     that sum bit for bit.
     """
-    if dim_in < 1 or dim_out < 1:
-        raise BadChoi(f"map dimensions must be at least 1, got {dim_in} -> {dim_out}")
+    _check_dims(dim_in, dim_out)
     units = np.eye(dim_in * dim_in, dtype=complex).reshape(-1, dim_in, dim_in)
     images = np.empty((len(units), dim_out, dim_out), dtype=complex)
     for image, e in zip(images, units):
@@ -259,10 +262,10 @@ class KPositivityResult:
 
 
 _SWEEPS = 60                # see-saw sweeps per restart, at most
-_STALL = 1e-12              # a sweep that lowers the value less than this is the last
+_STALL = 1e-12              # a sweep that lowers the value by at most this × ‖C‖ is the last
 
 
-def _seesaw(choi4: np.ndarray, k: int, y: np.ndarray):
+def _seesaw(choi4: np.ndarray, k: int, y: np.ndarray, stall: float):
     """See-saw minimization of <v|C|v> over v = sum_r x_r (x) y_r, all restarts at once.
 
     ``y`` is the stack (R, n, k) of the restarts' starts, isometries when
@@ -270,7 +273,7 @@ def _seesaw(choi4: np.ndarray, k: int, y: np.ndarray):
     fixes y and takes the lowest eigenvector of the compressed Choi matrix
     for x (orthonormalized by QR when k > 1; at k = 1 it is a unit vector
     already), then fixes x and does the same for y.
-    A restart whose sweep lowers its value by less than ``_STALL`` is frozen
+    A restart whose sweep lowers its value by at most ``stall`` is frozen
     after that sweep; the others run on, up to ``_SWEEPS`` sweeps.  Returns
     the unit Schmidt vectors (R, m n), their values <v|C|v> and the sweep
     counts.
@@ -293,7 +296,7 @@ def _seesaw(choi4: np.ndarray, k: int, y: np.ndarray):
         xs[live] = x
         yts[live] = vecs[..., 0].reshape(-1, k, n)
         sweeps[live] += 1
-        stalled = values[live] - w[:, 0] < _STALL
+        stalled = values[live] - w[:, 0] <= stall
         values[live] = w[:, 0]
         live = live[~stalled]
         if not live.size:
@@ -336,9 +339,10 @@ def k_positivity_search(phi: MapObject, k: int, restarts: int = 32, seed: int = 
     y = g[:, 0] + 1j * g[:, 1]
     if k > 1:
         y, _ = np.linalg.qr(y)
-    vecs, values, sweeps = _seesaw(phi.choi.reshape(m, n, m, n), k, y)
+    c_norm = linalg.frobenius(phi.choi)
+    vecs, values, sweeps = _seesaw(phi.choi.reshape(m, n, m, n), k, y, _STALL * c_norm)
     best = int(np.argmin(values))
-    found = values[best] < -tol * linalg.frobenius(phi.choi)
+    found = values[best] < -tol * c_norm
     return KPositivityResult(k=k, violation_found=bool(found), value=float(values[best]),
                              vector=vecs[best] if found else None, restarts=restarts,
                              values=values, sweeps=sweeps)
@@ -378,10 +382,11 @@ def sk_sampler(phi: MapObject, k: int, trials: int, seed: int = 0) -> SkResult:
     The first one ends the read, ``trials`` counting the trials read;
     ``worst_output_eig`` is taken over the trials read that are not set
     aside (inf if every one is).  k must be an integer of at least 1
-    (``DimensionMismatch``), and so must trials (``InvalidOption``).
+    (``DimensionMismatch``), and so must trials, and seed ≥ 0 (``InvalidOption``).
     """
     _check_level(k)
     linalg._check_count("trials", trials)
+    linalg._check_count("seed", seed, least=0)
     m = phi.dim_in
     pair = dykstra.PPTPair(TensorLayout((k, m)), 1)    # block transpose [a_ji]
     draws = np.array([linalg.sample_hermitian(k * m, seed + t) for t in range(trials)])

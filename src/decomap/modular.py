@@ -137,9 +137,10 @@ def check_identities(md: ModularData, samples: int, seed) -> dict[str, float]:
     ``seed`` makes two draws: the normals of a, ξ, ψ and g as one
     (2, 4, samples, n, n) array of real and imaginary parts, then the t of
     every sample.  Every identity is one pass over the sample stack.
+    InvalidOption unless samples ≥ 1 and seed ≥ 0 are integers.
     """
-    if samples < 1:
-        raise InvalidOption(f"samples must be at least 1, got {samples}")
+    linalg._check_count("samples", samples)
+    linalg._check_count("seed", seed, least=0)
     rng = np.random.default_rng(seed)
     re, im = rng.standard_normal((2, 4, samples, md.dim, md.dim))
     z = re + 1j * im

@@ -37,7 +37,6 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionMismatch,
-    InvalidOption,
     NotInFace,
     NotPositiveEvidence,
     NotUnital,
@@ -93,10 +92,10 @@ def sample_face_map(face: FaceSpec, terms: int, seed: int) -> MapObject:
     Convex combination of ``terms`` conjugations a -> U a U* with U xi
     orthogonal to eta, and as many co-conjugations a -> V a^t V* with
     V conj(xi) orthogonal to eta; both constraints make the face condition
-    exact by construction.  ``terms`` must be at least 1.
+    exact by construction.  InvalidOption unless terms ≥ 1 and seed ≥ 0 are integers.
     """
-    if terms < 1:
-        raise InvalidOption(f"terms must be at least 1, got {terms}")
+    linalg._check_count("terms", terms)
+    linalg._check_count("seed", seed, least=0)
     if face.xi.shape[0] != 2 or face.eta.shape[0] != 2:
         raise DimensionMismatch("face sampling is implemented for m = n = 2")
     rng = np.random.default_rng(seed)
@@ -311,9 +310,10 @@ def verify_locdec(phi: MapObject, data: StormerData, samples: int,
 
     Each a is a unit complex Ginibre matrix: one (samples, 2, 2, 2) normal
     draw of ``default_rng(seed)`` holds its real, then its imaginary part.
+    InvalidOption unless samples ≥ 1 and seed ≥ 0 are integers.
     """
-    if samples < 1:
-        raise InvalidOption(f"samples must be at least 1, got {samples}")
+    linalg._check_count("samples", samples)
+    linalg._check_count("seed", seed, least=0)
     eta_v = data.eta
     v = data.v_eta
     v_star_eta = v.conj().T @ eta_v

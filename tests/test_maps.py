@@ -103,6 +103,17 @@ class TestRepresentation:
         with pytest.raises(BadChoi, match="positive integers"):
             maps.make_map(choi, dim_in, dim_out)
 
+    @pytest.mark.parametrize("make", [
+        lambda: maps.identity_map(True),
+        lambda: maps.transposition_map(2.0),
+        lambda: maps.map_from_action(lambda a: a, 2.5, 2),
+    ], ids=["identity-True", "transpose-2.0", "action-2.5-2"])
+    def test_map_from_action_checks_its_dims(self, make):
+        """The maps built from an action check their dimensions as MapObject
+        does, before a float or a bool reaches numpy."""
+        with pytest.raises(BadChoi, match="positive integers"):
+            make()
+
     def test_registry_keys(self, tmp_path):
         assert maps.map_from_key("identity:3").dim_in == 3
         assert np.allclose(maps.map_from_key("transpose:2").choi, swap())
@@ -307,6 +318,19 @@ class TestScaledVerdicts:
                                          restarts=8)
         assert not ident.violation_found
 
+    @pytest.mark.parametrize("e", [-30, -20, 0, 30])
+    def test_seesaw_course_is_scale_free(self, e):
+        """Φ[1, 1.5, (1 − 1e-6)/1.5] is not positive, by a product minimum of
+        about −6.3e-8·‖C‖.  A restart stops at a sweep that gains at most
+        1e-12·‖C‖, so phi and 2^e phi (exact in floating point) run the same
+        sweeps to the same value/‖C‖, and the violation is found at each."""
+        phi = generalized_choi(1, 1.5, (1 - 1e-6) / 1.5)
+        ref = maps.k_positivity_search(phi, 1)
+        res = maps.k_positivity_search(maps.make_map(2.0**e * phi.choi, 3, 3), 1)
+        assert ref.violation_found and res.violation_found
+        assert np.array_equal(res.sweeps, ref.sweeps)
+        assert res.value / 2.0**e == pytest.approx(ref.value, rel=1e-12)
+
 
 class TestKPositivity:
     def test_transposition_k2_violation(self):
@@ -386,7 +410,7 @@ def seesaw_once(choi4, m, n, k, start, qr=False):
         w2, vecs2 = np.linalg.eigh((b + b.conj().T) / 2)
         y = vecs2[:, 0].reshape(k, n).T
         new_value = float(w2[0])
-        stalled = value - new_value < 1e-12
+        stalled = value - new_value <= 1e-12 * np.linalg.norm(choi4)
         value = new_value
         if stalled:
             break
@@ -455,6 +479,12 @@ class TestBatchedSeesaw:
         slack = 1e-12 * max(1.0, np.linalg.norm(phi.choi))
         assert np.max(np.abs(res.values - values)) <= slack
         assert res.violation_found == (values[best] < -1e-9)
+
+    def test_zero_map_stalls_at_the_second_sweep(self):
+        """With ‖C‖ = 0 the stall threshold is 0, and a sweep that gains
+        nothing is the last."""
+        res = maps.k_positivity_search(maps.make_map(np.zeros((4, 4)), 2, 2), 1, restarts=4)
+        assert res.sweeps.tolist() == [2] * 4 and not res.violation_found
 
     def test_stalled_restarts_freeze_while_others_run(self):
         res = maps.k_positivity_search(STALL_MIX, 1, restarts=8, seed=0)

@@ -3,7 +3,9 @@
 Every small threshold is a ``Tolerances`` field or a named private module
 constant, and the Hermitian deviation ‖x − x*‖ is computed in one function.
 The entry points that hold a residual against a ``tol`` reject one that is
-not finite and positive.
+not finite and positive, and those that take a count, an iteration cap or a
+seed reject one that is not an integer of its least value or more, all with
+``InvalidOption`` raised from one of three functions.
 """
 
 import ast
@@ -68,21 +70,36 @@ def _is_adjoint(node):
             and node.value.func.attr == "conj")
 
 
-def _deviation_sites(path):
-    """(function, line) of every ``x − x*`` difference in the file."""
+def _sites(path, hit):
+    """(file:qualified function, line) of every node of the file that
+    ``hit`` accepts."""
     sites = []
 
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
-                and _is_adjoint(node.right)):
-            sites.append((f"{path.name}:{function}", node.lineno))
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if hit(node):
+            sites.append((f"{path.name}:{scope}", node.lineno))
         for child in ast.iter_child_nodes(node):
-            visit(child, function)
+            visit(child, scope)
 
     visit(_tree(path), None)
     return sites
+
+
+def _deviation_sites(path):
+    """(function, line) of every ``x − x*`` difference in the file."""
+    return _sites(path, lambda node: isinstance(node, ast.BinOp)
+                  and isinstance(node.op, ast.Sub) and _is_adjoint(node.right))
+
+
+def _raises_invalid_option(node):
+    """``raise InvalidOption(...)``, ``raise errors.InvalidOption(...)`` or
+    the class raised bare."""
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", getattr(exc, "attr", None)) == "InvalidOption"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -101,6 +118,27 @@ def test_guard_sees_a_bare_literal(tmp_path):
 def test_one_hermitian_deviation():
     sites = [site for path in SOURCES for site in _deviation_sites(path)]
     assert [name for name, _ in sites] == ["linalg.py:hermitian_deviation"]
+
+
+def test_invalid_option_raised_in_three_places():
+    """A tol goes through ``_check_tol`` and a count, cap or seed through
+    ``_check_count``; only a Δ exponent has a rule of its own."""
+    sites = [site for path in SOURCES for site in _sites(path, _raises_invalid_option)]
+    assert [name for name, _ in sites] == [
+        "linalg.py:_check_tol", "linalg.py:_check_count", "linalg.py:_check_count",
+        "modular.py:ModularData.delta"]
+
+
+def test_guard_sees_a_hand_written_check(tmp_path):
+    src = tmp_path / "module.py"
+    src.write_text("from . import errors\nfrom .errors import InvalidOption\n\n"
+                   "def f(samples):\n    if samples < 1:\n"
+                   "        raise InvalidOption('samples')\n\n"
+                   "class C:\n    def g(self, n):\n        if n < 0:\n"
+                   "            raise errors.InvalidOption('n')\n        raise InvalidOption\n"
+                   "    def h(self):\n        raise ValueError('not counted')\n")
+    assert _sites(src, _raises_invalid_option) == [
+        ("module.py:f", 6), ("module.py:C.g", 11), ("module.py:C.g", 12)]
 
 
 _PAIR = dykstra.PPTPair(TensorLayout((2, 2)), 2)
@@ -126,3 +164,53 @@ def test_tol_not_finite_and_positive_rejected(entry, tol):
     below admits nothing: each would answer wrong, so each is an error."""
     with pytest.raises(InvalidOption):
         _TOL_ENTRY_POINTS[entry](tol)
+
+
+_MD = modular.build_modular(np.diag([0.7, 0.3]))
+_SYM, _FACE = stormer.symmetric_face_example()
+_LOCDEC = stormer.build_local_decomposition(_SYM, _FACE.eta)
+# entry -> (call taking one option as a keyword, the others at valid defaults;
+#           each option's least value)
+_COUNT_ENTRY_POINTS = {
+    "split_sum": (lambda max_iter: dykstra.split_sum(np.eye(4), _PAIR, max_iter=max_iter),
+                  {"max_iter": 1}),
+    "project_intersection": (lambda max_iter: dykstra.project_intersection(
+        np.eye(4), _PAIR, max_iter=max_iter), {"max_iter": 1}),
+    "cone_membership": (lambda max_iter: cones.cone_membership(
+        _TRACIAL, cones.ConeSpec(cones.HULL), np.eye(4) / 2, max_iter=max_iter),
+        {"max_iter": 1}),
+    "decompose": (lambda max_iter: maps.decompose(maps.identity_map(2), max_iter=max_iter),
+                  {"max_iter": 1}),
+    "k_positivity_search": (lambda restarts=2, seed=0: maps.k_positivity_search(
+        maps.transposition_map(2), 1, restarts=restarts, seed=seed),
+        {"restarts": 1, "seed": 0}),
+    "sk_sampler": (lambda trials=2, seed=0: maps.sk_sampler(
+        maps.identity_map(2), 1, trials=trials, seed=seed), {"trials": 1, "seed": 0}),
+    "cone_criterion_check": (lambda trials=2, seed=0: maps.cone_criterion_check(
+        maps.identity_map(2), modular.build_modular(np.eye(2) / 2), 1, trials=trials,
+        seed=seed), {"trials": 1, "seed": 0}),
+    "probe_finite_dim_equality": (lambda rho_seed=0, trials=2: cones.probe_finite_dim_equality(
+        2, 2, rho_seed, trials), {"rho_seed": 0, "trials": 1}),
+    "sample_cone": (lambda seed: cones.sample_cone(
+        _TRACIAL, cones.ConeSpec(cones.NATURAL_TENSOR), seed), {"seed": 0}),
+    "check_identities": (lambda samples=2, seed=0: modular.check_identities(
+        _MD, samples, seed), {"samples": 1, "seed": 0}),
+    "verify_locdec": (lambda samples=2, seed=0: stormer.verify_locdec(
+        _SYM, _LOCDEC, samples, seed=seed), {"samples": 1, "seed": 0}),
+    "sample_face_map": (lambda terms=2, seed=0: stormer.sample_face_map(
+        _FACE, terms, seed), {"terms": 1, "seed": 0}),
+}
+_COUNT_CASES = [(entry, option, value)
+                for entry, (_, least) in _COUNT_ENTRY_POINTS.items()
+                for option in least
+                for value in (True, 2.5, None, least[option] - 1)]
+
+
+@pytest.mark.parametrize("entry,option,value", _COUNT_CASES,
+                         ids=[f"{e}-{o}={v!r}" for e, o, v in _COUNT_CASES])
+def test_count_not_an_integer_of_its_least_rejected(entry, option, value):
+    """A count, cap or seed that is a bool, a float, None or below its least
+    value would reach ``range`` or the generator as it came, or run a search
+    that tests nothing: each is an error, from the one check."""
+    with pytest.raises(InvalidOption, match=f"{option} must be"):
+        _COUNT_ENTRY_POINTS[entry][0](**{option: value})
