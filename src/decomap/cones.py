@@ -242,8 +242,10 @@ def probe_finite_dim_equality(m: int, n: int, rho_seed, trials: int) -> ProbeRep
     partial transpose are PSD, i.e. that the two descriptions of the
     intersection coincide at desk scale.  It reports the worst
     ``cone_membership`` residual of its samples.  InvalidOption unless
-    rho_seed ≥ 0 and trials ≥ 1 are integers.
+    m, n ≥ 1, rho_seed ≥ 0 and trials ≥ 1 are integers.
     """
+    linalg._check_count("m", m)
+    linalg._check_count("n", n)
     linalg._check_count("rho_seed", rho_seed, least=0)
     linalg._check_count("trials", trials)
     md = tensor_modular(

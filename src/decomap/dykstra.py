@@ -7,11 +7,13 @@ K2 = {a : a^Γ ⪰ 0}, with Γ the partial transpose of one tensor factor.
   It stops converged or capped at ``max_iter``.
 * ``split_sum``: c = a + b with a ∈ K1, b ∈ K2, which needs *a* split, not
   the nearest one.  It stops ``converged``, ``certified`` by a dual witness
-  that proves c ∉ K1 + K2, or ``capped`` at ``max_iter``.  Its witness
-  checks run at iteration 1 and at every 8th.  It runs Douglas–Rachford in
-  two phases: on the product space [a, b^Γ] for 8 iterations, up to the
-  second witness check, which gets past the plateaus that two-set DR meets
-  from the start, then two-set DR on a ∈ K1 ∩ (c − K2), which needs about
+  that proves c ∉ K1 + K2, or ``capped`` at ``max_iter``; a CP or co-CP c
+  stops converged at iteration 0, on the start's extreme split.  Its
+  witness checks run at iteration 1, and at every 8th once the gap has
+  stopped falling fast.  It runs Douglas–Rachford in two phases: on the
+  product space [a, b^Γ] for 8 iterations, up to the first scheduled
+  check, which gets past the plateaus that two-set DR meets from the
+  start, then two-set DR on a ∈ K1 ∩ (c − K2), which needs about
   40% of the product-space iterations; c or c^Γ, whichever has the
   smaller negative part, is the one solved, so both take the same course.
 
@@ -42,6 +44,7 @@ from . import linalg
 from .linalg import DEFAULT, TensorLayout
 
 _WITNESS_EVERY = 8      # split iterations between witness checks, after the one at 1
+_SETTLED = 0.8          # a scheduled check runs only if ‖gap‖ fell by less than a fifth
 
 
 @dataclass(frozen=True)
@@ -172,19 +175,39 @@ def split_sum(
 
     Both phases stop the same way: converged once ‖gap‖ ≤ tol·min(1, ‖c‖),
     gap = c − a − b, certified when :func:`_witness` reads a dual witness off
-    the gap at iteration 1 or at a multiple of ``_WITNESS_EVERY`` (infeasible
-    DR iterates diverge along a certificate direction: Banjac et al., JOTA
-    2019; Bauschke & Moursi, Math. Program. 2017), or capped after
-    ``max_iter``.  The parts lie in their cones at every stop.  A check only
-    reads the gap, so a solve it does not stop takes the same course as
-    without it.  The first iteration's gap already certifies Choi's map, its
-    local conjugates and GUE inputs.  A certified solve's residual is that of
-    the iteration whose gap gave the witness: it shows the solve did not
+    the gap at a check, or capped after ``max_iter``.  The parts lie in their
+    cones at every stop.  A certified solve's residual is that of the
+    iteration whose gap gave the witness: it shows the solve did not
     converge, and is not a distance to the cone.
 
+    **Witness checks.**  One runs at iteration 1, whose gap already
+    certifies Choi's map, its local conjugates and GUE inputs.  One is
+    scheduled at each multiple of ``_WITNESS_EVERY`` and runs only once the
+    gap has settled, that is when the iteration lowered ‖gap‖ by less than a
+    fifth (‖gap_it‖ > ``_SETTLED``·‖gap_it−1‖), or when it is the last
+    iteration, ``max_iter``, so that no solve loses its last check before
+    the cap.  Douglas–Rachford's fixed-point residual does not increase, and
+    it tends to the minimal displacement between the two sets, which is
+    nonzero exactly when no split exists; infeasible iterates diverge along
+    a certificate direction (Bauschke & Moursi, Math. Program. 164, 2017;
+    Banjac, Goulart, Stellato & Boyd, JOTA 183, 2019).  So a witness shows up
+    only once the gap stops falling, and a check made while it still falls
+    fast is one ``eigh`` spent for nothing.  The rule reads the norm the stop
+    test already takes.  A check only reads the gap, so a solve it does not
+    stop takes the same course as without it: skipping one can move where a
+    solve stops, never what a stop proves.
+
+    **Iteration 0.**  When the smaller of ‖c₋‖ and ‖(c^Γ)₋‖, which the
+    orientation rule below reads, is within the stop bound, the oriented
+    parts are set to the extreme split (c₊, 0) and the gap is recomputed
+    from them; if it is within the bound the solve returns ``converged``
+    with ``iterations`` 0, at no further ``eigh``.  So a CP or co-CP c, whose
+    c or c^Γ is PSD to within the bound, runs no iteration, and
+    ``iterations`` 0 in a result or a report means exactly that.
+
     **Phase 1, iterations 1 to ``_WITNESS_EVERY``: product-space DR,** up to
-    the second witness check.  On the stack z = [a, b^Γ] both cones are the
-    PSD cone, so an iteration x = P_affine(z), y = clip(2x − z),
+    the first scheduled witness check.  On the stack z = [a, b^Γ] both cones
+    are the PSD cone, so an iteration x = P_affine(z), y = clip(2x − z),
     z' = z + y − x makes one batched clip.
     The loop carries the affine step g, not z.  With P_affine(z) =
     z + [g, g^Γ], g = (c − z₀ − z₁^Γ)/2, the update is z' = y − [g, g^Γ],
@@ -246,7 +269,8 @@ def split_sum(
     pt(c_in, out=s[1])
     clip()                      # y = [c₊, P], P = (c^Γ)₊
     np.subtract(y, s, out=hh)   # [c₋, (c^Γ)₋]
-    flip = linalg._norm_reader(h)() > linalg._norm_reader(h_pt)()
+    neg, neg_pt = linalg._norm_reader(h)(), linalg._norm_reader(h_pt)()
+    flip = neg > neg_pt
     c = c_in
     if flip:
         c = pt(c_in)
@@ -264,19 +288,31 @@ def split_sum(
         return SplitResult(part1, part2, gap_norm(), it, reason,
                            None if witness is None else pt(witness))
 
+    last = 0.0                  # ‖gap‖ of the previous iteration
+
     def checked(it):
         """The stop that iteration it's parts and gap reach, or None; at
         ``max_iter`` it is ``capped``, so every solve returns from a loop."""
+        nonlocal last
         res = gap_norm()
         if res <= bound:
             return stop(res, it, "converged")
-        if it == 1 or it % _WITNESS_EVERY == 0:
+        if it == 1 or (it % _WITNESS_EVERY == 0
+                       and (res > _SETTLED * last or it == max_iter)):
             witness = _witness(gap, c, c_trace, c_norm, pair)
             if witness is not None:
                 return stop(res, it, "certified", witness)
         if it == max_iter:
             return stop(res, it, "capped")
+        last = res
         return None
+
+    if min(neg, neg_pt) <= bound:   # c or c^Γ is PSD to within the bound
+        b.fill(0)
+        np.subtract(c, a, out=gap)  # a = c₊: the gap of the extreme split (c₊, 0)
+        res = gap_norm()
+        if res <= bound:
+            return stop(res, 0, "converged")
 
     z = np.stack((a + (c - pt(y1)), pt(c - a) + y1)) / 2
     g[...] = (c - z[0] - pt(z[1])) / 2

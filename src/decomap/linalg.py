@@ -36,6 +36,7 @@ class Tolerances:
     cone: float = 1e-8            # default tol: cones, splits, Størmer's construction
     eig: float = 1e-9             # default tol: CP / k-positivity and identity residuals
     certificate: float = 1e-10    # Tr(WC) margin / (‖W‖‖C‖): above eigh's error, ~side·ε
+    stall: float = 1e-12          # see-saw: a sweep gaining ≤ this × ‖C‖ is the last
     max_iter: int = 5000          # default Dykstra iteration cap
 
 

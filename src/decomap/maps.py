@@ -262,7 +262,6 @@ class KPositivityResult:
 
 
 _SWEEPS = 60                # see-saw sweeps per restart, at most
-_STALL = 1e-12              # a sweep that lowers the value by at most this × ‖C‖ is the last
 
 
 def _seesaw(choi4: np.ndarray, k: int, y: np.ndarray, stall: float):
@@ -340,7 +339,8 @@ def k_positivity_search(phi: MapObject, k: int, restarts: int = 32, seed: int = 
     if k > 1:
         y, _ = np.linalg.qr(y)
     c_norm = linalg.frobenius(phi.choi)
-    vecs, values, sweeps = _seesaw(phi.choi.reshape(m, n, m, n), k, y, _STALL * c_norm)
+    vecs, values, sweeps = _seesaw(phi.choi.reshape(m, n, m, n), k, y,
+                                   DEFAULT.stall * c_norm)
     best = int(np.argmin(values))
     found = values[best] < -tol * c_norm
     return KPositivityResult(k=k, violation_found=bool(found), value=float(values[best]),

@@ -131,6 +131,17 @@ def generalized_choi_decomposable(a, b, c):
     return a > 3 or b * c >= (3 - a) ** 2 / 4
 
 
+def generalized_choi_family():
+    """(r, a, b, c) for a in {1, 1.5, 2, 2.5}, b/c = 1.69 and
+    bc = (3 - a)^2 / 4 · (1 + r): r > 0 decomposable, r < 0 not."""
+    out = []
+    for r in (1e-1, 1e-3, 1e-6, -1e-6, -1e-3, -1e-1):
+        for a in (1.0, 1.5, 2.0, 2.5):
+            s = np.sqrt((3 - a) ** 2 / 4 * (1 + r))
+            out.append((r, a, 1.3 * s, s / 1.3))
+    return out
+
+
 def decomposable_test_set():
     """The 100 maps of criterion 6: 50 explicit mixes + 50 face-family maps."""
     out = []

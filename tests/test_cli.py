@@ -274,12 +274,23 @@ class TestCommands:
 
     def test_hull_member_reports_a_cap(self, tmp_path):
         """A capped split reads outside (exit 1) as before, but says it was
-        capped and carries no witness, unlike a refuted member."""
+        capped and carries no witness, unlike a refuted member.  The swap F
+        is co-CP (F^Γ ⪰ 0), so its split needs no iteration even at a cap of
+        1; F + 2F^Γ is neither PSD nor co-PSD, and caps there."""
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        mix = swap + 2 * linalg.partial_transpose(swap, TensorLayout((2, 2)), 2)
+        assert linalg.min_eig(mix) < 0
+        assert linalg.min_eig(linalg.partial_transpose(mix, TensorLayout((2, 2)), 2)) < 0
         rho_file = write_json(tmp_path / "r.json", matrix_json(np.eye(2) / 2))
-        swap_file = write_json(tmp_path / "swap.json", matrix_json(np.eye(4)[[0, 2, 1, 3]]))
+        swap_file = write_json(tmp_path / "swap.json", matrix_json(swap))
+        mix_file = write_json(tmp_path / "mix.json", matrix_json(mix))
         minus_file = write_json(tmp_path / "m1.json", matrix_json(-np.eye(4)))
         base = ["hull-member", "--rho", rho_file, "--dims", "2,2"]
         report, code = cli.run([*base, "--xi", swap_file, "--max-iter", "1"])
+        result = report["result"]
+        assert code == 0 and result["inside"]
+        assert (result["stop_reason"], result["iterations"]) == ("converged", 0)
+        report, code = cli.run([*base, "--xi", mix_file, "--max-iter", "1"])
         result = report["result"]
         assert code == 1 and not result["inside"] and "witness" not in result
         assert (result["stop_reason"], result["iterations"]) == ("capped", 1)

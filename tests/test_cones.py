@@ -66,11 +66,18 @@ class TestSpecValidation:
 
     def test_hull_kind_answers(self, md_tensor22):
         """cone_membership decides the hull like every other kind, and
-        max_iter caps its split."""
+        max_iter caps its split.  The swap F is co-PSD, so its split needs no
+        iteration; F + 2F^Γ is neither PSD nor co-PSD, and caps at 1."""
         spec = cones.ConeSpec(cones.HULL)
         res = cones.cone_membership(md_tensor22, spec, np.eye(4))
         assert res.inside and res.stop_reason == "converged"
         res = cones.cone_membership(md_tensor22, spec, swap(), max_iter=1)
+        assert res.inside and (res.stop_reason, res.iterations) == ("converged", 0)
+        layout = TensorLayout((2, 2))
+        mix = swap() + 2 * linalg.partial_transpose(swap(), layout, 2)
+        assert linalg.min_eig(mix) < 0
+        assert linalg.min_eig(linalg.partial_transpose(mix, layout, 2)) < 0
+        res = cones.cone_membership(md_tensor22, spec, mix, max_iter=1)
         assert not res.inside and (res.stop_reason, res.iterations) == ("capped", 1)
         with pytest.raises(LayoutMismatch):
             cones.cone_membership(md_tensor22, spec, np.eye(3))

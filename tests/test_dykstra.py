@@ -8,8 +8,8 @@ from decomap.errors import InvalidOption, LayoutMismatch, NonFinite
 from decomap.linalg import TensorLayout
 
 from conftest import (EIG_SLACK, assert_split, assert_witness, choi_map_choi,
-                      decomposable_test_set, generalized_choi, local_conjugates,
-                      product_minimum, random_matrix)
+                      decomposable_test_set, generalized_choi, generalized_choi_family,
+                      local_conjugates, product_minimum, random_matrix)
 
 LAYOUTS = [(2, 2), (2, 3), (3, 3)]      # sides 4, 6 and 9
 
@@ -77,13 +77,16 @@ def assert_valid_split(res, c, pair):
 # ref_eig_clip, which reads the lower triangle and symmetrizes nothing.  The
 # intersection loop is plain Dykstra on (x, p, q); the split loop is
 # split_sum's two phases, the g/h recurrence for iterations 1 to 8 and then
-# two-set DR on zz, in the orientation its start picks, with a witness check
-# at iteration 1 and at every 8th.  Each is written
-# with the same operations as its buffered loop, on fresh arrays, and the
-# buffered loops must return exactly what these return, bit for bit, with the
-# same counts and stop reasons.
+# two-set DR on zz, in the orientation its start picks, after the same
+# iteration-0 return of the extreme split (c₊, 0).  Its witness checks are
+# not gated: it checks at iteration 1 and at every 8th, so it is the oracle
+# that split_sum's gate, which skips a scheduled check while the gap still
+# falls fast, moves no stop.  Each is written with the same operations as its
+# buffered loop, on fresh arrays, and the buffered loops must return exactly
+# what these return, bit for bit, with the same counts and stop reasons.
 
 _REF_WITNESS_EVERY = 8
+_REF_SETTLED = 0.8      # split_sum's gate: a scheduled check runs once ‖gap‖ falls by < 1/5
 
 
 def ref_frobenius(x):
@@ -136,18 +139,24 @@ def ref_project_intersection(x0, pair, tol=linalg.DEFAULT.cone,
                                  converged=False)
 
 
-def ref_split_sum(c, pair, tol=linalg.DEFAULT.cone, max_iter=linalg.DEFAULT.max_iter):
+def ref_split_sum(c, pair, tol=linalg.DEFAULT.cone, max_iter=linalg.DEFAULT.max_iter,
+                  norms=None):
+    """The split's reference loop; ``norms``, a list if given, receives each
+    iteration's ‖gap‖."""
     c_in = pair.validate(c, tol, max_iter)
     c_in = (c_in + c_in.conj().T) / 2
     pt = ref_pt(pair)
     s = np.stack((c_in, pt(c_in)))
     y = ref_eig_clip(s)                         # [c₊, (c^Γ)₊]
     neg = y - s                                 # [c₋, (c^Γ)₋]
-    flip = ref_frobenius(neg[0]) > ref_frobenius(neg[1])
+    neg_norms = ref_frobenius(neg[0]), ref_frobenius(neg[1])
+    flip = neg_norms[0] > neg_norms[1]
     c = c_in
     if flip:
         c, y = pt(c_in), y[::-1]
     bound = tol * min(1.0, ref_frobenius(c))
+    if norms is None:
+        norms = []
 
     def stop(a, b, res, it, reason, witness=None):
         if not flip:
@@ -158,6 +167,7 @@ def ref_split_sum(c, pair, tol=linalg.DEFAULT.cone, max_iter=linalg.DEFAULT.max_
 
     def checked(a, b, gap, it):
         res = ref_frobenius(gap)
+        norms.append(res)
         if res <= bound:
             return stop(a, b, res, it, "converged")
         if it == 1 or it % _REF_WITNESS_EVERY == 0:
@@ -168,6 +178,12 @@ def ref_split_sum(c, pair, tol=linalg.DEFAULT.cone, max_iter=linalg.DEFAULT.max_
             return stop(a, b, res, it, "capped")
         return None
 
+    # iteration 0: the extreme split (c₊, 0), when the oriented c is PSD to within the bound
+    if min(neg_norms) <= bound:
+        a, b = y[0], np.zeros_like(c)
+        res = ref_frobenius(c - a - b)
+        if res <= bound:
+            return stop(a, b, res, 0, "converged")
     # phase 1: product-space DR on [a, b^Γ], carrying the affine step g
     z = np.stack((y[0] + (c - pt(y[1])), pt(c - y[0]) + y[1])) / 2
     g = (c - z[0] - pt(z[1])) / 2
@@ -435,6 +451,35 @@ class TestBitIdentical:
         for seed in range(100, 104):
             assert assert_same_split(block_positive_choi(n, seed, margin), pair).converged
 
+    def test_late_certified(self):
+        pair = dykstra.PPTPair(TensorLayout((3, 3)), 2)
+        got = assert_same_split(late_certified(), pair)
+        assert (got.stop_reason, got.iterations) == ("certified", 32)
+
+    def test_generalized_choi_family(self):
+        """The family's 24 maps at a cap of 200: the 20 that stop on their own
+        do so at 0 (the a = 1 maps with r > 0, co-CP), at 12 to 175
+        (converged) or at 1 to 48 (certified); the other 4 run to the cap,
+        where a check runs whether or not the gap has settled."""
+        pair = dykstra.PPTPair(TensorLayout((3, 3)), 2)
+        stops = [assert_same_split(generalized_choi(a, b, c).choi, pair, max_iter=200)
+                 for _, a, b, c in generalized_choi_family()]
+        assert sum(res.stop_reason == "capped" for res in stops) == 4
+
+    @pytest.mark.parametrize("a", [1.5, 1.75, 2.75])
+    def test_generalized_choi_grid(self, a):
+        """Φ[a, b, c] for b, c in {0, 0.1, 0.25, …, 1.5}: certifications at 8
+        to 80 iterations, past the unconditional check at 1, where a gate that
+        skipped a settled gap's check would stop later than the ungated loop
+        (a gate at 0.95 in place of 0.8 delays 14 maps of the full a grid by
+        one check, all of them in these rows)."""
+        pair = dykstra.PPTPair(TensorLayout((3, 3)), 2)
+        grid = (0, 0.1, 0.25, 0.5, 0.75, 1, 1.25, 1.5)
+        stops = [assert_same_split(generalized_choi(a, b, c).choi, pair)
+                 for b in grid for c in grid]
+        assert max(res.iterations for res in stops
+                   if res.stop_reason == "certified") > _REF_WITNESS_EVERY
+
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
     def test_transposed_input_takes_the_same_course(self, dims):
         """c and c^Γ run in one orientation, the one whose input has the
@@ -657,13 +702,23 @@ class CallCounter:
         return checked
 
 
+def gated_checks(norms, max_iter):
+    """The iterations at which split_sum makes a witness check, given the
+    ‖gap‖ of each iteration it ran, norms[it − 1] at iteration it, none of
+    them converged: iteration 1, and each multiple of 8 at which ‖gap‖ fell
+    by less than a fifth or which is max_iter."""
+    return [it for it in range(1, len(norms) + 1)
+            if it == 1 or it % _REF_WITNESS_EVERY == 0
+            and (norms[it - 1] > _REF_SETTLED * norms[it - 2] or it == max_iter)]
+
+
 class TestCallsPerSolve:
     """Per-iteration work stays off the traced public functions: a solve calls
     linalg.frobenius a fixed number of times however long it runs, the split
     one eigh for its start, one per phase-1 iteration, two per phase-2
     iteration and one per witness check (at iteration 1, unless the solve
-    converged there, and at every 8th), and eigvalsh only on the witness
-    checks that pass the trace bound."""
+    converged there, and at each 8th where the gap has settled or the cap
+    is), and eigvalsh only on the witness checks that pass the trace bound."""
 
     @pytest.mark.parametrize("make, max_iters", [
         (choi_map_choi, (1, 8, 5000)),                          # certified at 1
@@ -673,13 +728,18 @@ class TestCallsPerSolve:
         (late_certified, (1, 8, 9, 5000)),                      # certified at 32
     ])
     def test_split(self, make, max_iters, monkeypatch):
+        """The checks are the ones the gate prescribes from the solve's own
+        ‖gap‖ per iteration, read off the bit-identical reference loop."""
         pair = dykstra.PPTPair(TensorLayout((3, 3)), 2)
         c = make()
         counts = []
         for max_iter in max_iters:
+            norms = []
+            ref = ref_split_sum(c, pair, tol=1e-300, max_iter=max_iter, norms=norms)
             calls = CallCounter(monkeypatch)
             res = dykstra.split_sum(c, pair, tol=1e-300, max_iter=max_iter)
-            checks = 1 + res.iterations // 8       # tol 1e-300: none converges at 1
+            assert (res.iterations, res.stop_reason) == (ref.iterations, ref.stop_reason)
+            checks = len(gated_checks(norms, max_iter))     # tol 1e-300: none converges
             phase2 = max(0, res.iterations - 8)
             assert len(calls.checks) == checks
             # the start, one per phase-1 iteration, two per phase-2 iteration
@@ -689,6 +749,20 @@ class TestCallsPerSolve:
             counts.append(calls.calls["frobenius"])
             monkeypatch.undo()
         assert counts == [1] * len(max_iters)
+
+    def test_cp_and_co_cp_stop_at_iteration_0(self, monkeypatch):
+        """A PSD c and the Γ of one stop on the start's eigh alone, with the
+        extreme split (c₊, 0), or (0, P^Γ) for P = (c^Γ)₊."""
+        pair = dykstra.PPTPair(TensorLayout((2, 3)), 2)
+        psd = linalg.herm_part(linalg.sample_psd(6, 4))
+        for c, empty in ((psd, 2), (pair.pt(psd), 1)):
+            calls = CallCounter(monkeypatch)
+            res = dykstra.split_sum(c, pair)
+            assert (res.stop_reason, res.iterations) == ("converged", 0)
+            assert calls.calls["eigh"] == 1 and not calls.checks
+            assert not np.any(getattr(res, f"part{empty}"))
+            assert_valid_split(res, c, pair)
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("dims", LAYOUTS)
     def test_intersection(self, dims, monkeypatch):
@@ -701,6 +775,25 @@ class TestCallsPerSolve:
             assert calls.calls == {"frobenius": 0, "herm_part": 1, "eigh": 2 * max_iter,
                                    "eigvalsh": 0}
             monkeypatch.undo()
+
+
+class TestWitnessGate:
+    """A check scheduled at a multiple of 8 runs only once the gap has
+    settled, and always at max_iter."""
+
+    def test_check_at_the_cap_always_runs(self, monkeypatch):
+        """With every other scheduled check skipped, the late map still
+        certifies at a cap of 32, where it certifies ungated, with checks at 1
+        and 32 only; at a cap of 33 it caps, after the check at 1 alone."""
+        pair = dykstra.PPTPair(TensorLayout((3, 3)), 2)
+        c = late_certified()
+        monkeypatch.setattr(dykstra, "_SETTLED", np.inf)
+        for max_iter, stop, checks in ((32, "certified", 2), (33, "capped", 1)):
+            calls = CallCounter(monkeypatch)
+            got = dykstra.split_sum(c, pair, max_iter=max_iter)
+            assert (got.stop_reason, got.iterations, len(calls.checks)) == \
+                (stop, max_iter, checks)
+            assert_valid_split(got, c, pair)
 
 
 @pytest.mark.parametrize("dims", LAYOUTS)

@@ -13,8 +13,8 @@ from decomap.linalg import TensorLayout
 from conftest import (SIGMA_X, assert_separates, assert_split, assert_witness,
                       choi_map_choi, criterion_worst, decomposable_test_set,
                       generalized_choi, generalized_choi_decomposable,
-                      generalized_choi_positive, local_conjugates, product_minimum,
-                      random_matrix, unit)
+                      generalized_choi_family, generalized_choi_positive,
+                      local_conjugates, product_minimum, random_matrix, unit)
 
 
 def swap(n=2):
@@ -811,20 +811,10 @@ def failures_equal(rep, other):
         for f, g in ((rep.failures[c], other.failures[c]) for c in rep.failures))
 
 
-def generalized_choi_family():
-    """(r, a, b, c) for a in {1, 1.5, 2, 2.5}, b/c = 1.69 and
-    bc = (3 - a)^2 / 4 · (1 + r): r > 0 decomposable, r < 0 not."""
-    out = []
-    for r in (1e-1, 1e-3, 1e-6, -1e-6, -1e-3, -1e-1):
-        for a in (1.0, 1.5, 2.0, 2.5):
-            s = np.sqrt((3 - a) ** 2 / 4 * (1 + r))
-            out.append((r, a, 1.3 * s, s / 1.3))
-    return out
-
-
-# The split caps on the whole r = +1e-6 tier, reading outside a decomposable
-# map, so that tier stays in the family with its truth but is not asserted
-# until the split reaches it.
+# The split caps on the r = +1e-6 tier's three maps with a > 1, reading
+# outside a decomposable map, so that tier stays in the family with its truth
+# but is not asserted until the split reaches it.  Its co-CP a = 1 map stops
+# at iteration 0 (TestGeneralizedChoi::test_co_cp_member_converges_at_iteration_0).
 _CAPPED_TIERS = (1e-6,)
 
 
@@ -856,6 +846,17 @@ class TestGeneralizedChoi:
                             if r > 0 or (r > -1e-1 and a > 1)}
         for r, a, b, c in family:
             assert generalized_choi_decomposable(a, b, c) == (r > 0)
+
+    def test_co_cp_member_converges_at_iteration_0(self):
+        """Φ[1, b, c] at r = +1e-6 is co-CP, C^Γ PSD to rounding: the split's
+        start already holds the split (0, C) and returns it.  It capped at
+        5000 iterations and read "not decomposable" before."""
+        [(r, a, b, c)] = [p for p in generalized_choi_family() if p[:2] == (1e-6, 1.0)]
+        phi = generalized_choi(a, b, c)
+        assert generalized_choi_decomposable(a, b, c)
+        res = maps.decompose(phi)
+        assert (res.stop_reason, res.iterations) == ("converged", 0)
+        assert_split(res.cp_part.choi, res.ccp_part.choi, res.residual, phi.choi, phi.layout)
 
     @pytest.mark.parametrize("r,a,b,c", _asserted_family(), ids=_FAMILY_IDS)
     def test_verdicts(self, r, a, b, c):

@@ -189,8 +189,9 @@ _COUNT_ENTRY_POINTS = {
     "cone_criterion_check": (lambda trials=2, seed=0: maps.cone_criterion_check(
         maps.identity_map(2), modular.build_modular(np.eye(2) / 2), 1, trials=trials,
         seed=seed), {"trials": 1, "seed": 0}),
-    "probe_finite_dim_equality": (lambda rho_seed=0, trials=2: cones.probe_finite_dim_equality(
-        2, 2, rho_seed, trials), {"rho_seed": 0, "trials": 1}),
+    "probe_finite_dim_equality": (lambda m=2, n=2, rho_seed=0, trials=2:
+                                  cones.probe_finite_dim_equality(m, n, rho_seed, trials),
+                                  {"m": 1, "n": 1, "rho_seed": 0, "trials": 1}),
     "sample_cone": (lambda seed: cones.sample_cone(
         _TRACIAL, cones.ConeSpec(cones.NATURAL_TENSOR), seed), {"seed": 0}),
     "check_identities": (lambda samples=2, seed=0: modular.check_identities(
