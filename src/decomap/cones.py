@@ -8,8 +8,9 @@ of the second tensor factor realizes I (x) U exactly.  Its Hermitian
 deviation is gated once against tol·‖r‖; then each closed-form kind is a
 PSD test by one ``eigh`` (of r and r^Γ stacked for the intersection), and
 the hull a split.  The tensor kinds read their two-factor layout from the
-state.  The intersection probe reports the worst membership residual of
-its samples.
+state as one ``dykstra.PPTPair`` per question, whose Γ every step of the
+question takes.  The intersection probe reports the worst membership
+residual of its samples.
 """
 
 from __future__ import annotations
@@ -75,13 +76,14 @@ class MembershipResult:
     iterations: int | None = None       # ... and its iteration count
 
 
-def _layout(md: ModularData, kind: str) -> TensorLayout | None:
-    """The state's layout for a tensor kind, None for the others."""
+def _pair(md: ModularData, kind: str) -> dykstra.PPTPair | None:
+    """The state's cone pair, Γ on the second factor, for a tensor kind, None
+    for the others: its ``pt`` re-checks no matrix that was checked already."""
     if kind not in _TENSOR_KINDS:
         return None
     if len(md.layout.dims) != 2:
         raise LayoutMismatch(f"{kind} requires a 2-factor layout, got {md.layout.dims}")
-    return md.layout
+    return dykstra.PPTPair(md.layout, 2)
 
 
 def _reduction_eig(md: ModularData, xi: np.ndarray, beta: float = 0.25):
@@ -90,32 +92,30 @@ def _reduction_eig(md: ModularData, xi: np.ndarray, beta: float = 0.25):
 
 
 def _pull_back(md: ModularData, w: np.ndarray, beta: float = 0.25,
-               layout: TensorLayout | None = None) -> np.ndarray:
+               pair: dykstra.PPTPair | None = None) -> np.ndarray:
     """Unit V with <V, xi> a positive multiple of <w, r>, r the reduction of xi.
 
-    r is R(xi), or its second-factor partial transpose when ``layout`` is
+    r is R(xi), or its second-factor partial transpose when ``pair`` is
     given.  R and the partial transpose are self-adjoint for the
     Hilbert-Schmidt pairing, so V = R(w^Gamma) mapped back from the
     eigenbasis: a witness for the reduction becomes one for xi.
     """
-    if layout is not None:
-        w = linalg.partial_transpose(w, layout, 2)
+    if pair is not None:
+        w = pair.pt(w)
     v = md.from_eigenbasis(md.weigh(w, -beta, beta - 0.5))
     return v / linalg.frobenius(v)
 
 
 def _psd_verdict(md: ModularData, r: np.ndarray, bound: float, beta: float,
-                 views: tuple[TensorLayout | None, ...]) -> MembershipResult:
-    """PSD-ness of each view of r: r itself for None, r^Γ for a layout.
+                 views: tuple[dykstra.PPTPair | None, ...]) -> MembershipResult:
+    """PSD-ness of each view of r: r itself for None, r^Γ for a pair.
 
     One batched ``eigh`` of the stacked Hermitian views.  The lowest
     eigenvalue over them, the first view's on a tie, is held against
     ``bound``; an outside verdict's witness is its eigenvector, pulled back.
     """
     h = linalg.herm_part(r)
-    w, v = np.linalg.eigh(np.stack([h if layout is None
-                                    else linalg.partial_transpose(h, layout, 2)
-                                    for layout in views]))
+    w, v = np.linalg.eigh(np.stack([h if pair is None else pair.pt(h) for pair in views]))
     low = int(np.argmin(w[:, 0]))
     lam = float(w[low, 0])
     if lam >= -bound:
@@ -125,12 +125,11 @@ def _psd_verdict(md: ModularData, r: np.ndarray, bound: float, beta: float,
                             witness=_pull_back(md, np.outer(u, u.conj()), beta, views[low]))
 
 
-def _hull_verdict(md: ModularData, c: np.ndarray, tol: float, layout: TensorLayout,
+def _hull_verdict(md: ModularData, c: np.ndarray, tol: float, pair: dykstra.PPTPair,
                   max_iter: int) -> MembershipResult:
     """Membership in co(P_n u P_n^tau) of the xi whose reduction is c: split c = a + b."""
     scale = 2.0 ** np.frexp(linalg.frobenius(c))[1]
-    split = dykstra.split_sum(c / scale, dykstra.PPTPair(layout, 2), tol=tol,
-                              max_iter=max_iter)
+    split = dykstra.split_sum(c / scale, pair, tol=tol, max_iter=max_iter)
     witness = None if split.witness is None else _pull_back(md, split.witness)
     return MembershipResult(inside=split.converged, residual=split.residual * scale,
                             witness=witness, stop_reason=split.stop_reason,
@@ -163,15 +162,15 @@ def cone_membership(md: ModularData, spec: ConeSpec, xi, tol: float = DEFAULT.co
     xi = linalg._as_matrix(xi)
     if xi.shape != (md.dim, md.dim):
         raise LayoutMismatch(f"expected {md.dim}x{md.dim}, got {xi.shape}")
-    layout = _layout(md, spec.kind)
+    pair = _pair(md, spec.kind)
     beta = spec.beta if spec.kind == VBETA else 0.25
     r = _reduction_eig(md, xi, beta)
     dev, bound = linalg.hermitian_deviation(r, tol)
     if dev > bound:
         return MembershipResult(inside=False, residual=dev)
     if spec.kind == HULL:
-        return _hull_verdict(md, r, tol, layout, max_iter)
-    views = {TRANSPOSED_TENSOR: (layout,), INTERSECTION: (None, layout)}.get(spec.kind, (None,))
+        return _hull_verdict(md, r, tol, pair, max_iter)
+    views = {TRANSPOSED_TENSOR: (pair,), INTERSECTION: (None, pair)}.get(spec.kind, (None,))
     return _psd_verdict(md, r, bound, beta, views)
 
 
@@ -206,15 +205,12 @@ def sample_cone(md: ModularData, spec: ConeSpec, seed) -> np.ndarray:
         raise UnsupportedKind(
             "hull samples are convex combinations of natural and transposed samples"
         )
-    layout = _layout(md, spec.kind)
-    n = md.dim
-    g = linalg.sample_ginibre(n, n, seed)
-    a = md.to_eigenbasis(g @ g.conj().T)
+    pair = _pair(md, spec.kind)
+    a = md.to_eigenbasis(linalg.sample_psd(md.dim, seed))
     if spec.kind == TRANSPOSED_TENSOR:
-        a = linalg.partial_transpose(a, layout, 2)
+        a = pair.pt(a)
     elif spec.kind == INTERSECTION:
-        a = dykstra.project_intersection(a, dykstra.PPTPair(layout, 2),
-                                         tol=_SAMPLE_TOL).point
+        a = dykstra.project_intersection(a, pair, tol=_SAMPLE_TOL).point
     beta = spec.beta if spec.kind == VBETA else 0.25
     return md.from_eigenbasis(md.weigh(a, beta, 0.5 - beta))
 

@@ -199,11 +199,13 @@ def split_sum(
 
     **Iteration 0.**  When the smaller of ‖c₋‖ and ‖(c^Γ)₋‖, which the
     orientation rule below reads, is within the stop bound, the oriented
-    parts are set to the extreme split (c₊, 0) and the gap is recomputed
-    from them; if it is within the bound the solve returns ``converged``
-    with ``iterations`` 0, at no further ``eigh``.  So a CP or co-CP c, whose
-    c or c^Γ is PSD to within the bound, runs no iteration, and
-    ``iterations`` 0 in a result or a report means exactly that.
+    parts are set to the extreme split (c₊, 0) and the solve returns
+    ``converged`` with ``iterations`` 0, at no further ``eigh``.  Its gap
+    c − c₊ is −c₋, so its residual is the c₋ norm the orientation read,
+    which is ‖c − c₊‖ bit for bit: IEEE subtraction is antisymmetric.  So a
+    CP or co-CP c, whose c or c^Γ is PSD to within the bound, runs no
+    iteration, and ``iterations`` 0 in a result or a report means exactly
+    that.
 
     **Phase 1, iterations 1 to ``_WITNESS_EVERY``: product-space DR,** up to
     the first scheduled witness check.  On the stack z = [a, b^Γ] both cones
@@ -308,11 +310,8 @@ def split_sum(
         return None
 
     if min(neg, neg_pt) <= bound:   # c or c^Γ is PSD to within the bound
-        b.fill(0)
-        np.subtract(c, a, out=gap)  # a = c₊: the gap of the extreme split (c₊, 0)
-        res = gap_norm()
-        if res <= bound:
-            return stop(res, 0, "converged")
+        b.fill(0)                   # the extreme split (c₊, 0), whose gap is −c₋
+        return stop(min(neg, neg_pt), 0, "converged")
 
     z = np.stack((a + (c - pt(y1)), pt(c - a) + y1)) / 2
     g[...] = (c - z[0] - pt(z[1])) / 2

@@ -50,12 +50,17 @@ def _check_tol(tol: float) -> None:
         raise InvalidOption(f"tol must be finite and positive, got {tol}")
 
 
+def _is_int(value) -> bool:
+    """An int or a numpy integer, not a bool (2.0, "2" and True are not 2 or 1)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_count(name: str, value, least: int = 1) -> None:
     """The one check of a count (samples, trials, restarts, terms), a cap
     (max_iter) or a seed (``least=0``): InvalidOption unless an integer of at
     least ``least``.  A zero count leaves a verdict untested or no iterate; a
     float or a bool would reach ``range``, the generator or a report as is."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_int(value):
         raise InvalidOption(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise InvalidOption(f"{name} must be at least {least}, got {value}")
@@ -63,14 +68,15 @@ def _check_count(name: str, value, least: int = 1) -> None:
 
 @dataclass(frozen=True)
 class TensorLayout:
-    """Ordered factor dimensions of a tensor-product matrix side."""
+    """Ordered factor dimensions, integers ≥ 1, of a tensor-product matrix side."""
 
     dims: tuple[int, ...]
 
     def __post_init__(self):
+        if not (isinstance(self.dims, (tuple, list))
+                and all(_is_int(d) and d >= 1 for d in self.dims)):
+            raise LayoutMismatch(f"factor dimensions must be positive integers: {self.dims!r}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if any(d < 1 for d in self.dims):
-            raise LayoutMismatch(f"factor dimensions must be positive: {self.dims}")
 
     @property
     def side(self) -> int:
@@ -182,16 +188,21 @@ def min_eig(h: np.ndarray):
     return float(w) if w.ndim == 0 else w
 
 
-@functools.cache
 def _pt_index(layout: TensorLayout, factor: int) -> np.ndarray:
     """Flat source index of every entry of x^Γ, so that x^Γ = x.take(index).
 
-    Γ transposes the indices of factor ``factor`` (1-based).  It is a
+    Γ transposes the indices of factor ``factor``, an integer in 1..len(dims)
+    checked before the cached lookup (whose key takes 2.0 for 2).  It is a
     permutation of the entries, so it moves values without arithmetic.
     """
+    if not (_is_int(factor) and 1 <= factor <= len(layout.dims)):
+        raise LayoutMismatch(f"factor {factor!r} is not an integer in 1..{len(layout.dims)}")
+    return _pt_permutation(layout, int(factor))
+
+
+@functools.cache
+def _pt_permutation(layout: TensorLayout, factor: int) -> np.ndarray:
     k = len(layout.dims)
-    if not 1 <= factor <= k:
-        raise LayoutMismatch(f"factor {factor} out of range for {layout.dims}")
     side = layout.side
     index = np.arange(side * side).reshape(layout.dims + layout.dims)
     index = index.swapaxes(factor - 1, k + factor - 1).reshape(side, side)

@@ -64,8 +64,7 @@ class MapObject:
 
 def _check_dims(dim_in, dim_out) -> None:
     """Reject map dimensions that are not positive integers (``BadChoi``)."""
-    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0
-               for d in (dim_in, dim_out)):
+    if not all(linalg._is_int(d) and d > 0 for d in (dim_in, dim_out)):
         raise BadChoi(f"dimensions must be positive integers (at least 1), got {dim_in!r} "
                       f"and {dim_out!r}")
 
@@ -186,14 +185,10 @@ def map_from_key(key: str, loader=None) -> MapObject:
 def apply_map(phi: MapObject, a) -> np.ndarray:
     """Contract the Choi matrix against a: phi(a) = sum_ij a_ij phi(E_ij).
 
-    ``a`` may be a stack (..., m, m); phi acts on each matrix.
+    ``a`` may be a stack (..., m, m); phi acts on each matrix.  It is the
+    k = 1 case of :func:`amplify`.
     """
-    a = np.asarray(a, dtype=complex)
-    m, n = phi.dim_in, phi.dim_out
-    if a.shape[-2:] != (m, m):
-        raise ShapeMismatch(f"expected (..., {m}, {m}), got {a.shape}")
-    c4 = phi.choi.reshape(m, n, m, n)
-    return np.einsum("...ij,ipjq->...pq", a, c4)
+    return amplify(phi, 1, a)
 
 
 def amplify(phi: MapObject, k: int, c) -> np.ndarray:
@@ -351,7 +346,7 @@ def k_positivity_search(phi: MapObject, k: int, restarts: int = 32, seed: int = 
 def _check_level(k) -> None:
     """Reject a level k that is not an integer of at least 1: the block
     matrices live in M_k(M_m)."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+    if not linalg._is_int(k) or k < 1:
         raise DimensionMismatch(f"k must be an integer of at least 1, got {k!r}")
 
 
@@ -507,18 +502,15 @@ def transfer_operator(phi: MapObject, md: ModularData, tol: float = DEFAULT.cone
                       seed: int = 0) -> TransferOperator:
     """Build T_phi with its Delta-commutation residual (zero under detailed
     balance) and its detailed-balance adjoint.  Cone preservation is level 1
-    of the ``p`` criterion of :func:`cone_criterion_check`."""
-    if phi.dim_in != phi.dim_out:
-        raise DimensionMismatch("transfer operators need m = n")
+    of the ``p`` criterion of :func:`cone_criterion_check`.  m = n and the
+    state's dimension are checked by :func:`db_adjoint`, built first."""
+    db = db_adjoint(phi, md, tol=tol, seed=seed)
     n = phi.dim_in
-    if md.dim != n:
-        raise DimensionMismatch(f"modular data dimension {md.dim} != map {n}")
     t_mat = (np.kron(np.eye(n), md.rho_power(0.5).T) @ superoperator(phi)
              @ np.kron(np.eye(n), md.rho_power(-0.5).T))
     delta_q = np.kron(md.rho_power(0.25), md.rho_power(-0.25).T)
     delta_res = float(np.linalg.norm(t_mat @ delta_q - delta_q @ t_mat))
-    return TransferOperator(matrix=t_mat, db=db_adjoint(phi, md, tol=tol, seed=seed),
-                            delta_commutation_residual=delta_res)
+    return TransferOperator(matrix=t_mat, db=db, delta_commutation_residual=delta_res)
 
 
 CRITERIA = ("p", "pt", "hull")      # images in P_n, in P_n^tau, in their hull

@@ -412,3 +412,33 @@ class TestProbe:
     def test_note_mentions_scope(self):
         rep = cones.probe_finite_dim_equality(2, 2, 54, 1)
         assert "open" in rep.note
+
+
+class TestOnePairPerQuestion:
+    """Every tensor question takes Γ from the one ``PPTPair`` of the state's
+    layout, so no answer calls ``linalg.partial_transpose``, which re-checks
+    its input; only ``fit_transposed_generator``, given an outside xi, does."""
+
+    @pytest.fixture
+    def md(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("linalg.partial_transpose called")
+
+        monkeypatch.setattr(linalg, "partial_transpose", refuse)
+        return modular.tensor_modular(modular.build_modular(linalg.sample_density(2, 3)),
+                                      modular.build_modular(linalg.sample_density(3, 4)))
+
+    @pytest.mark.parametrize("kind", [cones.VBETA, cones.NATURAL, cones.NATURAL_TENSOR,
+                                      cones.TRANSPOSED_TENSOR, cones.HULL,
+                                      cones.INTERSECTION])
+    def test_membership_inside_and_outside(self, md, kind):
+        spec = cones.ConeSpec(kind, beta=0.25 if kind == cones.VBETA else None)
+        for seed in range(3):
+            xi = (hull_sample(md, 10 + 2 * seed) if kind == cones.HULL
+                  else cones.sample_cone(md, spec, 10 + seed))
+            assert cones.cone_membership(md, spec, xi).inside, (kind, seed)
+            outside = cones.cone_membership(md, spec, -xi)
+            assert not outside.inside and outside.witness is not None, (kind, seed)
+
+    def test_probe(self, md):
+        assert cones.probe_finite_dim_equality(2, 3, 52, 3).max_residual <= 1e-8

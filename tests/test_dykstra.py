@@ -920,6 +920,15 @@ class TestValidation:
         with pytest.raises(LayoutMismatch):
             dykstra.PPTPair(TensorLayout((2, 2)), 3)
 
+    @pytest.mark.parametrize("factor", [True, False, "2", 2.0, np.float64(2.0), None])
+    def test_factor_not_an_integer(self, factor):
+        """Rejected with the index cache warm too: its key would take 2.0 for 2
+        and True for 1."""
+        dykstra.PPTPair(TensorLayout((2, 2)), 1)
+        dykstra.PPTPair(TensorLayout((2, 2)), 2)
+        with pytest.raises(LayoutMismatch):
+            dykstra.PPTPair(TensorLayout((2, 2)), factor)
+
     def test_solvers_reject_wrong_side(self, rng):
         pair = dykstra.PPTPair(TensorLayout((2, 2)), 2)
         with pytest.raises(LayoutMismatch):

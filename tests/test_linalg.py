@@ -95,6 +95,21 @@ class TestPartialTranspose:
         with pytest.raises(LayoutMismatch):
             linalg.partial_transpose(np.eye(4), TensorLayout((2, 2)), 0)
 
+    @pytest.mark.parametrize("factor", [True, False, "2", 2.0, np.float64(1.0), None])
+    def test_factor_not_an_integer(self, factor):
+        """Rejected with the cache warm too: its key would take 2.0 for 2."""
+        layout = TensorLayout((2, 2))
+        linalg.partial_transpose(np.eye(4), layout, 1)
+        linalg.partial_transpose(np.eye(4), layout, 2)
+        with pytest.raises(LayoutMismatch):
+            linalg.partial_transpose(np.eye(4), layout, factor)
+
+    def test_numpy_integer_factor(self, rng):
+        x = random_matrix(rng, 6)
+        layout = TensorLayout((2, 3))
+        assert np.array_equal(linalg.partial_transpose(x, layout, np.int64(2)),
+                              linalg.partial_transpose(x, layout, 2))
+
 
 def explicit_partial_transpose(x, dims, factor):
     """x^Γ entry by entry: the factor's digits of the row and column swapped."""
@@ -163,3 +178,15 @@ class TestSamplers:
     def test_layout_validation(self):
         with pytest.raises(LayoutMismatch):
             TensorLayout((2, 3)).check(np.zeros((5, 5)))
+
+    @pytest.mark.parametrize("dims", [(2.7, 2), ("2", 2), (True, 4), (2, False), 2, None,
+                                      (0, 2), (2, -1), (np.float64(2.0), 2)])
+    def test_layout_dims_rejected(self, dims):
+        with pytest.raises(LayoutMismatch):
+            TensorLayout(dims)
+
+    def test_layout_numpy_integer_dims(self):
+        layout = TensorLayout((np.int64(2), np.int32(3)))
+        assert layout == TensorLayout((2, 3))
+        assert hash(layout) == hash(TensorLayout((2, 3)))
+        assert all(type(d) is int for d in layout.dims)

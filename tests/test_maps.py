@@ -529,15 +529,18 @@ class TestStackedAmplify:
             assert g.tobytes() == maps.amplify(phi, k, c).tobytes()
 
     def test_single_matrix_is_the_block_contraction(self, k, m, n):
-        # block (i, j) of the output is phi of block (i, j) of the input
+        # block (i, j) of the output is phi of block (i, j) of the input,
+        # phi(x) = sum_pq x_pq phi(E_pq) with phi(E_pq) block (p, q) of the Choi matrix
         phi = maps.make_map(linalg.sample_hermitian(m * n, 8), m, n)
+        images = phi.choi.reshape(m, n, m, n)
         c = self.blocks(k, m, 1)[0]
         out = maps.amplify(phi, k, c).reshape(k, n, k, n)
         blocks = c.reshape(k, m, k, m)
         for i in range(k):
             for j in range(k):
-                assert np.allclose(out[i, :, j], maps.apply_map(phi, blocks[i, :, j]),
-                                   atol=1e-12)
+                x = blocks[i, :, j]
+                ref = sum(x[p, q] * images[p, :, q] for p in range(m) for q in range(m))
+                assert np.allclose(out[i, :, j], ref, atol=1e-12)
 
     def test_wrong_block_side_rejected(self, k, m, n):
         phi = maps.make_map(linalg.sample_hermitian(m * n, 9), m, n)
@@ -942,6 +945,47 @@ class TestDecomposeScale:
         assert res.stop_reason == "converged"
 
 
+# (r, a) of the family maps whose split caps at the default max_iter at scale 1
+_AUDIT_CAPPED = {(1e-6, 1.5), (1e-6, 2.0), (1e-6, 2.5), (-1e-6, 1.0)}
+
+
+def _audit_corpus():
+    """The generalized Choi family but its capped maps, and every fifth
+    criterion-6 map, as test parameters."""
+    family = [pytest.param(generalized_choi(a, b, c), id=f"r{r:+.0e}-a{a}")
+              for r, a, b, c in generalized_choi_family() if (r, a) not in _AUDIT_CAPPED]
+    return family + [pytest.param(phi, id=f"crit6-{5 * i}")
+                     for i, phi in enumerate(decomposable_test_set()[::5])]
+
+
+class TestImplicationsAndScale:
+    """The package's own verdicts obey the hierarchy: CP or co-CP implies
+    decomposable, and decomposable implies positive, so a k = 1 violation
+    rules out both CP and co-CP.  No verdict moves when the Choi matrix is
+    scaled exactly, by a power of two, from 2^-30 to 2^20.  (At 2^30 most
+    splits cap: ``TestDecomposeScale::test_large_scale_converges``.)"""
+
+    @staticmethod
+    def verdicts(phi, scale=1.0):
+        phi = maps.make_map(scale * phi.choi, phi.dim_in, phi.dim_out)
+        gp = maps.global_positivity_test(phi)
+        return (gp.completely_positive, gp.completely_copositive,
+                maps.decompose(phi).stop_reason,
+                maps.k_positivity_search(phi, 1, restarts=8).violation_found)
+
+    @pytest.mark.parametrize("phi", _audit_corpus())
+    def test_implications_hold_at_every_scale(self, phi):
+        cp, ccp, stop, violated = base = self.verdicts(phi)
+        if cp or ccp:
+            assert stop == "converged"
+        if stop == "converged":
+            assert not violated
+        if violated:
+            assert not (cp or ccp)
+        for e in (-30, -10, 10, 20):
+            assert self.verdicts(phi, 2.0 ** e) == base, e
+
+
 def _after_transpose(phi):
     """t∘φ: C ↦ C^Γ2."""
     return maps.make_map(linalg.partial_transpose(phi.choi, phi.layout, 2),
@@ -1075,6 +1119,15 @@ class TestTransfer:
         # cone preservation: level 1 of the P_n criterion
         rep = maps.cone_criterion_check(maps.adjoint_map(u), md, k=1, trials=10)
         assert rep.levels[1]["p"] <= 1e-8
+
+    def test_dimension_mismatch(self):
+        """m ≠ n, or a state of another dimension, is rejected (by db_adjoint,
+        which the transfer operator builds first)."""
+        md = modular.build_modular(np.eye(2) / 2)
+        with pytest.raises(DimensionMismatch):
+            maps.transfer_operator(maps.make_map(np.eye(6), 2, 3), md)
+        with pytest.raises(DimensionMismatch):
+            maps.transfer_operator(maps.identity_map(3), md)
 
 
 def criterion_image(rep, xi, m, level):
