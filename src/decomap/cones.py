@@ -40,10 +40,6 @@ INTERSECTION = "intersection"
 _TENSOR_KINDS = (NATURAL_TENSOR, TRANSPOSED_TENSOR, HULL, INTERSECTION)
 _KINDS = (VBETA, NATURAL) + _TENSOR_KINDS
 
-# intersection samples are projected this close to {a ⪰ 0, a^Γ ⪰ 0}, well
-# inside DEFAULT.cone, so they read inside at the default tolerance
-_SAMPLE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ConeSpec:
@@ -196,9 +192,10 @@ def sample_cone(md: ModularData, spec: ConeSpec, seed) -> np.ndarray:
 
     Every kind is rho^beta G G* rho^{1/2 - beta} in eigenbasis coordinates,
     beta = 1/4 but for V_beta, after G G* is made a member of the reduced
-    cone: partially transposed for the transposed tensor cone, projected
-    onto {a >= 0, a^{t2} >= 0} for the intersection.  InvalidOption unless
-    seed ≥ 0 is an integer.
+    cone: partially transposed for the transposed tensor cone, lifted by
+    ``PPTPair.lift`` for the intersection (G G* + μI with the least μ ≥ 0
+    that makes its second-factor partial transpose PSD, since I^Γ = I), so
+    no solve is made.  InvalidOption unless seed ≥ 0 is an integer.
     """
     linalg._check_count("seed", seed, least=0)
     if spec.kind == HULL:
@@ -210,7 +207,7 @@ def sample_cone(md: ModularData, spec: ConeSpec, seed) -> np.ndarray:
     if spec.kind == TRANSPOSED_TENSOR:
         a = pair.pt(a)
     elif spec.kind == INTERSECTION:
-        a = dykstra.project_intersection(a, pair, tol=_SAMPLE_TOL).point
+        a = pair.lift(a)
     beta = spec.beta if spec.kind == VBETA else 0.25
     return md.from_eigenbasis(md.weigh(a, beta, 0.5 - beta))
 

@@ -4,7 +4,9 @@ Every solve runs on one cone pair, :class:`PPTPair`: K1 = {a ⪰ 0} and
 K2 = {a : a^Γ ⪰ 0}, with Γ the partial transpose of one tensor factor.
 
 * ``project_intersection``: the nearest point of K1 ∩ K2 by plain Dykstra.
-  It stops converged or capped at ``max_iter``.
+  It stops converged or capped at ``max_iter``.  No module of the package
+  calls it: every point of K1 ∩ K2 the package needs is a lift (below).  It
+  stays public because the benchmark wraps it by name.
 * ``split_sum``: c = a + b with a ∈ K1, b ∈ K2, which needs *a* split, not
   the nearest one.  It stops ``converged``, ``certified`` by a dual witness
   that proves c ∉ K1 + K2, or ``capped`` at ``max_iter``; a CP or co-CP c
@@ -23,8 +25,9 @@ re-check, and it makes a point of K1 ∩ K2 without a solve
 (``PPTPair.lift``): a PSD w plus the least multiple of I that puts w^Γ in
 the PSD cone, since I^Γ = I.  A lift takes a matrix or a stack of them,
 with one batched ``eigvalsh``.  The split's dual witness (one matrix) and
-the S_k sampler's points (all of a call's trials as one stack) are built
-that way; only ``cones.sample_cone`` asks for the nearest point.
+the S_k sampler's points (all of a call's trials as one stack) and
+``cones.sample_cone``'s intersection members are built that way; no caller
+asks for the nearest point.
 
 Inputs are validated once, when a pair is built and when a solve starts;
 each solver also takes its input's Hermitian part there, once, and its
@@ -142,8 +145,11 @@ def project_intersection(
     ``iterations`` counts the steps, two ``eigh`` each.  The solve stops
     converged once ‖x' − y‖, zero exactly on the intersection, is at most
     ``tol``, or capped after ``max_iter`` steps; the point x' lies in K2.
-    PSD inputs, as ``cones.sample_cone`` draws them, stop within two steps;
-    indefinite ones take about 220 on average at tol 1e-11, some thousands.
+    PSD inputs stop within two steps; indefinite ones take about 220 on
+    average at tol 1e-11, some thousands.  No module of the package calls
+    it (``PPTPair.lift`` makes the points of K1 ∩ K2 that ``cones`` and
+    ``maps`` draw); it is kept, public, because the benchmark wraps it by
+    name.
     """
     x = linalg.herm_part(pair.validate(x0, tol, max_iter))
     p, q, xp, y, yq, t, d = np.zeros((7,) + x.shape, dtype=complex)

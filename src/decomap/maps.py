@@ -108,8 +108,10 @@ def transposition_map(n: int) -> MapObject:
 
 
 def adjoint_map(v: np.ndarray, label: str = "") -> MapObject:
-    """Conjugation a -> v a v*."""
+    """Conjugation a -> v a v*; ShapeMismatch unless v is a matrix."""
     v = np.asarray(v, dtype=complex)
+    if v.ndim != 2:
+        raise ShapeMismatch(f"expected a matrix, got shape {v.shape}")
     vh = v.conj().T
     return map_from_action(lambda a: v @ a @ vh, v.shape[1], v.shape[0],
                            label=label or "adu")
@@ -195,7 +197,9 @@ def amplify(phi: MapObject, k: int, c) -> np.ndarray:
     """id_k (x) phi applied to a block matrix in M_k(M_m).
 
     ``c`` may be a stack (..., k m, k m); id_k (x) phi acts on each matrix.
+    DimensionMismatch unless k ≥ 1 is an integer.
     """
+    _check_level(k)
     c = np.asarray(c, dtype=complex)
     m, n = phi.dim_in, phi.dim_out
     if c.shape[-2:] != (k * m, k * m):

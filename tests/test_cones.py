@@ -162,25 +162,33 @@ class TestMembership:
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
-def test_intersection_draws_stop_within_two_steps(dims, monkeypatch):
-    """Every intersection draw is a PSD Wishart matrix, and its nearest-point
-    solve converges by its second Dykstra step: project_intersection needs
-    no acceleration for the draws the package makes."""
-    solves = []
-    solve = dykstra.project_intersection
+def test_intersection_draws_are_lifted_not_solved(dims, monkeypatch):
+    """Every intersection draw is the PSD draw G G* plus μI, μ = max(0,
+    −λmin((G G*)^Γ)), in eigenbasis coordinates: its reduction r and r^Γ are
+    PSD to rounding, no nearest-point solve is made, and the draws whose
+    transpose was indefinite (μ > 0) lie on the boundary of P_n^τ."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("sample_cone ran a nearest-point solve")
 
-    def spy(*args, **kwargs):
-        solves.append(solve(*args, **kwargs))
-        return solves[-1]
-
-    monkeypatch.setattr(dykstra, "project_intersection", spy)
+    monkeypatch.setattr(dykstra, "project_intersection", no_solve)
     md = modular.tensor_modular(modular.build_modular(linalg.sample_density(dims[0], 3)),
                                 modular.build_modular(linalg.sample_density(dims[1], 4)))
+    layout = TensorLayout(dims)
     spec = cones.ConeSpec(cones.INTERSECTION)
+    lifted = 0
     for seed in range(50):
-        cones.sample_cone(md, spec, seed)
-    assert len(solves) == 50
-    assert all(res.converged and res.iterations <= 2 for res in solves)
+        r = md.weigh(md.to_eigenbasis(cones.sample_cone(md, spec, seed)), -0.25, -0.25)
+        r_pt = linalg.partial_transpose(r, layout, 2)
+        bound = 1e-13 * linalg.frobenius(r)
+        assert linalg.min_eig(r) >= -bound
+        assert linalg.min_eig(r_pt) >= -bound
+        a = md.to_eigenbasis(linalg.sample_psd(md.dim, seed))
+        mu = max(0.0, -linalg.min_eig(linalg.partial_transpose(a, layout, 2)))
+        assert linalg.frobenius(r - a - mu * np.eye(md.dim)) <= bound
+        if mu > 0:
+            lifted += 1
+            assert abs(linalg.min_eig(r_pt)) <= bound
+    assert lifted > 0
 
 
 class TestIntersection:

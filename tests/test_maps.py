@@ -51,6 +51,11 @@ class TestRepresentation:
         assert np.allclose(sorted(w)[:3], [0, 0, 0], atol=1e-12)
         assert w[-1] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("v", [np.ones(3), np.ones((2, 2, 2)), np.array(1.0)])
+    def test_adjoint_needs_a_matrix(self, v):
+        with pytest.raises(ShapeMismatch):
+            maps.adjoint_map(v)
+
     def test_apply(self, rng):
         a = random_matrix(rng, 2)
         assert np.allclose(maps.apply_map(maps.identity_map(2), a), a)
@@ -550,6 +555,16 @@ class TestStackedAmplify:
             maps.amplify(phi, k, np.zeros(k * m))
 
 
+@pytest.mark.parametrize("k, c", [(2.0, np.zeros((4, 4))), (True, np.zeros((2, 2))),
+                                  (0, np.zeros((0, 0))), (-1, np.zeros((2, 2))),
+                                  (None, np.zeros((2, 2)))])
+def test_amplify_rejects_a_level(k, c):
+    """A level that is not an integer ≥ 1 is a DimensionMismatch, the rule
+    sk_sampler and k_positivity_search apply, whatever the block shape."""
+    with pytest.raises(DimensionMismatch):
+        maps.amplify(maps.identity_map(2), k, c)
+
+
 def reduction_map(m):
     """a -> Tr(a) I - 2a on M_m: not positive (a rank-one projection goes to
     I - 2P, with eigenvalue -1), so it fails S_k at every k."""
@@ -963,7 +978,8 @@ class TestImplicationsAndScale:
     decomposable, and decomposable implies positive, so a k = 1 violation
     rules out both CP and co-CP.  No verdict moves when the Choi matrix is
     scaled exactly, by a power of two, from 2^-30 to 2^20.  (At 2^30 most
-    splits cap: ``TestDecomposeScale::test_large_scale_converges``.)"""
+    splits cap: ``TestDecomposeScale::test_large_scale_converges``.)  The
+    verdicts follow t∘φ, φ* and local unitary conjugation as the cones do."""
 
     @staticmethod
     def verdicts(phi, scale=1.0):
@@ -984,6 +1000,19 @@ class TestImplicationsAndScale:
             assert not (cp or ccp)
         for e in (-30, -10, 10, 20):
             assert self.verdicts(phi, 2.0 ** e) == base, e
+
+    @pytest.mark.parametrize("phi", _audit_corpus())
+    def test_verdicts_follow_the_symmetries(self, phi):
+        """t∘φ swaps CP and co-CP and keeps the split's stop reason and the
+        k = 1 violation; φ* and a local unitary conjugation (U ⊗ V) C (U ⊗ V)*
+        keep all four verdicts."""
+        cp, ccp, stop, violated = base = self.verdicts(phi)
+        assert self.verdicts(_after_transpose(phi)) == (ccp, cp, stop, violated)
+        assert self.verdicts(_adjoint(phi)) == base
+        m, n = phi.dim_in, phi.dim_out
+        w = np.kron(linalg.sample_unitary(m, 31), linalg.sample_unitary(n, 32))
+        local = maps.make_map(w @ phi.choi @ w.conj().T, m, n)
+        assert self.verdicts(local) == base
 
 
 def _after_transpose(phi):
