@@ -31,7 +31,7 @@ import time
 
 import numpy as np
 
-from . import __version__, cones, maps, modular, stormer
+from . import __version__, cones, linalg, maps, modular, stormer
 from .errors import DecomapError, ParseError
 from .linalg import DEFAULT, TensorLayout
 
@@ -46,7 +46,7 @@ def _is_number(x) -> bool:
 
 def _is_dim(x) -> bool:
     """A positive JSON integer: not a bool, a float or a string."""
-    return isinstance(x, int) and not isinstance(x, bool) and x > 0
+    return linalg._is_int(x) and x > 0
 
 
 def _entry_pairs(raw, count: int) -> np.ndarray:

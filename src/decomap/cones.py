@@ -26,7 +26,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedKind,
 )
-from .linalg import DEFAULT, TensorLayout
+from .linalg import DEFAULT
 from .modular import ModularData, build_modular, tensor_modular
 
 # cone kinds
@@ -291,12 +291,11 @@ def fit_transposed_generator(md_a: ModularData, md_b: ModularData, xi) -> tuple[
     """
     m, n = md_a.dim, md_b.dim
     md = tensor_modular(md_a, md_b)
-    layout = TensorLayout((m, n))
     xi = np.asarray(xi, dtype=complex)
-    eta_e = linalg.partial_transpose(md.to_eigenbasis(xi), layout, 2)
+    eta_e = linalg.partial_transpose(md.to_eigenbasis(xi), md.layout, 2)
     c = md.weigh(eta_e, -0.25, -0.25)
     w_c, v_c = np.linalg.eigh(linalg.herm_part(c))
     sqrt_c = (v_c * np.sqrt(np.maximum(w_c, 0.0))) @ v_c.conj().T
     w = md.weigh(sqrt_c, 0.25, -0.25)
     recon = _generator(md, w.reshape(m, n, m, n).transpose(0, 2, 1, 3))
-    return float(np.linalg.norm(recon - xi)), recon
+    return linalg.frobenius(recon - xi), recon

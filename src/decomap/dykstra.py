@@ -84,8 +84,8 @@ class PPTPair:
         matrix of a stack on its own, so each value is bit for bit that of
         ``linalg.min_eig`` on the matrix alone.
         """
-        w = np.linalg.eigvalsh(linalg.herm_part(np.stack((x, self.pt(x)))))
-        return float(w[0, 0]), float(w[1, 0])
+        w = linalg.min_eig(np.stack((x, self.pt(x))))
+        return float(w[0]), float(w[1])
 
     def lift(self, w: np.ndarray) -> np.ndarray:
         """w + μI, in place and returned, with μ = max(0, −λmin(w^Γ)).

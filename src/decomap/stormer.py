@@ -11,7 +11,9 @@ w[i, j] = omega_eta(E_ij) = <eta, Phi[i, j]> (density matrix w^T), and
 all of it comes from one eigh w = u diag(lam) u*: the Gram forms
 I (x) w / 2, w^T (x) I / 2 have eigenvalue lam_k / 2 on outer(e_i, u_k),
 outer(conj(u_k), e_j), which span L and R at the null vectors of w and,
-scaled, are an orthonormal basis of K_eta at the others.  One assembly
+scaled, are an orthonormal basis of K_eta at the others.  One cutoff on the
+Gram eigenvalue, lam_k / 2 below ``DEFAULT.kernel``, decides which u_k are
+null, and so the ideals, K_eta and the face candidate alike.  One assembly
 takes that basis, or the face case's below, as pairs k_s = (r0[s], r1[s])
 and reads rho_eta(E_pq), the Gram residual and the coordinates of the
 pairs (E_ij, E_ij) from w by the same contractions.  In the generic basis
@@ -180,12 +182,13 @@ def build_local_decomposition(
 ) -> StormerData:
     """Carry out the quotient construction for (phi, eta).
 
-    One eigh of w gives the ideal bases (Gram eigenvalue lam_k / 2 below
-    ``DEFAULT.kernel``) and the face candidate conj(u_0), the kernel vector
-    of the density matrix w^T when lam_0 is below ``DEFAULT.kernel``.  In a
-    maximal face (detected that way or supplied explicitly) the explicit
-    four-element basis is emitted; otherwise K_eta has the basis of the
-    other Gram eigenmatrices.  tol must be finite and positive; it is raised
+    One eigh of w and one cutoff on its Gram eigenvalues decide all three
+    readings of the null space: u_k is null when lam_k / 2 is below
+    ``DEFAULT.kernel``.  The null u_k give the ideal bases; when u_0 is null,
+    conj(u_0), the kernel vector of the density matrix w^T, is the face
+    candidate; the other u_k give K_eta's generic basis.  In a maximal face
+    (detected that way or supplied explicitly) the explicit four-element
+    basis is emitted instead.  tol must be finite and positive; it is raised
     to at least ``DEFAULT.cone``: the face candidate comes from a kernel
     read at ``DEFAULT.kernel``, so the construction resolves no finer.
     """
@@ -209,14 +212,15 @@ def build_local_decomposition(
     big_phi = images @ eta                          # big_phi[i, j] = phi(E_ij) eta
     w = big_phi @ eta.conj()                        # w[i, j] = omega_eta(E_ij)
     lam, u = np.linalg.eigh(linalg.herm_part(w))
-    left_basis, right_basis = map(list, _eigenmatrices(u[:, lam / 2 < DEFAULT.kernel]))
+    null = lam / 2 < DEFAULT.kernel
+    left_basis, right_basis = map(list, _eigenmatrices(u[:, null]))
 
-    if face is None and lam[0] < DEFAULT.kernel:
+    if face is None and null[0]:
         xi = u[:, 0].conj()             # w^T u_0* = lam_0 u_0*
     if xi is not None and np.linalg.norm(
             np.einsum("i,j,ijp->p", xi, xi.conj(), big_phi)) <= tol:
         return _build_face_case(big_phi, eta, xi, w, left_basis, right_basis)
-    return _build_generic(big_phi, eta, w, lam, u, left_basis, right_basis)
+    return _build_generic(big_phi, eta, w, lam[~null], u[:, ~null], left_basis, right_basis)
 
 
 def _assemble(big_phi, eta, w, r0, r1, left_basis, right_basis, v_eta=None,
@@ -284,12 +288,11 @@ def _build_face_case(big_phi, eta, xi, w, left_basis, right_basis):
 
 
 def _build_generic(big_phi, eta, w, lam, u, left_basis, right_basis):
-    """K_eta on the Gram eigenmatrices of each side whose lam_k / 2 exceeds
-    ``DEFAULT.kernel``, scaled by 1 / sqrt(lam_k / 2) to be orthonormal: left
-    ones as (a, 0) first, then right ones as (0, b).  In this basis rho_eta(a)
-    comes out as (I_r (x) a) (+) (I_r (x) a)^T."""
-    keep = lam / 2 > DEFAULT.kernel
-    left, right = _eigenmatrices(u[:, keep] / np.sqrt(lam[keep] / 2))
+    """K_eta on the Gram eigenmatrices of each side at the eigenpairs (lam, u)
+    of w outside the kernel cut, scaled by 1 / sqrt(lam_k / 2) to be
+    orthonormal: left ones as (a, 0) first, then right ones as (0, b).  In
+    this basis rho_eta(a) comes out as (I_r (x) a) (+) (I_r (x) a)^T."""
+    left, right = _eigenmatrices(u / np.sqrt(lam / 2))
     zero = np.zeros_like(left)
     return _assemble(big_phi, eta, w, np.concatenate([left, zero]),
                      np.concatenate([zero, right]), left_basis, right_basis)

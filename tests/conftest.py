@@ -191,3 +191,11 @@ def product_minimum(h, n):
             t, p, step = tt.flat[k], pp.flat[k], step / 2
         best = min(best, float(v.flat[k]))
     return best
+
+
+def block_positive_choi(n, seed, margin):
+    """H − (μ − margin)·I on C^2 ⊗ C^n, μ = H's product minimum: block-positive,
+    so decomposable for n ≤ 3 (Størmer–Woronowicz), at distance about
+    ``margin`` from the boundary of the block-positive cone."""
+    h = linalg.sample_hermitian(2 * n, seed)
+    return h - (product_minimum(h, n) - margin) * np.eye(2 * n)

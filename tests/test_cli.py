@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ from conftest import (EIG_SLACK, SIGMA_X, choi_map_choi, matrix_json, random_mat
                       write_json)
 
 CI_WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "ci.yml"
+README = Path(__file__).parents[1] / "README.md"
 
 # named inputs of the request tables below: a name in argv becomes a JSON file
 FILES = {
@@ -760,3 +762,16 @@ def test_ci_makes_no_cli_request():
               "  decomap decompose --map m.json\n"
               "python3 bench/run.py --workload decompose --seed 0\n")
     assert cli_requests(sample) == sample.splitlines()[:1] + ["decomap decompose --map m.json"]
+
+
+def test_readme_usage_parses():
+    """Every README line that starts with a ``decomap`` request parses with the
+    CLI's own parser (parsed, not run), and each subcommand is shown once."""
+    parser = cli.build_parser()
+    shown = []
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("decomap "):
+            argv = shlex.split(line)[1:]
+            parser.parse_args(argv)
+            shown.append(argv[0])
+    assert sorted(shown) == sorted(cli._HANDLERS)

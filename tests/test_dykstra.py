@@ -7,9 +7,9 @@ from decomap import dykstra, linalg
 from decomap.errors import InvalidOption, LayoutMismatch, NonFinite
 from decomap.linalg import TensorLayout
 
-from conftest import (EIG_SLACK, assert_split, assert_witness, choi_map_choi,
-                      decomposable_test_set, generalized_choi, generalized_choi_family,
-                      local_conjugates, product_minimum, random_matrix)
+from conftest import (EIG_SLACK, assert_split, assert_witness, block_positive_choi,
+                      choi_map_choi, decomposable_test_set, generalized_choi,
+                      generalized_choi_family, local_conjugates, random_matrix)
 
 LAYOUTS = [(2, 2), (2, 3), (3, 3)]      # sides 4, 6 and 9
 
@@ -406,14 +406,6 @@ class TestProjectIntersection:
         assert not got.converged and got.iterations == 500
         assert 0.0 < got.residual <= 1e-11
         assert_in_k2(got.point, pair)
-
-
-def block_positive_choi(n, seed, margin):
-    """H − (μ − margin)·I on C^2 ⊗ C^n, μ = H's product minimum: block-positive,
-    so decomposable for n ≤ 3 (Størmer–Woronowicz), at distance about
-    ``margin`` from the boundary of the block-positive cone."""
-    h = linalg.sample_hermitian(2 * n, seed)
-    return h - (product_minimum(h, n) - margin) * np.eye(2 * n)
 
 
 class TestBitIdentical:

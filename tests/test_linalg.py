@@ -27,6 +27,13 @@ class TestHermEig:
             with pytest.raises(NotHermitian):
                 linalg.require_hermitian(scale * a)
 
+    def test_package_runtime_warning_is_an_error(self):
+        """pyproject.toml's filter turns a RuntimeWarning raised in package
+        code into an error, so an overflow there fails the test that hits it:
+        (x + x*)/2 overflows at 1.7e308."""
+        with pytest.raises(RuntimeWarning):
+            linalg.herm_part(np.full((2, 2), 1.7e308 + 0j))
+
     def test_hermitian_deviation(self):
         x = np.array([[1.0, 2.0], [0.0, 1.0]])
         dev, bound = linalg.hermitian_deviation(x, 0.5)

@@ -79,6 +79,26 @@ class TestIdentities:
         with pytest.raises(InvalidOption):
             modular.check_identities(md_skew, samples, 0)
 
+    def test_each_image_computed_once(self, monkeypatch):
+        """U ξ, J ξ and U J_m ξ are computed once and read by every identity
+        that needs them: 21 basis changes per call, each one to_eigenbasis
+        and one from_eigenbasis."""
+        md = modular.build_modular(linalg.sample_density(3, 0))
+        calls = {"to": 0, "from": 0}
+
+        def spy(name, fn):
+            def counted(self, x):
+                calls[name] += 1
+                return fn(self, x)
+            return counted
+
+        monkeypatch.setattr(modular.ModularData, "to_eigenbasis",
+                            spy("to", modular.ModularData.to_eigenbasis))
+        monkeypatch.setattr(modular.ModularData, "from_eigenbasis",
+                            spy("from", modular.ModularData.from_eigenbasis))
+        modular.check_identities(md, 50, 0)
+        assert calls == {"to": 21, "from": 21}
+
 
 def identities_oracle(md, samples, seed):
     """The identity residuals sample by sample, each on 2-D matrices, from

@@ -195,6 +195,22 @@ class TestBuild:
             assert data.k_dim == 8
             assert data.v_lsq_residual <= 1e-12
 
+    @pytest.mark.parametrize("eps, face_case, ideal, k_dim", [
+        (5e-11, True, 2, 4), (1.5e-10, True, 2, 4), (3e-10, False, 0, 8)])
+    def test_one_kernel_cut(self, eps, face_case, ideal, k_dim):
+        """(1 − ε)·sigma_x example + ε·identity at e1, no face given: lam_0
+        of w is ε.  One cut at lam / 2 < DEFAULT.kernel decides the ideals,
+        K_eta and the face candidate, so where u_0 is null for the ideals
+        (ε = 1.5e-10) the face path is taken too, with residuals of order ε."""
+        sym = stormer.symmetric_face_example()[0]
+        phi = maps.make_map((1 - eps) * sym.choi + eps * maps.identity_map(2).choi, 2, 2)
+        data = stormer.build_local_decomposition(phi, E1)
+        assert data.face_case == face_case
+        assert (len(data.left_ideal_basis), len(data.right_ideal_basis)) == (ideal, ideal)
+        assert data.k_dim == k_dim
+        assert data.basis_orthonormality_residual <= 2 * eps
+        assert data.v_lsq_residual <= 2.7e-10
+
     def test_rejects_non_unital(self):
         phi = maps.map_from_action(lambda a: 0.5 * a, 2, 2)
         with pytest.raises(NotUnital):
